@@ -31,9 +31,10 @@ from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
                    generate_voronoi, interior_face_conformity, mesh_hash,
                    parse_tess, random_seeds, read_mesh, write_mesh,
                    write_tess)
-from .study import (DEFAULT_BETA, StudyError, beta_opt, beta_sweep,
-                    beta_sweep_csv, build_reference, comparison_csv,
-                    fraction_csv, fraction_sweep, method_comparison)
+from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
+                    beta_sweep, beta_sweep_csv, build_reference,
+                    coarse_fem_deviation, comparison_csv, fraction_csv,
+                    fraction_sweep, method_comparison)
 
 __all__ = ["main", "ConfigError", "InputDataError"]
 
@@ -444,14 +445,10 @@ def cmd_materials(cfg: dict, verbose: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _beta_point(payload):
-    mesh, moduli, mode, b, ref_effective, targets = payload
-    from .homogenization import homogenize_vem
-    from .study import relative_deviation, target_block
-    result = homogenize_vem(mesh, moduli, beta=float(b), mode=mode)
-    d_rel = {t: relative_deviation(
-        target_block(result.effective, mode, t),
-        target_block(ref_effective, mode, t)) for t in targets}
-    return float(b), d_rel
+    """Pool task: one contiguous chunk of the beta grid; the VEM
+    operators are built once per chunk."""
+    mesh, moduli, mode, chunk, ref_effective, targets = payload
+    return beta_curve(mesh, moduli, mode, chunk, ref_effective, targets)
 
 
 def _parallel_beta_sweep(mesh, moduli, mode, grid, reference, targets,
@@ -459,17 +456,16 @@ def _parallel_beta_sweep(mesh, moduli, mode, grid, reference, targets,
     if workers <= 1:
         return beta_sweep(mesh, moduli, mode, grid, reference, targets)
     from concurrent.futures import ProcessPoolExecutor
-    payloads = [(mesh, moduli, mode, b, reference.effective, targets)
-                for b in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        curve = list(pool.map(_beta_point, payloads))
-    from .homogenization import homogenize_fem
-    from .study import relative_deviation, target_block
-    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
-    fem_d = {t: relative_deviation(
-        target_block(fem.effective, mode, t),
-        target_block(reference.effective, mode, t)) for t in targets}
-    return curve, fem_d
+    n = min(workers, len(grid))
+    chunks = [grid[k * len(grid) // n:(k + 1) * len(grid) // n]
+              for k in range(n)]
+    payloads = [(mesh, moduli, mode, chunk, reference.effective, targets)
+                for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        curve = [point for part in pool.map(_beta_point, payloads)
+                 for point in part]
+    return curve, coarse_fem_deviation(mesh, moduli, mode, reference,
+                                       targets)
 
 
 def _fraction_point(payload):

@@ -15,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .element_fem import field_operator, kernel_dimension, tet_state_operator
-from .mesh import MeshError, PolyMesh, TetSubmesh, face_geometry, triangulate_cell
+from .element_fem import batch_o1_operators, field_operator, kernel_dimension
+from .mesh import (MeshError, PolyMesh, TetSubmesh, face_geometry,
+                   triangulate_cell, union_submeshes)
 
 __all__ = [
-    "ProjectedGradients", "VemElement",
+    "ProjectedGradients", "CellOperators", "VemElement", "cell_operators",
     "face_integral_weights", "scalar_gradient_operator", "projected_gradient",
     "element_energy", "element_residual_tangent", "stabilization_required",
 ]
@@ -111,12 +112,122 @@ def stabilization_required(n_vertices: int, n_fields: int) -> bool:
     return n_vertices * n_fields - kernel_dimension(n_fields) > state_size
 
 
-class VemElement:
-    """Cached operators of one polyhedral element.
+@dataclass(frozen=True)
+class CellOperators:
+    """Weight-independent operators of one polyhedral cell.
 
-    Builds the projected state operator, the blended stiffness, and the
-    volume-weighted average-state operator; an interior fallback node of
-    a non-star-shaped triangulation is condensed out statically.
+    Over the cell's vertex dofs the blended element is affine in the
+    stabilization weight: K(beta) = (1 - beta) K_cons + beta K_tet and
+    A(beta) = (1 - beta) A_cons + beta A_tet. K_cons = V B^T G B and
+    A_cons = V B act on the projected constant state B; K_tet and A_tet
+    are the linear-tet stiffness and integrated-state operator of the
+    cell's submesh. The centroid node of a fallback submesh enters only
+    the tet part, so it is condensed out there, and its recovery
+    operator does not depend on beta. The tet fields are None when the
+    operators were built for beta = 0 only.
+    """
+    node_ids: np.ndarray
+    volume: float
+    gradient_op: np.ndarray                # (3, n_vertices)
+    B_proj: np.ndarray                     # (n_state, n_vertices * n_fields)
+    K_cons: np.ndarray
+    A_cons: np.ndarray
+    submesh: Optional[TetSubmesh] = None
+    K_tet: Optional[np.ndarray] = None
+    A_tet: Optional[np.ndarray] = None
+    interior_recovery: Optional[np.ndarray] = None
+    tet_cols: Optional[np.ndarray] = None  # (m, 4 n_fields) local dofs, centroid last
+    tet_B: Optional[np.ndarray] = None     # (m, n_state, 4 n_fields)
+    tet_volumes: Optional[np.ndarray] = None
+
+    def blend(self, beta: float):
+        """(stiffness, integrated-state operator) at weight beta."""
+        if beta == 0.0:
+            return self.K_cons, self.A_cons
+        return ((1.0 - beta) * self.K_cons + beta * self.K_tet,
+                (1.0 - beta) * self.A_cons + beta * self.A_tet)
+
+
+def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
+                   with_tets: bool = True, submeshes=None):
+    """Yield the CellOperators of the given cells in order, one modulus
+    per cell.
+
+    The linear-tet operators of all cells come from one batched build
+    over the union of their submeshes; `with_tets=False` skips them (and
+    the triangulation) for beta = 0 only. Cells are yielded one at a
+    time so that a caller scattering them into global arrays never holds
+    every dense cell matrix at once.
+    """
+    state_size = 6 + 3 * (n_fields - 3)
+    nf = n_fields
+    cell_ids = [int(c) for c in cell_ids]
+    moduli = [np.asarray(G, dtype=float) for G in moduli]
+    for G in moduli:
+        if G.shape != (state_size, state_size):
+            raise ValueError(
+                f"modulus must be {state_size}x{state_size} for "
+                f"{n_fields} fields, got {G.shape}")
+    subs = list(submeshes) if submeshes is not None else [None] * len(cell_ids)
+    if with_tets:
+        subs = [s if s is not None else triangulate_cell(mesh, c)
+                for c, s in zip(cell_ids, subs)]
+        tmesh = union_submeshes(mesh, subs)
+        B_all, vols = batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
+        starts = np.cumsum([0] + [len(sub.tets) for sub in subs])
+    for k, (c, G) in enumerate(zip(cell_ids, moduli)):
+        cell = mesh.cells[c]
+        D = scalar_gradient_operator(mesh, c)
+        B = field_operator(D.T, nf)
+        K = cell.volume * (B.T @ G @ B)
+        tet = {}
+        if with_tets:
+            span = slice(starts[k], starts[k + 1])
+            tet = _tet_part(cell.vertex_ids, subs[k], B_all[span],
+                            vols[span], G, nf)
+        yield CellOperators(
+            node_ids=cell.vertex_ids.copy(), volume=cell.volume,
+            gradient_op=D, B_proj=B, K_cons=(K + K.T) / 2.0,
+            A_cons=cell.volume * B, submesh=subs[k], **tet)
+
+
+def _tet_part(node_ids, sub, B, vol, G, nf):
+    """Condensed K_tet and A_tet of one cell from its per-tet operators."""
+    n_loc = len(node_ids)
+    n_extra = len(sub.extra_vertices)
+    ndof_v = n_loc * nf
+    ndof = ndof_v + n_extra * nf
+    n_state = B.shape[1]
+    loc = np.empty(sub.n_mesh + n_extra, dtype=int)
+    loc[node_ids] = np.arange(n_loc)
+    loc[sub.n_mesh:] = n_loc + np.arange(n_extra)
+    cols = (loc[sub.tets][:, :, None] * nf + np.arange(nf)).reshape(len(B), -1)
+    Kt = np.transpose(B, (0, 2, 1)) @ (G @ B) * vol[:, None, None]
+    K = np.bincount((cols[:, :, None] * ndof + cols[:, None, :]).ravel(),
+                    weights=Kt.ravel(), minlength=ndof * ndof)
+    K = K.reshape(ndof, ndof)
+    A = np.bincount(
+        (np.arange(n_state)[None, :, None] * ndof + cols[:, None, :]).ravel(),
+        weights=(B * vol[:, None, None]).ravel(),
+        minlength=n_state * ndof).reshape(n_state, ndof)
+    recovery = None
+    if n_extra:
+        Kvc = K[:ndof_v, ndof_v:]
+        recovery = -np.linalg.solve(K[ndof_v:, ndof_v:], Kvc.T)
+        K = K[:ndof_v, :ndof_v] + Kvc @ recovery
+        A = A[:, :ndof_v] + A[:, ndof_v:] @ recovery
+    return {"K_tet": (K + K.T) / 2.0, "A_tet": A,
+            "interior_recovery": recovery, "tet_cols": cols, "tet_B": B,
+            "tet_volumes": vol}
+
+
+class VemElement:
+    """Operators of one polyhedral element at its stabilization weight.
+
+    The blend at `beta` of the cell's CellOperators: the projected state
+    operator, the stiffness, and the volume-weighted average-state
+    operator; an interior fallback node of a non-star-shaped
+    triangulation is condensed out statically.
     """
 
     def __init__(self, mesh: PolyMesh, cell_id: int, G: np.ndarray,
@@ -124,64 +235,20 @@ class VemElement:
                  submesh: Optional[TetSubmesh] = None):
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        G = np.asarray(G, dtype=float)
-        state_size = 6 + 3 * (n_fields - 3)
-        if G.shape != (state_size, state_size):
-            raise ValueError(
-                f"modulus must be {state_size}x{state_size} for "
-                f"{n_fields} fields, got {G.shape}")
-        cell = mesh.cells[cell_id]
+        ops, = cell_operators(mesh, [cell_id], [G], n_fields,
+                              with_tets=beta > 0.0, submeshes=[submesh])
         self.cell_id = cell_id
-        self.node_ids = cell.vertex_ids.copy()
+        self.node_ids = ops.node_ids
         self.n_fields = n_fields
         self.beta = float(beta)
-        self.volume = cell.volume
-        self.modulus = G
-
-        if submesh is None and beta > 0.0:
-            submesh = triangulate_cell(mesh, cell_id)
-        self.submesh = submesh
-
-        self.gradient_op = scalar_gradient_operator(mesh, cell_id)
-        self.B_proj = field_operator(self.gradient_op.T, n_fields)
-
-        n_loc = len(self.node_ids)
-        nf = n_fields
-        ndof_v = n_loc * nf
-        n_extra = len(submesh.extra_vertices) if submesh is not None else 0
-        ndof = ndof_v + n_extra * nf
-
-        K = np.zeros((ndof, ndof))
-        A = np.zeros((state_size, ndof))
-        K[:ndof_v, :ndof_v] = (1.0 - beta) * self.volume * \
-            (self.B_proj.T @ G @ self.B_proj)
-        A[:, :ndof_v] = (1.0 - beta) * self.volume * self.B_proj
-
-        self._tet_ops = []
-        if beta > 0.0:
-            loc = {int(g): i for i, g in enumerate(self.node_ids)}
-            points = submesh.points(mesh)
-            for tet in submesh.tets:
-                lids = [loc[int(t)] if int(t) < submesh.n_mesh
-                        else n_loc + (int(t) - submesh.n_mesh) for t in tet]
-                cols = np.concatenate([np.arange(l * nf, l * nf + nf) for l in lids])
-                Bt, vol = tet_state_operator(points[tet], nf)
-                K[np.ix_(cols, cols)] += (beta * vol) * (Bt.T @ G @ Bt)
-                A[:, cols] += (beta * vol) * Bt
-                self._tet_ops.append((cols, Bt, vol))
-
-        if n_extra and beta > 0.0:
-            Kvv = K[:ndof_v, :ndof_v]
-            Kvc = K[:ndof_v, ndof_v:]
-            Kcc = K[ndof_v:, ndof_v:]
-            self.interior_recovery = -np.linalg.solve(Kcc, Kvc.T)
-            Kc = Kvv + Kvc @ self.interior_recovery
-            self.stiffness = (Kc + Kc.T) / 2.0
-            self.average_op = A[:, :ndof_v] + A[:, ndof_v:] @ self.interior_recovery
-        else:
-            self.interior_recovery = None
-            self.stiffness = (K[:ndof_v, :ndof_v] + K[:ndof_v, :ndof_v].T) / 2.0
-            self.average_op = A[:, :ndof_v]
+        self.volume = ops.volume
+        self.modulus = np.asarray(G, dtype=float)
+        self.submesh = ops.submesh
+        self.gradient_op = ops.gradient_op
+        self.B_proj = ops.B_proj
+        self.stiffness, self.average_op = ops.blend(self.beta)
+        self.interior_recovery = ops.interior_recovery
+        self._ops = ops
 
     # -- derived quantities ------------------------------------------------
 
@@ -213,8 +280,12 @@ class VemElement:
 
     def tet_states(self, vertex_dofs: np.ndarray):
         """Per-tet (P, volume) of the stabilization submesh."""
+        if self.beta == 0.0:
+            return []
         p = self.full_dofs(vertex_dofs)
-        return [(Bt @ p[cols], vol) for cols, Bt, vol in self._tet_ops]
+        ops = self._ops
+        return [(Bt @ p[cols], vol) for cols, Bt, vol
+                in zip(ops.tet_cols, ops.tet_B, ops.tet_volumes)]
 
 
 def element_energy(mesh: PolyMesh, cell_id: int, G: np.ndarray, beta: float,

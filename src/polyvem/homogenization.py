@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembly import AssemblyError, DofMap, assemble, system_from_triplets
+from .assembly import AssemblyError, DofMap, system_from_triplets
 from .element_fem import (FIELD_COUNT, batch_o1_operators,
                           promote_to_quadratic, quadratic_state_operators,
                           tet_state_operator)
-from .element_vem import VemElement, face_integral_weights, ProjectedGradients
+from .element_vem import (ProjectedGradients, VemElement,  # noqa: F401
+                          cell_operators, face_integral_weights,
+                          stabilization_required)
 from .materials import (MODE_PINDEX, GeneralizedModulus, MaterialRecord,
                         build_modulus, datasheet_matrix, rotate_modulus)
 from .mesh import (PolyMesh, TetMesh, mesh_hash, refine_tet_mesh,
@@ -34,7 +36,7 @@ __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
     "case_count", "case_kind", "unit_macro_state", "boundary_values",
     "reduce_modulus", "grain_moduli",
-    "homogenize_vem", "homogenize_fem", "surface_average_state",
+    "VemOperators", "homogenize_vem", "homogenize_fem", "surface_average_state",
     "result_to_json", "result_from_json", "result_to_csv",
 ]
 
@@ -216,39 +218,113 @@ def _battery(system, dof_map, coords, mode, volume, averager,
 # Virtual-element path
 # ---------------------------------------------------------------------------
 
+class VemOperators:
+    """The weight-independent pieces of the VEM battery on one (mesh,
+    moduli, mode): the assembly pattern, the consistency and
+    stabilization parts of the global stiffness values, and the same two
+    parts of the volume-averaging operators. `evaluate(beta)` blends
+    them, then factorizes, solves and averages once per weight.
+
+    `with_tets=False` skips the stabilization parts and the
+    triangulation; such operators evaluate at beta = 0 only.
+    """
+
+    def __init__(self, mesh: PolyMesh, moduli, mode: str = "fullyCoupled",
+                 with_tets: bool = True):
+        if len(moduli) != len(mesh.cells):
+            raise HomogenizationError(
+                f"need one modulus per cell ({len(mesh.cells)}), "
+                f"got {len(moduli)}")
+        nf = FIELD_COUNT[mode]
+        nP = case_count(mode)
+        self.mesh = mesh
+        self.mode = mode
+        self.with_tets = with_tets
+        self.dof_map = DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
+        self.mesh_digest = mesh_hash(mesh)
+        # cells whose consistency part alone is singular (hint at beta = 0)
+        self.deficient_cells = tuple(
+            c for c, cell in enumerate(mesh.cells)
+            if stabilization_required(len(cell.vertex_ids), nf))
+
+        # shared pattern: one nf x nf block per coupled node pair, so each
+        # weight assembles only the blended values of summed blocks
+        n = mesh.n_vertices
+        pairs = [(cell.vertex_ids[:, None] * n + cell.vertex_ids).ravel()
+                 for cell in mesh.cells]
+        keys = np.unique(np.concatenate(pairs))
+        self._block_rows, self._block_cols = keys // n, keys % n
+        ids = np.arange(nf)
+
+        # index 0: consistency part, 1: stabilization part
+        n_parts = 2 if with_tets else 1
+        blocks = np.zeros((n_parts, len(keys), nf, nf))
+        average = np.zeros((n_parts, 2, nP, self.dof_map.n_dofs))
+        cells = cell_operators(mesh, range(len(mesh.cells)), moduli, nf,
+                               with_tets)
+        for c, G, key in zip(cells, moduli, pairs):
+            m = len(c.node_ids)
+            at = np.searchsorted(keys, key)
+            dofs = (c.node_ids[:, None] * nf + ids).ravel()
+            for part, (K, A) in enumerate([(c.K_cons, c.A_cons),
+                                           (c.K_tet, c.A_tet)][:n_parts]):
+                blocks[part, at] += K.reshape(m, nf, m, nf).transpose(
+                    0, 2, 1, 3).reshape(m * m, nf, nf)
+                average[part, 0][:, dofs] += A
+                average[part, 1][:, dofs] += G @ A
+        self._values = blocks.reshape(n_parts, -1)
+        self._average = average
+
+    @staticmethod
+    def _blend(parts, beta):
+        if beta == 0.0:
+            return parts[0]
+        return (1.0 - beta) * parts[0] + beta * parts[1]
+
+    def evaluate(self, beta: float, material_names=(),
+                 check_surface: bool = False) -> HomogenizationResult:
+        """Effective modulus at stabilization weight `beta`."""
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {beta}")
+        if beta > 0.0 and not self.with_tets:
+            raise HomogenizationError(
+                "operators built for beta = 0 only; rebuild with_tets")
+        mesh = self.mesh
+        nf = self.dof_map.n_fields
+        # dof-level triplets of the block pattern, rebuilt per weight so
+        # that they do not stay in memory next to the factorization
+        ids = np.arange(nf)
+        shape = (len(self._block_rows), nf, nf)
+        rows = np.broadcast_to(
+            (self._block_rows * nf)[:, None, None] + ids[:, None], shape)
+        cols = np.broadcast_to(
+            (self._block_cols * nf)[:, None, None] + ids, shape)
+        system = system_from_triplets(
+            rows.ravel(), cols.ravel(), self._blend(self._values, beta),
+            self.dof_map, self.deficient_cells if beta == 0.0 else ())
+        volume = mesh.edge_length ** 3
+        intP, intL = self._blend(self._average, beta)
+
+        def averager(full):
+            return intP @ full / volume, intL @ full / volume
+
+        surface_fn = None
+        if check_surface:
+            def surface_fn(full):
+                vals = full.reshape(mesh.n_vertices, nf)
+                return surface_average_state(mesh, vals)
+
+        return _battery(system, self.dof_map, mesh.vertices, self.mode,
+                        volume, averager, "VEM-VO", float(beta),
+                        self.mesh_digest, material_names, surface_fn)
+
+
 def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
                    mode: str = "fullyCoupled", material_names=(),
                    check_surface: bool = False) -> HomogenizationResult:
     """Effective modulus on the polyhedral mesh, one element per grain."""
-    if len(moduli) != len(mesh.cells):
-        raise HomogenizationError(
-            f"need one modulus per cell ({len(mesh.cells)}), got {len(moduli)}")
-    nf = FIELD_COUNT[mode]
-    elements = [VemElement(mesh, c, moduli[c], beta, nf)
-                for c in range(len(mesh.cells))]
-    dof_map = DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
-    system = assemble(elements, dof_map)
-    volume = mesh.edge_length ** 3
-
-    def averager(full):
-        avgP = np.zeros(6 + 3 * (nf - 3))
-        avgL = np.zeros_like(avgP)
-        for elem in elements:
-            dofs = (elem.node_ids[:, None] * nf + np.arange(nf)).ravel()
-            intP = elem.average_op @ full[dofs]
-            avgP += intP
-            avgL += elem.modulus @ intP
-        return avgP / volume, avgL / volume
-
-    surface_fn = None
-    if check_surface:
-        def surface_fn(full):
-            vals = full.reshape(mesh.n_vertices, nf)
-            return surface_average_state(mesh, vals)
-
-    return _battery(system, dof_map, mesh.vertices, mode, volume, averager,
-                    "VEM-VO", float(beta), mesh_hash(mesh), material_names,
-                    surface_fn)
+    operators = VemOperators(mesh, moduli, mode, with_tets=beta > 0.0)
+    return operators.evaluate(beta, material_names, check_surface)
 
 
 def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarray:

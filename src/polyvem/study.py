@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .element_fem import FIELD_COUNT
-from .homogenization import (GrainLayout, HomogenizationResult,
+from .homogenization import (GrainLayout, HomogenizationError,
+                             HomogenizationResult, VemOperators,
                              grain_moduli, homogenize_fem, homogenize_vem,
                              result_from_json, result_to_json)
 from .materials import anisotropy_index, datasheet_matrix
@@ -29,7 +30,8 @@ __all__ = [
     "StudyError", "StudyConfig", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
     "target_block", "assign_volume_fraction",
-    "build_reference", "method_comparison", "beta_sweep", "beta_opt",
+    "build_reference", "method_comparison", "beta_curve",
+    "coarse_fem_deviation", "beta_sweep", "beta_opt",
     "fraction_sweep", "comparison_csv", "beta_sweep_csv", "fraction_csv",
 ]
 
@@ -213,28 +215,55 @@ def _reference_digest(mesh: PolyMesh, moduli, mode: str, levels: int) -> str:
 
 def build_reference(mesh: PolyMesh, moduli, mode: str, levels: int,
                     cache_dir: str | None = None) -> HomogenizationResult:
-    """Refined linear-tet reference run, cached by configuration digest."""
+    """Refined linear-tet reference run, cached by configuration digest.
+
+    A cache entry that cannot be read back counts as a miss and is
+    rewritten; entries are written to a temporary file in the cache
+    directory and moved into place, so no reader sees a partial entry.
+    """
     if levels < 1:
         raise StudyError("reference needs at least one refinement level")
+    path = None
+    if cache_dir is not None:
+        digest = _reference_digest(mesh, moduli, mode, levels)
+        path = os.path.join(cache_dir, f"reference-{digest}.json")
+        cached = _read_cached(path)
+        if cached is not None:
+            return cached
     n_coarse = sum(len(triangulate_cell(mesh, c).tets)
                    for c in range(len(mesh.cells)))
     if n_coarse * 8 ** levels > MEMORY_GUARD_TETS:
         raise StudyError(
             f"refined mesh would have {n_coarse * 8 ** levels} tets "
             f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
-    path = None
-    if cache_dir is not None:
-        digest = _reference_digest(mesh, moduli, mode, levels)
-        path = os.path.join(cache_dir, f"reference-{digest}.json")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return result_from_json(fh.read())
     result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
     if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(result_to_json(result))
+        _write_atomic(path, result_to_json(result))
     return result
+
+
+def _read_cached(path: str) -> HomogenizationResult | None:
+    """The cached result at `path`, or None when absent or unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return result_from_json(fh.read())
+    except (FileNotFoundError, ValueError, KeyError, TypeError,
+            HomogenizationError):        # absent, torn or not a result
+        return None
+
+
+def _write_atomic(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    # one writer per process, so the process id keeps temp names apart
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +284,15 @@ def _run_method(mesh, moduli, mode, method, beta):
     raise StudyError(f"unknown method {method!r}")
 
 
+def _deviations(effective, reference_effective, targets, mode) -> dict:
+    return {t: relative_deviation(target_block(effective, mode, t),
+                                  target_block(reference_effective, mode, t))
+            for t in targets}
+
+
 def _errors(result, reference, targets, mode):
-    e_c, d_rel = {}, {}
-    for t in targets:
-        M = target_block(result.effective, mode, t)
-        R = target_block(reference.effective, mode, t)
-        d_rel[t] = relative_deviation(M, R)
-        e_c[t] = abs(d_rel[t])
-    return e_c, d_rel
+    d_rel = _deviations(result.effective, reference.effective, targets, mode)
+    return {t: abs(d) for t, d in d_rel.items()}, d_rel
 
 
 def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
@@ -281,6 +311,33 @@ def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
     return rows
 
 
+def beta_curve(mesh: PolyMesh, moduli, mode: str, beta_grid,
+               reference_effective, targets, operators=None):
+    """(beta, d_rel dict) for each grid value, in grid order.
+
+    The VEM operators are built once (or taken from `operators`) and
+    blended for every weight; the tet parts are built only when the
+    grid holds a positive weight.
+    """
+    if operators is None:
+        operators = VemOperators(mesh, moduli, mode,
+                                 with_tets=any(b > 0.0 for b in beta_grid))
+    curve = []
+    for b in beta_grid:
+        result = operators.evaluate(float(b))
+        curve.append((float(b), _deviations(result.effective,
+                                            reference_effective, targets,
+                                            mode)))
+    return curve
+
+
+def coarse_fem_deviation(mesh: PolyMesh, moduli, mode: str,
+                         reference: HomogenizationResult, targets) -> dict:
+    """d_rel of the coarse linear-tet run, the companion row of a sweep."""
+    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
+    return _deviations(fem.effective, reference.effective, targets, mode)
+
+
 def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
                reference: HomogenizationResult, targets):
     """Deviation curve over the stabilization-weight grid.
@@ -289,14 +346,10 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     companion coarse linear-tet row shares the reference, and the grid
     endpoint beta = 1 coincides with it by construction.
     """
-    curve = []
-    for b in beta_grid:
-        result = homogenize_vem(mesh, moduli, beta=float(b), mode=mode)
-        _, d_rel = _errors(result, reference, targets, mode)
-        curve.append((float(b), d_rel))
-    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
-    _, fem_d = _errors(fem, reference, targets, mode)
-    return curve, fem_d
+    curve = beta_curve(mesh, moduli, mode, beta_grid, reference.effective,
+                       targets)
+    return curve, coarse_fem_deviation(mesh, moduli, mode, reference,
+                                       targets)
 
 
 def beta_opt(curve, target: str = "G") -> float:
@@ -326,10 +379,11 @@ def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
         moduli = layout.moduli(library, mode)
         reference = build_reference(mesh, moduli, mode, reference_levels,
                                     cache_dir)
-        curve, _ = beta_sweep(mesh, moduli, mode, beta_grid, reference,
-                              targets)
+        operators = VemOperators(mesh, moduli, mode)
+        curve = beta_curve(mesh, moduli, mode, beta_grid,
+                           reference.effective, targets, operators)
         b_opt = beta_opt(curve, targets[0])
-        default = homogenize_vem(mesh, moduli, beta=DEFAULT_BETA, mode=mode)
+        default = operators.evaluate(DEFAULT_BETA)
         e_c, _ = _errors(default, reference, targets, mode)
         d_opt = dict(next(d for b, d in curve if b == b_opt))
         rows.append(FractionRow(

@@ -236,10 +236,27 @@ class TestStudyCommand:
     def test_workers_do_not_change_bytes(self, tmp_path):
         p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
             kind="beta-sweep", beta_step=0.25, cache=tmp_path / "cache"))
-        o1, o2 = tmp_path / "w1", tmp_path / "w2"
+        o1 = tmp_path / "w1"
         assert main(["study", "--config", p, "--out", str(o1)]) == 0
-        assert main(["study", "--config", p, "--out", str(o2),
-                     "--workers", "2"]) == 0
+        for workers in ("2", "3"):        # 3: uneven chunks of 4 points
+            o2 = tmp_path / f"w{workers}"
+            assert main(["study", "--config", p, "--out", str(o2),
+                         "--workers", workers]) == 0
+            assert (o1 / "beta_sweep.csv").read_bytes() == \
+                (o2 / "beta_sweep.csv").read_bytes(), workers
+
+    def test_truncated_cache_entry_is_recomputed(self, tmp_path):
+        cache = tmp_path / "cache"
+        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
+            kind="beta-sweep", beta_step=0.5, cache=cache))
+        o1, o2 = tmp_path / "s1", tmp_path / "s2"
+        assert main(["study", "--config", p, "--out", str(o1)]) == 0
+        entry, = cache.glob("reference-*.json")
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[:len(whole) // 2])
+        assert main(["study", "--config", p, "--out", str(o2)]) == 0
+        assert entry.read_bytes() == whole
+        assert sorted(os.listdir(cache)) == [entry.name]
         assert (o1 / "beta_sweep.csv").read_bytes() == \
             (o2 / "beta_sweep.csv").read_bytes()
 

@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import polyvem.assembly as pa
+import polyvem.element_fem as fem
+import polyvem.element_vem as vem
 import polyvem.homogenization as ph
 import polyvem.materials as pmat
 import polyvem.mesh as pm
+
+from test_element_vem import l_prism_mesh
 
 RNG = np.random.default_rng(20260817)
 LIB = pmat.builtin_library()
@@ -317,3 +323,106 @@ class TestSerialization:
         # storage blocks print in data-sheet units: 1e-3 x assembled
         assert np.allclose(body[6:9, 6:9], result.effective[6:9, 6:9] / 1e3,
                            rtol=1e-11, atol=1e-18)
+
+
+# ---------------------------------------------------------------------------
+# Shared operators against the element built per weight
+# ---------------------------------------------------------------------------
+
+def direct_element(mesh, cell_id, G, beta, nf):
+    """Reference element blended before any split: consistency part and
+    per-tet stabilization loop weighted by (1-beta)/beta in one matrix,
+    then the fallback centroid condensed from that blend."""
+    cell = mesh.cells[cell_id]
+    B_proj = fem.field_operator(
+        vem.scalar_gradient_operator(mesh, cell_id).T, nf)
+    n_loc = len(cell.vertex_ids)
+    ndof_v = n_loc * nf
+    sub = pm.triangulate_cell(mesh, cell_id) if beta > 0.0 else None
+    n_extra = len(sub.extra_vertices) if sub is not None else 0
+    ndof = ndof_v + n_extra * nf
+    K = np.zeros((ndof, ndof))
+    A = np.zeros((B_proj.shape[0], ndof))
+    K[:ndof_v, :ndof_v] = (1.0 - beta) * cell.volume * (B_proj.T @ G @ B_proj)
+    A[:, :ndof_v] = (1.0 - beta) * cell.volume * B_proj
+    if sub is not None:
+        loc = {int(g): i for i, g in enumerate(cell.vertex_ids)}
+        points = sub.points(mesh)
+        for tet in sub.tets:
+            lids = [loc[int(t)] if int(t) < sub.n_mesh
+                    else n_loc + int(t) - sub.n_mesh for t in tet]
+            cols = np.concatenate([np.arange(l * nf, l * nf + nf)
+                                   for l in lids])
+            Bt, vol = fem.tet_state_operator(points[tet], nf)
+            K[np.ix_(cols, cols)] += beta * vol * (Bt.T @ G @ Bt)
+            A[:, cols] += beta * vol * Bt
+    if n_extra:
+        R = -np.linalg.solve(K[ndof_v:, ndof_v:], K[:ndof_v, ndof_v:].T)
+        A = A[:, :ndof_v] + A[:, ndof_v:] @ R
+        K = K[:ndof_v, :ndof_v] + K[:ndof_v, ndof_v:] @ R
+    return SimpleNamespace(
+        cell_id=cell_id, node_ids=cell.vertex_ids, modulus=G,
+        stiffness=(K[:ndof_v, :ndof_v] + K[:ndof_v, :ndof_v].T) / 2.0,
+        average_op=A[:, :ndof_v],
+        consistency_rank_deficient=beta == 0.0 and
+        vem.stabilization_required(n_loc, nf))
+
+
+def direct_homogenize(mesh, moduli, beta, mode):
+    """Battery over direct_element blocks with a per-element averager."""
+    nf = fem.FIELD_COUNT[mode]
+    elems = [direct_element(mesh, c, moduli[c], beta, nf)
+             for c in range(len(mesh.cells))]
+    dof_map = pa.DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
+    volume = mesh.edge_length ** 3
+
+    def averager(full):
+        avgP = avgL = 0.0
+        for e in elems:
+            intP = e.average_op @ full[(e.node_ids[:, None] * nf
+                                        + np.arange(nf)).ravel()]
+            avgP = avgP + intP
+            avgL = avgL + e.modulus @ intP
+        return avgP / volume, avgL / volume
+
+    return ph._battery(pa.assemble(elems, dof_map), dof_map, mesh.vertices,
+                       mode, volume, averager, "VEM-VO", beta, "", ())
+
+
+class TestSharedOperators:
+    BETAS = (0.0, 0.05, 0.5, 1.0)
+
+    @pytest.mark.parametrize("sample", ["voronoi", "fallback"])
+    def test_blend_matches_per_weight_element(self, sample):
+        if sample == "voronoi":
+            mesh, mode = voronoi_mesh(8, seed=31), "fullyCoupled"
+        else:
+            mesh, mode = l_prism_mesh(), "electroMech"
+            assert pm.triangulate_cell(mesh, 0).fallback
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=mode)
+        operators = ph.VemOperators(mesh, moduli, mode)
+        for beta in self.BETAS:
+            shared = operators.evaluate(beta)
+            direct = direct_homogenize(mesh, moduli, beta, mode)
+            diff = np.linalg.norm(shared.effective - direct.effective)
+            assert diff <= 1e-12 * np.linalg.norm(direct.effective), beta
+            assert (shared.n_dofs, shared.n_factorizations,
+                    shared.n_solves) == (direct.n_dofs,
+                                         direct.n_factorizations,
+                                         direct.n_solves)
+
+    def test_weight_zero_operators_skip_the_submesh(self, monkeypatch):
+        mesh = voronoi_mesh(4, seed=2)
+        moduli, _ = table_moduli(mesh, ["BaTiO3"])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("triangulated for beta = 0")
+
+        monkeypatch.setattr(vem, "triangulate_cell", boom)
+        res = ph.homogenize_vem(mesh, moduli, beta=0.0)
+        assert res.beta == 0.0
+        operators = ph.VemOperators(mesh, moduli, with_tets=False)
+        with pytest.raises(ph.HomogenizationError, match="beta = 0 only"):
+            operators.evaluate(0.1)
+

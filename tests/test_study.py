@@ -302,11 +302,13 @@ class TestBuildReference:
         ps.build_reference(mesh, moduli, "electroMech", 2, str(tmp_path))
         assert len(list(tmp_path.glob("reference-*.json"))) == 2
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, tmp_path):
         mesh = voronoi_mesh(6)
         moduli, _ = _hex_moduli(mesh, seed=5)
-        with pytest.raises(ps.StudyError, match="lower the refinement"):
-            ps.build_reference(mesh, moduli, "electroMech", 8, None)
+        for cache_dir in (None, str(tmp_path)):   # a cache miss is guarded
+            with pytest.raises(ps.StudyError, match="lower the refinement"):
+                ps.build_reference(mesh, moduli, "electroMech", 8, cache_dir)
+        assert list(tmp_path.iterdir()) == []
 
     def test_levels_validated(self):
         mesh = voronoi_mesh(3)
