@@ -10,7 +10,7 @@ before factorization and is undone exactly afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from .element_fem import FIELD_COUNT
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "assemble",
+           "node_dofs", "block_triplets", "scatter_columns",
            "triplets_from_elements", "system_from_triplets"]
 
 
@@ -54,8 +55,7 @@ class DofMap:
 
     @property
     def boundary_dofs(self) -> np.ndarray:
-        nf = self.n_fields
-        return (self.boundary_nodes[:, None] * nf + np.arange(nf)).ravel()
+        return node_dofs(self.boundary_nodes, self.n_fields)
 
     @property
     def interior_dofs(self) -> np.ndarray:
@@ -64,31 +64,53 @@ class DofMap:
         return np.nonzero(mask)[0]
 
 
+def node_dofs(nodes, n_fields: int) -> np.ndarray:
+    """Node-major dofs (..., k * n_fields) of node ids (..., k)."""
+    nodes = np.asarray(nodes, dtype=int)
+    return (nodes[..., None] * n_fields + np.arange(n_fields)).reshape(
+        *nodes.shape[:-1], -1)
+
+
+def block_triplets(dofs: np.ndarray, blocks: np.ndarray):
+    """COO (rows, cols, vals) of dense blocks: blocks[k] (nd x nd) couples
+    dofs[k] (nd,) with themselves; dofs is (m, nd), blocks (m, nd, nd)."""
+    nd = dofs.shape[1]
+    return (np.repeat(dofs, nd, axis=1).ravel(),
+            np.tile(dofs, (1, nd)).ravel(), blocks.ravel())
+
+
+def scatter_columns(dofs: np.ndarray, blocks: np.ndarray,
+                    n_cols: int) -> np.ndarray:
+    """Sum of row blocks (m, r, nd) into an (r, n_cols) matrix, block k
+    at the columns dofs[k] (m, nd)."""
+    r = blocks.shape[1]
+    index = np.arange(r)[None, :, None] * n_cols + dofs[:, None, :]
+    return np.bincount(index.ravel(), weights=blocks.ravel(),
+                       minlength=r * n_cols).reshape(r, n_cols)
+
+
 def triplets_from_elements(elements, dof_map: DofMap):
     """COO triplet arrays from element stiffness blocks.
 
     Each element provides node_ids and a node-major stiffness over its
     nodes x active fields.
     """
-    nf = dof_map.n_fields
-    rows, cols, vals = [], [], []
+    chunks = []
     for elem in elements:
         ids = np.asarray(elem.node_ids, dtype=int)
         if ids.max() >= dof_map.n_nodes:
             raise AssemblyError(
                 f"element references node {ids.max()} outside the dof map")
-        dofs = (ids[:, None] * nf + np.arange(nf)).ravel()
+        dofs = node_dofs(ids, dof_map.n_fields)
         K = elem.stiffness
         if K.shape != (len(dofs), len(dofs)):
             raise AssemblyError(
                 f"element stiffness shape {K.shape} does not match "
                 f"{len(dofs)} dofs")
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(K.ravel())
-    if not rows:
+        chunks.append(block_triplets(dofs[None], K[None]))
+    if not chunks:
         raise AssemblyError("no elements to assemble")
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
 def system_from_triplets(rows, cols, vals, dof_map: DofMap,

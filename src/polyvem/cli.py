@@ -34,7 +34,8 @@ from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
 from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
                     beta_sweep, beta_sweep_csv, build_reference,
                     coarse_fem_deviation, comparison_csv, fraction_csv,
-                    fraction_sweep, method_comparison)
+                    fraction_sweep, method_comparison, parse_method,
+                    run_method)
 
 __all__ = ["main", "ConfigError", "InputDataError"]
 
@@ -285,39 +286,35 @@ def cmd_mesh(cfg: dict, verbose: bool) -> int:
     return 0
 
 
-def _method_result(cfg, mesh, moduli, names):
-    mode = _get(cfg, "homogenize", "mode", "fullyCoupled")
-    method = _get(cfg, "homogenize", "method", "VEM-VO")
-    beta = _get(cfg, "homogenize", "beta", DEFAULT_BETA, float)
-    check_surface = _get(cfg, "homogenize", "check_surface", False, bool)
-    from .homogenization import homogenize_fem, homogenize_vem
-    base, _, arg = method.partition("(")
-    if base == "VEM-VO":
-        return homogenize_vem(mesh, moduli, beta=beta, mode=mode,
-                              material_names=names,
-                              check_surface=check_surface)
-    if base == "FEM-O1-coarse":
-        return homogenize_fem(mesh, moduli, order=1, mode=mode,
-                              material_names=names)
-    if base == "FEM-O2-coarse":
-        return homogenize_fem(mesh, moduli, order=2, mode=mode,
-                              material_names=names)
-    if base == "FEM-O1-refined":
-        levels = int(arg.rstrip(")")) if arg else 1
-        return homogenize_fem(mesh, moduli, order=1, levels=levels,
-                              mode=mode, material_names=names)
-    raise ConfigError(f"unknown method {method!r}")
+def _beta(cfg, section: str) -> float:
+    beta = _get(cfg, section, "beta", DEFAULT_BETA, float)
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"[{section}] beta must be in [0, 1], got {beta}")
+    return beta
+
+
+def _method(section: str, method: str) -> str:
+    try:
+        parse_method(method)
+    except StudyError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+    return method
 
 
 def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     outdir = _get(cfg, "run", "out", "polyvem-out")
+    mode = _get(cfg, "homogenize", "mode", "fullyCoupled")
+    method = _method("homogenize",
+                     _get(cfg, "homogenize", "method", "VEM-VO"))
+    beta = _beta(cfg, "homogenize")
+    check_surface = _get(cfg, "homogenize", "check_surface", False, bool)
     t0 = time.perf_counter()
     mesh = build_mesh(cfg)
     library = load_library(cfg)
     layout = build_layout(cfg, library, len(mesh.cells))
-    mode = _get(cfg, "homogenize", "mode", "fullyCoupled")
     moduli = layout.moduli(library, mode)
-    result = _method_result(cfg, mesh, moduli, layout.names)
+    result = run_method(mesh, moduli, mode, method, beta, layout.names,
+                         check_surface)
     flat = {f"{s}.{k}": v for s in sorted(cfg) for k, v in
             sorted(cfg[s].items()) if (s, k) not in _NON_SCIENTIFIC}
     outputs = [
@@ -365,8 +362,11 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     targets = tuple(s.strip() for s in
                     _get(cfg, "study", "targets", "G,C").split(",")
                     if s.strip())
+    methods = tuple(_method("study", s.strip()) for s in
+                    _get(cfg, "study", "methods",
+                         "VEM-VO,FEM-O1-coarse").split(",") if s.strip())
     levels = _get(cfg, "study", "reference_levels", 2, int)
-    beta = _get(cfg, "study", "beta", DEFAULT_BETA, float)
+    beta = _beta(cfg, "study")
     cache = cfg["study"].get("cache")
     workers = _get(cfg, "run", "workers", 1, int)
     t0 = time.perf_counter()
@@ -379,12 +379,8 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         layout = build_layout(cfg, library, len(mesh.cells))
         moduli = layout.moduli(library, mode)
         reference = build_reference(mesh, moduli, mode, levels, cache)
-        rows = method_comparison(
-            mesh, moduli, mode,
-            tuple(s.strip() for s in
-                  _get(cfg, "study", "methods",
-                       "VEM-VO,FEM-O1-coarse").split(",") if s.strip()),
-            reference, targets, beta=beta)
+        rows = method_comparison(mesh, moduli, mode, methods, reference,
+                                 targets, beta=beta)
         outputs.append(_write(outdir, "comparison.csv",
                               comparison_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]

@@ -18,7 +18,7 @@ __all__ = [
     "FIELD_COUNT", "tet_gradient", "field_operator", "tet_state_operator",
     "tet_stiffness", "kernel_dimension", "TetMeshO2", "promote_to_quadratic",
     "GAUSS4_BARY", "GAUSS4_WEIGHTS", "quadratic_state_operators",
-    "batch_o1_operators",
+    "batch_o1_operators", "gauss_stiffness",
 ]
 
 # active scalar fields per coupling mode (3 displacements + potentials)
@@ -42,98 +42,120 @@ def kernel_dimension(n_fields: int) -> int:
     return 6 + (n_fields - 3)
 
 
+def _corner_gradients(corners: np.ndarray):
+    """Barycentric gradients and volumes of a batch of 4-node tets.
+
+    corners is (..., 4, 3); returns (grads (..., 4, 3), volumes (...))
+    with grads[..., a, :] = d lambda_a / dx. Raises on an inverted or
+    degenerate tet.
+    """
+    J = corners[..., 1:, :] - corners[..., :1, :]     # rows are edge vectors
+    vols = np.linalg.det(J) / 6.0
+    if np.any(vols <= 0.0):
+        raise MeshError(f"inverted or degenerate tet (volume {vols.min():g})")
+    grads = np.empty(corners.shape)
+    grads[..., 1:, :] = np.swapaxes(np.linalg.inv(J), -1, -2)
+    grads[..., 0, :] = -grads[..., 1:, :].sum(axis=-2)
+    return grads, vols
+
+
 def tet_gradient(coords: np.ndarray):
     """Constant shape-function gradients of a 4-node tet.
 
     Returns (grads, volume) with grads[a] = d N_a / d x; raises on an
     inverted or degenerate tet.
     """
-    coords = np.asarray(coords, dtype=float)
-    J = coords[1:] - coords[0]            # rows are edge vectors
-    det = np.linalg.det(J)
-    vol = det / 6.0
-    if vol <= 0.0:
-        raise MeshError(f"inverted or degenerate tet (volume {vol:g})")
-    Jinv = np.linalg.inv(J)               # d(bary 1..3)/dx = Jinv columns
-    grads = np.empty((4, 3))
-    grads[1:] = Jinv.T
-    grads[0] = -grads[1:].sum(axis=0)
-    return grads, vol
+    grads, vols = _corner_gradients(np.asarray(coords, dtype=float)[None])
+    return grads[0], vols[0]
+
+
+# (state row, displacement component, gradient component) of the strain
+# rows: Voigt 11, 22, 33, 23, 13, 12 with engineering shears
+_STRAIN_ENTRIES = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+                   (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0))
 
 
 def field_operator(grads: np.ndarray, n_fields: int) -> np.ndarray:
     """State operator B from nodal shape gradients.
 
-    grads is (n_nodes, 3) of scalar shape-function gradients; the result
-    B is (6 + 3*(n_fields-3)) x (n_nodes*n_fields) and maps node-major
-    dofs to [strain Voigt (engineering shears), -grad(potentials)...].
+    grads is (..., n_nodes, 3) of scalar shape-function gradients, with
+    any leading batch axes; the result B is
+    (..., 6 + 3*(n_fields-3), n_nodes*n_fields) and maps node-major dofs
+    to [strain Voigt (engineering shears), -grad(potentials)...].
     """
-    n_nodes = grads.shape[0]
+    grads = np.asarray(grads, dtype=float)
+    *batch, n_nodes, _ = grads.shape
     n_rows = 6 + 3 * (n_fields - 3)
-    B = np.zeros((n_rows, n_nodes * n_fields))
-    for a in range(n_nodes):
-        gx, gy, gz = grads[a]
-        base = a * n_fields
-        # strain rows (Voigt 11,22,33,23,13,12 with engineering shears)
-        B[0, base + 0] = gx
-        B[1, base + 1] = gy
-        B[2, base + 2] = gz
-        B[3, base + 1] = gz
-        B[3, base + 2] = gy
-        B[4, base + 0] = gz
-        B[4, base + 2] = gx
-        B[5, base + 0] = gy
-        B[5, base + 1] = gx
-        # field rows: E = -grad(phi), H = -grad(psi)
-        for f in range(3, n_fields):
-            row = 6 + 3 * (f - 3)
-            B[row + 0, base + f] = -gx
-            B[row + 1, base + f] = -gy
-            B[row + 2, base + f] = -gz
-    return B
+    B = np.zeros((*batch, n_rows, n_nodes, n_fields))
+    for row, comp, axis in _STRAIN_ENTRIES:
+        B[..., row, :, comp] = grads[..., axis]
+    for f in range(3, n_fields):              # E = -grad(phi), H = -grad(psi)
+        row = 6 + 3 * (f - 3)
+        B[..., row:row + 3, :, f] = -np.swapaxes(grads, -1, -2)
+    return B.reshape(*batch, n_rows, n_nodes * n_fields)
+
+
+def batch_o1_operators(points: np.ndarray, tets: np.ndarray, n_fields: int):
+    """(B (m, n_rows, 4*n_fields), volumes (m,)) of many linear tets."""
+    grads, vols = _corner_gradients(points[tets])
+    return field_operator(grads, n_fields), vols
+
+
+_EDGE_A, _EDGE_B = np.array(_EDGE_LOCAL).T
+
+
+def quadratic_state_operators(points: np.ndarray, tets: np.ndarray,
+                              n_fields: int):
+    """(B (m, 4, n_rows, 10*n_fields), weights (m, 4)) of many 10-node
+    tets at the 4 Gauss points, weights = Gauss weight x volume.
+
+    tets (m, 4) holds the corner ids; the columns of B take the corners
+    first, then the edge nodes in _EDGE_LOCAL order.
+    """
+    corner_grads, vols = _corner_gradients(points[tets])
+    lam = GAUSS4_BARY[None, :, :, None]          # (1, gauss, corner, 1)
+    dlam = corner_grads[:, None]                 # (m, 1, corner, 3)
+    corner = (4.0 * lam - 1.0) * dlam
+    edge = 4.0 * (lam[:, :, _EDGE_A] * dlam[:, :, _EDGE_B]
+                  + lam[:, :, _EDGE_B] * dlam[:, :, _EDGE_A])
+    grads = np.concatenate([corner, edge], axis=2)
+    return field_operator(grads, n_fields), vols[:, None] * GAUSS4_WEIGHTS
+
+
+def gauss_stiffness(B: np.ndarray, w: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Symmetrized stiffness sum_g w_g B_g^T G B_g of each tet.
+
+    B is (m, n_gauss, n_rows, nd) and w (m, n_gauss); a linear tet is
+    one point of weight V. Returns (m, nd, nd).
+    """
+    m, _, _, nd = B.shape
+    # one batched product over the Gauss points stacked with the state rows
+    wB = (B * w[:, :, None, None]).reshape(m, -1, nd)
+    K = np.swapaxes(wB, 1, 2) @ (G @ B).reshape(m, -1, nd)
+    return (K + K.transpose(0, 2, 1)) / 2.0
 
 
 def tet_state_operator(coords: np.ndarray, n_fields: int):
     """(B, volume) of the linear tet: P = B.dofs, constant over the tet."""
-    grads, vol = tet_gradient(coords)
-    return field_operator(grads, n_fields), vol
-
-
-def _quadratic_shape_gradients(bary: np.ndarray, corner_grads: np.ndarray):
-    """Gradients of the 10 quadratic shape functions at one bary point."""
-    grads = np.empty((10, 3))
-    for a in range(4):
-        grads[a] = (4.0 * bary[a] - 1.0) * corner_grads[a]
-    for k, (a, b) in enumerate(_EDGE_LOCAL):
-        grads[4 + k] = 4.0 * (bary[a] * corner_grads[b] + bary[b] * corner_grads[a])
-    return grads
-
-
-def quadratic_state_operators(coords4: np.ndarray, n_fields: int):
-    """Per-Gauss-point (B_g, w_g*volume) for the 10-node quadratic tet."""
-    corner_grads, vol = tet_gradient(coords4)
-    out = []
-    for g in range(len(GAUSS4_BARY)):
-        grads10 = _quadratic_shape_gradients(GAUSS4_BARY[g], corner_grads)
-        out.append((field_operator(grads10, n_fields), GAUSS4_WEIGHTS[g] * vol))
-    return out
+    B, vols = batch_o1_operators(np.asarray(coords, dtype=float),
+                                 np.arange(4)[None], n_fields)
+    return B[0], vols[0]
 
 
 def tet_stiffness(coords: np.ndarray, G: np.ndarray, order: int,
                   n_fields: int) -> np.ndarray:
     """Element stiffness V * B^T G B (order 1) or its 4-point Gauss sum
-    over the 10-node element (order 2)."""
-    G = np.asarray(G, dtype=float)
+    over the 10-node element (order 2, corners first)."""
+    coords = np.asarray(coords, dtype=float)
+    corners = np.arange(4)[None]
     if order == 1:
-        B, vol = tet_state_operator(coords, n_fields)
-        return vol * (B.T @ G @ B)
-    if order == 2:
-        K = None
-        for B, w in quadratic_state_operators(np.asarray(coords, float)[:4], n_fields):
-            term = w * (B.T @ G @ B)
-            K = term if K is None else K + term
-        return K
-    raise ValueError(f"unsupported element order {order}")
+        B, vols = batch_o1_operators(coords, corners, n_fields)
+        B, w = B[:, None], vols[:, None]
+    elif order == 2:
+        B, w = quadratic_state_operators(coords, corners, n_fields)
+    else:
+        raise ValueError(f"unsupported element order {order}")
+    return gauss_stiffness(B, w, np.asarray(G, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,65 +183,21 @@ class TetMeshO2:
 
 
 def promote_to_quadratic(tmesh: TetMesh) -> TetMeshO2:
-    """Insert unique shared mid-edge nodes into a conforming tet mesh."""
-    points = [tmesh.vertices]
-    next_id = tmesh.n_vertices
-    midpoint = {}
-    tets10 = np.empty((len(tmesh.tets), 10), dtype=int)
-    for t, tet in enumerate(tmesh.tets):
-        tets10[t, :4] = tet
-        for k, (a, b) in enumerate(_EDGE_LOCAL):
-            key = (min(tet[a], tet[b]), max(tet[a], tet[b]))
-            nid = midpoint.get(key)
-            if nid is None:
-                nid = next_id
-                midpoint[key] = nid
-                points.append(((tmesh.vertices[tet[a]] + tmesh.vertices[tet[b]]) / 2.0)[None, :])
-                next_id += 1
-            tets10[t, 4 + k] = nid
-    return TetMeshO2(np.vstack(points), tets10, tmesh.cell_of_tet.copy(),
-                     tmesh.edge_length)
+    """Insert unique shared mid-edge nodes into a conforming tet mesh.
 
-
-# ---------------------------------------------------------------------------
-# Vectorized linear-tet operators (refined reference meshes)
-# ---------------------------------------------------------------------------
-
-def batch_o1_operators(points: np.ndarray, tets: np.ndarray, n_fields: int):
-    """Vectorized (B, volume) over many linear tets.
-
-    Returns (B_all (m, n_rows, 4*n_fields), volumes (m,)); row layout
-    matches field_operator.
+    Midpoints are numbered after the corners in order of first
+    appearance, tet by tet and edge by edge in _EDGE_LOCAL order.
     """
-    p = points[tets]                       # (m, 4, 3)
-    J = p[:, 1:] - p[:, 0:1]               # (m, 3, 3)
-    det = np.linalg.det(J)
-    if np.any(det <= 0.0):
-        raise MeshError("inverted tet in batch")
-    vols = det / 6.0
-    Jinv = np.linalg.inv(J)
-    grads = np.empty((len(tets), 4, 3))
-    grads[:, 1:] = np.transpose(Jinv, (0, 2, 1))
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-
-    m = len(tets)
-    n_rows = 6 + 3 * (n_fields - 3)
-    B = np.zeros((m, n_rows, 4 * n_fields))
-    gx, gy, gz = grads[:, :, 0], grads[:, :, 1], grads[:, :, 2]
-    for a in range(4):
-        base = a * n_fields
-        B[:, 0, base + 0] = gx[:, a]
-        B[:, 1, base + 1] = gy[:, a]
-        B[:, 2, base + 2] = gz[:, a]
-        B[:, 3, base + 1] = gz[:, a]
-        B[:, 3, base + 2] = gy[:, a]
-        B[:, 4, base + 0] = gz[:, a]
-        B[:, 4, base + 2] = gx[:, a]
-        B[:, 5, base + 0] = gy[:, a]
-        B[:, 5, base + 1] = gx[:, a]
-        for f in range(3, n_fields):
-            row = 6 + 3 * (f - 3)
-            B[:, row + 0, base + f] = -gx[:, a]
-            B[:, row + 1, base + f] = -gy[:, a]
-            B[:, row + 2, base + f] = -gz[:, a]
-    return B, vols
+    n = tmesh.n_vertices
+    ends = np.sort(tmesh.tets[:, _EDGE_LOCAL], axis=-1).reshape(-1, 2)
+    _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b = ends[first[order]].T
+    points = np.vstack([tmesh.vertices,
+                        (tmesh.vertices[a] + tmesh.vertices[b]) / 2.0])
+    tets10 = np.hstack([tmesh.tets, n + rank[inverse].reshape(-1, 6)])
+    return TetMeshO2(points, tets10, tmesh.cell_of_tet.copy(),
+                     tmesh.edge_length)

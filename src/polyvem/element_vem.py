@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .element_fem import batch_o1_operators, field_operator, kernel_dimension
+from .assembly import block_triplets, node_dofs, scatter_columns
+from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
+                          kernel_dimension)
 from .mesh import (MeshError, PolyMesh, TetSubmesh, face_geometry,
                    triangulate_cell, union_submeshes)
 
@@ -197,19 +199,14 @@ def _tet_part(node_ids, sub, B, vol, G, nf):
     n_extra = len(sub.extra_vertices)
     ndof_v = n_loc * nf
     ndof = ndof_v + n_extra * nf
-    n_state = B.shape[1]
     loc = np.empty(sub.n_mesh + n_extra, dtype=int)
     loc[node_ids] = np.arange(n_loc)
     loc[sub.n_mesh:] = n_loc + np.arange(n_extra)
-    cols = (loc[sub.tets][:, :, None] * nf + np.arange(nf)).reshape(len(B), -1)
-    Kt = np.transpose(B, (0, 2, 1)) @ (G @ B) * vol[:, None, None]
-    K = np.bincount((cols[:, :, None] * ndof + cols[:, None, :]).ravel(),
-                    weights=Kt.ravel(), minlength=ndof * ndof)
-    K = K.reshape(ndof, ndof)
-    A = np.bincount(
-        (np.arange(n_state)[None, :, None] * ndof + cols[:, None, :]).ravel(),
-        weights=(B * vol[:, None, None]).ravel(),
-        minlength=n_state * ndof).reshape(n_state, ndof)
+    cols = node_dofs(loc[sub.tets], nf)
+    r, c, v = block_triplets(cols, gauss_stiffness(B[:, None], vol[:, None], G))
+    K = np.bincount(r * ndof + c, weights=v,
+                    minlength=ndof * ndof).reshape(ndof, ndof)
+    A = scatter_columns(cols, B * vol[:, None, None], ndof)
     recovery = None
     if n_extra:
         Kvc = K[:ndof_v, ndof_v:]

@@ -15,22 +15,23 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .assembly import AssemblyError, DofMap, system_from_triplets
-from .element_fem import (FIELD_COUNT, batch_o1_operators,
-                          promote_to_quadratic, quadratic_state_operators,
-                          tet_state_operator)
-from .element_vem import (ProjectedGradients, VemElement,  # noqa: F401
-                          cell_operators, face_integral_weights,
-                          stabilization_required)
-from .materials import (MODE_PINDEX, GeneralizedModulus, MaterialRecord,
-                        build_modulus, datasheet_matrix, rotate_modulus)
-from .mesh import (PolyMesh, TetMesh, mesh_hash, refine_tet_mesh,
-                   triangulate_cell, union_submeshes, TAU_BOX)
+from .assembly import (DofMap, block_triplets, node_dofs, scatter_columns,
+                       system_from_triplets)
+from .element_fem import (FIELD_COUNT, batch_o1_operators, gauss_stiffness,
+                          promote_to_quadratic, quadratic_state_operators)
+from .element_vem import (ProjectedGradients, cell_operators,
+                          face_integral_weights, stabilization_required)
+# re-exported: the benchmark's tracing test reads VemElement here
+from .element_vem import VemElement  # noqa: F401
+from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
+                        datasheet_matrix, rotate_modulus)
+from .mesh import (PolyMesh, mesh_hash, refine_tet_mesh, triangulate_cell,
+                   union_submeshes, TAU_BOX)
 
 __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
@@ -254,7 +255,6 @@ class VemOperators:
                  for cell in mesh.cells]
         keys = np.unique(np.concatenate(pairs))
         self._block_rows, self._block_cols = keys // n, keys % n
-        ids = np.arange(nf)
 
         # index 0: consistency part, 1: stabilization part
         n_parts = 2 if with_tets else 1
@@ -265,7 +265,7 @@ class VemOperators:
         for c, G, key in zip(cells, moduli, pairs):
             m = len(c.node_ids)
             at = np.searchsorted(keys, key)
-            dofs = (c.node_ids[:, None] * nf + ids).ravel()
+            dofs = node_dofs(c.node_ids, nf)
             for part, (K, A) in enumerate([(c.K_cons, c.A_cons),
                                            (c.K_tet, c.A_tet)][:n_parts]):
                 blocks[part, at] += K.reshape(m, nf, m, nf).transpose(
@@ -303,11 +303,6 @@ class VemOperators:
             rows.ravel(), cols.ravel(), self._blend(self._values, beta),
             self.dof_map, self.deficient_cells if beta == 0.0 else ())
         volume = mesh.edge_length ** 3
-        intP, intL = self._blend(self._average, beta)
-
-        def averager(full):
-            return intP @ full / volume, intL @ full / volume
-
         surface_fn = None
         if check_surface:
             def surface_fn(full):
@@ -315,7 +310,8 @@ class VemOperators:
                 return surface_average_state(mesh, vals)
 
         return _battery(system, self.dof_map, mesh.vertices, self.mode,
-                        volume, averager, "VEM-VO", float(beta),
+                        volume, _averager(*self._blend(self._average, beta),
+                                          volume), "VEM-VO", float(beta),
                         self.mesh_digest, material_names, surface_fn)
 
 
@@ -352,84 +348,70 @@ def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarra
 # Tetrahedral finite-element paths
 # ---------------------------------------------------------------------------
 
-def _fem_o1_system(points, tets, owners, moduli, dof_map):
-    """Triplet assembly + averaging closure for linear tets, vectorized
-    per grain so refined meshes never materialize per-element objects."""
-    nf = dof_map.n_fields
-    B_all, vols = batch_o1_operators(points, tets, nf)
-    dofs = (tets[:, :, None] * nf + np.arange(nf)).reshape(len(tets), -1)
-    rows, cols, valchunks = [], [], []
-    nd = dofs.shape[1]
-    for cid in np.unique(owners):
-        idx = np.nonzero(owners == cid)[0]
-        Bg = B_all[idx]
-        K = np.einsum("mpa,pq,mqb->mab", Bg, moduli[cid], Bg,
-                      optimize=True) * vols[idx, None, None]
-        K = (K + K.transpose(0, 2, 1)) / 2.0
-        dg = dofs[idx]
-        rows.append(np.repeat(dg, nd, axis=1).ravel())
-        cols.append(np.tile(dg, (1, nd)).ravel())
-        valchunks.append(K.ravel())
-    system = system_from_triplets(np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(valchunks), dof_map)
+def _tet_system(nodes, B, w, owners, moduli, dof_map):
+    """(system, intP, intL) of a tet mesh from its Gauss-point operators.
 
+    B (m, n_gauss, nP, nd) and w (m, n_gauss) are the state operators
+    and weights of each tet (a linear tet is one point of weight V),
+    nodes (m, k) its node ids and owners its grain. The stiffness is
+    built per grain; the integrated-state pair intP = int P, intL =
+    int G P (nP x n_dofs) is built after the stiffness triplets are
+    freed, so the two never share the peak memory of a refined mesh.
+    """
+    dofs = node_dofs(nodes, dof_map.n_fields)
+    grains = [(moduli[c], np.nonzero(owners == c)[0])
+              for c in np.unique(owners)]
+    triplets = [block_triplets(dofs[idx], gauss_stiffness(B[idx], w[idx], G))
+                for G, idx in grains]
+    system = system_from_triplets(*map(np.concatenate, zip(*triplets)),
+                                  dof_map)
+    del triplets
+    intP = np.zeros((B.shape[2], dof_map.n_dofs))
+    intL = np.zeros_like(intP)
+    for G, idx in grains:
+        part = scatter_columns(dofs[idx],
+                               np.einsum("mg,mgpa->mpa", w[idx], B[idx]),
+                               dof_map.n_dofs)
+        intP += part
+        intL += G @ part
+    return system, intP, intL
+
+
+def _averager(intP, intL, volume):
+    """Battery averager of an integrated-state pair: the volume averages
+    (<P>, <L>) of a full solution vector."""
     def averager(full):
-        P = np.einsum("mpa,ma->mp", B_all, full[dofs], optimize=True)
-        nP = P.shape[1]
-        avgP = vols @ P
-        avgL = np.zeros(nP)
-        for cid in np.unique(owners):
-            idx = owners == cid
-            avgL += moduli[cid] @ (vols[idx] @ P[idx])
-        return avgP, avgL
+        return intP @ full / volume, intL @ full / volume
+    return averager
 
-    return system, averager
+
+def _fem_o1_system(points, tets, owners, moduli, dof_map):
+    """Linear-tet system and its integrated-state pair (intP, intL)."""
+    B, vols = batch_o1_operators(points, tets, dof_map.n_fields)
+    system, *pair = _tet_system(tets, B[:, None], vols[:, None], owners,
+                                moduli, dof_map)
+    return system, pair
 
 
 def _fem_o2_system(tmesh, o2, moduli, dof_map):
-    nf = dof_map.n_fields
-    rows, cols, vals = [], [], []
-    tet_ops = []
-    for t in range(len(o2.tets)):
-        ids = o2.tets[t]
-        ops = quadratic_state_operators(tmesh.vertices[tmesh.tets[t]], nf)
-        G = moduli[int(o2.cell_of_tet[t])]
-        K = np.zeros((10 * nf, 10 * nf))
-        for B, w in ops:
-            K += w * (B.T @ G @ B)
-        K = (K + K.T) / 2.0
-        dofs = (ids[:, None] * nf + np.arange(nf)).ravel()
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(K.ravel())
-        tet_ops.append((dofs, ops, G))
-    system = system_from_triplets(np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(vals), dof_map)
-
-    def averager(full):
-        nP = 6 + 3 * (nf - 3)
-        avgP = np.zeros(nP)
-        avgL = np.zeros(nP)
-        for dofs, ops, G in tet_ops:
-            p = full[dofs]
-            intP = np.zeros(nP)
-            for B, w in ops:
-                intP += w * (B @ p)
-            avgP += intP
-            avgL += G @ intP
-        return avgP, avgL
-
-    return system, averager
+    """Quadratic-tet system and its integrated-state pair (intP, intL)."""
+    B, w = quadratic_state_operators(tmesh.vertices, tmesh.tets,
+                                     dof_map.n_fields)
+    system, *pair = _tet_system(o2.tets, B, w, o2.cell_of_tet, moduli,
+                                dof_map)
+    return system, pair
 
 
 def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
-                   mode: str = "fullyCoupled",
-                   material_names=()) -> HomogenizationResult:
+                   mode: str = "fullyCoupled", material_names=(),
+                   submeshes=None) -> HomogenizationResult:
     """Effective modulus on the tetrahedralized grains.
 
     order 1 with levels 0 is the coarse linear baseline; levels > 0
     red-refines every grain conformingly; order 2 promotes the coarse
-    mesh to 10-node quadratic tets (levels must be 0).
+    mesh to 10-node quadratic tets (levels must be 0). `submeshes`, one
+    per cell, are the grains' triangulations when the caller already
+    has them.
     """
     if len(moduli) != len(mesh.cells):
         raise HomogenizationError(
@@ -438,31 +420,28 @@ def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
         raise HomogenizationError(f"order must be 1 or 2, got {order}")
     if order == 2 and levels:
         raise HomogenizationError("quadratic path supports levels=0 only")
-    subs = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
-    tmesh = union_submeshes(mesh, subs)
+    if submeshes is None:
+        submeshes = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
+    tmesh = union_submeshes(mesh, submeshes)
     if levels:
         tmesh = refine_tet_mesh(tmesh, levels)
-    volume = mesh.edge_length ** 3
 
     if order == 1:
         dof_map = DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, mode)
-        system, averager = _fem_o1_system(
+        system, pair = _fem_o1_system(
             tmesh.vertices, tmesh.tets, tmesh.cell_of_tet, moduli, dof_map)
         coords = tmesh.vertices
         method = f"FEM-O1-refined({levels})" if levels else "FEM-O1-coarse"
     else:
         o2 = promote_to_quadratic(tmesh)
         dof_map = DofMap(o2.n_points, o2.boundary_node_ids, mode)
-        system, averager = _fem_o2_system(tmesh, o2, moduli, dof_map)
+        system, pair = _fem_o2_system(tmesh, o2, moduli, dof_map)
         coords = o2.points
         method = "FEM-O2-coarse"
-
-    def scaled_averager(full):
-        avgP, avgL = averager(full)
-        return avgP / volume, avgL / volume
-
-    return _battery(system, dof_map, coords, mode, volume, scaled_averager,
-                    method, None, mesh_hash(mesh), material_names)
+    volume = mesh.edge_length ** 3
+    return _battery(system, dof_map, coords, mode, volume,
+                    _averager(*pair, volume), method, None, mesh_hash(mesh),
+                    material_names)
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,22 @@ import csv
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .element_fem import FIELD_COUNT
 from .homogenization import (GrainLayout, HomogenizationError,
                              HomogenizationResult, VemOperators,
-                             grain_moduli, homogenize_fem, homogenize_vem,
+                             homogenize_fem, homogenize_vem,
                              result_from_json, result_to_json)
-from .materials import anisotropy_index, datasheet_matrix
+from .materials import datasheet_matrix
 from .mesh import PolyMesh, mesh_hash, triangulate_cell
 
 __all__ = [
     "StudyError", "StudyConfig", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
-    "target_block", "assign_volume_fraction",
+    "target_block", "assign_volume_fraction", "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve",
     "coarse_fem_deviation", "beta_sweep", "beta_opt",
     "fraction_sweep", "comparison_csv", "beta_sweep_csv", "fraction_csv",
@@ -141,9 +141,7 @@ class StudyConfig:
         if not all(0.0 <= p <= 1.0 for p in self.fraction_grid):
             raise StudyError("fraction grid must lie in [0, 1]")
         for m in self.methods:
-            base = m.split("(")[0]
-            if base not in METHODS:
-                raise StudyError(f"unknown method {m!r}")
+            parse_method(m)
         if self.reference_levels < 1:
             raise StudyError("reference needs at least one refinement level")
 
@@ -230,13 +228,14 @@ def build_reference(mesh: PolyMesh, moduli, mode: str, levels: int,
         cached = _read_cached(path)
         if cached is not None:
             return cached
-    n_coarse = sum(len(triangulate_cell(mesh, c).tets)
-                   for c in range(len(mesh.cells)))
+    subs = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
+    n_coarse = sum(len(sub.tets) for sub in subs)
     if n_coarse * 8 ** levels > MEMORY_GUARD_TETS:
         raise StudyError(
             f"refined mesh would have {n_coarse * 8 ** levels} tets "
             f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
-    result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
+    result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode,
+                            submeshes=subs)
     if path is not None:
         _write_atomic(path, result_to_json(result))
     return result
@@ -270,18 +269,33 @@ def _write_atomic(path: str, text: str) -> None:
 # Comparisons and sweeps
 # ---------------------------------------------------------------------------
 
-def _run_method(mesh, moduli, mode, method, beta):
-    base, _, arg = method.partition("(")
+def parse_method(method: str):
+    """(base name, refinement levels) of a method name. Only
+    "FEM-O1-refined" is refined: 1 level, or as many as it names in
+    "FEM-O1-refined(2)"; the other methods have 0."""
+    base, paren, arg = method.partition("(")
+    refined = base == "FEM-O1-refined"
+    if base not in METHODS or (paren and not refined):
+        raise StudyError(f"unknown method {method!r}; expected one of "
+                         f"{', '.join(METHODS)}")
+    if not paren:
+        return base, int(refined)
+    if not (arg.endswith(")") and arg[:-1].isdigit() and int(arg[:-1]) > 0):
+        raise StudyError(f"bad refinement level in method {method!r}")
+    return base, int(arg[:-1])
+
+
+def run_method(mesh, moduli, mode, method, beta, material_names=(),
+               check_surface=False) -> HomogenizationResult:
+    """One homogenization run of a named method."""
+    base, levels = parse_method(method)
     if base == "VEM-VO":
-        return homogenize_vem(mesh, moduli, beta=beta, mode=mode)
-    if base == "FEM-O1-coarse":
-        return homogenize_fem(mesh, moduli, order=1, mode=mode)
-    if base == "FEM-O2-coarse":
-        return homogenize_fem(mesh, moduli, order=2, mode=mode)
-    if base == "FEM-O1-refined":
-        levels = int(arg.rstrip(")")) if arg else 1
-        return homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
-    raise StudyError(f"unknown method {method!r}")
+        return homogenize_vem(mesh, moduli, beta=beta, mode=mode,
+                              material_names=material_names,
+                              check_surface=check_surface)
+    order = 2 if base == "FEM-O2-coarse" else 1
+    return homogenize_fem(mesh, moduli, order=order, levels=levels,
+                          mode=mode, material_names=material_names)
 
 
 def _deviations(effective, reference_effective, targets, mode) -> dict:
@@ -302,7 +316,7 @@ def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
     rows = []
     nf = FIELD_COUNT[mode]
     for method in methods:
-        result = _run_method(mesh, moduli, mode, method, beta)
+        result = run_method(mesh, moduli, mode, method, beta)
         e_c, d_rel = _errors(result, reference, targets, mode)
         rows.append(ComparisonRow(
             method=result.method, n_nodes=result.n_dofs // nf,

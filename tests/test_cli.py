@@ -126,6 +126,24 @@ reference_levels = 9
         assert main(["study", "--config", p,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("homogenize", "beta", "1.5", "beta must be in [0, 1]"),
+        ("study", "beta", "-0.2", "beta must be in [0, 1]"),
+        ("homogenize", "method", "VEM-XX", "unknown method 'VEM-XX'"),
+        ("study", "methods", "VEM-VO,VEM-XX", "unknown method 'VEM-XX'"),
+        ("study", "methods", "FEM-O1-refined(x)", "bad refinement level"),
+    ])
+    def test_bad_beta_or_method_exits_2(self, tmp_path, capsys, command,
+                                        key, value, message):
+        section = ("[homogenize]\nmode = electroMech\n" if command == "homogenize"
+                   else "[study]\nkind = comparison\nreference_levels = 1\n")
+        p = write_config(tmp_path / "c.ini",
+                         "[mesh]\nn_grains = 3\nmesh_seed = 11\n"
+                         f"{section}{key} = {value}\n")
+        assert main([command, "--config", p,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMeshCommand:
     def test_writes_mesh_stats_and_provenance(self, tmp_path):

@@ -426,3 +426,75 @@ class TestSharedOperators:
         with pytest.raises(ph.HomogenizationError, match="beta = 0 only"):
             operators.evaluate(0.1)
 
+
+
+# ---------------------------------------------------------------------------
+# Tet paths against a per-tet, per-Gauss-point reference
+# ---------------------------------------------------------------------------
+
+def quadratic_gauss_gradients(corner_grads):
+    """(4 Gauss points, 10 nodes, 3) quadratic shape-function gradients
+    of one tet, point by point and node by node."""
+    out = np.empty((len(fem.GAUSS4_BARY), 10, 3))
+    for g, bary in enumerate(fem.GAUSS4_BARY):
+        for a in range(4):
+            out[g, a] = (4.0 * bary[a] - 1.0) * corner_grads[a]
+        for k, (a, b) in enumerate(pm._EDGE_LOCAL):
+            out[g, 4 + k] = 4.0 * (bary[a] * corner_grads[b]
+                                   + bary[b] * corner_grads[a])
+    return out
+
+
+def direct_tet_homogenize(mesh, moduli, order, mode):
+    """Battery over per-tet stiffness blocks, each summed over its Gauss
+    points, with an averager that integrates every tet's Gauss-point
+    states for each load case."""
+    nf = fem.FIELD_COUNT[mode]
+    subs = [pm.triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
+    tmesh = pm.union_submeshes(mesh, subs)
+    nodes, points, boundary = (tmesh.tets, tmesh.vertices,
+                               tmesh.boundary_node_ids)
+    if order == 2:
+        o2 = fem.promote_to_quadratic(tmesh)
+        nodes, points, boundary = o2.tets, o2.points, o2.boundary_node_ids
+    elems = []
+    for t, ids in enumerate(nodes):
+        G = moduli[tmesh.cell_of_tet[t]]
+        corner_grads, vol = fem.tet_gradient(tmesh.vertices[tmesh.tets[t]])
+        if order == 1:
+            gauss = [(fem.field_operator(corner_grads, nf), vol)]
+        else:
+            gauss = [(fem.field_operator(grads, nf), w * vol) for grads, w
+                     in zip(quadratic_gauss_gradients(corner_grads),
+                            fem.GAUSS4_WEIGHTS)]
+        K = sum(w * (B.T @ G @ B) for B, w in gauss)
+        elems.append(SimpleNamespace(
+            node_ids=ids, modulus=G, gauss=gauss, stiffness=(K + K.T) / 2.0,
+            dofs=(ids[:, None] * nf + np.arange(nf)).ravel()))
+    dof_map = pa.DofMap(len(points), boundary, mode)
+    volume = mesh.edge_length ** 3
+
+    def averager(full):
+        avgP = avgL = 0.0
+        for e in elems:
+            intP = sum(w * (B @ full[e.dofs]) for B, w in e.gauss)
+            avgP = avgP + intP
+            avgL = avgL + e.modulus @ intP
+        return avgP / volume, avgL / volume
+
+    return ph._battery(pa.assemble(elems, dof_map), dof_map, points, mode,
+                       volume, averager, "direct", None, "", ())
+
+
+class TestTetPaths:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_batched_path_matches_per_tet_reference(self, order):
+        mesh = voronoi_mesh(6, seed=13)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=17)
+        batched = ph.homogenize_fem(mesh, moduli, order=order)
+        direct = direct_tet_homogenize(mesh, moduli, order, "fullyCoupled")
+        assert batched.n_dofs == direct.n_dofs
+        ref = direct.effective_datasheet
+        diff = np.linalg.norm(batched.effective_datasheet - ref)
+        assert diff <= 1e-12 * np.linalg.norm(ref)
+        assert np.abs(batched.hill_residuals).max() <= 1e-10

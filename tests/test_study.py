@@ -310,6 +310,20 @@ class TestBuildReference:
                 ps.build_reference(mesh, moduli, "electroMech", 8, cache_dir)
         assert list(tmp_path.iterdir()) == []
 
+    def test_cache_miss_triangulates_each_cell_once(self, monkeypatch):
+        mesh = voronoi_mesh(3)
+        moduli, _ = _hex_moduli(mesh, seed=5)
+        calls = []
+
+        def counting(mesh, cell_id, *args, **kwargs):
+            calls.append(cell_id)
+            return pm.triangulate_cell(mesh, cell_id, *args, **kwargs)
+
+        monkeypatch.setattr(ps, "triangulate_cell", counting)
+        monkeypatch.setattr(ph, "triangulate_cell", counting)
+        ps.build_reference(mesh, moduli, "electroMech", 1, None)
+        assert sorted(calls) == list(range(len(mesh.cells)))
+
     def test_levels_validated(self):
         mesh = voronoi_mesh(3)
         moduli, _ = _hex_moduli(mesh, seed=5)
