@@ -3,9 +3,11 @@
 Dofs are node-major: global index = node * n_fields + field. Boundary
 dofs are eliminated (not penalized); the interior block is factorized
 once per configuration and the factorization is reused for every load
-case. A per-field diagonal congruence scaling equalizes the widely
-different magnitudes of the mechanical, electric, and magnetic blocks
-before factorization and is undone exactly afterwards.
+case, all cases in one solve. Large blocks factor their mechanical and
+potential diagonal blocks apart and couple them by MINRES. A per-field
+diagonal congruence scaling equalizes the widely different magnitudes
+of the mechanical, electric, and magnetic blocks before factorization
+and is undone exactly afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .element_fem import FIELD_COUNT
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "assemble",
            "node_dofs", "block_triplets", "scatter_columns",
-           "triplets_from_elements", "system_from_triplets"]
+           "system_from_triplets"]
 
 
 class AssemblyError(RuntimeError):
@@ -89,8 +91,22 @@ def scatter_columns(dofs: np.ndarray, blocks: np.ndarray,
                        minlength=r * n_cols).reshape(r, n_cols)
 
 
-def triplets_from_elements(elements, dof_map: DofMap):
-    """COO triplet arrays from element stiffness blocks.
+def system_from_triplets(rows, cols, vals, dof_map: DofMap,
+                         deficient_cells=()) -> "SparseSystem":
+    n = dof_map.n_dofs
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    # symmetrization audit: duplicate-summed matrix must already be symmetric
+    asym = abs(K - K.T).max()
+    scale = abs(K).max() if K.nnz else 0.0
+    if scale and asym > 1e-12 * scale:
+        raise AssemblyError(
+            f"assembled matrix asymmetry {asym:.3e} exceeds audit tolerance "
+            f"({1e-12 * scale:.3e})")
+    return SparseSystem(K, dof_map, tuple(deficient_cells))
+
+
+def assemble(elements, dof_map: DofMap) -> "SparseSystem":
+    """Scatter element stiffness blocks into a global sparse system.
 
     Each element provides node_ids and a node-major stiffness over its
     nodes x active fields.
@@ -110,26 +126,7 @@ def triplets_from_elements(elements, dof_map: DofMap):
         chunks.append(block_triplets(dofs[None], K[None]))
     if not chunks:
         raise AssemblyError("no elements to assemble")
-    return tuple(np.concatenate(part) for part in zip(*chunks))
-
-
-def system_from_triplets(rows, cols, vals, dof_map: DofMap,
-                         deficient_cells=()) -> "SparseSystem":
-    n = dof_map.n_dofs
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    # symmetrization audit: duplicate-summed matrix must already be symmetric
-    asym = abs(K - K.T).max()
-    scale = abs(K).max() if K.nnz else 0.0
-    if scale and asym > 1e-12 * scale:
-        raise AssemblyError(
-            f"assembled matrix asymmetry {asym:.3e} exceeds audit tolerance "
-            f"({1e-12 * scale:.3e})")
-    return SparseSystem(K, dof_map, tuple(deficient_cells))
-
-
-def assemble(elements, dof_map: DofMap) -> "SparseSystem":
-    """Scatter element stiffness blocks into a global sparse system."""
-    rows, cols, vals = triplets_from_elements(elements, dof_map)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*chunks))
     deficient = [getattr(e, "cell_id", i) for i, e in enumerate(elements)
                  if getattr(e, "consistency_rank_deficient", False)]
     return system_from_triplets(rows, cols, vals, dof_map, deficient)
@@ -142,8 +139,89 @@ class _EmptyFactor:
         return np.zeros_like(rhs)
 
 
+# Interior dofs from which `factorize` splits the block (docs/fem.md):
+# below it one LU and its back-substitutions beat two block LUs and the
+# MINRES iterations that couple them.
+SPLIT_MIN_DOFS = 4000
+MINRES_RTOL = 1e-14          # per column, preconditioned residual estimate
+MINRES_MAXITER = 100
+RESIDUAL_GATE = 1e-10        # per column, interior residual, unscaled
+
+
+def _block_minres(K, precondition, B):
+    """Solution X of K X = B for every column of B by MINRES (Paige &
+    Saunders 1975) with the SPD preconditioner `precondition` (r -> M^-1 r).
+
+    One recurrence runs over all columns, so each iteration makes one
+    matrix product and one preconditioner application on the columns
+    still open; a column closes when its preconditioned residual
+    estimate falls to MINRES_RTOL of its start. Returns (X, iterations),
+    X None when a column is still open after MINRES_MAXITER iterations
+    or the recurrence turns non-finite (an indefinite preconditioner
+    shows as the square root of a negative number).
+    """
+    X = np.zeros_like(B)
+    r1 = B
+    y = precondition(r1)
+    with np.errstate(invalid="ignore"):
+        beta = np.sqrt(np.einsum("ij,ij->j", r1, y))
+    if not np.isfinite(beta).all():
+        return None, 0
+    cols = np.nonzero(beta > 0.0)[0]
+    r1, y, beta = r1[:, cols], y[:, cols], beta[cols]
+    r2 = r1
+    stop = MINRES_RTOL * beta
+    phibar = beta
+    old_beta = dbar = eps_ln = sn = np.zeros_like(beta)
+    cs = -np.ones_like(beta)
+    w = w2 = np.zeros_like(r1)
+    iterations = 0
+    while len(cols):
+        if iterations == MINRES_MAXITER:
+            return None, iterations
+        iterations += 1
+        v = y / beta
+        y = K @ v
+        if iterations > 1:
+            y -= (beta / old_beta) * r1
+        alpha = np.einsum("ij,ij->j", v, y)
+        y -= (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        old_beta = beta
+        with np.errstate(invalid="ignore"):
+            beta = np.sqrt(np.einsum("ij,ij->j", r2, y))
+        # plane rotation that keeps the tridiagonal least-squares form
+        old_eps = eps_ln
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps_ln = sn * beta
+        dbar = -cs * beta
+        gamma = np.maximum(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        X[:, cols] += phi * w
+        if not np.isfinite(phibar).all():
+            return None, iterations
+        open_ = phibar > stop
+        if not open_.all():
+            cols = cols[open_]
+            (y, r1, r2, w, w2) = (a[:, open_] for a in (y, r1, r2, w, w2))
+            (beta, old_beta, dbar, eps_ln, cs, sn, phibar, stop) = (
+                a[open_] for a in (beta, old_beta, dbar, eps_ln, cs, sn,
+                                   phibar, stop))
+    return X, iterations
+
+
 class SparseSystem:
-    """Symmetric sparse system with shared-factorization Dirichlet solves."""
+    """Symmetric sparse system with shared-factorization Dirichlet solves.
+
+    `solver_stats` records how the interior block was solved: the path
+    ("split", "small" or "fallback"), the MINRES iterations, the stored
+    entries of each LU factor and the worst interior residual.
+    """
 
     def __init__(self, K: sp.csc_matrix, dof_map: DofMap, deficient_cells=()):
         self.K = K
@@ -152,6 +230,8 @@ class SparseSystem:
         self.n_factorizations = 0
         self.n_solves = 0
         self._lu = None
+        self._split = None
+        self.solver_stats = {}
         self._prepare_scaling()
 
     def _prepare_scaling(self):
@@ -173,7 +253,12 @@ class SparseSystem:
         self.scaling_report = report
 
     def factorize(self):
-        """Factor the scaled interior block once; reused by every solve."""
+        """Factor the scaled interior block once; reused by every solve.
+
+        From SPLIT_MIN_DOFS interior dofs on, the two sign-definite
+        diagonal blocks are factored instead of the whole block; when
+        either fails, the whole block is factored as below that size.
+        """
         ii = self.dof_map.interior_dofs
         ib = self.dof_map.boundary_dofs
         S = sp.diags(self.scaling)
@@ -183,43 +268,120 @@ class SparseSystem:
         self._Kii_s = Ks[ii][:, ii]
         self._Kib_s = Ks[ii][:, ib]
         self._ii, self._ib = ii, ib
+        self._lu = self._split = None
+        self.solver_stats = {"path": "small", "minres_iterations": 0,
+                             "lu_nnz": [], "max_interior_residual": 0.0}
         if len(ii) == 0:
             self._lu = _EmptyFactor()
-            self.n_factorizations += 1
-            return self
+        elif len(ii) < SPLIT_MIN_DOFS:
+            self._factor_whole()
+        elif not self._factor_split():
+            self.solver_stats["path"] = "fallback"
+            self._factor_whole()
+        self.n_factorizations += 1
+        return self
+
+    def _factor_split(self) -> bool:
+        """Factor K_uu and -K_pp of the scaled block with the mechanical
+        dofs permuted first; False when either factorization fails.
+
+        The block is symmetric quasi-definite, so both are positive
+        definite and factor stably without pivoting under a symmetric
+        fill-reducing ordering (Vanderbei 1995).
+        """
+        mech = self._ii % self.dof_map.n_fields < 3
+        order = np.argsort(~mech, kind="stable")
+        nu = int(mech.sum())
+        Kp = self._Kii_s[order][:, order]
+        try:
+            factors = [spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+                       for block in (Kp[:nu, :nu], -Kp[nu:, nu:])]
+        except RuntimeError:
+            return False
+        self._split = (Kp, order, nu, factors)
+        self.solver_stats.update(path="split",
+                                 lu_nnz=[int(f.nnz) for f in factors])
+        return True
+
+    def _factor_whole(self):
+        """Factor the whole scaled block with COLAMD and partial pivoting."""
         try:
             self._lu = spla.splu(self._Kii_s)
         except RuntimeError as exc:
             hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
                     if self.deficient_cells else "")
             raise AssemblyError(f"factorization failed: {exc}{hint}") from None
-        self.n_factorizations += 1
-        return self
+        self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
+
+    def _solve_split(self, rhs_s, rhs):
+        """(u_i, worst interior residual) by MINRES on the split factors,
+        or None when MINRES does not converge or a column fails the
+        residual gate."""
+        Kp, order, nu, (lu_u, lu_p) = self._split
+
+        def precondition(r):
+            return np.vstack([lu_u.solve(r[:nu]), lu_p.solve(r[nu:])])
+
+        X, iterations = _block_minres(Kp, precondition, rhs_s[order])
+        self.solver_stats["minres_iterations"] += iterations
+        if X is None:
+            return None
+        ui = np.empty_like(X)
+        ui[order] = X
+        ui *= self.scaling[self._ii, None]
+        worst = self._worst_residual(ui, rhs)
+        return (ui, worst) if worst <= RESIDUAL_GATE else None
+
+    def _worst_residual(self, ui, rhs) -> float:
+        """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
+        over the columns with a nonzero right-hand side (NaN if any is)."""
+        denom = np.linalg.norm(rhs, axis=0)
+        res = np.linalg.norm(self._Kii @ ui + rhs, axis=0)
+        live = denom > 0.0
+        return float(np.max(res[live] / denom[live], initial=0.0))
 
     def solve_dirichlet(self, boundary_values: np.ndarray) -> np.ndarray:
-        """Full solution vector for prescribed boundary-dof values."""
-        if self._lu is None:
+        """Full solution for prescribed boundary-dof values: (n_boundary,)
+        gives (n_dofs,), and (n_boundary, n_cases) gives (n_dofs,
+        n_cases), every load case in one solve."""
+        if self._lu is None and self._split is None:
             self.factorize()
-        ub = np.asarray(boundary_values, dtype=float).ravel()
-        if ub.shape != self._ib.shape:
+        ub = np.asarray(boundary_values, dtype=float)
+        if ub.ndim not in (1, 2) or len(ub) != len(self._ib):
             raise AssemblyError(
-                f"expected {len(self._ib)} boundary values, got {len(ub)}")
-        yb = ub / self.scaling[self._ib]
-        yi = self._lu.solve(-(self._Kib_s @ yb))
-        ui = yi * self.scaling[self._ii]
-        self.n_solves += 1
-
+                f"expected {len(self._ib)} boundary values, got shape "
+                f"{ub.shape}")
+        single = ub.ndim == 1
+        if single:
+            ub = ub[:, None]
+        yb = ub / self.scaling[self._ib, None]
+        rhs_s = -(self._Kib_s @ yb)
         rhs = self._Kib @ ub
-        denom = np.linalg.norm(rhs)
-        if denom > 0.0:
-            res = np.linalg.norm(self._Kii @ ui + rhs) / denom
-            if res > 1e-10:
+        solved = None
+        if self._split is not None:
+            solved = self._solve_split(rhs_s, rhs)
+            if solved is None:
+                self._split = None
+                self.solver_stats["path"] = "fallback"
+                self._factor_whole()
+        if solved is None:
+            ui = self._lu.solve(rhs_s) * self.scaling[self._ii, None]
+            solved = ui, self._worst_residual(ui, rhs)
+            if not solved[1] <= RESIDUAL_GATE:
                 raise AssemblyError(
-                    f"interior solve residual {res:.3e} exceeds 1e-10")
-        full = np.empty(self.dof_map.n_dofs)
+                    f"interior solve residual {solved[1]:.3e} exceeds "
+                    f"{RESIDUAL_GATE:g}")
+        ui, worst = solved
+        stats = self.solver_stats
+        stats["max_interior_residual"] = max(
+            stats["max_interior_residual"], worst)
+        self.n_solves += ub.shape[1]
+        full = np.empty((self.dof_map.n_dofs, ub.shape[1]))
         full[self._ii] = ui
         full[self._ib] = ub
-        return full
+        return full[:, 0] if single else full
 
     def energy(self, full_solution: np.ndarray) -> float:
         """Quadratic form 0.5 u.K.u of a full solution vector."""

@@ -25,8 +25,9 @@ from . import __version__
 from .assembly import AssemblyError
 from .homogenization import (GrainLayout, HomogenizationError,
                              result_to_csv, result_to_json)
-from .materials import (MaterialError, anisotropy_index, build_modulus,
-                        builtin_library, parse_library)
+from .materials import (MODE_PINDEX, MODES, MaterialError,
+                        anisotropy_index, build_modulus, builtin_library,
+                        parse_library)
 from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
                    generate_voronoi, interior_face_conformity, mesh_hash,
                    parse_tess, random_seeds, read_mesh, write_mesh,
@@ -35,7 +36,7 @@ from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
                     beta_sweep, beta_sweep_csv, build_reference,
                     coarse_fem_deviation, comparison_csv, fraction_csv,
                     fraction_sweep, method_comparison, parse_method,
-                    run_method)
+                    run_method, target_block)
 
 __all__ = ["main", "ConfigError", "InputDataError"]
 
@@ -244,10 +245,11 @@ def write_provenance(outdir: str, command: str, cfg: dict, outputs,
     _write(outdir, "provenance.json", _json_dumps(doc))
 
 
-def write_diagnostics(outdir: str, wall: dict) -> None:
-    _write(outdir, "run_diagnostics.json",
-           _json_dumps({"format": "polyvem-diagnostics",
-                        "wall_seconds": wall}))
+def write_diagnostics(outdir: str, wall: dict, solver=None) -> None:
+    doc = {"format": "polyvem-diagnostics", "wall_seconds": wall}
+    if solver is not None:
+        doc["solver"] = solver
+    _write(outdir, "run_diagnostics.json", _json_dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +303,33 @@ def _method(section: str, method: str) -> str:
     return method
 
 
+def _mode(cfg, section: str, default: str) -> str:
+    mode = _get(cfg, section, "mode", default)
+    if mode not in MODES:
+        raise ConfigError(f"[{section}] unknown mode {mode!r}; expected one "
+                          f"of {', '.join(MODES)}")
+    return mode
+
+
+def _targets(cfg, mode: str) -> tuple:
+    """The [study] targets, each a modulus block that `mode` has."""
+    targets = tuple(s.strip() for s in
+                    _get(cfg, "study", "targets", "G,C").split(",")
+                    if s.strip())
+    if not targets:
+        raise ConfigError("[study] targets must name at least one block")
+    n = len(MODE_PINDEX[mode])
+    for target in targets:
+        try:
+            target_block(np.zeros((n, n)), mode, target)
+        except StudyError as exc:
+            raise ConfigError(f"[study] {exc}") from None
+    return targets
+
+
 def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     outdir = _get(cfg, "run", "out", "polyvem-out")
-    mode = _get(cfg, "homogenize", "mode", "fullyCoupled")
+    mode = _mode(cfg, "homogenize", "fullyCoupled")
     method = _method("homogenize",
                      _get(cfg, "homogenize", "method", "VEM-VO"))
     beta = _beta(cfg, "homogenize")
@@ -327,7 +353,7 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
                             "n_dofs": result.n_dofs})
     write_diagnostics(outdir, {
         "homogenize": time.perf_counter() - t0,
-        "solves": list(result.solve_seconds)})
+        "solves": list(result.solve_seconds)}, solver=result.solver_stats)
     if verbose:
         print(f"homogenize: {result.method} on {len(mesh.cells)} cells, "
               f"{result.n_dofs} dofs, max Hill residual "
@@ -355,17 +381,27 @@ def _fraction_grid(cfg) -> tuple:
     return tuple(grid)
 
 
+_STUDY_KINDS = ("comparison", "beta-sweep", "fraction-sweep")
+
+
 def cmd_study(cfg: dict, verbose: bool) -> int:
     outdir = _get(cfg, "run", "out", "polyvem-out")
     kind = _get(cfg, "study", "kind", "comparison")
-    mode = _get(cfg, "study", "mode", "electroMech")
-    targets = tuple(s.strip() for s in
-                    _get(cfg, "study", "targets", "G,C").split(",")
-                    if s.strip())
+    if kind not in _STUDY_KINDS:
+        raise ConfigError(f"unknown study kind {kind!r}; expected "
+                          f"{', '.join(_STUDY_KINDS)}")
+    mode = _mode(cfg, "study", "electroMech")
+    # a fraction sweep runs electroMech as fullyCoupled
+    run_mode = ("fullyCoupled" if kind == "fraction-sweep"
+                and mode == "electroMech" else mode)
+    targets = _targets(cfg, run_mode)
     methods = tuple(_method("study", s.strip()) for s in
                     _get(cfg, "study", "methods",
                          "VEM-VO,FEM-O1-coarse").split(",") if s.strip())
     levels = _get(cfg, "study", "reference_levels", 2, int)
+    if levels < 1:
+        raise ConfigError(
+            f"[study] reference_levels must be at least 1, got {levels}")
     beta = _beta(cfg, "study")
     cache = cfg["study"].get("cache")
     workers = _get(cfg, "run", "workers", 1, int)
@@ -394,21 +430,16 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         outputs.append(_write(outdir, "beta_sweep.csv",
                               beta_sweep_csv(curve, fem_d, targets)))
         wall["beta_opt"] = beta_opt(curve, targets[0])
-    elif kind == "fraction-sweep":
+    else:                                    # fraction-sweep
         seed = _get(cfg, "run", "seed", 1, int)
         fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
         grid = _fraction_grid(cfg)
         rows = _parallel_fraction_sweep(
-            mesh, library, grid, fraction_seed, _beta_grid(cfg),
-            mode if mode != "electroMech" else "fullyCoupled",
+            mesh, library, grid, fraction_seed, _beta_grid(cfg), run_mode,
             targets, levels, cache, workers)
         outputs.append(_write(outdir, "fraction_sweep.csv",
                               fraction_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]
-    else:
-        raise ConfigError(
-            f"unknown study kind {kind!r}; expected comparison, "
-            "beta-sweep, or fraction-sweep")
 
     write_provenance(outdir, "study", cfg, outputs,
                      mesh_digest=mesh_hash(mesh),

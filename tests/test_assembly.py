@@ -7,9 +7,11 @@ import scipy.sparse as sp
 import polyvem.assembly as pa
 import polyvem.element_fem as pf
 import polyvem.element_vem as pv
+import polyvem.homogenization as ph
 import polyvem.mesh as pm
 
 from test_element_fem import coupled_linear_field, random_modulus
+from test_homogenization import table_moduli
 
 RNG = np.random.default_rng(20260816)
 
@@ -276,3 +278,82 @@ class TestScalingAndDump:
              ([int(r) for r, _, _ in entries], [int(c) for _, c, _ in entries])),
             shape=(n, m)).tocsc()
         assert abs(K2 - system.K).max() == 0.0
+
+
+class TestFieldSplit:
+    """Split factorization with batched MINRES against the whole-block LU."""
+
+    @staticmethod
+    def vem_system(mode):
+        """Elements and dof map of an 8-grain two-phase sample; random
+        symmetric moduli are not quasi-definite, so the moduli are the
+        library's."""
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=mode)
+        elems = [pv.VemElement(mesh, c, G, beta=0.1,
+                               n_fields=pf.FIELD_COUNT[mode])
+                 for c, G in enumerate(moduli)]
+        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, mode)
+        return elems, dm
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
+                                      "magnetoMech"])
+    def test_split_matches_whole_block(self, monkeypatch, mode):
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=mode)
+        whole = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        split = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
+        assert whole.solver_stats["path"] == "small"
+        assert split.solver_stats["path"] == "split"
+        assert split.solver_stats["minres_iterations"] > 0
+        assert len(split.solver_stats["lu_nnz"]) == 2
+        assert split.solver_stats["max_interior_residual"] <= 1e-10
+        diff = np.linalg.norm(split.effective - whole.effective)
+        assert diff <= 1e-12 * np.linalg.norm(whole.effective)
+        assert (split.n_dofs, split.n_factorizations, split.n_solves) == (
+            whole.n_dofs, whole.n_factorizations, whole.n_solves)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_batched_solve_equals_single_solves(self, monkeypatch, split):
+        if split:
+            monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        elems, dm = self.vem_system("fullyCoupled")
+        system = pa.assemble(elems, dm)
+        ub = RNG.normal(size=(len(dm.boundary_dofs), 5))
+        batched = system.solve_dirichlet(ub)
+        assert batched.shape == (dm.n_dofs, 5)
+        assert system.solver_stats["path"] == ("split" if split else "small")
+        for k in range(5):
+            single = system.solve_dirichlet(ub[:, k])
+            assert single.shape == (dm.n_dofs,)
+            assert np.abs(batched[:, k] - single).max() \
+                <= 1e-12 * np.abs(single).max()
+        assert system.n_factorizations == 1
+        assert system.n_solves == 10
+
+    def test_singular_block_falls_back_and_names_cells(self, monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        dm = pa.DofMap(1, [], "electroMech")
+        system = pa.system_from_triplets(
+            np.arange(4), np.arange(4), np.array([1.0, 1.0, 0.0, -1.0]), dm,
+            deficient_cells=[3])
+        with pytest.raises(pa.AssemblyError, match=r"\[3\]"):
+            system.factorize()
+        assert system.solver_stats["path"] == "fallback"
+
+    def test_minres_cap_falls_back_to_whole_block(self, monkeypatch):
+        elems, dm = self.vem_system("electroMech")
+        ub = RNG.normal(size=(len(dm.boundary_dofs), 3))
+        expected = pa.assemble(elems, dm).solve_dirichlet(ub)
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        monkeypatch.setattr(pa, "MINRES_MAXITER", 2)
+        system = pa.assemble(elems, dm)
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == "fallback"
+        assert system.solver_stats["minres_iterations"] == 2
+        assert len(system.solver_stats["lu_nnz"]) == 1
+        assert np.array_equal(got, expected)
+        assert system.n_factorizations == 1

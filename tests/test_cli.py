@@ -144,6 +144,31 @@ reference_levels = 9
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,body,message", [
+        ("homogenize", "[homogenize]\nmode = thermal\n",
+         "unknown mode 'thermal'"),
+        ("study", "[study]\nkind = comparison\nmode = thermal\n",
+         "unknown mode 'thermal'"),
+        ("study", "[study]\nkind = comparison\ntargets = G,Z\n",
+         "unknown target 'Z'"),
+        ("study", "[study]\nkind = comparison\nmode = electroMech\n"
+         "targets = mu\n", "target 'mu' undefined"),
+        ("study", "[study]\nkind = beta-sweep\nreference_levels = 0\n",
+         "reference_levels must be at least 1"),
+    ])
+    def test_bad_mode_target_or_levels_exits_2_before_mesh(
+            self, tmp_path, capsys, monkeypatch, command, body, message):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the config was checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        p = write_config(tmp_path / "c.ini",
+                         "[mesh]\nn_grains = 3\nmesh_seed = 11\n" + body)
+        assert main([command, "--config", p,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMeshCommand:
     def test_writes_mesh_stats_and_provenance(self, tmp_path):
