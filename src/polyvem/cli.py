@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
                    parse_tess, random_seeds, read_mesh, write_mesh,
                    write_tess)
 from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
-                    beta_sweep, beta_sweep_csv, build_reference,
+                    beta_sweep_csv, build_reference,
                     coarse_fem_deviation, comparison_csv, fraction_csv,
                     fraction_sweep, method_comparison, parse_method,
                     run_method, target_block)
@@ -425,18 +426,22 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         moduli = layout.moduli(library, mode)
         reference = build_reference(mesh, moduli, mode, levels, cache)
         grid = _beta_grid(cfg)
-        curve, fem_d = _parallel_beta_sweep(mesh, moduli, mode, grid,
-                                            reference, targets, workers)
+        n = max(1, min(workers, len(grid)))
+        curve = _pool_map(_beta_point, [
+            (mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
+             reference.effective, targets) for k in range(n)], workers)
+        fem_d = coarse_fem_deviation(mesh, moduli, mode, reference, targets)
         outputs.append(_write(outdir, "beta_sweep.csv",
                               beta_sweep_csv(curve, fem_d, targets)))
         wall["beta_opt"] = beta_opt(curve, targets[0])
     else:                                    # fraction-sweep
         seed = _get(cfg, "run", "seed", 1, int)
         fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
-        grid = _fraction_grid(cfg)
-        rows = _parallel_fraction_sweep(
-            mesh, library, grid, fraction_seed, _beta_grid(cfg), run_mode,
-            targets, levels, cache, workers)
+        task = functools.partial(
+            fraction_sweep, mesh, library, rng_seed=fraction_seed,
+            beta_grid=_beta_grid(cfg), mode=run_mode, targets=targets,
+            reference_levels=levels, cache_dir=cache)
+        rows = _pool_map(task, [(f,) for f in _fraction_grid(cfg)], workers)
         outputs.append(_write(outdir, "fraction_sweep.csv",
                               fraction_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]
@@ -468,7 +473,7 @@ def cmd_materials(cfg: dict, verbose: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool variants (deterministic merge by grid index)
+# Worker pool (deterministic merge by grid index)
 # ---------------------------------------------------------------------------
 
 def _beta_point(payload):
@@ -478,43 +483,17 @@ def _beta_point(payload):
     return beta_curve(mesh, moduli, mode, chunk, ref_effective, targets)
 
 
-def _parallel_beta_sweep(mesh, moduli, mode, grid, reference, targets,
-                         workers):
+def _pool_map(task, payloads, workers: int) -> list:
+    """Concatenated list results of task over payloads, in payload
+    order: in a pool of up to `workers` processes, or in this process
+    when workers <= 1."""
     if workers <= 1:
-        return beta_sweep(mesh, moduli, mode, grid, reference, targets)
-    from concurrent.futures import ProcessPoolExecutor
-    n = min(workers, len(grid))
-    chunks = [grid[k * len(grid) // n:(k + 1) * len(grid) // n]
-              for k in range(n)]
-    payloads = [(mesh, moduli, mode, chunk, reference.effective, targets)
-                for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        curve = [point for part in pool.map(_beta_point, payloads)
-                 for point in part]
-    return curve, coarse_fem_deviation(mesh, moduli, mode, reference,
-                                       targets)
-
-
-def _fraction_point(payload):
-    (mesh, library, frac, rng_seed, beta_grid, mode, targets, levels,
-     cache) = payload
-    rows = fraction_sweep(mesh, library, (frac,), rng_seed, beta_grid,
-                          mode=mode, targets=targets,
-                          reference_levels=levels, cache_dir=cache)
-    return rows[0]
-
-
-def _parallel_fraction_sweep(mesh, library, grid, rng_seed, beta_grid, mode,
-                             targets, levels, cache, workers):
-    if workers <= 1:
-        return fraction_sweep(mesh, library, grid, rng_seed, beta_grid,
-                              mode=mode, targets=targets,
-                              reference_levels=levels, cache_dir=cache)
-    from concurrent.futures import ProcessPoolExecutor
-    payloads = [(mesh, library, f, rng_seed, beta_grid, mode, targets,
-                 levels, cache) for f in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_fraction_point, payloads))
+        parts = [task(p) for p in payloads]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+            parts = list(pool.map(task, payloads))
+    return [item for part in parts for item in part]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, TetMesh, _EDGE_LOCAL
+from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides
 
 __all__ = [
     "FIELD_COUNT", "tet_gradient", "field_operator", "tet_state_operator",
@@ -176,10 +176,7 @@ class TetMeshO2:
 
     @property
     def boundary_node_ids(self) -> np.ndarray:
-        tol = 1e-9 * self.edge_length
-        p = self.points
-        on = (np.abs(p) < tol) | (np.abs(p - self.edge_length) < tol)
-        return np.nonzero(on.any(axis=1))[0]
+        return np.nonzero(box_sides(self.points, self.edge_length).any(axis=1))[0]
 
 
 def promote_to_quadratic(tmesh: TetMesh) -> TetMeshO2:

@@ -18,40 +18,14 @@ import numpy as np
 from .assembly import block_triplets, node_dofs, scatter_columns
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
                           kernel_dimension)
-from .mesh import (MeshError, PolyMesh, TetSubmesh, face_geometry,
-                   triangulate_cell, union_submeshes)
+from .mesh import (MeshError, PolyMesh, TetSubmesh, triangulate_cell,
+                   union_submeshes)
 
 __all__ = [
     "ProjectedGradients", "CellOperators", "VemElement", "cell_operators",
-    "face_integral_weights", "scalar_gradient_operator", "projected_gradient",
+    "scalar_gradient_operator", "projected_gradient",
     "element_energy", "element_residual_tangent", "stabilization_required",
 ]
-
-
-def face_integral_weights(loop, vertices):
-    """Weights w (len(loop),) with sum_i w[i] s[loop[i]] equal to the
-    exact integral over the face of the first-order face reconstruction
-    of vertex data s; also returns (area, outward normal).
-
-    The rule is area * (vertex mean + tangential gradient . (centroid -
-    vertex mean position)) with the tangential gradient from edge
-    trapezoids; its value is independent of the loop orientation.
-    """
-    area, normal, centroid = face_geometry(loop, vertices)
-    pts = vertices[loop]
-    vbar = pts.mean(axis=0)
-    shift = centroid - vbar
-    k = len(loop)
-    w = np.full(k, area / k)
-    for i in range(k):
-        j = (i + 1) % k
-        edge = pts[j] - pts[i]
-        ell = np.linalg.norm(edge)
-        nu = np.cross(edge / ell, normal)           # in-plane outward normal
-        c = 0.5 * ell * float(nu @ shift)
-        w[i] += c
-        w[j] += c
-    return w, area, normal
 
 
 def scalar_gradient_operator(mesh: PolyMesh, cell_id: int) -> np.ndarray:
@@ -59,21 +33,44 @@ def scalar_gradient_operator(mesh: PolyMesh, cell_id: int) -> np.ndarray:
     scalar vertex data s.
 
     Row j of the operator accumulates (1/V) sum_F n_F[j] * I_F with I_F
-    the exact face-reconstruction integral of face_integral_weights.
-    Exact for globally linear fields.
+    the exact face-reconstruction integral given by the face table's
+    weights. Exact for globally linear fields.
     """
-    cell = mesh.cells[cell_id]
-    if cell.volume <= 0.0:
-        raise MeshError(f"cell {cell_id} has non-positive volume")
-    loc = {int(g): i for i, g in enumerate(cell.vertex_ids)}
-    D = np.zeros((3, len(cell.vertex_ids)))
-    for loop in cell.faces:
-        w_loop, _, normal = face_integral_weights(loop, mesh.vertices)
-        w = np.zeros(D.shape[1])
-        for pos, v in enumerate(loop):
-            w[loc[int(v)]] += w_loop[pos]
-        D += np.outer(normal, w)
-    return D / cell.volume
+    return _gradient_operators(mesh, [cell_id])[0]
+
+
+def _gradient_operators(mesh: PolyMesh, cell_ids) -> list:
+    """scalar_gradient_operator of each cell, from one scatter of the
+    face table's signed normals times weights."""
+    t = mesh.faces
+    cells = [mesh.cells[c] for c in cell_ids]
+    for c, cell in zip(cell_ids, cells):
+        if cell.volume <= 0.0:
+            raise MeshError(f"cell {c} has non-positive volume")
+    lo = t.cell_offsets[cell_ids]
+    n_refs = t.cell_offsets[np.asarray(cell_ids) + 1] - lo
+    ref = _ranges(lo, n_refs)
+    face = t.cell_faces[ref]
+    size = np.diff(t.offsets)[face]
+    entry = _ranges(t.offsets[face], size)
+    # per loop entry: owning cell and the cell's outward normal times weight
+    owner = np.repeat(np.repeat(np.arange(len(cells)), n_refs), size)
+    value = np.repeat(t.cell_signs[ref][:, None] * t.normal[face], size, axis=0)
+    value *= t.weights[entry][:, None]
+    n = mesh.n_vertices
+    keys = np.concatenate([k * n + cell.vertex_ids for k, cell in enumerate(cells)])
+    order = np.argsort(keys)
+    col = order[np.searchsorted(keys[order], owner * n + t.loops[entry])]
+    D = np.stack([np.bincount(col, value[:, j], minlength=len(keys))
+                  for j in range(3)])
+    splits = np.cumsum([len(cell.vertex_ids) for cell in cells])[:-1]
+    return [Dc / cell.volume for Dc, cell in zip(np.split(D, splits, axis=1), cells)]
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """Concatenated aranges [starts[i], starts[i] + counts[i])."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,9 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
         tmesh = union_submeshes(mesh, subs)
         B_all, vols = batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
         starts = np.cumsum([0] + [len(sub.tets) for sub in subs])
-    for k, (c, G) in enumerate(zip(cell_ids, moduli)):
+    gradients = _gradient_operators(mesh, cell_ids)
+    for k, (c, G, D) in enumerate(zip(cell_ids, moduli, gradients)):
         cell = mesh.cells[c]
-        D = scalar_gradient_operator(mesh, c)
         B = field_operator(D.T, nf)
         K = cell.volume * (B.T @ G @ B)
         tet = {}

@@ -25,13 +25,13 @@ from .assembly import (DofMap, block_triplets, node_dofs, scatter_columns,
 from .element_fem import (FIELD_COUNT, batch_o1_operators, gauss_stiffness,
                           promote_to_quadratic, quadratic_state_operators)
 from .element_vem import (ProjectedGradients, cell_operators,
-                          face_integral_weights, stabilization_required)
+                          stabilization_required)
 # re-exported: the benchmark's tracing test reads VemElement here
 from .element_vem import VemElement  # noqa: F401
 from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
                         datasheet_matrix, rotate_modulus)
 from .mesh import (PolyMesh, mesh_hash, refine_tet_mesh, triangulate_cell,
-                   union_submeshes, TAU_BOX)
+                   union_submeshes)
 
 __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
@@ -334,20 +334,11 @@ def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarra
     """Volume-averaged generalized gradient evaluated purely from surface
     integrals of the nodal data over the box boundary (divergence form)."""
     values = np.asarray(nodal_values, dtype=float)
-    nf = values.shape[1]
-    L = mesh.edge_length
-    tol = TAU_BOX * L
-    acc = np.zeros((3, nf))
-    for cell in mesh.cells:
-        for loop in cell.faces:
-            pts = mesh.vertices[loop]
-            on_box = ((np.abs(pts) <= tol).all(axis=0)
-                      | (np.abs(pts - L) <= tol).all(axis=0)).any()
-            if not on_box:
-                continue
-            w, _, normal = face_integral_weights(loop, mesh.vertices)
-            acc += np.outer(normal, w @ values[loop])
-    acc /= L ** 3
+    t = mesh.faces
+    # an on-box face has one owner, which winds it as stored (outward)
+    integrals = np.add.reduceat(t.weights[:, None] * values[t.loops],
+                                t.offsets[:-1])
+    acc = t.normal[t.on_box].T @ integrals[t.on_box] / mesh.edge_length ** 3
     return ProjectedGradients(acc[:, 0:3].T, acc[:, 3:].T).state_vector()
 
 

@@ -76,7 +76,7 @@ class PolyMesh:
     vertices: np.ndarray                   # (n, 3)
     cells: list                            # list[PolyCell]
     edge_length: float
-    _boundary: np.ndarray | None = field(default=None, repr=False)
+    _faces: FaceTable | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -85,32 +85,58 @@ class PolyMesh:
     @property
     def boundary_node_ids(self) -> np.ndarray:
         """Ids of nodes with any coordinate within TAU_BOX*L of 0 or L."""
-        if self._boundary is None:
-            L = self.edge_length
-            tol = TAU_BOX * L
-            on_lo = np.abs(self.vertices) <= tol
-            on_hi = np.abs(self.vertices - L) <= tol
-            self._boundary = np.nonzero((on_lo | on_hi).any(axis=1))[0]
-        return self._boundary
+        return np.nonzero(box_sides(self.vertices, self.edge_length).any(axis=1))[0]
+
+    @property
+    def faces(self) -> FaceTable:
+        """The unique faces of the cells (built after orientation when the
+        mesh is finalized, else on first use)."""
+        if self._faces is None:
+            self._faces = face_table(self)
+        return self._faces
 
     def locate(self, point) -> int:
         """Containing cell id of a point (convex cells), or -1."""
         p = np.asarray(point, dtype=float)
-        tol = TAU_PLANE * self.edge_length
-        if not hasattr(self, "_planes"):
-            planes = []
-            for cell in self.cells:
-                ns, ds = [], []
-                for loop in cell.faces:
-                    _, n, c = face_geometry(loop, self.vertices)
-                    ns.append(n)
-                    ds.append(np.dot(n, c))
-                planes.append((np.array(ns), np.array(ds)))
-            self._planes = planes
-        for ci, (ns, ds) in enumerate(self._planes):
-            if np.all(ns @ p - ds <= tol):
-                return ci
-        return -1
+        t = self.faces
+        outward = t.normal[t.cell_faces] * t.cell_signs[:, None]
+        offset = np.einsum("ij,ij->i", outward, t.centroid[t.cell_faces])
+        below = outward @ p - offset <= TAU_PLANE * self.edge_length
+        inside = np.nonzero(np.logical_and.reduceat(below, t.cell_offsets[:-1]))[0]
+        return int(inside[0]) if len(inside) else -1
+
+
+@dataclass(frozen=True)
+class FaceTable:
+    """The unique faces of a polyhedral mesh, as flat arrays.
+
+    Faces are keyed by their vertex-id set, numbered in order of first
+    appearance over cells, then faces, and stored in their first owner's
+    winding: face f is loops[offsets[f]:offsets[f + 1]], with one
+    face-integral weight per loop entry. Cell c refers to its faces, in
+    cell.faces order, through cell_faces[cell_offsets[c]:cell_offsets[c + 1]];
+    its sign is +1 where the cell winds the face as stored, -1 where it
+    reverses it, so the cell's outward normal is sign * normal.
+    """
+
+    loops: np.ndarray                      # (n_entries,) vertex ids
+    offsets: np.ndarray                    # (n_faces + 1,)
+    area: np.ndarray                       # (n_faces,)
+    normal: np.ndarray                     # (n_faces, 3) unit, stored winding
+    centroid: np.ndarray                   # (n_faces, 3) area centroid
+    weights: np.ndarray                    # (n_entries,)
+    owners: np.ndarray                     # (n_faces, 2) cell ids, -1 if none
+    on_box: np.ndarray                     # (n_faces,) all vertices on one box side
+    cell_offsets: np.ndarray               # (n_cells + 1,)
+    cell_faces: np.ndarray                 # (n_refs,) face id
+    cell_signs: np.ndarray                 # (n_refs,) +1 or -1
+    entry_face: np.ndarray                 # (n_entries,) face of each entry
+    successor: np.ndarray                  # (n_entries,) next entry on its loop
+
+    def of_cell(self, cell_id: int):
+        """(face ids, signs) of one cell's faces, in cell.faces order."""
+        span = slice(self.cell_offsets[cell_id], self.cell_offsets[cell_id + 1])
+        return self.cell_faces[span], self.cell_signs[span]
 
 
 @dataclass
@@ -143,7 +169,6 @@ class TetMesh:
     tets: np.ndarray                       # (m, 4)
     cell_of_tet: np.ndarray                # (m,) owning polyhedral cell id
     edge_length: float
-    _boundary: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -151,49 +176,82 @@ class TetMesh:
 
     @property
     def boundary_node_ids(self) -> np.ndarray:
-        if self._boundary is None:
-            L = self.edge_length
-            tol = TAU_BOX * L
-            on_lo = np.abs(self.vertices) <= tol
-            on_hi = np.abs(self.vertices - L) <= tol
-            self._boundary = np.nonzero((on_lo | on_hi).any(axis=1))[0]
-        return self._boundary
+        return np.nonzero(box_sides(self.vertices, self.edge_length).any(axis=1))[0]
 
 
 # ---------------------------------------------------------------------------
-# Face geometry
+# Box test and face geometry
 # ---------------------------------------------------------------------------
 
-def face_geometry(loop, vertices):
-    """(area, unit outward normal, area centroid) of a planar polygon.
+def box_sides(points, edge_length: float) -> np.ndarray:
+    """(n, 6) flags: column a marks points within TAU_BOX*L of the plane
+    x_a = 0, column 3 + a those within TAU_BOX*L of x_a = L."""
+    p = np.asarray(points, dtype=float)
+    tol = TAU_BOX * edge_length
+    return np.hstack([np.abs(p) <= tol, np.abs(p - edge_length) <= tol])
 
-    Uses a fan triangulation from the vertex mean, exact for planar
-    polygons of any (mild) non-convexity. The normal follows the loop
-    winding (CCW seen from outside gives the outward normal).
+
+def face_table(mesh: PolyMesh) -> FaceTable:
+    """Unique faces of the mesh's cells with their geometry.
+
+    Area, normal and centroid come from a fan from the vertex mean, exact
+    for planar polygons of any (mild) non-convexity. A face's weights w
+    make sum_i w[i] s[loop[i]] the exact integral of the first-order face
+    reconstruction of vertex data s: area * (vertex mean + tangential
+    gradient . (centroid - vertex mean position)), the gradient from edge
+    trapezoids; they do not depend on the winding.
     """
-    pts = vertices[np.asarray(loop, dtype=int)]
-    if len(pts) < 3:
-        raise MeshError(f"face with {len(pts)} vertices")
-    c0 = pts.mean(axis=0)
-    v1 = pts - c0
-    v2 = np.roll(pts, -1, axis=0) - c0
-    cross = np.cross(v1, v2)               # per-triangle 2*area vectors
-    area_vec = 0.5 * cross.sum(axis=0)
-    area = float(np.linalg.norm(area_vec))
-    if area <= 0.0:
+    index, face_loops, owners, refs, signs = {}, [], [], [], []
+    for ci, cell in enumerate(mesh.cells):
+        for loop in cell.faces:
+            lp = [int(v) for v in loop]
+            if len(lp) < 3:
+                raise MeshError(f"face with {len(lp)} vertices")
+            f = index.setdefault(frozenset(lp), len(index))
+            if f == len(face_loops):
+                face_loops.append(lp)
+                owners.append([ci, -1])
+            elif owners[f][1] < 0:
+                owners[f][1] = ci
+            first = face_loops[f]
+            refs.append(f)
+            signs.append(1 if lp[(lp.index(first[0]) + 1) % len(lp)] == first[1]
+                         else -1)
+    sizes = np.array([len(lp) for lp in face_loops], dtype=int)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    starts = offsets[:-1]
+    loops = np.array([v for lp in face_loops for v in lp], dtype=int)
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    nxt = np.arange(1, len(loops) + 1)
+    nxt[offsets[1:] - 1] = starts
+
+    pts = mesh.vertices[loops]
+    c0 = np.add.reduceat(pts, starts) / sizes[:, None]
+    cross = np.cross(pts - c0[face], pts[nxt] - c0[face])   # 2 * fan areas
+    area_vec = 0.5 * np.add.reduceat(cross, starts)
+    area = np.linalg.norm(area_vec, axis=1)
+    if np.any(area <= 0.0):
         raise MeshError("zero-area face (collinear loop)")
-    normal = area_vec / area
-    tri_area = 0.5 * cross @ normal        # signed
-    tri_cent = (pts + np.roll(pts, -1, axis=0) + c0) / 3.0
-    centroid = (tri_area[:, None] * tri_cent).sum(axis=0) / tri_area.sum()
-    return area, normal, centroid
+    normal = area_vec / area[:, None]
+    tri_area = 0.5 * np.einsum("ij,ij->i", cross, normal[face])     # signed
+    tri_cent = (pts + pts[nxt] + c0[face]) / 3.0
+    centroid = (np.add.reduceat(tri_area[:, None] * tri_cent, starts)
+                / np.add.reduceat(tri_area, starts)[:, None])
+    # edge i -> nxt[i] adds half its length times the in-plane outward
+    # normal . (centroid - vertex mean) to both ends
+    half = 0.5 * np.einsum("ij,ij->i", pts[nxt] - pts,
+                           np.cross(normal, centroid - c0)[face])
+    weights = (area / sizes)[face] + half
+    weights[nxt] += half
 
-
-def face_planarity(loop, vertices) -> float:
-    """Max out-of-plane deviation of a face loop."""
-    _, n, c = face_geometry(loop, vertices)
-    pts = vertices[np.asarray(loop, dtype=int)]
-    return float(np.max(np.abs((pts - c) @ n)))
+    on_box = np.logical_and.reduceat(
+        box_sides(pts, mesh.edge_length), starts).any(axis=1)
+    cell_offsets = np.concatenate(
+        [[0], np.cumsum([len(cell.faces) for cell in mesh.cells])])
+    return FaceTable(loops, offsets, area, normal, centroid, weights,
+                     np.array(owners, dtype=int).reshape(-1, 2), on_box,
+                     cell_offsets, np.array(refs, dtype=int),
+                     np.array(signs, dtype=int), face, nxt)
 
 
 def _signed_volume_moment(cell: PolyCell, vertices):
@@ -457,7 +515,8 @@ def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
 
 
 def _finalize_cells(mesh: PolyMesh):
-    """Orient faces outward, cache volumes, validate closure."""
+    """Orient faces outward, cache volumes, validate closure, and build
+    the face table."""
     total = 0.0
     for ci, cell in enumerate(mesh.cells):
         vol = orient_cell_faces(cell, mesh.vertices)
@@ -468,6 +527,7 @@ def _finalize_cells(mesh: PolyMesh):
     L3 = mesh.edge_length ** 3
     if abs(total - L3) > 1e-10 * L3:
         raise MeshError(f"cell volumes sum to {total:.15g}, expected {L3:.15g}")
+    mesh._faces = face_table(mesh)
 
 
 def cell_watertight(cell: PolyCell) -> bool:
@@ -487,26 +547,12 @@ def cell_watertight(cell: PolyCell) -> bool:
 def interior_face_conformity(mesh: PolyMesh) -> bool:
     """Every face is either on the box surface or shared by exactly two
     cells with opposite windings."""
-    seen = {}
-    for ci, cell in enumerate(mesh.cells):
-        for loop in cell.faces:
-            key = frozenset(int(v) for v in loop)
-            seen.setdefault(key, []).append(ci)
-    L, tol = mesh.edge_length, TAU_BOX * mesh.edge_length
-    for key, owners in seen.items():
-        if len(owners) == 2:
-            continue
-        if len(owners) != 1:
-            return False
-        pts = mesh.vertices[list(key)]
-        on_box = False
-        for ax in range(3):
-            for val in (0.0, L):
-                if np.all(np.abs(pts[:, ax] - val) <= tol):
-                    on_box = True
-        if not on_box:
-            return False
-    return True
+    t = mesh.faces
+    shared = t.owners[:, 1] >= 0
+    net = np.bincount(t.cell_faces, weights=t.cell_signs, minlength=len(shared))
+    # one reference per owner slot: no face has a third owner
+    return bool(len(t.cell_faces) == len(shared) + shared.sum()
+                and np.all(np.where(shared, net == 0, t.on_box)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +605,13 @@ def _ear_clip(pts2d):
     return tris
 
 
-def _triangulate_face(loop, vertices):
+def _triangulate_face(loop, vertices, normal):
     """Triangulate a planar face into triangles wound like the loop.
 
     The triangle set depends only on the vertex-id cycle (canonicalized
-    start and direction), so the two cells sharing a face produce the
-    identical triangles and the union tet mesh conforms.
+    start and direction) and on the face's normal (either sign), so the
+    two cells sharing a face produce the identical triangles and the
+    union tet mesh conforms.
     """
     loop = np.asarray(loop, dtype=int)
     pivot = int(np.argmin(loop))
@@ -575,8 +622,7 @@ def _triangulate_face(loop, vertices):
         flipped = True
 
     pts = vertices[canon]
-    _, nrm, _ = face_geometry(canon, vertices)
-    drop = int(np.argmax(np.abs(nrm)))
+    drop = int(np.argmax(np.abs(normal)))
     keep = [ax for ax in range(3) if ax != drop]
     pts2d = pts[:, keep]
 
@@ -613,7 +659,9 @@ def triangulate_cell(mesh: PolyMesh, cell_id: int) -> TetSubmesh:
     """
     cell = mesh.cells[cell_id]
     apex = int(cell.vertex_ids.min())
-    face_tris = [_triangulate_face(loop, mesh.vertices) for loop in cell.faces]
+    face_ids, _ = mesh.faces.of_cell(cell_id)
+    face_tris = [_triangulate_face(loop, mesh.vertices, mesh.faces.normal[f])
+                 for loop, f in zip(cell.faces, face_ids)]
     tets = []
     for loop, tris in zip(cell.faces, face_tris):
         if apex in set(int(v) for v in loop):
@@ -751,72 +799,109 @@ def write_mesh(mesh: PolyMesh) -> str:
             f"CHECKSUM {digest}\n{payload}")
 
 
+class _Lines:
+    """The lines of a mesh text, taken in order; errors name the line."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0                       # lines taken so far
+
+    def peek(self) -> str | None:
+        return self.lines[self.pos].strip() if self.pos < len(self.lines) else None
+
+    def fail(self, what: str):
+        raise MeshParseError(f"line {self.pos}: {what}")
+
+    def take(self) -> str:
+        if self.pos >= len(self.lines):
+            raise MeshParseError(f"unexpected end of file after line {self.pos}")
+        self.pos += 1
+        return self.lines[self.pos - 1].strip()
+
+    def fields(self, *convs, tag=None, rest=None) -> list:
+        """The next line's fields after its tag (checked when given),
+        converted by convs in turn and any further ones by rest."""
+        parts = self.take().split()
+        if tag is not None and parts[:1] != [tag]:
+            self.fail(f"expected {tag}")
+        parts = parts[tag is not None:]
+        convs += (rest,) * (len(parts) - len(convs)) if rest else ()
+        if len(parts) < len(convs):
+            self.fail(f"expected {len(convs)} fields")
+        try:
+            return [conv(x) for conv, x in zip(convs, parts)]
+        except ValueError:
+            self.fail(f"bad number in {' '.join(parts)!r}")
+
+    def count(self, tag=None) -> int:
+        n, = self.fields(int, tag=tag)
+        return n if n >= 0 else self.fail(f"negative count {n}")
+
+    def index(self, i: int, n: int) -> int:
+        if not 0 <= i < n:
+            self.fail(f"id {i} out of range")
+        return i
+
+    def vertices(self, n: int, first: int) -> np.ndarray:
+        """n lines 'id x y z' with ids first, ..., first + n - 1."""
+        verts, seen = np.empty((n, 3)), np.zeros(n, dtype=bool)
+        for _ in range(n):
+            i, x, y, z = self.fields(int, float, float, float)
+            verts[self.index(i - first, n)] = x, y, z
+            seen[i - first] = True
+        if not seen.all():
+            raise MeshParseError("missing vertex ids")
+        return verts
+
+
 def read_mesh(text: str) -> PolyMesh:
     """Parse the native format; verifies the checksum and all invariants."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _NATIVE_MAGIC:
+    src = _Lines(text)
+    if src.take() != _NATIVE_MAGIC:
         raise MeshParseError("not a native mesh file (bad magic)")
-    if not lines[1].startswith("L "):
-        raise MeshParseError("missing L header")
-    L = float(lines[1].split()[1])
-    idx = 2
-    if lines[idx].startswith("CHECKSUM"):
-        stated = lines[idx].split()[1]
-        payload = "\n".join(lines[idx + 1:]) + "\n"
+    L, = src.fields(float, tag="L")
+    if (src.peek() or "").startswith("CHECKSUM"):
+        stated, = src.fields(str, tag="CHECKSUM")
+        payload = "\n".join(src.lines[src.pos:]) + "\n"
         if hashlib.sha256(payload.encode()).hexdigest() != stated:
             raise MeshParseError("checksum mismatch")
-        idx += 1
 
-    def expect(tag):
-        nonlocal idx
-        parts = lines[idx].split()
-        if parts[0] != tag:
-            raise MeshParseError(f"expected {tag} at line {idx + 1}")
-        idx += 1
-        return parts
-
-    nv = int(expect("VERTICES")[1])
-    verts = np.empty((nv, 3))
-    for k in range(nv):
-        parts = lines[idx].split()
-        verts[int(parts[0])] = [float(parts[1]), float(parts[2]), float(parts[3])]
-        idx += 1
-    nc = int(expect("CELLS")[1])
-    mats = np.zeros(nc, dtype=int)
-    nfaces = np.zeros(nc, dtype=int)
-    for k in range(nc):
-        parts = lines[idx].split()
-        mats[int(parts[0])] = int(parts[1])
-        nfaces[int(parts[0])] = int(parts[2])
-        idx += 1
-    expect("FACES")
+    verts = src.vertices(src.count("VERTICES"), 0)
+    nc = src.count("CELLS")
+    header = np.zeros((nc, 2), dtype=int)  # material id, face count
+    for _ in range(nc):
+        ci, mat, nf = src.fields(int, int, int)
+        header[src.index(ci, nc)] = mat, nf
+    src.fields(tag="FACES")
     face_lists = [[] for _ in range(nc)]
-    while idx < len(lines) and lines[idx].strip():
-        parts = [int(x) for x in lines[idx].split()]
-        ci, loop = parts[0], np.array(parts[1:], dtype=int)
-        if np.any(loop >= nv) or np.any(loop < 0):
+    while src.peek():
+        ci, *ids = src.fields(int, rest=int)
+        loop = np.array(ids, dtype=int)
+        if np.any(loop >= len(verts)) or np.any(loop < 0):
             raise MeshParseError(f"dangling vertex reference in face of cell {ci}")
-        face_lists[ci].append(loop)
-        idx += 1
+        face_lists[src.index(ci, nc)].append(loop)
     cells = []
-    for ci in range(nc):
-        if len(face_lists[ci]) != nfaces[ci]:
-            raise MeshParseError(f"cell {ci}: {len(face_lists[ci])} faces, header says {nfaces[ci]}")
+    for ci, (mat, nf) in enumerate(header):
+        if len(face_lists[ci]) != nf or not nf:
+            raise MeshParseError(f"cell {ci}: {len(face_lists[ci])} faces, header says {nf}")
         vids = np.unique(np.concatenate(face_lists[ci]))
-        cells.append(PolyCell(vids, face_lists[ci], material_id=int(mats[ci])))
+        cells.append(PolyCell(vids, face_lists[ci], material_id=int(mat)))
     mesh = PolyMesh(verts, cells, L)
     _validate_parsed(mesh)
     return mesh
 
 
 def _validate_parsed(mesh: PolyMesh):
-    tol = TAU_PLANE * mesh.edge_length
+    t = mesh.faces
+    face = t.entry_face
+    gap = np.abs(np.einsum("ij,ij->i", mesh.vertices[t.loops] - t.centroid[face],
+                           t.normal[face]))
+    planar = np.maximum.reduceat(gap, t.offsets[:-1]) <= TAU_PLANE * mesh.edge_length
     for ci, cell in enumerate(mesh.cells):
         if not cell_watertight(cell):
             raise MeshParseError(f"cell {ci} is not watertight")
-        for loop in cell.faces:
-            if face_planarity(loop, mesh.vertices) > tol:
-                raise MeshParseError(f"non-planar face in cell {ci}")
+        if not planar[t.of_cell(ci)[0]].all():
+            raise MeshParseError(f"non-planar face in cell {ci}")
     _finalize_cells(mesh)
 
 
@@ -826,56 +911,33 @@ def _validate_parsed(mesh: PolyMesh):
 
 def write_tess(mesh: PolyMesh) -> str:
     """Write the tessellation subset grammar (1-based ids)."""
-    out = ["***tess", " **format", "   1"]
-    out.append(" **vertex")
-    out.append(f"   {mesh.n_vertices}")
-    for i, v in enumerate(mesh.vertices):
-        out.append(f"   {i + 1} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    out = ["***tess", " **format", "   1", " **vertex", f"   {mesh.n_vertices}"]
+    out += [f"   {i} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
+            for i, v in enumerate(mesh.vertices, start=1)]
 
+    # edges numbered in order of first appearance along the face loops
+    t = mesh.faces
+    ends = list(zip(t.loops.tolist(), t.loops[t.successor].tolist()))
     edges = {}
-    for cell in mesh.cells:
-        for loop in cell.faces:
-            k = len(loop)
-            for i in range(k):
-                a, b = int(loop[i]), int(loop[(i + 1) % k])
-                key = (a, b) if a < b else (b, a)
-                edges.setdefault(key, len(edges))
-    out.append(" **edge")
-    out.append(f"   {len(edges)}")
-    for (a, b), eid in sorted(edges.items(), key=lambda kv: kv[1]):
-        out.append(f"   {eid + 1} {a + 1} {b + 1}")
+    for a, b in ends:
+        edges.setdefault((min(a, b), max(a, b)), len(edges) + 1)
+    signed = [edges[min(a, b), max(a, b)] * (1 if a < b else -1) for a, b in ends]
+    out += [" **edge", f"   {len(edges)}"]
+    out += [f"   {eid} {a + 1} {b + 1}" for (a, b), eid in edges.items()]
 
-    faces = {}
-    cell_faces = []
-    for cell in mesh.cells:
-        refs = []
-        for loop in cell.faces:
-            key = frozenset(int(v) for v in loop)
-            if key in faces:
-                refs.append(-(faces[key][0] + 1))      # second owner sees it flipped
-            else:
-                faces[key] = (len(faces), [int(v) for v in loop])
-                refs.append(faces[key][0] + 1)
-        cell_faces.append(refs)
-    out.append(" **face")
-    out.append(f"   {len(faces)}")
-    for fid, loop in sorted(faces.values(), key=lambda kv: kv[0]):
-        out.append(f"   {fid + 1}")
-        out.append(f"   {len(loop)} " + " ".join(str(v + 1) for v in loop))
-        eids = []
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            key = (a, b) if a < b else (b, a)
-            eids.append((edges[key] + 1) if a < b else -(edges[key] + 1))
-        out.append(f"   {len(eids)} " + " ".join(str(e) for e in eids))
-        _, n, c = face_geometry(np.array(loop), mesh.vertices)
-        out.append(f"   {float(np.dot(n, c))!r} {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}")
-    out.append(" **polyhedron")
-    out.append(f"   {len(mesh.cells)}")
-    for ci, refs in enumerate(cell_faces):
-        out.append(f"   {ci + 1} {len(refs)} " + " ".join(str(r) for r in refs))
-    out.append("***end")
-    return "\n".join(out) + "\n"
+    plane = np.einsum("ij,ij->i", t.normal, t.centroid)
+    out += [" **face", f"   {len(t.area)}"]
+    for f, n in enumerate(t.normal):
+        lo, hi = t.offsets[f], t.offsets[f + 1]
+        out += [f"   {f + 1}",
+                f"   {hi - lo} " + " ".join(str(v + 1) for v in t.loops[lo:hi]),
+                f"   {hi - lo} " + " ".join(str(e) for e in signed[lo:hi]),
+                f"   {float(plane[f])!r} {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}"]
+    refs = np.split(t.cell_signs * (t.cell_faces + 1), t.cell_offsets[1:-1])
+    out += [" **polyhedron", f"   {len(refs)}"]
+    out += [f"   {ci} {len(own)} " + " ".join(str(r) for r in own)
+            for ci, own in enumerate(refs, start=1)]
+    return "\n".join(out + ["***end"]) + "\n"
 
 
 def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
@@ -885,72 +947,44 @@ def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
     unused), **face, **polyhedron, wrapped in ***tess ... ***end.
     Face orientations are normalized (outward) on import.
     """
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    pos = 0
-
-    def peek():
-        return lines[pos].strip() if pos < len(lines) else None
-
-    def take():
-        nonlocal pos
-        ln = lines[pos].strip()
-        pos += 1
-        return ln
-
-    if take() != "***tess":
+    src = _Lines(text)
+    if src.take() != "***tess":
         raise MeshParseError("missing ***tess header")
 
     verts = None
     face_loops = {}
     polys = []
-    while pos < len(lines):
-        tag = take()
+    while src.peek() is not None:
+        tag = src.take()
         if tag == "***end":
             break
         if not tag.startswith("**"):
-            raise MeshParseError(f"expected a section, got {tag!r}")
+            raise MeshParseError(f"line {src.pos}: expected a section, got {tag!r}")
         name = tag[2:]
         if name == "format":
-            take()
+            src.take()
         elif name == "vertex":
-            n = int(take())
-            verts = np.empty((n, 3))
-            seen = np.zeros(n, dtype=bool)
-            for _ in range(n):
-                parts = take().split()
-                i = int(parts[0]) - 1
-                verts[i] = [float(parts[1]), float(parts[2]), float(parts[3])]
-                seen[i] = True
-            if not seen.all():
-                raise MeshParseError("missing vertex ids")
+            verts = src.vertices(src.count(), 1)
         elif name == "edge":
-            n = int(take())
-            for _ in range(n):
-                parts = take().split()
-                if len(parts) < 3:
-                    raise MeshParseError("malformed edge line")
+            for _ in range(src.count()):
+                src.fields(str, str, str)
         elif name == "face":
-            n = int(take())
-            for _ in range(n):
-                fid = int(take()) - 1
-                parts = take().split()
-                nvert = int(parts[0])
-                loop = np.array([int(x) - 1 for x in parts[1:1 + nvert]], dtype=int)
+            for _ in range(src.count()):
+                fid, = src.fields(int)
+                nvert, *ids = src.fields(int, rest=int)
+                loop = np.array(ids[:nvert], dtype=int) - 1
                 if len(loop) != nvert:
-                    raise MeshParseError(f"face {fid + 1}: vertex count mismatch")
-                take()                      # edge list line, unused
-                take()                      # plane line, unused
-                face_loops[fid] = loop
+                    raise MeshParseError(f"face {fid}: vertex count mismatch")
+                src.take()                  # edge list line, unused
+                src.take()                  # plane line, unused
+                face_loops[fid - 1] = loop
         elif name == "polyhedron":
-            n = int(take())
+            n = src.count()
             for _ in range(n):
-                parts = take().split()
-                ci = int(parts[0]) - 1
-                nf = int(parts[1])
-                refs = [int(x) for x in parts[2:2 + nf]]
-                if len(refs) != nf:
-                    raise MeshParseError(f"polyhedron {ci + 1}: face count mismatch")
-                polys.append((ci, refs))
+                ci, nf, *refs = src.fields(int, int, rest=int)
+                if len(refs[:nf]) != nf or nf < 1:
+                    raise MeshParseError(f"polyhedron {ci}: face count mismatch")
+                polys.append((src.index(ci - 1, n), refs[:nf]))
         else:
             raise MeshParseError(f"unsupported section **{name}")
     else:
@@ -970,11 +1004,12 @@ def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
             if np.any(loop >= nv) or np.any(loop < 0):
                 raise MeshParseError(f"dangling vertex reference in face {fid + 1}")
             loops.append(loop[::-1].copy() if r < 0 else loop.copy())
-        vids = np.unique(np.concatenate(loops))
-        cells[ci] = PolyCell(vids, loops)
+        cells[ci] = PolyCell(np.unique(np.concatenate(loops)), loops)
+    if any(cell is None for cell in cells):
+        raise MeshParseError("missing polyhedron ids")
 
     L = float(edge_length) if edge_length else float(np.max(verts))
-    mesh = PolyMesh(verts, list(cells), L)
+    mesh = PolyMesh(verts, cells, L)
     _validate_parsed(mesh)
     return mesh
 

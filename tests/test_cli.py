@@ -91,6 +91,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         assert "input error" in capsys.readouterr().err
 
+    def test_truncated_mesh_file_exits_4(self, tmp_path, capsys):
+        mesh_file = tmp_path / "m.poly"
+        mesh_file.write_text("polyvem-mesh 1\n", encoding="utf-8")
+        p = write_config(tmp_path / "c.ini",
+                         f"[mesh]\nsource = file\npath = {mesh_file}\n")
+        assert main(["mesh", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "unexpected end of file" in capsys.readouterr().err
+
     def test_missing_library_exits_4(self, tmp_path):
         cfg = BASE.format(n=2, names="BaTiO3").replace(
             "names = BaTiO3",
@@ -277,16 +286,22 @@ class TestStudyCommand:
         assert rows[20][1] == rows[-1][1]
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
-            kind="beta-sweep", beta_step=0.25, cache=tmp_path / "cache"))
-        o1 = tmp_path / "w1"
-        assert main(["study", "--config", p, "--out", str(o1)]) == 0
-        for workers in ("2", "3"):        # 3: uneven chunks of 4 points
-            o2 = tmp_path / f"w{workers}"
-            assert main(["study", "--config", p, "--out", str(o2),
-                         "--workers", workers]) == 0
-            assert (o1 / "beta_sweep.csv").read_bytes() == \
-                (o2 / "beta_sweep.csv").read_bytes(), workers
+        for kind, csv_name, all_workers in (
+                ("beta-sweep", "beta_sweep.csv", ("2", "3")),  # 3: uneven chunks
+                ("fraction-sweep", "fraction_sweep.csv", ("2",))):
+            cfg = STUDY_BASE.format(kind=kind, beta_step=0.25,
+                                    cache=tmp_path / "cache")
+            if kind == "fraction-sweep":
+                cfg += "fraction_step = 0.45\nfraction_seed = 9\n"
+            p = write_config(tmp_path / f"{kind}.ini", cfg)
+            o1 = tmp_path / kind / "w1"
+            assert main(["study", "--config", p, "--out", str(o1)]) == 0
+            for workers in all_workers:
+                o2 = tmp_path / kind / f"w{workers}"
+                assert main(["study", "--config", p, "--out", str(o2),
+                             "--workers", workers]) == 0
+                assert (o1 / csv_name).read_bytes() == \
+                    (o2 / csv_name).read_bytes(), (kind, workers)
 
     def test_truncated_cache_entry_is_recomputed(self, tmp_path):
         cache = tmp_path / "cache"

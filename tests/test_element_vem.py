@@ -38,6 +38,56 @@ def l_prism_mesh():
     return single_cell_mesh(verts, [bottom, top] + sides, 2.0)
 
 
+def loop_face_geometry(loop, vertices):
+    """Per-face reference for the face table: (area, normal, centroid,
+    weights) of one loop by the fan from the vertex mean and the edge
+    trapezoids of the face reconstruction, one face at a time."""
+    pts = vertices[loop]
+    c0 = pts.mean(axis=0)
+    cross = np.cross(pts - c0, np.roll(pts, -1, axis=0) - c0)
+    area_vec = 0.5 * cross.sum(axis=0)
+    area = np.linalg.norm(area_vec)
+    normal = area_vec / area
+    tri_area = 0.5 * cross @ normal
+    tri_cent = (pts + np.roll(pts, -1, axis=0) + c0) / 3.0
+    centroid = (tri_area[:, None] * tri_cent).sum(axis=0) / tri_area.sum()
+    k = len(loop)
+    w = np.full(k, area / k)
+    for i in range(k):
+        j = (i + 1) % k
+        edge = pts[j] - pts[i]
+        ell = np.linalg.norm(edge)
+        c = 0.5 * ell * float(np.cross(edge / ell, normal) @ (centroid - c0))
+        w[i] += c
+        w[j] += c
+    return area, normal, centroid, w
+
+
+class TestFaceTable:
+    @pytest.mark.parametrize("mesh", [random_voronoi(20, 11), l_prism_mesh()],
+                             ids=["voronoi-20", "l-prism"])
+    def test_matches_per_face_loops_of_every_cell(self, mesh):
+        """Every cell's own loop, in its own winding, gives the table's
+        geometry with the cell's sign on the normal and the same weights
+        at the same vertices (the weights do not depend on the winding)."""
+        t = mesh.faces
+        scale = mesh.edge_length
+        for ci, cell in enumerate(mesh.cells):
+            for loop, f, sign in zip(cell.faces, *t.of_cell(ci)):
+                area, normal, centroid, w = loop_face_geometry(loop, mesh.vertices)
+                assert t.area[f] == pytest.approx(area, rel=1e-14)
+                assert np.allclose(sign * t.normal[f], normal, rtol=0, atol=1e-14)
+                assert np.allclose(t.centroid[f], centroid, rtol=0,
+                                   atol=1e-14 * scale)
+                stored = t.loops[t.offsets[f]:t.offsets[f + 1]]
+                by_vertex = dict(zip(stored.tolist(),
+                                     t.weights[t.offsets[f]:t.offsets[f + 1]]))
+                # coordinate round-off (~1e-16 L) enters a weight times an
+                # edge length (~sqrt(area))
+                assert np.allclose([by_vertex[int(v)] for v in loop], w,
+                                   rtol=0, atol=1e-14 * np.sqrt(area) * scale)
+
+
 class TestProjectedGradient:
     @pytest.mark.parametrize("n_cells,seed", [(1, 0), (5, 3), (20, 11)])
     def test_linear_patch_exactness(self, n_cells, seed):
@@ -72,8 +122,9 @@ class TestProjectedGradient:
         gw = gw / 2.0
 
         grad = np.zeros(3)
-        for loop in cell.faces:
-            area, normal, _ = pm.face_geometry(loop, m.vertices)
+        faces = m.faces
+        for loop, f, sign in zip(cell.faces, *faces.of_cell(0)):
+            area, normal = faces.area[f], sign * faces.normal[f]
             pts = m.vertices[loop]
             vals = values[[order[int(v)] for v in loop]]
             # bilinear interpolant over the quad (corners in loop order)

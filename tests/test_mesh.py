@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyvem import mesh as pm
+from polyvem.element_fem import TetMeshO2
 
 
 def grid_mesh_oracle(L):
@@ -83,15 +84,29 @@ class TestVoronoi:
         total = sum(c.volume for c in m.cells)
         assert abs(total - L ** 3) <= 1e-10 * L ** 3
         assert pm.interior_face_conformity(m)
-        for cell in m.cells:
+        t = m.faces
+        for ci, cell in enumerate(m.cells):
             assert pm.cell_watertight(cell)
             vecs = np.zeros(3)
             amax = 0.0
-            for loop in cell.faces:
-                a, nrm, _ = pm.face_geometry(loop, m.vertices)
+            for f, sign in zip(*t.of_cell(ci)):
+                a, nrm = t.area[f], sign * t.normal[f]
                 vecs += a * nrm
                 amax = max(amax, a)
             assert np.linalg.norm(vecs) <= 1e-10 * amax
+
+    def test_same_winding_on_both_sides_is_not_conforming(self):
+        m = pm.generate_voronoi(pm.random_seeds(6, 1.0, 3), 1.0)
+        assert pm.interior_face_conformity(m)
+        t = m.faces
+        f = int(np.nonzero(t.owners[:, 1] >= 0)[0][0])
+        second = int(t.owners[f, 1])
+        k = list(t.of_cell(second)[0]).index(f)
+        cells = [pm.PolyCell(c.vertex_ids, list(c.faces), c.material_id, c.volume)
+                 for c in m.cells]
+        cells[second].faces[k] = cells[second].faces[k][::-1].copy()
+        bad = pm.PolyMesh(m.vertices, cells, m.edge_length)
+        assert not pm.interior_face_conformity(bad)
 
     def test_nearest_seed_is_containing_cell(self):
         L = 1.0
@@ -128,17 +143,26 @@ class TestVoronoi:
         assert v1.std() < v0.std()
 
 
+def face_geometry(loop, verts):
+    """(area, normal, centroid) of one polygon, read from the face table
+    of a mesh whose only cell is that face."""
+    loop = np.asarray(loop, dtype=int)
+    cell = pm.PolyCell(np.unique(loop), [loop])
+    t = pm.PolyMesh(np.asarray(verts, dtype=float), [cell], 1.0).faces
+    return t.area[0], t.normal[0], t.centroid[0]
+
+
 class TestFaceGeometry:
     def test_unit_square(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        a, n, c = pm.face_geometry([0, 1, 2, 3], verts)
+        a, n, c = face_geometry([0, 1, 2, 3], verts)
         assert a == pytest.approx(1.0)
         assert np.allclose(n, [0, 0, 1])
         assert np.allclose(c, [0.5, 0.5, 0])
 
     def test_reversed_winding_flips_normal(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        _, n, _ = pm.face_geometry([3, 2, 1, 0], verts)
+        _, n, _ = face_geometry([3, 2, 1, 0], verts)
         assert np.allclose(n, [0, 0, -1])
 
     def test_regular_hexagon_area(self):
@@ -146,7 +170,7 @@ class TestFaceGeometry:
         a_edge = 0.7
         ang = np.arange(6) * np.pi / 3
         verts = np.column_stack([a_edge * np.cos(ang), a_edge * np.sin(ang), np.full(6, 2.0)])
-        area, n, c = pm.face_geometry(np.arange(6), verts)
+        area, n, c = face_geometry(np.arange(6), verts)
         assert area == pytest.approx(1.5 * np.sqrt(3) * a_edge ** 2, rel=1e-14)
         # shoelace oracle in the face plane
         x, y = verts[:, 0], verts[:, 1]
@@ -157,7 +181,7 @@ class TestFaceGeometry:
     def test_collinear_loop_raises(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         with pytest.raises(pm.MeshError):
-            pm.face_geometry([0, 1, 2], verts)
+            face_geometry([0, 1, 2], verts)
 
 
 class TestTriangulation:
@@ -282,6 +306,26 @@ class TestNativeFormat:
             pm.read_mesh("nonsense\n")
 
 
+def six_grain_texts():
+    """Native text with and without its CHECKSUM line, and tess text."""
+    m = pm.generate_voronoi(pm.random_seeds(6, 1.0, 3), 1.0)
+    native = pm.write_mesh(m)
+    bare = "".join(ln for ln in native.splitlines(keepends=True)
+                   if not ln.startswith("CHECKSUM"))
+    return {"native": (native, pm.read_mesh), "native-no-checksum":
+            (bare, pm.read_mesh), "tess": (pm.write_tess(m), pm.parse_tess)}
+
+
+@pytest.mark.parametrize("fmt", ["native", "native-no-checksum", "tess"])
+def test_truncation_at_every_line_is_a_parse_error(fmt):
+    text, parse = six_grain_texts()[fmt]
+    lines = text.splitlines(keepends=True)
+    parse(text)                            # the whole text is valid
+    for k in range(len(lines)):
+        with pytest.raises(pm.MeshParseError):
+            parse("".join(lines[:k]))
+
+
 class TestTessFormat:
     def test_unit_cube_single_polyhedron(self):
         m = pm.generate_voronoi([[0.5, 0.5, 0.5]], 1.0)
@@ -328,3 +372,14 @@ class TestBoundary:
         # 27 grid nodes, only the body center is interior
         assert len(m.boundary_node_ids) == 26
         assert 13 not in m.boundary_node_ids
+
+    def test_node_at_box_tolerance_is_boundary_for_every_mesh_type(self):
+        L = 2.0
+        tol = pm.TAU_BOX * L
+        pts = np.array([[tol, 0.5, 0.5], [2.0 * tol, 0.5, 0.5],
+                        [0.5, L - 2.0 * tol, 0.5], [1.0, 1.0, 1.0]])
+        meshes = [pm.PolyMesh(pts, [], L),
+                  pm.TetMesh(pts, np.zeros((0, 4), int), np.zeros(0, int), L),
+                  TetMeshO2(pts, np.zeros((0, 10), int), np.zeros(0, int), L)]
+        for m in meshes:
+            assert m.boundary_node_ids.tolist() == [0]
