@@ -13,6 +13,7 @@ and is undone exactly afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,9 +21,9 @@ import scipy.sparse.linalg as spla
 
 from .element_fem import FIELD_COUNT
 
-__all__ = ["AssemblyError", "DofMap", "SparseSystem", "assemble",
-           "node_dofs", "block_triplets", "scatter_columns",
-           "system_from_triplets"]
+__all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
+           "assemble", "add_blocks", "node_dofs", "scatter_columns",
+           "system_from_blocks", "system_from_triplets"]
 
 
 class AssemblyError(RuntimeError):
@@ -73,14 +74,6 @@ def node_dofs(nodes, n_fields: int) -> np.ndarray:
         *nodes.shape[:-1], -1)
 
 
-def block_triplets(dofs: np.ndarray, blocks: np.ndarray):
-    """COO (rows, cols, vals) of dense blocks: blocks[k] (nd x nd) couples
-    dofs[k] (nd,) with themselves; dofs is (m, nd), blocks (m, nd, nd)."""
-    nd = dofs.shape[1]
-    return (np.repeat(dofs, nd, axis=1).ravel(),
-            np.tile(dofs, (1, nd)).ravel(), blocks.ravel())
-
-
 def scatter_columns(dofs: np.ndarray, blocks: np.ndarray,
                     n_cols: int) -> np.ndarray:
     """Sum of row blocks (m, r, nd) into an (r, n_cols) matrix, block k
@@ -91,17 +84,127 @@ def scatter_columns(dofs: np.ndarray, blocks: np.ndarray,
                        minlength=r * n_cols).reshape(r, n_cols)
 
 
+class BlockPattern:
+    """Sparsity of a global matrix by node pairs: the sorted unique (row
+    node, column node) pairs that some element couples, each holding one
+    n_fields x n_fields block of dofs.
+
+    Pairs run column-major (by column node, then row node), so the pairs
+    of one column node fill that node's CSC columns in row order. The
+    pattern of element node lists is symmetric: every pair has a mirror.
+    """
+
+    def __init__(self, keys: np.ndarray, n_nodes: int, n_fields: int):
+        self.n_nodes, self.n_fields = n_nodes, n_fields
+        self._keys = keys                    # column node * n_nodes + row node
+        self.cols, self.rows = np.divmod(keys, n_nodes)
+
+    @classmethod
+    def of_elements(cls, groups, n_nodes: int, n_fields: int):
+        """(pattern, positions) of elements given in groups of equal node
+        count, each group an (m, k) array of node ids. positions[g][e, a,
+        b] is the pair of (row node a, column node b) of element e of
+        group g, an (m, k, k) array per group."""
+        keys = [g[:, None, :] * n_nodes + g[:, :, None] for g in groups]
+        unique, inverse = np.unique(np.concatenate([k.ravel() for k in keys]),
+                                    return_inverse=True)
+        ends = np.cumsum([k.size for k in keys])[:-1]
+        return cls(unique, n_nodes, n_fields), [
+            at.reshape(k.shape) for at, k in zip(np.split(inverse, ends), keys)]
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self._keys)
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """Pair index of each pair's (column node, row node) mirror."""
+        return np.searchsorted(self._keys, self.rows * self.n_nodes + self.cols)
+
+    @cached_property
+    def csc(self):
+        """(indptr, indices, slots): the CSC index arrays of the dof
+        matrix, and the place of each block entry (pair, row field,
+        column field) in its data as an (n_pairs, nf, nf) array."""
+        nf = self.n_fields
+        count = np.bincount(self.cols, minlength=self.n_nodes)
+        first = (np.cumsum(count) - count)[self.cols]
+        rank = np.arange(self.n_pairs) - first
+        f = np.arange(nf)
+        # column (node c, field j) holds count[c] * nf entries; a pair's
+        # block row i sits at its rank in the column times nf, plus i
+        index_dtype = np.int32 if self.n_pairs * nf * nf < 2 ** 31 else np.int64
+        slots = ((first * nf * nf + rank * nf)[:, None, None] + f[:, None]
+                 + (count[self.cols] * nf)[:, None, None] * f
+                 ).astype(index_dtype)
+        indptr = np.zeros(self.n_nodes * nf + 1, dtype=index_dtype)
+        np.cumsum(np.repeat(count * nf, nf), out=indptr[1:])
+        indices = np.empty(slots.size, dtype=index_dtype)
+        indices[slots] = (self.rows * nf)[:, None, None] + f[:, None]
+        return indptr, indices, slots
+
+
+def add_blocks(blocks: np.ndarray, positions: np.ndarray,
+               matrices: np.ndarray):
+    """Add node-major element matrices (m, k * nf, k * nf) into the
+    node-pair blocks (n_pairs, nf, nf) at the elements' pair positions
+    (m, k, k). A lone element must not repeat a node."""
+    m, k = positions.shape[:2]
+    nf = blocks.shape[-1]
+    values = matrices.reshape(m, k, nf, k, nf).transpose(0, 1, 3, 2, 4)
+    if m == 1:
+        blocks[positions[0]] += values[0]
+        return
+    # sum over the pairs these elements touch, not over the whole pattern
+    touched, local = np.unique(positions, return_inverse=True)
+    index = local.reshape(-1, 1) * (nf * nf) + np.arange(nf * nf)
+    blocks[touched] += np.bincount(
+        index.ravel(), weights=values.ravel(),
+        minlength=len(touched) * nf * nf).reshape(-1, nf, nf)
+
+
+def _audit_symmetry(asymmetry: float, scale: float):
+    """The assembled matrix must already be symmetric to 1e-12 relative."""
+    if scale and asymmetry > 1e-12 * scale:
+        raise AssemblyError(
+            f"assembled matrix asymmetry {asymmetry:.3e} exceeds audit "
+            f"tolerance ({1e-12 * scale:.3e})")
+
+
+def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,
+                       dof_map: DofMap, deficient_cells=()) -> "SparseSystem":
+    """Sparse system of the node-pair blocks (n_pairs, nf, nf) of
+    `pattern`. The CSC arrays come straight from the pattern: no
+    coordinate list, sort or duplicate sum. Each block is audited
+    against the transpose of its mirror pair's block."""
+    nf = dof_map.n_fields
+    if (pattern.n_nodes, pattern.n_fields) != (dof_map.n_nodes, nf) or \
+            blocks.shape != (pattern.n_pairs, nf, nf):
+        raise AssemblyError(
+            f"blocks {blocks.shape} on a {pattern.n_nodes}-node pattern do "
+            f"not fit {dof_map.n_nodes} nodes x {nf} fields")
+    diff = blocks[pattern.mirror].transpose(0, 2, 1)
+    diff -= blocks
+    if blocks.size:
+        _audit_symmetry(max(diff.max(), -diff.min()),
+                        max(blocks.max(), -blocks.min()))
+    del diff
+    indptr, indices, slots = pattern.csc
+    data = np.empty(blocks.size)
+    data[slots] = blocks
+    n = dof_map.n_dofs
+    K = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    return SparseSystem(K, dof_map, tuple(deficient_cells))
+
+
 def system_from_triplets(rows, cols, vals, dof_map: DofMap,
                          deficient_cells=()) -> "SparseSystem":
+    """Sparse system of dof-level (row, col, value) triplets, duplicates
+    summed; for small hand-made systems."""
     n = dof_map.n_dofs
     K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    # symmetrization audit: duplicate-summed matrix must already be symmetric
-    asym = abs(K - K.T).max()
-    scale = abs(K).max() if K.nnz else 0.0
-    if scale and asym > 1e-12 * scale:
-        raise AssemblyError(
-            f"assembled matrix asymmetry {asym:.3e} exceeds audit tolerance "
-            f"({1e-12 * scale:.3e})")
+    if K.nnz:
+        _audit_symmetry(abs(K - K.T).max(), abs(K).max())
     return SparseSystem(K, dof_map, tuple(deficient_cells))
 
 
@@ -111,25 +214,32 @@ def assemble(elements, dof_map: DofMap) -> "SparseSystem":
     Each element provides node_ids and a node-major stiffness over its
     nodes x active fields.
     """
-    chunks = []
+    elements = list(elements)
+    if not elements:
+        raise AssemblyError("no elements to assemble")
+    nf = dof_map.n_fields
+    node_lists = []
     for elem in elements:
         ids = np.asarray(elem.node_ids, dtype=int)
         if ids.max() >= dof_map.n_nodes:
             raise AssemblyError(
                 f"element references node {ids.max()} outside the dof map")
-        dofs = node_dofs(ids, dof_map.n_fields)
-        K = elem.stiffness
-        if K.shape != (len(dofs), len(dofs)):
+        if len(np.unique(ids)) != len(ids):
+            raise AssemblyError(f"element repeats a node: {ids.tolist()}")
+        n = len(ids) * nf
+        if elem.stiffness.shape != (n, n):
             raise AssemblyError(
-                f"element stiffness shape {K.shape} does not match "
-                f"{len(dofs)} dofs")
-        chunks.append(block_triplets(dofs[None], K[None]))
-    if not chunks:
-        raise AssemblyError("no elements to assemble")
-    rows, cols, vals = (np.concatenate(part) for part in zip(*chunks))
+                f"element stiffness shape {elem.stiffness.shape} does not "
+                f"match {n} dofs")
+        node_lists.append(ids[None])
+    pattern, positions = BlockPattern.of_elements(node_lists, dof_map.n_nodes,
+                                                  nf)
+    blocks = np.zeros((pattern.n_pairs, nf, nf))
+    for elem, at in zip(elements, positions):
+        add_blocks(blocks, at, elem.stiffness[None])
     deficient = [getattr(e, "cell_id", i) for i, e in enumerate(elements)
                  if getattr(e, "consistency_rank_deficient", False)]
-    return system_from_triplets(rows, cols, vals, dof_map, deficient)
+    return system_from_blocks(pattern, blocks, dof_map, deficient)
 
 
 class _EmptyFactor:
@@ -262,11 +372,12 @@ class SparseSystem:
         ii = self.dof_map.interior_dofs
         ib = self.dof_map.boundary_dofs
         S = sp.diags(self.scaling)
-        Ks = (S @ self.K @ S).tocsc()
-        self._Kii = self.K[ii][:, ii]
-        self._Kib = self.K[ii][:, ib]
-        self._Kii_s = Ks[ii][:, ii]
-        self._Kib_s = Ks[ii][:, ib]
+        # one row slice each of K and the scaled K, freed before factoring
+        rows = (S @ self.K @ S).tocsc()[ii]
+        self._Kii_s, self._Kib_s = rows[:, ii], rows[:, ib]
+        rows = self.K[ii]
+        self._Kii, self._Kib = rows[:, ii], rows[:, ib]
+        del rows
         self._ii, self._ib = ii, ib
         self._lu = self._split = None
         self.solver_stats = {"path": "small", "minres_iterations": 0,

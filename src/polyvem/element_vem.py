@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import block_triplets, node_dofs, scatter_columns
+from .assembly import node_dofs, scatter_columns
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
                           kernel_dimension)
 from .mesh import (MeshError, PolyMesh, TetSubmesh, triangulate_cell,
@@ -200,8 +200,9 @@ def _tet_part(node_ids, sub, B, vol, G, nf):
     loc[node_ids] = np.arange(n_loc)
     loc[sub.n_mesh:] = n_loc + np.arange(n_extra)
     cols = node_dofs(loc[sub.tets], nf)
-    r, c, v = block_triplets(cols, gauss_stiffness(B[:, None], vol[:, None], G))
-    K = np.bincount(r * ndof + c, weights=v,
+    index = cols[:, :, None] * ndof + cols[:, None, :]
+    K = np.bincount(index.ravel(),
+                    weights=gauss_stiffness(B[:, None], vol[:, None], G).ravel(),
                     minlength=ndof * ndof).reshape(ndof, ndof)
     A = scatter_columns(cols, B * vol[:, None, None], ndof)
     recovery = None

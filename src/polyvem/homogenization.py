@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembly import (DofMap, block_triplets, node_dofs, scatter_columns,
-                       system_from_triplets)
+from .assembly import (BlockPattern, DofMap, add_blocks, node_dofs,
+                       scatter_columns, system_from_blocks)
 from .element_fem import (FIELD_COUNT, batch_o1_operators, gauss_stiffness,
                           promote_to_quadratic, quadratic_state_operators)
 from .element_vem import (ProjectedGradients, cell_operators,
@@ -257,29 +257,24 @@ class VemOperators:
 
         # shared pattern: one nf x nf block per coupled node pair, so each
         # weight assembles only the blended values of summed blocks
-        n = mesh.n_vertices
-        pairs = [(cell.vertex_ids[:, None] * n + cell.vertex_ids).ravel()
-                 for cell in mesh.cells]
-        keys = np.unique(np.concatenate(pairs))
-        self._block_rows, self._block_cols = keys // n, keys % n
+        self._pattern, positions = BlockPattern.of_elements(
+            [cell.vertex_ids[None] for cell in mesh.cells], mesh.n_vertices,
+            nf)
 
         # index 0: consistency part, 1: stabilization part
         n_parts = 2 if with_tets else 1
-        blocks = np.zeros((n_parts, len(keys), nf, nf))
+        blocks = np.zeros((n_parts, self._pattern.n_pairs, nf, nf))
         average = np.zeros((n_parts, 2, nP, self.dof_map.n_dofs))
         cells = cell_operators(mesh, range(len(mesh.cells)), moduli, nf,
                                with_tets)
-        for c, G, key in zip(cells, moduli, pairs):
-            m = len(c.node_ids)
-            at = np.searchsorted(keys, key)
+        for c, G, at in zip(cells, moduli, positions):
             dofs = node_dofs(c.node_ids, nf)
             for part, (K, A) in enumerate([(c.K_cons, c.A_cons),
                                            (c.K_tet, c.A_tet)][:n_parts]):
-                blocks[part, at] += K.reshape(m, nf, m, nf).transpose(
-                    0, 2, 1, 3).reshape(m * m, nf, nf)
+                add_blocks(blocks[part], at, K[None])
                 average[part, 0][:, dofs] += A
                 average[part, 1][:, dofs] += G @ A
-        self._values = blocks.reshape(n_parts, -1)
+        self._blocks = blocks
         self._average = average
 
     @staticmethod
@@ -287,6 +282,12 @@ class VemOperators:
         if beta == 0.0:
             return parts[0]
         return (1.0 - beta) * parts[0] + beta * parts[1]
+
+    def system(self, beta: float):
+        """The global sparse system at stabilization weight `beta`."""
+        return system_from_blocks(
+            self._pattern, self._blend(self._blocks, beta), self.dof_map,
+            self.deficient_cells if beta == 0.0 else ())
 
     def evaluate(self, beta: float, material_names=(),
                  check_surface: bool = False) -> HomogenizationResult:
@@ -298,17 +299,7 @@ class VemOperators:
                 "operators built for beta = 0 only; rebuild with_tets")
         mesh = self.mesh
         nf = self.dof_map.n_fields
-        # dof-level triplets of the block pattern, rebuilt per weight so
-        # that they do not stay in memory next to the factorization
-        ids = np.arange(nf)
-        shape = (len(self._block_rows), nf, nf)
-        rows = np.broadcast_to(
-            (self._block_rows * nf)[:, None, None] + ids[:, None], shape)
-        cols = np.broadcast_to(
-            (self._block_cols * nf)[:, None, None] + ids, shape)
-        system = system_from_triplets(
-            rows.ravel(), cols.ravel(), self._blend(self._values, beta),
-            self.dof_map, self.deficient_cells if beta == 0.0 else ())
+        system = self.system(beta)
         volume = mesh.edge_length ** 3
         surface_fn = None
         if check_surface:
@@ -352,18 +343,23 @@ def _tet_system(nodes, B, w, owners, moduli, dof_map):
     B (m, n_gauss, nP, nd) and w (m, n_gauss) are the state operators
     and weights of each tet (a linear tet is one point of weight V),
     nodes (m, k) its node ids and owners its grain. The stiffness is
-    built per grain; the integrated-state pair intP = int P, intL =
-    int G P (nP x n_dofs) is built after the stiffness triplets are
-    freed, so the two never share the peak memory of a refined mesh.
+    summed per grain into the node-pair blocks of one pattern; the
+    integrated-state pair intP = int P, intL = int G P (nP x n_dofs) is
+    built after the blocks are freed, so the two never share the peak
+    memory of a refined mesh.
     """
-    dofs = node_dofs(nodes, dof_map.n_fields)
+    nf = dof_map.n_fields
+    pattern, (positions,) = BlockPattern.of_elements([nodes], dof_map.n_nodes,
+                                                     nf)
     grains = [(moduli[c], np.nonzero(owners == c)[0])
               for c in np.unique(owners)]
-    triplets = [block_triplets(dofs[idx], gauss_stiffness(B[idx], w[idx], G))
-                for G, idx in grains]
-    system = system_from_triplets(*map(np.concatenate, zip(*triplets)),
-                                  dof_map)
-    del triplets
+    blocks = np.zeros((pattern.n_pairs, nf, nf))
+    for G, idx in grains:
+        add_blocks(blocks, positions[idx], gauss_stiffness(B[idx], w[idx], G))
+    del positions
+    system = system_from_blocks(pattern, blocks, dof_map)
+    del pattern, blocks
+    dofs = node_dofs(nodes, nf)
     intP = np.zeros((B.shape[2], dof_map.n_dofs))
     intL = np.zeros_like(intP)
     for G, idx in grains:

@@ -206,7 +206,7 @@ def face_table(mesh: PolyMesh) -> FaceTable:
         for loop in cell.faces:
             lp = [int(v) for v in loop]
             if len(lp) < 3:
-                raise MeshError(f"face with {len(lp)} vertices")
+                raise MeshError(f"cell {ci}: face with {len(lp)} vertices")
             f = index.setdefault(frozenset(lp), len(index))
             if f == len(face_loops):
                 face_loops.append(lp)
@@ -231,7 +231,8 @@ def face_table(mesh: PolyMesh) -> FaceTable:
     area_vec = 0.5 * np.add.reduceat(cross, starts)
     area = np.linalg.norm(area_vec, axis=1)
     if np.any(area <= 0.0):
-        raise MeshError("zero-area face (collinear loop)")
+        raise MeshError(f"cell {owners[np.argmin(area)][0]}: zero-area face "
+                        "(collinear loop)")
     normal = area_vec / area[:, None]
     tri_area = 0.5 * np.einsum("ij,ij->i", cross, normal[face])     # signed
     tri_cent = (pts + pts[nxt] + c0[face]) / 3.0
@@ -829,13 +830,23 @@ class _Lines:
         if len(parts) < len(convs):
             self.fail(f"expected {len(convs)} fields")
         try:
-            return [conv(x) for conv, x in zip(convs, parts)]
-        except ValueError:
+            values = [conv(x) for conv, x in zip(convs, parts)]
+            # ids and counts go into int64 arrays
+            if any(type(v) is int and abs(v) >= 2 ** 63 for v in values):
+                raise OverflowError
+            return values
+        except (ValueError, OverflowError):
             self.fail(f"bad number in {' '.join(parts)!r}")
 
     def count(self, tag=None) -> int:
+        """A count of the items that follow, each on at least one line."""
         n, = self.fields(int, tag=tag)
-        return n if n >= 0 else self.fail(f"negative count {n}")
+        if n < 0:
+            self.fail(f"negative count {n}")
+        if n > len(self.lines) - self.pos:
+            self.fail(f"count {n} exceeds the {len(self.lines) - self.pos} "
+                      "lines left")
+        return n
 
     def index(self, i: int, n: int) -> int:
         if not 0 <= i < n:
@@ -886,23 +897,32 @@ def read_mesh(text: str) -> PolyMesh:
             raise MeshParseError(f"cell {ci}: {len(face_lists[ci])} faces, header says {nf}")
         vids = np.unique(np.concatenate(face_lists[ci]))
         cells.append(PolyCell(vids, face_lists[ci], material_id=int(mat)))
-    mesh = PolyMesh(verts, cells, L)
-    _validate_parsed(mesh)
+    return _parsed_mesh(verts, cells, L)
+
+
+def _parsed_mesh(verts, cells, L) -> PolyMesh:
+    """The validated mesh of parsed cells. A degenerate face or cell is
+    a fault of the file, so any MeshError becomes a MeshParseError."""
+    try:
+        mesh = PolyMesh(verts, cells, L)
+        t = mesh.faces
+        face = t.entry_face
+        gap = np.abs(np.einsum("ij,ij->i",
+                               mesh.vertices[t.loops] - t.centroid[face],
+                               t.normal[face]))
+        planar = (np.maximum.reduceat(gap, t.offsets[:-1])
+                  <= TAU_PLANE * mesh.edge_length)
+        for ci, cell in enumerate(mesh.cells):
+            if not cell_watertight(cell):
+                raise MeshParseError(f"cell {ci} is not watertight")
+            if not planar[t.of_cell(ci)[0]].all():
+                raise MeshParseError(f"non-planar face in cell {ci}")
+        _finalize_cells(mesh)
+    except MeshParseError:
+        raise
+    except MeshError as exc:
+        raise MeshParseError(str(exc)) from None
     return mesh
-
-
-def _validate_parsed(mesh: PolyMesh):
-    t = mesh.faces
-    face = t.entry_face
-    gap = np.abs(np.einsum("ij,ij->i", mesh.vertices[t.loops] - t.centroid[face],
-                           t.normal[face]))
-    planar = np.maximum.reduceat(gap, t.offsets[:-1]) <= TAU_PLANE * mesh.edge_length
-    for ci, cell in enumerate(mesh.cells):
-        if not cell_watertight(cell):
-            raise MeshParseError(f"cell {ci} is not watertight")
-        if not planar[t.of_cell(ci)[0]].all():
-            raise MeshParseError(f"non-planar face in cell {ci}")
-    _finalize_cells(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,9 +1029,7 @@ def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
         raise MeshParseError("missing polyhedron ids")
 
     L = float(edge_length) if edge_length else float(np.max(verts))
-    mesh = PolyMesh(verts, cells, L)
-    _validate_parsed(mesh)
-    return mesh
+    return _parsed_mesh(verts, cells, L)
 
 
 def mesh_hash(mesh: PolyMesh) -> str:

@@ -1,5 +1,7 @@
 """Tests for global assembly and the shared-factorization Dirichlet solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -357,3 +359,127 @@ class TestFieldSplit:
         assert len(system.solver_stats["lu_nnz"]) == 1
         assert np.array_equal(got, expected)
         assert system.n_factorizations == 1
+
+
+def block_triplets(dofs, blocks):
+    """Dof-level COO (rows, cols, vals) of dense blocks: blocks[k] couples
+    dofs[k] with themselves (the layout global assembly once used)."""
+    nd = dofs.shape[1]
+    return (np.repeat(dofs, nd, axis=1).ravel(),
+            np.tile(dofs, (1, nd)).ravel(), blocks.ravel())
+
+
+def coo_reference(dofs_and_blocks, n_dofs):
+    """CSC matrix of the summed triplets of (dofs, blocks) chunks."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        *(block_triplets(d, b) for d, b in dofs_and_blocks)))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, n_dofs)).tocsc()
+
+
+class TestBlockPattern:
+    """The node-pair pattern path against a summed coordinate list."""
+
+    MODE = "electroMech"
+
+    @classmethod
+    def sample(cls):
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=cls.MODE)
+        tmesh = pm.union_submeshes(
+            mesh, [pm.triangulate_cell(mesh, c) for c in range(len(mesh.cells))])
+        return mesh, moduli, tmesh
+
+    @staticmethod
+    def assert_same_matrix(K, ref):
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        assert np.abs(K.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+    def tet_case(self, order, levels):
+        """(system, reference) of the linear or quadratic tet path."""
+        mesh, moduli, tmesh = self.sample()
+        nf = pf.FIELD_COUNT[self.MODE]
+        if order == 1:
+            tmesh = pm.refine_tet_mesh(tmesh, levels) if levels else tmesh
+            dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
+            B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
+            B, w, nodes, owners = B[:, None], vols[:, None], tmesh.tets, \
+                tmesh.cell_of_tet
+        else:
+            o2 = pf.promote_to_quadratic(tmesh)
+            dm = pa.DofMap(o2.n_points, o2.boundary_node_ids, self.MODE)
+            B, w = pf.quadratic_state_operators(tmesh.vertices, tmesh.tets, nf)
+            nodes, owners = o2.tets, o2.cell_of_tet
+        system, _, _ = ph._tet_system(nodes, B, w, owners, moduli, dm)
+        chunks = []
+        for c in np.unique(owners):
+            idx = np.nonzero(owners == c)[0]
+            chunks.append((pa.node_dofs(nodes[idx], nf),
+                           pf.gauss_stiffness(B[idx], w[idx], moduli[c])))
+        return system, coo_reference(chunks, dm.n_dofs)
+
+    @pytest.mark.parametrize("order,levels", [(1, 0), (1, 1), (2, 0)])
+    def test_tet_systems_match_coordinate_sum(self, order, levels):
+        system, ref = self.tet_case(order, levels)
+        self.assert_same_matrix(system.K, ref)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_vem_systems_match_coordinate_sum(self, beta):
+        mesh, moduli, _ = self.sample()
+        nf = pf.FIELD_COUNT[self.MODE]
+        ops = ph.VemOperators(mesh, moduli, self.MODE)
+        chunks = []
+        for c in pv.cell_operators(mesh, range(len(mesh.cells)), moduli, nf):
+            K = (1.0 - beta) * c.K_cons + beta * c.K_tet if beta else c.K_cons
+            chunks.append((pa.node_dofs(c.node_ids, nf)[None], K[None]))
+        self.assert_same_matrix(ops.system(beta).K,
+                                coo_reference(chunks, ops.dof_map.n_dofs))
+
+    def test_asymmetric_block_fails_audit(self):
+        mesh, moduli, tmesh = self.sample()
+        nf = pf.FIELD_COUNT[self.MODE]
+        dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
+        B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
+        pattern, (positions,) = pa.BlockPattern.of_elements(
+            [tmesh.tets], tmesh.n_vertices, nf)
+        blocks = np.zeros((pattern.n_pairs, nf, nf))
+        for c in np.unique(tmesh.cell_of_tet):
+            idx = np.nonzero(tmesh.cell_of_tet == c)[0]
+            pa.add_blocks(blocks, positions[idx], pf.gauss_stiffness(
+                B[idx, None], vols[idx, None], moduli[c]))
+        pa.system_from_blocks(pattern, blocks, dm)      # symmetric: passes
+        off = np.nonzero(pattern.rows != pattern.cols)[0][0]
+        blocks[off, 0, 1] += 1e-9 * np.abs(blocks).max()
+        with pytest.raises(pa.AssemblyError, match="asymmetry"):
+            pa.system_from_blocks(pattern, blocks, dm)
+
+    def test_repeated_node_rejected(self):
+        elem = TetElem([0, 1, 2, 3], two_tet_points_tets()[0][:4],
+                       random_modulus(4, RNG), 4)
+        elem.node_ids = np.array([0, 1, 2, 2])
+        with pytest.raises(pa.AssemblyError, match="repeats"):
+            pa.assemble([elem], pa.DofMap(4, [], "electroMech"))
+
+    def test_refined_system_memory_guard(self):
+        # the 20-grain level-1 electro-mechanical reference (3,248 tets):
+        # building its system may hold at most 8 times the bytes of K
+        mesh = pm.generate_voronoi(pm.random_seeds(20, 1.0, 101).seeds, 1.0)
+        moduli, _ = table_moduli(mesh, ["BaTiO3"], seed=7, mode=self.MODE)
+        tmesh = pm.refine_tet_mesh(pm.union_submeshes(
+            mesh, [pm.triangulate_cell(mesh, c)
+                   for c in range(len(mesh.cells))]), 1)
+        assert len(tmesh.tets) == 3248
+        dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
+        B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets,
+                                        dm.n_fields)
+        tracemalloc.start()
+        try:
+            system, _, _ = ph._tet_system(tmesh.tets, B[:, None],
+                                          vols[:, None], tmesh.cell_of_tet,
+                                          moduli, dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K = system.K
+        assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)

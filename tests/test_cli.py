@@ -16,6 +16,8 @@ from polyvem.homogenization import (GrainLayout, homogenize_vem,
 from polyvem.materials import builtin_library
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
+from test_mesh import broken_native_texts
+
 
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
@@ -99,6 +101,18 @@ class TestExitCodes:
         assert main(["mesh", "--config", p,
                      "--out", str(tmp_path / "o")]) == 4
         assert "unexpected end of file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["cell-material-overflow",
+                                      "vertex-count-overflow",
+                                      "two-vertex-face", "collinear-face"])
+    def test_malformed_mesh_file_exits_4(self, tmp_path, capsys, case):
+        mesh_file = tmp_path / "m.poly"
+        mesh_file.write_text(broken_native_texts()[case], encoding="utf-8")
+        p = write_config(tmp_path / "c.ini",
+                         f"[mesh]\nsource = file\npath = {mesh_file}\n")
+        assert main(["mesh", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "input error" in capsys.readouterr().err
 
     def test_missing_library_exits_4(self, tmp_path):
         cfg = BASE.format(n=2, names="BaTiO3").replace(

@@ -326,6 +326,51 @@ def test_truncation_at_every_line_is_a_parse_error(fmt):
             parse("".join(lines[:k]))
 
 
+def broken_native_texts():
+    """The six-grain native text without its CHECKSUM line, each with one
+    malformed row: oversized integers and degenerate faces."""
+    lines = six_grain_texts()["native-no-checksum"][0].splitlines()
+    at_v = next(k for k, ln in enumerate(lines) if ln.startswith("VERTICES"))
+    at_c = next(k for k, ln in enumerate(lines) if ln.startswith("CELLS")) + 1
+    at_f = lines.index("FACES") + 1
+    ci, _, nf = lines[at_c].split()
+    fc, a, b = lines[at_f].split()[:3]
+
+    def edit(k, row):
+        return "\n".join(lines[:k] + [row] + lines[k + 1:]) + "\n"
+
+    return {
+        "cell-material-overflow": edit(at_c, f"{ci} {'9' * 20} {nf}"),
+        "vertex-count-overflow": edit(at_v, "VERTICES " + "9" * 20),
+        "vertex-count-past-end": edit(at_v, "VERTICES 1000000000000"),
+        "two-vertex-face": edit(at_f, f"{fc} {a} {b}"),
+        "collinear-face": edit(at_f, f"{fc} {a} {b} {a} {b}"),
+    }
+
+
+@pytest.mark.parametrize("case,message", [
+    ("cell-material-overflow", "bad number"),
+    ("vertex-count-overflow", "bad number"),
+    ("vertex-count-past-end", "lines left"),
+    ("two-vertex-face", "cell 0: face with 2 vertices"),
+    ("collinear-face", "cell 0: zero-area face"),
+])
+def test_malformed_native_row_is_a_parse_error(case, message):
+    with pytest.raises(pm.MeshParseError, match=message):
+        pm.read_mesh(broken_native_texts()[case])
+
+
+@pytest.mark.parametrize("count,message", [("9" * 20, "bad number"),
+                                           ("1000000000000", "lines left")])
+def test_oversized_tess_count_is_a_parse_error(count, message):
+    text = six_grain_texts()["tess"][0]
+    lines = text.splitlines()
+    at = lines.index(" **vertex") + 1
+    lines[at] = "   " + count
+    with pytest.raises(pm.MeshParseError, match=message):
+        pm.parse_tess("\n".join(lines) + "\n")
+
+
 class TestTessFormat:
     def test_unit_cube_single_polyhedron(self):
         m = pm.generate_voronoi([[0.5, 0.5, 0.5]], 1.0)
