@@ -122,39 +122,19 @@ class BlockPattern:
         return np.searchsorted(self._keys, self.rows * self.n_nodes + self.cols)
 
     @cached_property
-    def csc(self):
-        """(indptr, indices, slots): the CSC index arrays of the dof
-        matrix, and the place of each block entry (pair, row field,
-        column field) in its data as an (n_pairs, nf, nf) array."""
-        nf = self.n_fields
-        count = np.bincount(self.cols, minlength=self.n_nodes)
-        first = (np.cumsum(count) - count)[self.cols]
-        rank = np.arange(self.n_pairs) - first
-        f = np.arange(nf)
-        # column (node c, field j) holds count[c] * nf entries; a pair's
-        # block row i sits at its rank in the column times nf, plus i
-        index_dtype = np.int32 if self.n_pairs * nf * nf < 2 ** 31 else np.int64
-        slots = ((first * nf * nf + rank * nf)[:, None, None] + f[:, None]
-                 + (count[self.cols] * nf)[:, None, None] * f
-                 ).astype(index_dtype)
-        indptr = np.zeros(self.n_nodes * nf + 1, dtype=index_dtype)
-        np.cumsum(np.repeat(count * nf, nf), out=indptr[1:])
-        indices = np.empty(slots.size, dtype=index_dtype)
-        indices[slots] = (self.rows * nf)[:, None, None] + f[:, None]
-        return indptr, indices, slots
+    def indptr(self) -> np.ndarray:
+        """Start of each column node's pairs (n_nodes + 1,)."""
+        return np.searchsorted(self.cols, np.arange(self.n_nodes + 1))
 
 
 def add_blocks(blocks: np.ndarray, positions: np.ndarray,
                matrices: np.ndarray):
     """Add node-major element matrices (m, k * nf, k * nf) into the
     node-pair blocks (n_pairs, nf, nf) at the elements' pair positions
-    (m, k, k). A lone element must not repeat a node."""
+    (m, k, k); entries that meet in one pair are summed."""
     m, k = positions.shape[:2]
     nf = blocks.shape[-1]
     values = matrices.reshape(m, k, nf, k, nf).transpose(0, 1, 3, 2, 4)
-    if m == 1:
-        blocks[positions[0]] += values[0]
-        return
     # sum over the pairs these elements touch, not over the whole pattern
     touched, local = np.unique(positions, return_inverse=True)
     index = local.reshape(-1, 1) * (nf * nf) + np.arange(nf * nf)
@@ -174,9 +154,9 @@ def _audit_symmetry(asymmetry: float, scale: float):
 def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,
                        dof_map: DofMap, deficient_cells=()) -> "SparseSystem":
     """Sparse system of the node-pair blocks (n_pairs, nf, nf) of
-    `pattern`. The CSC arrays come straight from the pattern: no
-    coordinate list, sort or duplicate sum. Each block is audited
-    against the transpose of its mirror pair's block."""
+    `pattern`. The CSC arrays come from the pattern's block index
+    arrays: no coordinate list, sort or duplicate sum. Each block is
+    audited against the transpose of its mirror pair's block."""
     nf = dof_map.n_fields
     if (pattern.n_nodes, pattern.n_fields) != (dof_map.n_nodes, nf) or \
             blocks.shape != (pattern.n_pairs, nf, nf):
@@ -189,11 +169,12 @@ def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,
         _audit_symmetry(max(diff.max(), -diff.min()),
                         max(blocks.max(), -blocks.min()))
     del diff
-    indptr, indices, slots = pattern.csc
-    data = np.empty(blocks.size)
-    data[slots] = blocks
+    # the pairs run by column node, so read by rows they are the blocks
+    # of K^T, whose CSR arrays are the CSC arrays of K
     n = dof_map.n_dofs
-    K = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    KT = sp.bsr_matrix((blocks.transpose(0, 2, 1), pattern.rows,
+                        pattern.indptr), shape=(n, n)).tocsr()
+    K = sp.csc_matrix((KT.data, KT.indices, KT.indptr), shape=(n, n))
     return SparseSystem(K, dof_map, tuple(deficient_cells))
 
 
@@ -224,8 +205,6 @@ def assemble(elements, dof_map: DofMap) -> "SparseSystem":
         if ids.max() >= dof_map.n_nodes:
             raise AssemblyError(
                 f"element references node {ids.max()} outside the dof map")
-        if len(np.unique(ids)) != len(ids):
-            raise AssemblyError(f"element repeats a node: {ids.tolist()}")
         n = len(ids) * nf
         if elem.stiffness.shape != (n, n):
             raise AssemblyError(

@@ -454,12 +454,16 @@ class TestBlockPattern:
         with pytest.raises(pa.AssemblyError, match="asymmetry"):
             pa.system_from_blocks(pattern, blocks, dm)
 
-    def test_repeated_node_rejected(self):
+    def test_repeated_node_is_summed(self):
+        # entries of one element that meet in one node pair add up, as
+        # in a coordinate sum
         elem = TetElem([0, 1, 2, 3], two_tet_points_tets()[0][:4],
                        random_modulus(4, RNG), 4)
         elem.node_ids = np.array([0, 1, 2, 2])
-        with pytest.raises(pa.AssemblyError, match="repeats"):
-            pa.assemble([elem], pa.DofMap(4, [], "electroMech"))
+        system = pa.assemble([elem], pa.DofMap(3, [], "electroMech"))
+        ref = coo_reference([(pa.node_dofs(elem.node_ids[None], 4),
+                              elem.stiffness[None])], 12)
+        self.assert_same_matrix(system.K, ref)
 
     def test_refined_system_memory_guard(self):
         # the 20-grain level-1 electro-mechanical reference (3,248 tets):
