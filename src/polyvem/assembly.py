@@ -229,12 +229,24 @@ class _EmptyFactor:
 
 
 # Interior dofs from which `factorize` splits the block (docs/fem.md):
-# below it one LU and its back-substitutions beat two block LUs and the
-# MINRES iterations that couple them.
-SPLIT_MIN_DOFS = 4000
+# below it one symmetric LU of the whole block and its back-substitutions
+# beat two block LUs and the MINRES iterations that couple them.
+SPLIT_MIN_DOFS = 10000
 MINRES_RTOL = 1e-14          # per column, preconditioned residual estimate
 MINRES_MAXITER = 100
 RESIDUAL_GATE = 1e-10        # per column, interior residual, unscaled
+
+
+def _symmetric_lu(block):
+    """SuperLU factors of a block that needs no pivoting: a definite or
+    quasi-definite one, which factors stably under any symmetric ordering
+    (Vanderbei 1995). The ordering is minimum degree on the pattern of
+    A + A^T. relax=1 merges no elimination subtree into a relaxed
+    supernode: scipy's default relaxation stores about a third more
+    entries on these meshes (docs/fem.md). A zero pivot raises
+    RuntimeError."""
+    return spla.splu(block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     relax=1, options={"SymmetricMode": True})
 
 
 def _block_minres(K, precondition, B):
@@ -312,6 +324,11 @@ class SparseSystem:
     entries of each LU factor and the worst interior residual.
     """
 
+    # rungs of the solve, tried in this order: the field split (large
+    # blocks only), the symmetric LU of the whole block and the whole
+    # block's LU with COLAMD and partial pivoting
+    SPLIT, SYMMETRIC, PIVOTED = range(3)
+
     def __init__(self, K: sp.csc_matrix, dof_map: DofMap, deficient_cells=()):
         self.K = K
         self.dof_map = dof_map
@@ -345,8 +362,9 @@ class SparseSystem:
         """Factor the scaled interior block once; reused by every solve.
 
         From SPLIT_MIN_DOFS interior dofs on, the two sign-definite
-        diagonal blocks are factored instead of the whole block; when
-        either fails, the whole block is factored as below that size.
+        diagonal blocks are factored instead of the whole block. A rung
+        that fails to factor, or whose solve fails, hands the block to
+        the next rung: split, symmetric whole block, pivoted whole block.
         """
         ii = self.dof_map.interior_dofs
         ib = self.dof_map.boundary_dofs
@@ -359,56 +377,78 @@ class SparseSystem:
         del rows
         self._ii, self._ib = ii, ib
         self._lu = self._split = None
-        self.solver_stats = {"path": "small", "minres_iterations": 0,
-                             "lu_nnz": [], "max_interior_residual": 0.0}
+        large = len(ii) >= SPLIT_MIN_DOFS
+        self.solver_stats = {"path": "split" if large else "small",
+                             "minres_iterations": 0, "lu_nnz": [],
+                             "max_interior_residual": 0.0}
         if len(ii) == 0:
-            self._lu = _EmptyFactor()
-        elif len(ii) < SPLIT_MIN_DOFS:
-            self._factor_whole()
-        elif not self._factor_split():
-            self.solver_stats["path"] = "fallback"
-            self._factor_whole()
+            self._lu, self._rung = _EmptyFactor(), self.PIVOTED
+        else:
+            self._factor(self.SPLIT if large else self.SYMMETRIC)
         self.n_factorizations += 1
         return self
 
-    def _factor_split(self) -> bool:
+    def _factor(self, rung: int):
+        """Factor the scaled block by the first rung from `rung` on that
+        meets no zero pivot; AssemblyError when even the pivoted LU does."""
+        for rung in range(rung, self.PIVOTED + 1):
+            try:
+                if rung == self.SPLIT:
+                    self._factor_split()
+                else:
+                    block = self._scaled_block()
+                    self._lu = (_symmetric_lu(block) if rung == self.SYMMETRIC
+                                else spla.splu(block))
+                    self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
+            except RuntimeError as exc:
+                self.solver_stats["path"] = "fallback"
+                failure = exc
+                continue
+            self._rung = rung
+            return
+        raise self._failure(f"factorization failed: {failure}")
+
+    def _factor_split(self):
         """Factor K_uu and -K_pp of the scaled block with the mechanical
-        dofs permuted first; False when either factorization fails.
+        dofs permuted first.
 
         The block is symmetric quasi-definite, so both are positive
-        definite and factor stably without pivoting under a symmetric
-        fill-reducing ordering (Vanderbei 1995).
+        definite. The permuted block then replaces the scaled one, which
+        a later rung rebuilds from it. (Freeing the scaled block before
+        factoring lowers the factorization's peak but not the process
+        peak: the MINRES work arrays then find no freed block to reuse.)
         """
         mech = self._ii % self.dof_map.n_fields < 3
         order = np.argsort(~mech, kind="stable")
         nu = int(mech.sum())
         Kp = self._Kii_s[order][:, order]
-        try:
-            factors = [spla.splu(block, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-                       for block in (Kp[:nu, :nu], -Kp[nu:, nu:])]
-        except RuntimeError:
-            return False
-        self._split = (Kp, order, nu, factors)
-        self.solver_stats.update(path="split",
-                                 lu_nnz=[int(f.nnz) for f in factors])
-        return True
+        factors = [_symmetric_lu(Kp[:nu, :nu]), _symmetric_lu(-Kp[nu:, nu:])]
+        self._split, self._Kii_s = (Kp, order, nu, factors), None
+        self.solver_stats["lu_nnz"] = [int(f.nnz) for f in factors]
 
-    def _factor_whole(self):
-        """Factor the whole scaled block with COLAMD and partial pivoting."""
-        try:
-            self._lu = spla.splu(self._Kii_s)
-        except RuntimeError as exc:
-            hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
-                    if self.deficient_cells else "")
-            raise AssemblyError(f"factorization failed: {exc}{hint}") from None
-        self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
+    def _scaled_block(self):
+        """The scaled interior block in dof order, rebuilt from the split's
+        permuted block (and the split freed) when that holds it; sorted
+        CSC either way, so every rung factors the same arrays."""
+        if self._split is not None:
+            Kp, order, _, _ = self._split
+            self._split = None
+            inverse = np.argsort(order)
+            self._Kii_s = Kp[inverse][:, inverse]
+            self._Kii_s.sort_indices()
+        return self._Kii_s
 
-    def _solve_split(self, rhs_s, rhs):
-        """(u_i, worst interior residual) by MINRES on the split factors,
-        or None when MINRES does not converge or a column fails the
-        residual gate."""
+    def _failure(self, message: str) -> AssemblyError:
+        hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
+                if self.deficient_cells else "")
+        return AssemblyError(f"{message}{hint}")
+
+    def _solve_scaled(self, rhs_s, rhs):
+        """(u_i, worst interior residual) by the current rung; u_i None and
+        the residual infinite when MINRES does not converge."""
+        if self._rung != self.SPLIT:
+            ui = self._lu.solve(rhs_s) * self.scaling[self._ii, None]
+            return ui, self._worst_residual(ui, rhs)
         Kp, order, nu, (lu_u, lu_p) = self._split
 
         def precondition(r):
@@ -417,12 +457,11 @@ class SparseSystem:
         X, iterations = _block_minres(Kp, precondition, rhs_s[order])
         self.solver_stats["minres_iterations"] += iterations
         if X is None:
-            return None
+            return None, np.inf
         ui = np.empty_like(X)
         ui[order] = X
         ui *= self.scaling[self._ii, None]
-        worst = self._worst_residual(ui, rhs)
-        return (ui, worst) if worst <= RESIDUAL_GATE else None
+        return ui, self._worst_residual(ui, rhs)
 
     def _worst_residual(self, ui, rhs) -> float:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
@@ -435,7 +474,8 @@ class SparseSystem:
     def solve_dirichlet(self, boundary_values: np.ndarray) -> np.ndarray:
         """Full solution for prescribed boundary-dof values: (n_boundary,)
         gives (n_dofs,), and (n_boundary, n_cases) gives (n_dofs,
-        n_cases), every load case in one solve."""
+        n_cases), every load case in one solve. A column that fails the
+        residual gate sends every column down to the next rung."""
         if self._lu is None and self._split is None:
             self.factorize()
         ub = np.asarray(boundary_values, dtype=float)
@@ -449,21 +489,14 @@ class SparseSystem:
         yb = ub / self.scaling[self._ib, None]
         rhs_s = -(self._Kib_s @ yb)
         rhs = self._Kib @ ub
-        solved = None
-        if self._split is not None:
-            solved = self._solve_split(rhs_s, rhs)
-            if solved is None:
-                self._split = None
-                self.solver_stats["path"] = "fallback"
-                self._factor_whole()
-        if solved is None:
-            ui = self._lu.solve(rhs_s) * self.scaling[self._ii, None]
-            solved = ui, self._worst_residual(ui, rhs)
-            if not solved[1] <= RESIDUAL_GATE:
-                raise AssemblyError(
-                    f"interior solve residual {solved[1]:.3e} exceeds "
-                    f"{RESIDUAL_GATE:g}")
-        ui, worst = solved
+        ui, worst = self._solve_scaled(rhs_s, rhs)
+        while not worst <= RESIDUAL_GATE:
+            if self._rung == self.PIVOTED:
+                raise self._failure(f"interior solve residual {worst:.3e} "
+                                    f"exceeds {RESIDUAL_GATE:g}")
+            self.solver_stats["path"] = "fallback"
+            self._factor(self._rung + 1)
+            ui, worst = self._solve_scaled(rhs_s, rhs)
         stats = self.solver_stats
         stats["max_interior_residual"] = max(
             stats["max_interior_residual"], worst)

@@ -411,6 +411,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     library = load_library(cfg)
     outputs = []
     wall = {}
+    solver = None
 
     if kind == "comparison":
         layout = build_layout(cfg, library, len(mesh.cells))
@@ -421,6 +422,9 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         outputs.append(_write(outdir, "comparison.csv",
                               comparison_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]
+        solver = {r.method: r.solver_stats for r in rows}
+        # a reference read from the cache carries no solver counters
+        solver["reference"] = reference.solver_stats or {"cached": True}
     elif kind == "beta-sweep":
         layout = build_layout(cfg, library, len(mesh.cells))
         moduli = layout.moduli(library, mode)
@@ -450,7 +454,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
                      mesh_digest=mesh_hash(mesh),
                      extra={"kind": kind, "mode": mode})
     wall["study"] = time.perf_counter() - t0
-    write_diagnostics(outdir, wall)
+    write_diagnostics(outdir, wall, solver=solver)
     if verbose:
         print(f"study[{kind}]: {', '.join(sorted(outputs))} -> {outdir}")
     return 0

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,8 @@ class ComparisonRow:
     e_c: dict                       # target -> percent error
     d_rel: dict                     # target -> signed percent deviation
     wall_seconds: float
+    # the method's SparseSystem.solver_stats; diagnostics, not in the CSV
+    solver_stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -321,7 +323,8 @@ def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
         rows.append(ComparisonRow(
             method=result.method, n_nodes=result.n_dofs // nf,
             n_dofs=result.n_dofs, e_c=e_c, d_rel=d_rel,
-            wall_seconds=float(sum(result.solve_seconds))))
+            wall_seconds=float(sum(result.solve_seconds)),
+            solver_stats=result.solver_stats))
     return rows
 
 

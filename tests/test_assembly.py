@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import polyvem.assembly as pa
 import polyvem.element_fem as pf
@@ -359,6 +360,53 @@ class TestFieldSplit:
         assert len(system.solver_stats["lu_nnz"]) == 1
         assert np.array_equal(got, expected)
         assert system.n_factorizations == 1
+
+    def test_indefinite_block_takes_pivoted_rung(self):
+        # the mechanical 2x2 [[eps, 1], [1, eps]] is nonsingular but not
+        # quasi-definite: without pivoting its tiny pivot wrecks the
+        # solve, so the residual gate sends it to the pivoted LU
+        rng = np.random.default_rng(5)
+        M = np.zeros((8, 8))
+        M[:4, :4] = [[1e-20, 1, 0, 0], [1, 1e-20, 0, 0], [0, 0, 2, 0],
+                     [0, 0, 0, -1]]
+        M[:4, 4:] = rng.normal(size=(4, 4))
+        M[4:, :4] = M[:4, 4:].T
+        M[4:, 4:] = np.diag([1.0, 1.0, 1.0, -1.0])
+        rows, cols = np.nonzero(M)
+        dm = pa.DofMap(2, [1], "electroMech")
+        system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
+        ub = rng.normal(size=(4, 3))
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == "fallback"
+        assert system.solver_stats["max_interior_residual"] <= 1e-10
+        Kii = sp.csc_matrix(M[:4, :4])
+        expected = spla.spsolve(Kii, -M[:4, 4:] @ ub)
+        assert np.abs(got[:4] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_small_path_matches_direct_solve(self):
+        # the electro-mechanical block is well conditioned, so the bound
+        # measures the symmetric LU, not the round-off of two solvers
+        elems, dm = self.vem_system("electroMech")
+        system = pa.assemble(elems, dm)
+        ub = RNG.normal(size=(len(dm.boundary_dofs), 4))
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == "small"
+        ii, ib = dm.interior_dofs, dm.boundary_dofs
+        K = system.K.tocsr()
+        expected = spla.spsolve(K[ii][:, ii].tocsc(), -(K[ii][:, ib] @ ub))
+        assert np.abs(got[ii] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_split_factors_store_less_than_default_relaxation(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        elems, dm = self.vem_system("fullyCoupled")
+        system = pa.assemble(elems, dm).factorize()
+        Kp, _, nu, _ = system._split
+        default = sum(spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}).nnz
+                      for block in (Kp[:nu, :nu], -Kp[nu:, nu:]))
+        assert sum(system.solver_stats["lu_nnz"]) < default
 
 
 def block_triplets(dofs, blocks):

@@ -364,6 +364,27 @@ class TestStudyCommand:
                                             "FEM-O2-coarse"]
         assert "wall" not in rows[0]  # timings live in diagnostics only
 
+    def test_comparison_solver_counters_stay_in_diagnostics(self, tmp_path):
+        cfg = STUDY_BASE.format(kind="comparison", beta_step=0.05,
+                                cache=tmp_path / "cache")
+        p = write_config(tmp_path / "c.ini", cfg)
+        built, cached = tmp_path / "built", tmp_path / "cached"
+        assert main(["study", "--config", p, "--out", str(built)]) == 0
+        assert main(["study", "--config", p, "--out", str(cached)]) == 0
+        for name in ("comparison.csv", "provenance.json"):
+            assert (built / name).read_bytes() == (cached / name).read_bytes()
+        methods = [r[0] for r in csv.reader(
+            (built / "comparison.csv").read_text().strip().splitlines()[1:])]
+        solver = [json.loads((out / "run_diagnostics.json").read_text())
+                  ["solver"] for out in (built, cached)]
+        for stats in solver:
+            assert sorted(stats) == sorted(methods + ["reference"])
+            for method in methods:
+                assert stats[method]["path"] == "small"
+                assert stats[method]["max_interior_residual"] <= 1e-10
+        assert solver[0]["reference"]["lu_nnz"]
+        assert solver[1]["reference"] == {"cached": True}
+
 
 class TestMaterialsCommand:
     def test_prints_table_with_anisotropy_index(self, capsys):
