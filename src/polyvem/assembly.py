@@ -369,11 +369,9 @@ class SparseSystem:
         ii = self.dof_map.interior_dofs
         ib = self.dof_map.boundary_dofs
         S = sp.diags(self.scaling)
-        # one row slice each of K and the scaled K, freed before factoring
+        # one row slice of the scaled K, freed before factoring
         rows = (S @ self.K @ S).tocsc()[ii]
         self._Kii_s, self._Kib_s = rows[:, ii], rows[:, ib]
-        rows = self.K[ii]
-        self._Kii, self._Kib = rows[:, ii], rows[:, ib]
         del rows
         self._ii, self._ib = ii, ib
         self._lu = self._split = None
@@ -443,12 +441,12 @@ class SparseSystem:
                 if self.deficient_cells else "")
         return AssemblyError(f"{message}{hint}")
 
-    def _solve_scaled(self, rhs_s, rhs):
+    def _solve_scaled(self, rhs_s):
         """(u_i, worst interior residual) by the current rung; u_i None and
         the residual infinite when MINRES does not converge."""
         if self._rung != self.SPLIT:
             ui = self._lu.solve(rhs_s) * self.scaling[self._ii, None]
-            return ui, self._worst_residual(ui, rhs)
+            return ui, self._worst_residual(ui, rhs_s)
         Kp, order, nu, (lu_u, lu_p) = self._split
 
         def precondition(r):
@@ -461,13 +459,27 @@ class SparseSystem:
         ui = np.empty_like(X)
         ui[order] = X
         ui *= self.scaling[self._ii, None]
-        return ui, self._worst_residual(ui, rhs)
+        return ui, self._worst_residual(ui, rhs_s)
 
-    def _worst_residual(self, ui, rhs) -> float:
+    def _worst_residual(self, ui, rhs_s) -> float:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
-        over the columns with a nonzero right-hand side (NaN if any is)."""
-        denom = np.linalg.norm(rhs, axis=0)
-        res = np.linalg.norm(self._Kii @ ui + rhs, axis=0)
+        over the columns with a nonzero right-hand side (NaN if any is).
+
+        Both terms come from the scaled block: with s the scaling,
+        K_ib u_b = -rhs_s / s_i and K_ii u_i = (K_s,ii (u_i / s_i)) / s_i,
+        where K_s,ii is applied through the split's permuted block when
+        that holds it.
+        """
+        s = self.scaling[self._ii, None]
+        x = ui / s
+        if self._split is not None:
+            Kp, order, _, _ = self._split
+            Kx = np.empty_like(x)
+            Kx[order] = Kp @ x[order]
+        else:
+            Kx = self._Kii_s @ x
+        denom = np.linalg.norm(rhs_s / s, axis=0)
+        res = np.linalg.norm((Kx - rhs_s) / s, axis=0)
         live = denom > 0.0
         return float(np.max(res[live] / denom[live], initial=0.0))
 
@@ -488,15 +500,14 @@ class SparseSystem:
             ub = ub[:, None]
         yb = ub / self.scaling[self._ib, None]
         rhs_s = -(self._Kib_s @ yb)
-        rhs = self._Kib @ ub
-        ui, worst = self._solve_scaled(rhs_s, rhs)
+        ui, worst = self._solve_scaled(rhs_s)
         while not worst <= RESIDUAL_GATE:
             if self._rung == self.PIVOTED:
                 raise self._failure(f"interior solve residual {worst:.3e} "
                                     f"exceeds {RESIDUAL_GATE:g}")
             self.solver_stats["path"] = "fallback"
             self._factor(self._rung + 1)
-            ui, worst = self._solve_scaled(rhs_s, rhs)
+            ui, worst = self._solve_scaled(rhs_s)
         stats = self.solver_stats
         stats["max_interior_residual"] = max(
             stats["max_interior_residual"], worst)

@@ -166,6 +166,10 @@ def build_mesh(cfg: dict) -> PolyMesh:
         lloyd = _get(cfg, "mesh", "lloyd", 0, int)
         if n < 1:
             raise ConfigError(f"n_grains must be positive, got {n}")
+        if not (np.isfinite(L) and L > 0.0):
+            raise ConfigError(f"edge_length must be positive and finite, got {L}")
+        if lloyd < 0:
+            raise ConfigError(f"lloyd must be non-negative, got {lloyd}")
         seeds = random_seeds(n, L, mesh_seed)
         return generate_voronoi(seeds.seeds, L, lloyd=lloyd)
     if source == "file":

@@ -41,6 +41,9 @@ __all__ = [
     "result_to_json", "result_from_json", "result_to_csv",
 ]
 
+# the "format" tag of a result document
+RESULT_FORMAT = "polyvem-result"
+
 STATE_LABELS = {
     "fullyCoupled": ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12",
                      "E1", "E2", "E3", "H1", "H2", "H3"),
@@ -484,7 +487,7 @@ def _config_digest(payload: dict) -> str:
 def result_to_json(result: HomogenizationResult, config: dict | None = None) -> str:
     """Deterministic JSON document (no timestamps or timings)."""
     payload = {
-        "format": "polyvem-result",
+        "format": RESULT_FORMAT,
         "version": __version__,
         "mode": result.mode,
         "method": result.method,
@@ -516,7 +519,7 @@ def result_to_json(result: HomogenizationResult, config: dict | None = None) -> 
 def result_from_json(text: str) -> HomogenizationResult:
     """Rebuild a result from its JSON document (cache loading)."""
     doc = json.loads(text)
-    if doc.get("format") != "polyvem-result":
+    if doc.get("format") != RESULT_FORMAT:
         raise HomogenizationError("not a polyvem result document")
     nP = len(doc["state_labels"])
     return HomogenizationResult(

@@ -77,6 +77,7 @@ class PolyMesh:
     cells: list                            # list[PolyCell]
     edge_length: float
     _faces: FaceTable | None = field(default=None, repr=False)
+    _fans: FaceFans | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -94,6 +95,13 @@ class PolyMesh:
         if self._faces is None:
             self._faces = face_table(self)
         return self._faces
+
+    @property
+    def fans(self) -> FaceFans:
+        """The triangles of every unique face (built on first use)."""
+        if self._fans is None:
+            self._fans = face_fans(self)
+        return self._fans
 
     def locate(self, point) -> int:
         """Containing cell id of a point (convex cells), or -1."""
@@ -137,6 +145,17 @@ class FaceTable:
         """(face ids, signs) of one cell's faces, in cell.faces order."""
         span = slice(self.cell_offsets[cell_id], self.cell_offsets[cell_id + 1])
         return self.cell_faces[span], self.cell_signs[span]
+
+
+@dataclass(frozen=True)
+class FaceFans:
+    """One triangulation per unique face of a mesh: face f's triangles
+    are tris[offsets[f]:offsets[f + 1]], wound like its loop in the face
+    table; lowest[f] is its lowest vertex id."""
+
+    tris: np.ndarray                       # (n_tris, 3) vertex ids
+    offsets: np.ndarray                    # (n_faces + 1,)
+    lowest: np.ndarray                     # (n_faces,)
 
 
 @dataclass
@@ -255,25 +274,42 @@ def face_table(mesh: PolyMesh) -> FaceTable:
                      np.array(signs, dtype=int), face, nxt)
 
 
-def _signed_volume_moment(cell: PolyCell, vertices):
-    vol = 0.0
-    mom = np.zeros(3)
-    for loop in cell.faces:
-        pts = vertices[loop]
-        p0 = pts[0]
-        for i in range(1, len(pts) - 1):
-            v = np.dot(p0, np.cross(pts[i], pts[i + 1])) / 6.0
-            vol += v
-            mom += v * (p0 + pts[i] + pts[i + 1]) / 4.0
-    return vol, mom
+def _volume_moments(vertices, cell_loops):
+    """(volumes, first moments) of cells given as lists of face loops.
+
+    Sums signed tets against the origin over each loop's fan from its
+    first vertex, all tets in one pass. Each cell's sums run tet by tet
+    in face order from 0.0, so a cell's numbers do not depend on the
+    cells batched with it.
+    """
+    loops = [np.asarray(lp, dtype=int) for cl in cell_loops for lp in cl]
+    k = np.array([len(lp) for lp in loops], dtype=int)
+    n_tri = np.maximum(k - 2, 0)
+    ids = np.concatenate(loops or [np.zeros(0, dtype=int)])
+    first = np.repeat(np.cumsum(k) - k, n_tri)
+    second = (first + 1 + np.arange(n_tri.sum())
+              - np.repeat(np.cumsum(n_tri) - n_tri, n_tri))
+    p0, p1, p2 = (vertices[ids[i]] for i in (first, second, second + 1))
+    v = np.vecdot(p0, np.cross(p1, p2)) / 6.0
+    m = v[:, None] * (p0 + p1 + p2) / 4.0
+    # one row per cell: 0.0, its tets in face order, then zero padding
+    row = np.repeat(np.repeat(np.arange(len(cell_loops)),
+                              [len(cl) for cl in cell_loops]), n_tri)
+    per_cell = np.bincount(row, minlength=len(cell_loops))
+    col = 1 + np.arange(len(row)) - (np.cumsum(per_cell) - per_cell)[row]
+    vol = np.zeros((len(cell_loops), per_cell.max(initial=0) + 1))
+    mom = np.zeros(vol.shape + (3,))
+    vol[row, col] = v
+    mom[row, col] = m
+    return np.add.accumulate(vol, axis=1)[:, -1], np.add.accumulate(mom, axis=1)[:, -1]
 
 
 def cell_volume_centroid(cell: PolyCell, vertices):
     """Exact volume and centroid via signed tets against the origin."""
-    vol, mom = _signed_volume_moment(cell, vertices)
-    if vol <= 0.0:
+    vol, mom = _volume_moments(vertices, [cell.faces])
+    if vol[0] <= 0.0:
         raise MeshError("non-positive cell volume (orientation?)")
-    return vol, mom / vol
+    return vol[0], mom[0] / vol[0]
 
 
 def orient_cell_faces(cell: PolyCell, vertices) -> float:
@@ -284,6 +320,23 @@ def orient_cell_faces(cell: PolyCell, vertices) -> float:
     sign is fixed so the enclosed signed volume is positive. Exact for
     any watertight polyhedron, convex or not.
     """
+    _wind_consistently(cell)
+    return _turn_outward([cell], vertices)[0]
+
+
+def _turn_outward(cells, vertices) -> np.ndarray:
+    """Reverse every loop of each consistently wound cell that encloses a
+    negative signed volume; returns the cells' volumes."""
+    vols, _ = _volume_moments(vertices, [cell.faces for cell in cells])
+    for cell, vol in zip(cells, vols):
+        if vol < 0.0:
+            cell.faces[:] = [lp[::-1].copy() for lp in cell.faces]
+    return np.abs(vols)
+
+
+def _wind_consistently(cell: PolyCell):
+    """Rewind the cell's loops so that each edge is traversed once in
+    each direction, keeping the first loop's winding."""
     loops = [np.asarray(lp, dtype=int) for lp in cell.faces]
     edge_faces = {}
     for fi, loop in enumerate(loops):
@@ -312,11 +365,6 @@ def orient_cell_faces(cell: PolyCell, vertices) -> float:
         raise MeshError("cell surface is not edge-connected")
     cell.faces[:] = [lp[::-1].copy() if fl else lp
                      for lp, fl in zip(loops, flip)]
-    vol, _ = _signed_volume_moment(cell, vertices)
-    if vol < 0.0:
-        cell.faces[:] = [lp[::-1].copy() for lp in cell.faces]
-        vol = -vol
-    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -338,58 +386,49 @@ def _cube_poly(L: float):
 def _clip_halfspace(verts, faces, normal, offset, eps):
     """Clip convex polyhedron to {x : normal.x <= offset}.
 
-    Returns (verts, faces) or None when empty. Watertight by keying
-    edge intersections on the original edge, so both adjacent faces
-    receive the identical cut point.
+    Returns (verts, faces) or None when empty; the same objects when
+    nothing is cut. Watertight by keying edge intersections on the
+    original edge, so both adjacent faces receive the identical cut
+    point. Faces are lists of local vertex ids.
     """
-    d = verts @ normal - offset
-    side = np.where(d > eps, 1, np.where(d < -eps, -1, 0))
-    if not np.any(side > 0):
+    d = (verts @ normal - offset).tolist()
+    side = [1 if x > eps else -1 if x < -eps else 0 for x in d]
+    if 1 not in side:
         return verts, faces
-    if not np.any(side < 0):
+    if -1 not in side:
         return None
 
-    new_pts = [verts]
     n_old = len(verts)
     cut_cache = {}
-    next_id = n_old
+    cuts = []                              # (a, b, t) of each new point
 
     def cut_point(a, b):
-        nonlocal next_id
         key = (a, b) if a < b else (b, a)
         if key not in cut_cache:
-            t = d[a] / (d[a] - d[b])
-            new_pts.append((verts[a] + t * (verts[b] - verts[a]))[None, :])
-            cut_cache[key] = next_id
-            next_id += 1
+            cut_cache[key] = n_old + len(cuts)
+            cuts.append((a, b, d[a] / (d[a] - d[b])))
         return cut_cache[key]
 
-    on_plane = set(np.nonzero(side == 0)[0].tolist())
     new_faces = []
     for loop in faces:
         out = []
-        k = len(loop)
-        for i in range(k):
-            a, b = loop[i], loop[(i + 1) % k]
+        for a, b in zip(loop, loop[1:] + loop[:1]):
             if side[a] <= 0:
                 out.append(a)
             if side[a] * side[b] < 0:
                 out.append(cut_point(a, b))
         # drop consecutive duplicates
-        dedup = [v for j, v in enumerate(out) if v != out[(j - 1) % len(out)]] if out else []
+        dedup = [v for j, v in enumerate(out) if v != out[j - 1]]
         if len(dedup) >= 3:
             new_faces.append(dedup)
 
-    verts2 = np.vstack(new_pts)
-
-    # cap face: chain the on-plane edges of the clipped faces, reversed
-    cap_ids = on_plane | set(cut_cache.values())
+    # cap face: chain the on-plane edges of the clipped faces, reversed;
+    # on the plane are the cut points and the old vertices of side 0
     succ = {}
     for loop in new_faces:
-        k = len(loop)
-        for i in range(k):
-            a, b = loop[i], loop[(i + 1) % k]
-            if a in cap_ids and b in cap_ids:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            if ((a >= n_old or side[a] == 0)
+                    and (b >= n_old or side[b] == 0)):
                 succ[b] = a
     if len(succ) >= 3:
         start = next(iter(succ))
@@ -402,12 +441,13 @@ def _clip_halfspace(verts, faces, normal, offset, eps):
             cur = succ[cur]
         new_faces.append(cap)
 
+    if cuts:
+        a, b, t = (np.array(col) for col in zip(*cuts))
+        verts = np.vstack([verts, verts[a] + t[:, None] * (verts[b] - verts[a])])
     # compact unused vertices
     used = sorted({v for loop in new_faces for v in loop})
     remap = {v: i for i, v in enumerate(used)}
-    verts3 = verts2[used]
-    faces3 = [np.array([remap[v] for v in loop], dtype=int) for loop in new_faces]
-    return verts3, [list(f) for f in faces3]
+    return verts[used], [[remap[v] for v in loop] for loop in new_faces]
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +462,25 @@ class _PointMerger:
         self.buckets = {}
         self.points = []
 
-    def add(self, p) -> int:
-        key = tuple(np.floor(p / self.tol).astype(np.int64))
+    def add(self, points: np.ndarray) -> list:
+        """Ids of the (n, 3) points, each the first earlier point within
+        tol in the scan of the neighbouring buckets, or a new id."""
+        keys = np.floor(points / self.tol).astype(np.int64).tolist()
+        return [self._find(p, *key) for p, key in zip(points.tolist(), keys)]
+
+    def _find(self, p, kx, ky, kz) -> int:
+        x, y, z = p
+        tol = self.tol
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for dz in (-1, 0, 1):
-                    for idx in self.buckets.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        if np.max(np.abs(p - self.points[idx])) <= self.tol:
+                    for idx in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                        qx, qy, qz = self.points[idx]
+                        if abs(x - qx) <= tol and abs(y - qy) <= tol and abs(z - qz) <= tol:
                             return idx
         idx = len(self.points)
-        self.points.append(np.asarray(p, dtype=float))
-        self.buckets.setdefault(key, []).append(idx)
+        self.points.append(p)
+        self.buckets.setdefault((kx, ky, kz), []).append(idx)
         return idx
 
     def array(self) -> np.ndarray:
@@ -448,20 +496,23 @@ def _voronoi_cells(seeds: np.ndarray, L: float):
         verts, faces = _cube_poly(L)
         if n > 1:
             dist = np.linalg.norm(seeds - seeds[i], axis=1)
-            order = np.argsort(dist)
-            for j in order:
+            with np.errstate(invalid="ignore"):      # row i, never read
+                normals = (seeds - seeds[i]) / dist[:, None]
+            offsets = np.vecdot(normals, seeds[i] + seeds) / 2.0
+            half = (dist / 2.0).tolist()
+            # security radius: farther bisectors cannot cut
+            radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
+            for j in np.argsort(dist).tolist():
                 if j == i:
                     continue
-                # security radius: farther bisectors cannot cut
-                radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
-                if dist[j] / 2.0 > radius:
+                if half[j] > radius:
                     break
-                normal = (seeds[j] - seeds[i]) / dist[j]
-                offset = normal @ (seeds[i] + seeds[j]) / 2.0
-                clipped = _clip_halfspace(verts, faces, normal, offset, eps)
+                clipped = _clip_halfspace(verts, faces, normals[j], offsets[j], eps)
                 if clipped is None:
                     raise MeshError(f"seed {i} produced an empty Voronoi cell")
-                verts, faces = clipped
+                if clipped[0] is not verts:
+                    verts, faces = clipped
+                    radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
         cells.append((verts, faces))
     return cells
 
@@ -488,25 +539,26 @@ def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
 
     for _ in range(int(lloyd)):
         raw = _voronoi_cells(pts, L)
-        cents = []
-        for verts, faces in raw:
-            cell = PolyCell(np.arange(len(verts)), [np.asarray(f) for f in faces])
-            _, c = cell_volume_centroid(cell, verts)
-            cents.append(c)
-        pts = np.array(cents)
+        shift = np.cumsum([0] + [len(verts) for verts, _ in raw])
+        vols, moms = _volume_moments(
+            np.vstack([verts for verts, _ in raw]),
+            [[np.asarray(f) + s for f in faces] for (_, faces), s in zip(raw, shift)])
+        if np.any(vols <= 0.0):
+            raise MeshError("non-positive cell volume (orientation?)")
+        pts = moms / vols[:, None]
 
     raw = _voronoi_cells(pts, L)
     merger = _PointMerger(TAU_MERGE * L)
     cells = []
     for ci, (verts, faces) in enumerate(raw):
-        gids = np.array([merger.add(v) for v in verts], dtype=int)
+        gids = merger.add(verts)
         loops = []
         for loop in faces:
-            g = gids[np.asarray(loop, dtype=int)]
+            g = [gids[v] for v in loop]
             # merging may collapse sliver edges
-            g = np.array([v for k, v in enumerate(g) if v != g[(k - 1) % len(g)]])
-            if len(np.unique(g)) >= 3:
-                loops.append(g)
+            g = [v for k, v in enumerate(g) if v != g[k - 1]]
+            if len(set(g)) >= 3:
+                loops.append(np.array(g, dtype=int))
         cell = PolyCell(np.unique(np.concatenate(loops)), loops, material_id=0)
         cells.append(cell)
 
@@ -518,9 +570,11 @@ def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
 def _finalize_cells(mesh: PolyMesh):
     """Orient faces outward, cache volumes, validate closure, and build
     the face table."""
+    for cell in mesh.cells:
+        _wind_consistently(cell)
+    vols = _turn_outward(mesh.cells, mesh.vertices)
     total = 0.0
-    for ci, cell in enumerate(mesh.cells):
-        vol = orient_cell_faces(cell, mesh.vertices)
+    for ci, (cell, vol) in enumerate(zip(mesh.cells, vols)):
         if vol < EPS_VOL * mesh.edge_length ** 3:
             raise MeshError(f"degenerate cell {ci} (volume {vol:g})")
         cell.volume = vol
@@ -606,41 +660,58 @@ def _ear_clip(pts2d):
     return tris
 
 
-def _triangulate_face(loop, vertices, normal):
-    """Triangulate a planar face into triangles wound like the loop.
+def face_fans(mesh: PolyMesh) -> FaceFans:
+    """Triangulate every unique face of the mesh once.
 
-    The triangle set depends only on the vertex-id cycle (canonicalized
-    start and direction) and on the face's normal (either sign), so the
-    two cells sharing a face produce the identical triangles and the
-    union tet mesh conforms.
+    A face's triangles depend only on its vertex-id cycle, read from its
+    lowest id towards the lower of that id's two neighbours, and on the
+    axis its normal is largest along (either sign), so the two cells
+    sharing a face get the identical triangles and the union tet mesh
+    conforms. A face that is convex in the projection dropping that axis
+    takes the plain fan from its lowest id; the others are ear clipped.
     """
-    loop = np.asarray(loop, dtype=int)
-    pivot = int(np.argmin(loop))
-    canon = np.roll(loop, -pivot)
-    flipped = False
-    if len(canon) > 2 and canon[-1] < canon[1]:
-        canon = np.concatenate([canon[:1], canon[1:][::-1]])
-        flipped = True
+    t = mesh.faces
+    sizes = np.diff(t.offsets)
+    starts = t.offsets[:-1]
+    face = t.entry_face
+    local = np.arange(len(face)) - starts[face]
+    lowest = np.minimum.reduceat(t.loops, starts)
+    pivot = np.minimum.reduceat(np.where(t.loops == lowest[face], local, len(face)),
+                                starts)
+    # canonical cycle, from the lowest id towards its lower neighbour;
+    # flipped where that runs against the stored loop
+    flipped = (t.loops[starts + (pivot - 1) % sizes]
+               < t.loops[starts + (pivot + 1) % sizes])
+    step = np.where(flipped, -1, 1)[face]
+    canon = t.loops[starts[face] + (pivot[face] + step * local) % sizes[face]]
 
-    pts = vertices[canon]
-    drop = int(np.argmax(np.abs(normal)))
-    keep = [ax for ax in range(3) if ax != drop]
-    pts2d = pts[:, keep]
+    keep = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(t.normal), axis=1)]
+    p = mesh.vertices[canon]
+    x = p[np.arange(len(p)), keep[face, 0]]
+    y = p[np.arange(len(p)), keep[face, 1]]
+    prev = starts[face] + (local - 1) % sizes[face]
+    succ = starts[face] + (local + 1) % sizes[face]
+    turns = (x - x[prev]) * (y[succ] - y) - (y - y[prev]) * (x[succ] - x)
+    scale2 = np.maximum(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
+                        np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)) ** 2
+    tol = (1e-12 * scale2)[face]
+    convex = (np.logical_and.reduceat(turns >= -tol, starts)
+              | np.logical_and.reduceat(turns <= tol, starts))
 
-    # convex polygons take the plain fan from the canonical start
-    v1 = pts2d - np.roll(pts2d, 1, axis=0)
-    v2 = np.roll(pts2d, -1, axis=0) - pts2d
-    turns = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    scale2 = max(np.ptp(pts2d[:, 0]), np.ptp(pts2d[:, 1])) ** 2
-    if np.all(turns >= -1e-12 * scale2) or np.all(turns <= 1e-12 * scale2):
-        tris = [(0, i, i + 1) for i in range(1, len(canon) - 1)]
-    else:
-        tris = _ear_clip(pts2d)
-
-    out = [(int(canon[a]), int(canon[b]), int(canon[c])) for a, b, c in tris]
-    if flipped:
-        out = [(a, c, b) for a, b, c in out]
-    return out
+    # canonical positions: the plain fan, then the ear clips over it
+    n_tri = sizes - 2
+    offsets = np.concatenate([[0], np.cumsum(n_tri)])
+    tri_face = np.repeat(np.arange(len(sizes)), n_tri)
+    second = starts[tri_face] + 1 + np.arange(offsets[-1]) - offsets[tri_face]
+    pos = np.column_stack([starts[tri_face], second, second + 1])
+    for f in np.flatnonzero(~convex):
+        span = slice(starts[f], starts[f] + sizes[f])
+        pos[offsets[f]:offsets[f + 1]] = starts[f] + np.array(
+            _ear_clip(np.column_stack([x[span], y[span]])))
+    tris = canon[pos]
+    back = flipped[tri_face]
+    tris[back] = tris[back][:, [0, 2, 1]]
+    return FaceFans(tris, offsets, lowest)
 
 
 def _tet_volumes(points, tets):
@@ -653,23 +724,26 @@ def triangulate_cell(mesh: PolyMesh, cell_id: int) -> TetSubmesh:
     """Minimal tetrahedralization by vertex-apex fan.
 
     Apex is the cell's lowest vertex id; each face not containing the apex
-    is fanned from its own lowest-id vertex. This induces the identical
-    triangle set on both sides of a shared face, so the union over cells
+    contributes its triangles (`face_fans`), so the union over cells
     conforms. Non-convex cells (negative or non-closing fans) fall back to
     a flagged centroid-apex construction with one added interior point.
     """
     cell = mesh.cells[cell_id]
     apex = int(cell.vertex_ids.min())
-    face_ids, _ = mesh.faces.of_cell(cell_id)
-    face_tris = [_triangulate_face(loop, mesh.vertices, mesh.faces.normal[f])
-                 for loop, f in zip(cell.faces, face_ids)]
-    tets = []
-    for loop, tris in zip(cell.faces, face_tris):
-        if apex in set(int(v) for v in loop):
-            continue
-        for (a, b, c) in tris:
-            tets.append((a, c, b, apex))      # outward face -> positive tet
-    tets = np.array(tets, dtype=int)
+    fans = mesh.fans
+    face_ids, signs = mesh.faces.of_cell(cell_id)
+    lo = fans.offsets[face_ids]
+    n = fans.offsets[face_ids + 1] - lo
+    tris = fans.tris[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    # a tet winds (a, c, b) of its face triangle (a, b, c) in the cell's
+    # outward winding: the stored triangle reversed where the cell keeps
+    # the face's winding, as stored where it reverses it
+    keeps = np.repeat(signs > 0, n)
+    tris[keeps] = tris[keeps][:, [0, 2, 1]]
+    # the apex is the cell's lowest id, so a face holds it iff its own
+    # lowest id is the apex
+    fan = tris[np.repeat(fans.lowest[face_ids] != apex, n)]
+    tets = np.column_stack([fan, np.full(len(fan), apex)])
     vols = _tet_volumes(mesh.vertices, tets)
     ok = len(tets) > 0 and np.all(vols > 0.0) and \
         abs(vols.sum() - cell.volume) <= 1e-10 * cell.volume
@@ -678,12 +752,7 @@ def triangulate_cell(mesh: PolyMesh, cell_id: int) -> TetSubmesh:
 
     # fallback: star from the centroid, one interior node
     _, cent = cell_volume_centroid(cell, mesh.vertices)
-    cid = mesh.n_vertices
-    tets = []
-    for tris in face_tris:
-        for (a, b, c) in tris:
-            tets.append((a, c, b, cid))
-    tets = np.array(tets, dtype=int)
+    tets = np.column_stack([tris, np.full(len(tris), mesh.n_vertices)])
     pts = np.vstack([mesh.vertices, cent[None, :]])
     vols = _tet_volumes(pts, tets)
     if not (np.all(vols > 0.0) and abs(vols.sum() - cell.volume) <= 1e-10 * cell.volume):
@@ -862,6 +931,10 @@ class _Lines:
             seen[i - first] = True
         if not seen.all():
             raise MeshParseError("missing vertex ids")
+        bad = ~np.isfinite(verts).all(axis=1)
+        if bad.any():
+            raise MeshParseError(f"vertex {first + int(np.argmax(bad))}: "
+                                 "non-finite coordinate")
         return verts
 
 
@@ -903,6 +976,9 @@ def read_mesh(text: str) -> PolyMesh:
 def _parsed_mesh(verts, cells, L) -> PolyMesh:
     """The validated mesh of parsed cells. A degenerate face or cell is
     a fault of the file, so any MeshError becomes a MeshParseError."""
+    # cell volumes are checked against L^3
+    if not 0.0 < L < np.cbrt(np.finfo(float).max):
+        raise MeshParseError(f"edge length {L!r} is not positive with a finite cube")
     try:
         mesh = PolyMesh(verts, cells, L)
         t = mesh.faces

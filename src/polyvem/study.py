@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .element_fem import FIELD_COUNT
-from .homogenization import (GrainLayout, HomogenizationError,
+from .homogenization import (RESULT_FORMAT, GrainLayout, HomogenizationError,
                              HomogenizationResult, VemOperators,
                              homogenize_fem, homogenize_vem,
                              result_from_json, result_to_json)
@@ -205,7 +206,10 @@ def assign_volume_fraction(mesh: PolyMesh, fraction: float, rng_seed: int,
 # ---------------------------------------------------------------------------
 
 def _reference_digest(mesh: PolyMesh, moduli, mode: str, levels: int) -> str:
+    """Cache key of a reference; an entry written by another release or
+    in another result format is a miss."""
     h = hashlib.sha256()
+    h.update(f"{RESULT_FORMAT}|{__version__}|".encode())
     h.update(mesh_hash(mesh).encode())
     h.update(f"|{mode}|{levels}|fem-o1".encode())
     for M in moduli:

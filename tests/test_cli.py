@@ -192,6 +192,26 @@ reference_levels = 9
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("edge_length", "-1", "edge_length must be positive and finite"),
+        ("edge_length", "0", "edge_length must be positive and finite"),
+        ("edge_length", "nan", "edge_length must be positive and finite"),
+        ("edge_length", "inf", "edge_length must be positive and finite"),
+        ("lloyd", "-2", "lloyd must be non-negative"),
+    ])
+    def test_bad_mesh_value_exits_2_before_mesh(self, tmp_path, capsys,
+                                                monkeypatch, key, value,
+                                                message):
+        import polyvem.cli as cli
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("mesh generated before the config was checked")
+        monkeypatch.setattr(cli, "generate_voronoi", no_mesh)
+        p = write_config(tmp_path / "c.ini",
+                         f"[mesh]\nn_grains = 3\nmesh_seed = 11\n{key} = {value}\n")
+        assert main(["mesh", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMeshCommand:
     def test_writes_mesh_stats_and_provenance(self, tmp_path):

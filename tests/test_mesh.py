@@ -1,7 +1,12 @@
 """Mesh module tests: oracle values are frozen or computed independently."""
 
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvem import mesh as pm
 from polyvem.element_fem import TetMeshO2
@@ -316,6 +321,11 @@ def six_grain_texts():
             (bare, pm.read_mesh), "tess": (pm.write_tess(m), pm.parse_tess)}
 
 
+@functools.lru_cache(maxsize=None)
+def six_grain_texts_cached():
+    return six_grain_texts()
+
+
 @pytest.mark.parametrize("fmt", ["native", "native-no-checksum", "tess"])
 def test_truncation_at_every_line_is_a_parse_error(fmt):
     text, parse = six_grain_texts()[fmt]
@@ -369,6 +379,12 @@ def test_oversized_tess_count_is_a_parse_error(count, message):
     lines[at] = "   " + count
     with pytest.raises(pm.MeshParseError, match=message):
         pm.parse_tess("\n".join(lines) + "\n")
+
+
+def test_native_mesh_without_cells_is_a_parse_error():
+    text = "polyvem-mesh 1\nL 1.0\nVERTICES 1\n0 0.0 0.0 0.0\nCELLS 0\nFACES\n"
+    with pytest.raises(pm.MeshParseError, match="cell volumes sum to 0"):
+        pm.read_mesh(text)
 
 
 class TestTessFormat:
@@ -428,3 +444,56 @@ class TestBoundary:
                   TetMeshO2(pts, np.zeros((0, 10), int), np.zeros(0, int), L)]
         for m in meshes:
             assert m.boundary_node_ids.tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Property tests: a damaged mesh text parses or raises MeshParseError
+# ---------------------------------------------------------------------------
+
+# one-token replacements: signs, zeros, non-finite, oversized and
+# non-numeric values, and ids next to the valid range
+MUTATIONS = ["", "0", "-0", "1", "-1", "2", "7", "99", "1000000", "9" * 20,
+             "-" + "9" * 20, "0.5", "-0.5", "1e308", "-1e308", "1e-308",
+             "nan", "inf", "-inf", "x", "1.0.0", "**face", "***end",
+             "FACES", "CELLS", "VERTICES", "L"]
+
+FORMATS = ["native", "native-no-checksum", "tess"]
+
+
+def damaged_text(text, data):
+    """The text truncated at a character, or with one whitespace-separated
+    token replaced, deleted or doubled."""
+    if data.draw(st.booleans(), label="truncate"):
+        return text[:data.draw(st.integers(0, len(text) - 1), label="at")]
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    lo, hi = spans[data.draw(st.integers(0, len(spans) - 1), label="token")]
+    token = text[lo:hi]
+    new = data.draw(st.sampled_from(MUTATIONS + [token + token, token + "0",
+                                                  token[:-1], "-" + token]),
+                    label="replacement")
+    return text[:lo] + new + text[hi:]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_damaged_mesh_text_parses_or_is_a_parse_error(fmt, data):
+    text, parse = six_grain_texts_cached()[fmt]
+    damaged = damaged_text(text, data)
+    try:
+        mesh = parse(damaged)
+    except pm.MeshParseError:
+        return
+    assert np.isfinite(mesh.edge_length) and mesh.edge_length > 0.0
+    assert np.all(np.isfinite(mesh.vertices))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("\nL 1.0\n", f"\nL {value}\n", "edge length")
+    for value in ["nan", "inf", "-1", "0", "1e308"]] + [
+    ("\n0 0.0 0.0 1.0\n", f"\n0 0.0 {value} 1.0\n", "vertex 0: non-finite")
+    for value in ["nan", "inf", "-inf"]])
+def test_bad_native_number_is_a_parse_error(old, new, message):
+    text = six_grain_texts_cached()["native-no-checksum"][0]
+    with pytest.raises(pm.MeshParseError, match=message):
+        pm.read_mesh(text.replace(old, new))

@@ -295,6 +295,24 @@ class TestBuildReference:
                            rtol=1e-15, atol=0.0)
         assert second.method == first.method
 
+    def test_cache_entry_of_another_release_is_a_miss(self, tmp_path,
+                                                      monkeypatch):
+        mesh = voronoi_mesh(3)
+        moduli, _ = _hex_moduli(mesh, seed=5)
+        ps.build_reference(mesh, moduli, "electroMech", 1, str(tmp_path))
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return ph.homogenize_fem(*args, **kwargs)
+
+        monkeypatch.setattr(ps, "homogenize_fem", counting)
+        monkeypatch.setattr(ps, "__version__", ps.__version__ + ".other")
+        for _ in range(2):             # a miss and a rewrite, then a hit
+            ps.build_reference(mesh, moduli, "electroMech", 1, str(tmp_path))
+        assert len(builds) == 1
+        assert len(list(tmp_path.glob("reference-*.json"))) == 2
+
     def test_cache_distinguishes_levels(self, tmp_path):
         mesh = voronoi_mesh(3)
         moduli, _ = _hex_moduli(mesh, seed=5)
