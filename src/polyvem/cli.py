@@ -31,8 +31,8 @@ from .materials import (MODE_PINDEX, MODES, MaterialError,
                         parse_library)
 from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
                    generate_voronoi, interior_face_conformity, mesh_hash,
-                   parse_tess, random_seeds, read_mesh, write_mesh,
-                   write_tess)
+                   parse_tess, random_seeds, read_mesh, valid_edge_length,
+                   write_mesh, write_tess)
 from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
                     beta_sweep_csv, build_reference,
                     coarse_fem_deviation, comparison_csv, fraction_csv,
@@ -166,8 +166,9 @@ def build_mesh(cfg: dict) -> PolyMesh:
         lloyd = _get(cfg, "mesh", "lloyd", 0, int)
         if n < 1:
             raise ConfigError(f"n_grains must be positive, got {n}")
-        if not (np.isfinite(L) and L > 0.0):
-            raise ConfigError(f"edge_length must be positive and finite, got {L}")
+        if not valid_edge_length(L):
+            raise ConfigError(
+                f"edge_length must be positive with a finite cube, got {L}")
         if lloyd < 0:
             raise ConfigError(f"lloyd must be non-negative, got {lloyd}")
         seeds = random_seeds(n, L, mesh_seed)

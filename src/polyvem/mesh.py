@@ -23,6 +23,13 @@ TAU_MERGE = 1e-9
 TAU_PLANE = 1e-8
 TAU_BOX = 1e-9
 EPS_VOL = 1e-12
+# cell volumes are checked against L**3, which must be a finite float
+_MAX_EDGE_LENGTH = float(np.cbrt(np.finfo(float).max))
+
+
+def valid_edge_length(L: float) -> bool:
+    """True for a cube edge length that is positive with a finite cube."""
+    return bool(0.0 < L < _MAX_EDGE_LENGTH)
 
 
 class MeshError(Exception):
@@ -290,7 +297,8 @@ def _volume_moments(vertices, cell_loops):
     second = (first + 1 + np.arange(n_tri.sum())
               - np.repeat(np.cumsum(n_tri) - n_tri, n_tri))
     p0, p1, p2 = (vertices[ids[i]] for i in (first, second, second + 1))
-    v = np.vecdot(p0, np.cross(p1, p2)) / 6.0
+    # stacked matmul reproduces np.dot's bits; einsum does not
+    v = (p0[:, None, :] @ np.cross(p1, p2)[:, :, None])[:, 0, 0] / 6.0
     m = v[:, None] * (p0 + p1 + p2) / 4.0
     # one row per cell: 0.0, its tets in face order, then zero padding
     row = np.repeat(np.repeat(np.arange(len(cell_loops)),
@@ -310,18 +318,6 @@ def cell_volume_centroid(cell: PolyCell, vertices):
     if vol[0] <= 0.0:
         raise MeshError("non-positive cell volume (orientation?)")
     return vol[0], mom[0] / vol[0]
-
-
-def orient_cell_faces(cell: PolyCell, vertices) -> float:
-    """Wind every face of a watertight cell outward; returns the volume.
-
-    Consistency is propagated across shared edges (a closed oriented
-    surface traverses each edge once in each direction), then the global
-    sign is fixed so the enclosed signed volume is positive. Exact for
-    any watertight polyhedron, convex or not.
-    """
-    _wind_consistently(cell)
-    return _turn_outward([cell], vertices)[0]
 
 
 def _turn_outward(cells, vertices) -> np.ndarray:
@@ -498,7 +494,8 @@ def _voronoi_cells(seeds: np.ndarray, L: float):
             dist = np.linalg.norm(seeds - seeds[i], axis=1)
             with np.errstate(invalid="ignore"):      # row i, never read
                 normals = (seeds - seeds[i]) / dist[:, None]
-            offsets = np.vecdot(normals, seeds[i] + seeds) / 2.0
+            offsets = (normals[:, None, :]
+                       @ (seeds[i] + seeds)[:, :, None])[:, 0, 0] / 2.0
             half = (dist / 2.0).tolist()
             # security radius: farther bisectors cannot cut
             radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
@@ -976,8 +973,7 @@ def read_mesh(text: str) -> PolyMesh:
 def _parsed_mesh(verts, cells, L) -> PolyMesh:
     """The validated mesh of parsed cells. A degenerate face or cell is
     a fault of the file, so any MeshError becomes a MeshParseError."""
-    # cell volumes are checked against L^3
-    if not 0.0 < L < np.cbrt(np.finfo(float).max):
+    if not valid_edge_length(L):
         raise MeshParseError(f"edge length {L!r} is not positive with a finite cube")
     try:
         mesh = PolyMesh(verts, cells, L)

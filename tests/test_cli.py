@@ -192,11 +192,14 @@ reference_levels = 9
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    BAD_EDGE = "edge_length must be positive with a finite cube"
+
     @pytest.mark.parametrize("key,value,message", [
-        ("edge_length", "-1", "edge_length must be positive and finite"),
-        ("edge_length", "0", "edge_length must be positive and finite"),
-        ("edge_length", "nan", "edge_length must be positive and finite"),
-        ("edge_length", "inf", "edge_length must be positive and finite"),
+        ("edge_length", "-1", BAD_EDGE),
+        ("edge_length", "0", BAD_EDGE),
+        ("edge_length", "nan", BAD_EDGE),
+        ("edge_length", "inf", BAD_EDGE),
+        ("edge_length", "1e200", BAD_EDGE),
         ("lloyd", "-2", "lloyd must be non-negative"),
     ])
     def test_bad_mesh_value_exits_2_before_mesh(self, tmp_path, capsys,

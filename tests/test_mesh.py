@@ -42,7 +42,8 @@ def single_cell_mesh(verts, faces, L):
     cells = [pm.PolyCell(np.unique(np.concatenate([np.asarray(f) for f in faces])),
                          [np.asarray(f, dtype=int) for f in faces])]
     m = pm.PolyMesh(np.asarray(verts, dtype=float), cells, L)
-    m.cells[0].volume = pm.orient_cell_faces(m.cells[0], m.vertices)
+    pm._wind_consistently(m.cells[0])
+    m.cells[0].volume = pm._turn_outward(m.cells, m.vertices)[0]
     return m
 
 
@@ -311,6 +312,7 @@ class TestNativeFormat:
             pm.read_mesh("nonsense\n")
 
 
+@functools.lru_cache(maxsize=None)
 def six_grain_texts():
     """Native text with and without its CHECKSUM line, and tess text."""
     m = pm.generate_voronoi(pm.random_seeds(6, 1.0, 3), 1.0)
@@ -319,11 +321,6 @@ def six_grain_texts():
                    if not ln.startswith("CHECKSUM"))
     return {"native": (native, pm.read_mesh), "native-no-checksum":
             (bare, pm.read_mesh), "tess": (pm.write_tess(m), pm.parse_tess)}
-
-
-@functools.lru_cache(maxsize=None)
-def six_grain_texts_cached():
-    return six_grain_texts()
 
 
 @pytest.mark.parametrize("fmt", ["native", "native-no-checksum", "tess"])
@@ -478,7 +475,7 @@ def damaged_text(text, data):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_damaged_mesh_text_parses_or_is_a_parse_error(fmt, data):
-    text, parse = six_grain_texts_cached()[fmt]
+    text, parse = six_grain_texts()[fmt]
     damaged = damaged_text(text, data)
     try:
         mesh = parse(damaged)
@@ -494,6 +491,6 @@ def test_damaged_mesh_text_parses_or_is_a_parse_error(fmt, data):
     ("\n0 0.0 0.0 1.0\n", f"\n0 0.0 {value} 1.0\n", "vertex 0: non-finite")
     for value in ["nan", "inf", "-inf"]])
 def test_bad_native_number_is_a_parse_error(old, new, message):
-    text = six_grain_texts_cached()["native-no-checksum"][0]
+    text = six_grain_texts()["native-no-checksum"][0]
     with pytest.raises(pm.MeshParseError, match=message):
         pm.read_mesh(text.replace(old, new))
