@@ -53,9 +53,6 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.n_nodes * self.n_fields
 
-    def dof(self, node: int, field_index: int) -> int:
-        return node * self.n_fields + field_index
-
     @property
     def boundary_dofs(self) -> np.ndarray:
         return node_dofs(self.boundary_nodes, self.n_fields)
@@ -521,12 +518,3 @@ class SparseSystem:
         """Quadratic form 0.5 u.K.u of a full solution vector."""
         u = np.asarray(full_solution, dtype=float).ravel()
         return 0.5 * float(u @ (self.K @ u))
-
-    def dump_coo(self) -> str:
-        """Coordinate text dump (row col value per line, zero-based)."""
-        coo = self.K.tocoo()
-        lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            lines.append(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}")
-        return "\n".join(lines) + "\n"

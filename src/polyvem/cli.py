@@ -417,6 +417,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     outputs = []
     wall = {}
     solver = None
+    extra = {"kind": kind, "mode": mode}
 
     if kind == "comparison":
         layout = build_layout(cfg, library, len(mesh.cells))
@@ -442,7 +443,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         fem_d = coarse_fem_deviation(mesh, moduli, mode, reference, targets)
         outputs.append(_write(outdir, "beta_sweep.csv",
                               beta_sweep_csv(curve, fem_d, targets)))
-        wall["beta_opt"] = beta_opt(curve, targets[0])
+        extra["beta_opt"] = beta_opt(curve, targets[0])
     else:                                    # fraction-sweep
         seed = _get(cfg, "run", "seed", 1, int)
         fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
@@ -456,8 +457,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         wall["rows"] = [r.wall_seconds for r in rows]
 
     write_provenance(outdir, "study", cfg, outputs,
-                     mesh_digest=mesh_hash(mesh),
-                     extra={"kind": kind, "mode": mode})
+                     mesh_digest=mesh_hash(mesh), extra=extra)
     wall["study"] = time.perf_counter() - t0
     write_diagnostics(outdir, wall, solver=solver)
     if verbose:

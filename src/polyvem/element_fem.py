@@ -15,10 +15,9 @@ import numpy as np
 from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides
 
 __all__ = [
-    "FIELD_COUNT", "tet_gradient", "field_operator", "tet_state_operator",
-    "tet_stiffness", "kernel_dimension", "TetMeshO2", "promote_to_quadratic",
-    "GAUSS4_BARY", "GAUSS4_WEIGHTS", "quadratic_state_operators",
-    "batch_o1_operators", "gauss_stiffness",
+    "FIELD_COUNT", "tet_gradient", "field_operator", "kernel_dimension",
+    "TetMeshO2", "promote_to_quadratic", "GAUSS4_BARY", "GAUSS4_WEIGHTS",
+    "quadratic_state_operators", "batch_o1_operators", "gauss_stiffness",
 ]
 
 # active scalar fields per coupling mode (3 displacements + potentials)
@@ -133,29 +132,6 @@ def gauss_stiffness(B: np.ndarray, w: np.ndarray, G: np.ndarray) -> np.ndarray:
     wB = (B * w[:, :, None, None]).reshape(m, -1, nd)
     K = np.swapaxes(wB, 1, 2) @ (G @ B).reshape(m, -1, nd)
     return (K + K.transpose(0, 2, 1)) / 2.0
-
-
-def tet_state_operator(coords: np.ndarray, n_fields: int):
-    """(B, volume) of the linear tet: P = B.dofs, constant over the tet."""
-    B, vols = batch_o1_operators(np.asarray(coords, dtype=float),
-                                 np.arange(4)[None], n_fields)
-    return B[0], vols[0]
-
-
-def tet_stiffness(coords: np.ndarray, G: np.ndarray, order: int,
-                  n_fields: int) -> np.ndarray:
-    """Element stiffness V * B^T G B (order 1) or its 4-point Gauss sum
-    over the 10-node element (order 2, corners first)."""
-    coords = np.asarray(coords, dtype=float)
-    corners = np.arange(4)[None]
-    if order == 1:
-        B, vols = batch_o1_operators(coords, corners, n_fields)
-        B, w = B[:, None], vols[:, None]
-    elif order == 2:
-        B, w = quadratic_state_operators(coords, corners, n_fields)
-    else:
-        raise ValueError(f"unsupported element order {order}")
-    return gauss_stiffness(B, w, np.asarray(G, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,30 +18,23 @@ import numpy as np
 from .assembly import node_dofs, scatter_columns
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
                           kernel_dimension)
-from .mesh import (MeshError, PolyMesh, TetSubmesh, triangulate_cell,
-                   union_submeshes)
+from .mesh import MeshError, PolyMesh, triangulate_cell, union_submeshes
 
 __all__ = [
-    "ProjectedGradients", "CellOperators", "VemElement", "cell_operators",
-    "scalar_gradient_operator", "projected_gradient",
-    "element_energy", "element_residual_tangent", "stabilization_required",
+    "CellOperators", "VemElement", "cell_operators", "gradient_operators",
+    "stabilization_required",
 ]
 
 
-def scalar_gradient_operator(mesh: PolyMesh, cell_id: int) -> np.ndarray:
-    """Matrix D (3 x n_vertices) with D.s = projected gradient of the
-    scalar vertex data s.
+def gradient_operators(mesh: PolyMesh, cell_ids) -> list:
+    """Per cell, the matrix D (3 x n_vertices) with D.s = projected
+    gradient of the scalar vertex data s.
 
-    Row j of the operator accumulates (1/V) sum_F n_F[j] * I_F with I_F
-    the exact face-reconstruction integral given by the face table's
-    weights. Exact for globally linear fields.
+    Row j of D accumulates (1/V) sum_F n_F[j] * I_F with I_F the exact
+    face-reconstruction integral given by the face table's weights, all
+    cells from one scatter of the table's signed normals times weights.
+    Exact for globally linear fields.
     """
-    return _gradient_operators(mesh, [cell_id])[0]
-
-
-def _gradient_operators(mesh: PolyMesh, cell_ids) -> list:
-    """scalar_gradient_operator of each cell, from one scatter of the
-    face table's signed normals times weights."""
     t = mesh.faces
     cells = [mesh.cells[c] for c in cell_ids]
     for c, cell in zip(cell_ids, cells):
@@ -73,36 +66,6 @@ def _ranges(starts, counts) -> np.ndarray:
     return shift + np.arange(counts.sum())
 
 
-@dataclass(frozen=True)
-class ProjectedGradients:
-    """Constant projected gradients of one element state."""
-    displacement_gradient: np.ndarray     # (3, 3), entry [i, j] = du_i/dx_j
-    potential_gradients: np.ndarray       # (n_potentials, 3)
-
-    def state_vector(self) -> np.ndarray:
-        """P = [strain Voigt (engineering), -grad of each potential]."""
-        g = self.displacement_gradient
-        strain = np.array([g[0, 0], g[1, 1], g[2, 2],
-                           g[1, 2] + g[2, 1], g[0, 2] + g[2, 0],
-                           g[0, 1] + g[1, 0]])
-        return np.concatenate([strain] + [-p for p in self.potential_gradients]) \
-            if len(self.potential_gradients) else strain
-
-
-def projected_gradient(mesh: PolyMesh, cell_id: int,
-                       nodal_values: np.ndarray) -> ProjectedGradients:
-    """Project vertex data (n_vertices, n_fields) to constant gradients."""
-    values = np.asarray(nodal_values, dtype=float)
-    D = scalar_gradient_operator(mesh, cell_id)
-    if values.shape[0] != D.shape[1]:
-        raise MeshError(
-            f"expected {D.shape[1]} vertex rows, got {values.shape[0]}")
-    all_grads = D @ values                 # (3, n_fields): column f = grad of field f
-    disp = all_grads[:, 0:3].T             # [i, j] = du_i/dx_j
-    pots = all_grads[:, 3:].T
-    return ProjectedGradients(disp, pots)
-
-
 def stabilization_required(n_vertices: int, n_fields: int) -> bool:
     """True when the consistency term alone cannot control all dofs:
     its rank is at most the state size, so cells with more non-kernel
@@ -127,17 +90,10 @@ class CellOperators:
     """
     node_ids: np.ndarray
     volume: float
-    gradient_op: np.ndarray                # (3, n_vertices)
-    B_proj: np.ndarray                     # (n_state, n_vertices * n_fields)
     K_cons: np.ndarray
     A_cons: np.ndarray
-    submesh: Optional[TetSubmesh] = None
     K_tet: Optional[np.ndarray] = None
     A_tet: Optional[np.ndarray] = None
-    interior_recovery: Optional[np.ndarray] = None
-    tet_cols: Optional[np.ndarray] = None  # (m, 4 n_fields) local dofs, centroid last
-    tet_B: Optional[np.ndarray] = None     # (m, n_state, 4 n_fields)
-    tet_volumes: Optional[np.ndarray] = None
 
     def blend(self, beta: float):
         """(stiffness, integrated-state operator) at weight beta."""
@@ -148,7 +104,7 @@ class CellOperators:
 
 
 def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
-                   with_tets: bool = True, submeshes=None):
+                   with_tets: bool = True):
     """Yield the CellOperators of the given cells in order, one modulus
     per cell.
 
@@ -167,14 +123,12 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
             raise ValueError(
                 f"modulus must be {state_size}x{state_size} for "
                 f"{n_fields} fields, got {G.shape}")
-    subs = list(submeshes) if submeshes is not None else [None] * len(cell_ids)
     if with_tets:
-        subs = [s if s is not None else triangulate_cell(mesh, c)
-                for c, s in zip(cell_ids, subs)]
+        subs = [triangulate_cell(mesh, c) for c in cell_ids]
         tmesh = union_submeshes(mesh, subs)
         B_all, vols = batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
         starts = np.cumsum([0] + [len(sub.tets) for sub in subs])
-    gradients = _gradient_operators(mesh, cell_ids)
+    gradients = gradient_operators(mesh, cell_ids)
     for k, (c, G, D) in enumerate(zip(cell_ids, moduli, gradients)):
         cell = mesh.cells[c]
         B = field_operator(D.T, nf)
@@ -186,8 +140,7 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
                             vols[span], G, nf)
         yield CellOperators(
             node_ids=cell.vertex_ids.copy(), volume=cell.volume,
-            gradient_op=D, B_proj=B, K_cons=(K + K.T) / 2.0,
-            A_cons=cell.volume * B, submesh=subs[k], **tet)
+            K_cons=(K + K.T) / 2.0, A_cons=cell.volume * B, **tet)
 
 
 def _tet_part(node_ids, sub, B, vol, G, nf):
@@ -205,95 +158,24 @@ def _tet_part(node_ids, sub, B, vol, G, nf):
                     weights=gauss_stiffness(B[:, None], vol[:, None], G).ravel(),
                     minlength=ndof * ndof).reshape(ndof, ndof)
     A = scatter_columns(cols, B * vol[:, None, None], ndof)
-    recovery = None
     if n_extra:
         Kvc = K[:ndof_v, ndof_v:]
         recovery = -np.linalg.solve(K[ndof_v:, ndof_v:], Kvc.T)
         K = K[:ndof_v, :ndof_v] + Kvc @ recovery
         A = A[:, :ndof_v] + A[:, ndof_v:] @ recovery
-    return {"K_tet": (K + K.T) / 2.0, "A_tet": A,
-            "interior_recovery": recovery, "tet_cols": cols, "tet_B": B,
-            "tet_volumes": vol}
+    return {"K_tet": (K + K.T) / 2.0, "A_tet": A}
 
 
 class VemElement:
-    """Operators of one polyhedral element at its stabilization weight.
-
-    The blend at `beta` of the cell's CellOperators: the projected state
-    operator, the stiffness, and the volume-weighted average-state
-    operator; an interior fallback node of a non-star-shaped
-    triangulation is condensed out statically.
-    """
+    """One polyhedral element at its stabilization weight: the node ids
+    and the blended stiffness that `assembly.assemble` reads."""
 
     def __init__(self, mesh: PolyMesh, cell_id: int, G: np.ndarray,
-                 beta: float, n_fields: int = 5,
-                 submesh: Optional[TetSubmesh] = None):
+                 beta: float, n_fields: int = 5):
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
         ops, = cell_operators(mesh, [cell_id], [G], n_fields,
-                              with_tets=beta > 0.0, submeshes=[submesh])
+                              with_tets=beta > 0.0)
         self.cell_id = cell_id
         self.node_ids = ops.node_ids
-        self.n_fields = n_fields
-        self.beta = float(beta)
-        self.volume = ops.volume
-        self.modulus = np.asarray(G, dtype=float)
-        self.submesh = ops.submesh
-        self.gradient_op = ops.gradient_op
-        self.B_proj = ops.B_proj
-        self.stiffness, self.average_op = ops.blend(self.beta)
-        self.interior_recovery = ops.interior_recovery
-        self._ops = ops
-
-    # -- derived quantities ------------------------------------------------
-
-    @property
-    def consistency_rank_deficient(self) -> bool:
-        """True when beta = 0 leaves uncontrolled non-kernel dofs."""
-        return self.beta == 0.0 and stabilization_required(
-            len(self.node_ids), self.n_fields)
-
-    def full_dofs(self, vertex_dofs: np.ndarray) -> np.ndarray:
-        """Vertex dofs extended by the recovered interior-node dofs."""
-        p = np.asarray(vertex_dofs, dtype=float).ravel()
-        if self.interior_recovery is None:
-            return p
-        return np.concatenate([p, self.interior_recovery @ p])
-
-    def energy(self, vertex_dofs: np.ndarray) -> float:
-        p = np.asarray(vertex_dofs, dtype=float).ravel()
-        return 0.5 * float(p @ self.stiffness @ p)
-
-    def residual(self, vertex_dofs: np.ndarray) -> np.ndarray:
-        return self.stiffness @ np.asarray(vertex_dofs, dtype=float).ravel()
-
-    def average_state(self, vertex_dofs: np.ndarray) -> np.ndarray:
-        """Volume average of P over the element (consistency/stabilization
-        blend), including the condensed interior node."""
-        p = np.asarray(vertex_dofs, dtype=float).ravel()
-        return (self.average_op @ p) / self.volume
-
-    def tet_states(self, vertex_dofs: np.ndarray):
-        """Per-tet (P, volume) of the stabilization submesh."""
-        if self.beta == 0.0:
-            return []
-        p = self.full_dofs(vertex_dofs)
-        ops = self._ops
-        return [(Bt @ p[cols], vol) for cols, Bt, vol
-                in zip(ops.tet_cols, ops.tet_B, ops.tet_volumes)]
-
-
-def element_energy(mesh: PolyMesh, cell_id: int, G: np.ndarray, beta: float,
-                   nodal_values: np.ndarray, n_fields: int = 5,
-                   submesh: Optional[TetSubmesh] = None) -> float:
-    """Blended element energy for given vertex data (n_vertices, n_fields)."""
-    elem = VemElement(mesh, cell_id, G, beta, n_fields, submesh)
-    return elem.energy(np.asarray(nodal_values, dtype=float).ravel())
-
-
-def element_residual_tangent(mesh: PolyMesh, cell_id: int, G: np.ndarray,
-                             beta: float, n_fields: int = 5,
-                             submesh: Optional[TetSubmesh] = None):
-    """(residual callable, constant tangent) of one element."""
-    elem = VemElement(mesh, cell_id, G, beta, n_fields, submesh)
-    return elem.residual, elem.stiffness
+        self.stiffness = ops.blend(beta)[0]

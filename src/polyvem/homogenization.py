@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .assembly import (BlockPattern, DofMap, add_blocks, node_dofs,
                        scatter_columns, system_from_blocks)
-from .element_fem import (FIELD_COUNT, batch_o1_operators, gauss_stiffness,
-                          promote_to_quadratic, quadratic_state_operators)
-from .element_vem import (ProjectedGradients, cell_operators,
-                          stabilization_required)
+from .element_fem import (FIELD_COUNT, batch_o1_operators, field_operator,
+                          gauss_stiffness, promote_to_quadratic,
+                          quadratic_state_operators)
+from .element_vem import cell_operators, stabilization_required
 # re-exported: the benchmark's tracing test reads VemElement here
 from .element_vem import VemElement  # noqa: F401
 from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
@@ -333,7 +333,9 @@ def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarra
     integrals = np.add.reduceat(t.weights[:, None] * values[t.loops],
                                 t.offsets[:-1])
     acc = t.normal[t.on_box].T @ integrals[t.on_box] / mesh.edge_length ** 3
-    return ProjectedGradients(acc[:, 0:3].T, acc[:, 3:].T).state_vector()
+    # acc[j, f] = <d field_f / dx_j>: the rows act as nodes whose shape
+    # gradients are the unit vectors
+    return field_operator(np.eye(3), values.shape[1]) @ acc.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -110,16 +110,6 @@ class PolyMesh:
             self._fans = face_fans(self)
         return self._fans
 
-    def locate(self, point) -> int:
-        """Containing cell id of a point (convex cells), or -1."""
-        p = np.asarray(point, dtype=float)
-        t = self.faces
-        outward = t.normal[t.cell_faces] * t.cell_signs[:, None]
-        offset = np.einsum("ij,ij->i", outward, t.centroid[t.cell_faces])
-        below = outward @ p - offset <= TAU_PLANE * self.edge_length
-        inside = np.nonzero(np.logical_and.reduceat(below, t.cell_offsets[:-1]))[0]
-        return int(inside[0]) if len(inside) else -1
-
 
 @dataclass(frozen=True)
 class FaceTable:
@@ -180,11 +170,6 @@ class TetSubmesh:
     n_mesh: int                            # vertex count of the owning mesh
     extra_vertices: np.ndarray             # (k, 3)
     fallback: bool = False
-
-    def points(self, mesh: PolyMesh) -> np.ndarray:
-        if len(self.extra_vertices):
-            return np.vstack([mesh.vertices, self.extra_vertices])
-        return mesh.vertices
 
 
 @dataclass
@@ -812,21 +797,6 @@ def _refine_once(points, tets):
     return all_pts, out
 
 
-def refine_submesh(mesh: PolyMesh, sub: TetSubmesh, levels: int) -> TetSubmesh:
-    """Red-refine one cell's submesh `levels` times (volume conserving)."""
-    if levels < 0:
-        raise MeshError("levels must be >= 0")
-    if levels == 0:
-        return sub
-    points = sub.points(mesh)
-    tets = sub.tets
-    for _ in range(levels):
-        points, tets = _refine_once(points, tets)
-    vols = _tet_volumes(points, tets)
-    return TetSubmesh(sub.cell_id, tets, vols, mesh.n_vertices,
-                      points[mesh.n_vertices:], fallback=sub.fallback)
-
-
 def refine_tet_mesh(tmesh: TetMesh, levels: int) -> TetMesh:
     """Red-refine a conforming tet mesh globally (shared midpoints)."""
     points, tets = tmesh.vertices, tmesh.tets
@@ -975,6 +945,13 @@ def _parsed_mesh(verts, cells, L) -> PolyMesh:
     a fault of the file, so any MeshError becomes a MeshParseError."""
     if not valid_edge_length(L):
         raise MeshParseError(f"edge length {L!r} is not positive with a finite cube")
+    # before any face geometry: far-out coordinates overflow its products
+    tol = TAU_BOX * L
+    outside = np.any((verts < -tol) | (verts > L + tol), axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise MeshParseError(f"vertex {i}: outside the box [0, {L!r}]^3 "
+                             f"at {verts[i].tolist()}")
     try:
         mesh = PolyMesh(verts, cells, L)
         t = mesh.faces
@@ -1035,9 +1012,12 @@ def write_tess(mesh: PolyMesh) -> str:
 def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
     """Parse the tessellation subset; fails loudly on unknown sections.
 
-    Accepted sections: **format, **vertex, **edge (validated, then
-    unused), **face, **polyhedron, wrapped in ***tess ... ***end.
-    Face orientations are normalized (outward) on import.
+    Accepted sections: **format, **vertex, **edge, **face, **polyhedron,
+    wrapped in ***tess ... ***end. Only the vertices, the faces' vertex
+    loops and the polyhedra's signed face lists are read: an **edge row
+    is taken as three tokens and each face's edge-list and plane lines
+    are skipped, unchecked (docs/formats.md). Face orientations are
+    normalized (outward) on import.
     """
     src = _Lines(text)
     if src.take() != "***tess":

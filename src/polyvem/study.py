@@ -28,7 +28,7 @@ from .materials import datasheet_matrix
 from .mesh import PolyMesh, mesh_hash, triangulate_cell
 
 __all__ = [
-    "StudyError", "StudyConfig", "ComparisonRow", "FractionRow",
+    "StudyError", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
     "target_block", "assign_volume_fraction", "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve",
@@ -113,39 +113,8 @@ def target_block(effective: np.ndarray, mode: str, target: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Configuration and rows
+# Result rows
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Inputs of one comparison/sweep study."""
-    n_grains: int = 20
-    mesh_seed: int = 1
-    edge_length: float = 1.0
-    lloyd: int = 0
-    material: str = "hex_high_anisotropy"
-    orientation_seed: int = 2
-    mode: str = "electroMech"
-    methods: tuple = ("VEM-VO", "FEM-O1-coarse")
-    beta: float = DEFAULT_BETA
-    beta_grid: tuple = DEFAULT_BETA_GRID
-    fraction_grid: tuple = DEFAULT_FRACTION_GRID
-    fraction_seed: int = 3
-    targets: tuple = ("G", "C")
-    reference_levels: int = 2
-
-    def __post_init__(self):
-        if self.mode not in FIELD_COUNT:
-            raise StudyError(f"unknown mode {self.mode!r}")
-        if not all(0.0 <= b <= 1.0 for b in self.beta_grid):
-            raise StudyError("beta grid must lie in [0, 1]")
-        if not all(0.0 <= p <= 1.0 for p in self.fraction_grid):
-            raise StudyError("fraction grid must lie in [0, 1]")
-        for m in self.methods:
-            parse_method(m)
-        if self.reference_levels < 1:
-            raise StudyError("reference needs at least one refinement level")
-
 
 @dataclass
 class ComparisonRow:

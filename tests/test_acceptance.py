@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from polyvem.assembly import DofMap, assemble
-from polyvem.element_vem import (VemElement, element_energy,
-                                 element_residual_tangent, kernel_dimension)
-from polyvem.homogenization import (GrainLayout, _fem_o1_system,
-                                    _fem_o2_system, boundary_values,
-                                    homogenize_fem, homogenize_vem,
-                                    promote_to_quadratic, reduce_modulus,
-                                    result_to_csv)
+from polyvem.assembly import DofMap
+from polyvem.element_vem import cell_operators, kernel_dimension
+from polyvem.homogenization import (GrainLayout, VemOperators,
+                                    _fem_o1_system, _fem_o2_system,
+                                    boundary_values, homogenize_fem,
+                                    homogenize_vem, promote_to_quadratic,
+                                    reduce_modulus, result_to_csv)
 from polyvem.materials import (build_modulus, builtin_library,
                                coefficients, energy_invariant,
                                energy_quadratic, isotropic_record,
@@ -134,18 +133,17 @@ def test_criterion_02_patch_tests(library, report):
     A = rng.standard_normal((5, 3)) * 0.3          # coupled affine field
     exact = (mesh.vertices @ A.T).ravel()
     scale = np.abs(exact).max()
-    dm = DofMap(mesh.n_vertices, mesh.boundary_node_ids, "fullyCoupled")
+    moduli = [G] * len(mesh.cells)
+    operators = VemOperators(mesh, moduli, "fullyCoupled")
+    dm = operators.dof_map
     worst = 0.0
 
     for beta in (0.02, 0.5, 1.0):
-        elems = [VemElement(mesh, c, G, beta)
-                 for c in range(len(mesh.cells))]
-        u = assemble(elems, dm).solve_dirichlet(exact[dm.boundary_dofs])
+        u = operators.system(beta).solve_dirichlet(exact[dm.boundary_dofs])
         worst = max(worst, np.abs(u - exact).max() / scale)
 
     subs = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
     tmesh = union_submeshes(mesh, subs)
-    moduli = [G] * len(mesh.cells)
     dm1 = DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, "fullyCoupled")
     sys1, _ = _fem_o1_system(tmesh.vertices, tmesh.tets, tmesh.cell_of_tet,
                              moduli, dm1)
@@ -191,9 +189,9 @@ def test_criterion_03_full_stabilization_degenerates(library, report):
     assert all(len(s.extra_vertices) == 0 for s in subs), \
         "submeshes must share the polyhedral vertex set"
     tmesh = union_submeshes(mesh, subs)
-    dm = DofMap(mesh.n_vertices, mesh.boundary_node_ids, "fullyCoupled")
-    sys_vem = assemble([VemElement(mesh, c, moduli[c], 1.0)
-                        for c in range(len(mesh.cells))], dm)
+    operators = VemOperators(mesh, moduli, "fullyCoupled")
+    dm = operators.dof_map
+    sys_vem = operators.system(1.0)
     sys_fem, _ = _fem_o1_system(tmesh.vertices, tmesh.tets,
                                 tmesh.cell_of_tet, moduli, dm)
 
@@ -393,8 +391,16 @@ def test_criterion_08_element_tangent_and_kernel(report):
     G = (g + g.T) / 2.0 + 12.0 * np.eye(12)
     worst_r = worst_k = 0.0
     kernel_ok = True
+    ops, = cell_operators(mesh, [0], [G])
     for beta in (0.01, 0.1, 0.4, 1.0):
-        residual, K = element_residual_tangent(mesh, 0, G, beta)
+        K = ops.blend(beta)[0]
+
+        def residual(q):
+            return K @ q
+
+        def energy(q):
+            return 0.5 * float(q @ K @ q)
+
         n = K.shape[0]
         p = rng.standard_normal(n)
         R = residual(p)
@@ -403,10 +409,7 @@ def test_criterion_08_element_tangent_and_kernel(report):
         for k in range(n):
             dp = np.zeros(n)
             dp[k] = h
-            num_r = (element_energy(mesh, 0, G, beta,
-                                    (p + dp).reshape(-1, 5))
-                     - element_energy(mesh, 0, G, beta,
-                                      (p - dp).reshape(-1, 5))) / (2 * h)
+            num_r = (energy(p + dp) - energy(p - dp)) / (2 * h)
             worst_r = max(worst_r, abs(num_r - R[k]) / scale_r)
             num_col = (residual(p + dp) - residual(p - dp)) / (2 * h)
             worst_k = max(worst_k,

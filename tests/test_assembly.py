@@ -13,7 +13,7 @@ import polyvem.element_vem as pv
 import polyvem.homogenization as ph
 import polyvem.mesh as pm
 
-from test_element_fem import coupled_linear_field, random_modulus
+from test_element_fem import coupled_linear_field, random_modulus, tet_stiffness
 from test_homogenization import table_moduli
 
 RNG = np.random.default_rng(20260816)
@@ -29,7 +29,7 @@ class TetElem:
 
     def __init__(self, node_ids, coords, G, n_fields, order=1):
         self.node_ids = np.asarray(node_ids, dtype=int)
-        self.stiffness = pf.tet_stiffness(coords, G, order, n_fields)
+        self.stiffness = tet_stiffness(coords, G, order, n_fields)
 
 
 def two_tet_points_tets():
@@ -49,7 +49,7 @@ class TestDofMap:
         dm = pa.DofMap(10, [0, 9], "fullyCoupled")
         assert dm.n_fields == 5
         assert dm.n_dofs == 50
-        assert dm.dof(3, 2) == 17
+        assert pa.node_dofs([3], dm.n_fields)[2] == 17
 
     def test_partition_is_disjoint_union(self):
         dm = pa.DofMap(7, [1, 4, 5], "electroMech")
@@ -121,12 +121,10 @@ class TestAssemble:
     def test_global_kernel_contains_translations_and_constants(self):
         mesh = voronoi_mesh(5)
         G = random_modulus(5, RNG)
-        elems = [pv.VemElement(mesh, c, G, beta=0.1) for c in range(5)]
-        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, "fullyCoupled")
-        K = pa.assemble(elems, dm).K
+        K = ph.VemOperators(mesh, [G] * 5).system(0.1).K
         scale = abs(K).max()
         for f in range(5):
-            u = np.zeros(dm.n_dofs)
+            u = np.zeros(K.shape[0])
             u[f::5] = 1.0
             assert np.abs(K @ u).max() < 1e-9 * scale
 
@@ -152,10 +150,9 @@ class TestSolve:
         # the exact linear field at interior nodes
         mesh = voronoi_mesh(8, seed=3)
         G = random_modulus(5, RNG)
-        elems = [pv.VemElement(mesh, c, G, beta=0.1)
-                 for c in range(len(mesh.cells))]
-        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, "fullyCoupled")
-        system = pa.assemble(elems, dm).factorize()
+        operators = ph.VemOperators(mesh, [G] * len(mesh.cells))
+        dm = operators.dof_map
+        system = operators.system(0.1).factorize()
 
         values, _ = coupled_linear_field(mesh.vertices, 5, RNG)
         exact = values.ravel()
@@ -165,10 +162,9 @@ class TestSolve:
     def test_single_factorization_many_solves(self):
         mesh = voronoi_mesh(4, seed=11)
         G = random_modulus(5, RNG)
-        elems = [pv.VemElement(mesh, c, G, beta=0.1)
-                 for c in range(len(mesh.cells))]
-        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, "fullyCoupled")
-        system = pa.assemble(elems, dm)
+        operators = ph.VemOperators(mesh, [G] * len(mesh.cells))
+        dm = operators.dof_map
+        system = operators.system(0.1)
         for _ in range(12):
             system.solve_dirichlet(RNG.normal(size=len(dm.boundary_dofs)))
         assert system.n_factorizations == 1
@@ -177,10 +173,11 @@ class TestSolve:
     def test_all_boundary_system(self):
         mesh = voronoi_mesh(1)
         G = random_modulus(5, RNG)
-        elem = pv.VemElement(mesh, 0, G, beta=0.1)
-        dm = pa.DofMap(len(mesh.vertices), np.arange(len(mesh.vertices)),
-                       "fullyCoupled")
-        system = pa.assemble([elem], dm)
+        operators = ph.VemOperators(mesh, [G])
+        dm = operators.dof_map
+        # the one cube cell has every node on the box
+        assert np.array_equal(dm.boundary_nodes, np.arange(len(mesh.vertices)))
+        system = operators.system(0.1)
         ub = RNG.normal(size=len(dm.boundary_dofs))
         u = system.solve_dirichlet(ub)
         assert np.allclose(u, ub)
@@ -198,9 +195,7 @@ class TestSolve:
     def test_wrong_boundary_value_count(self):
         mesh = voronoi_mesh(1)
         G = random_modulus(5, RNG)
-        elem = pv.VemElement(mesh, 0, G, beta=0.1)
-        dm = pa.DofMap(len(mesh.vertices), [0, 1], "fullyCoupled")
-        system = pa.assemble([elem], dm)
+        system = ph.VemOperators(mesh, [G]).system(0.1)
         with pytest.raises(pa.AssemblyError, match="boundary values"):
             system.solve_dirichlet(np.zeros(3))
 
@@ -253,52 +248,24 @@ class TestScalingAndDump:
     def test_scaling_report_fields(self):
         mesh = voronoi_mesh(2)
         G = random_modulus(5, RNG)
-        elems = [pv.VemElement(mesh, c, G, beta=0.1) for c in range(2)]
-        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, "fullyCoupled")
-        system = pa.assemble(elems, dm)
+        system = ph.VemOperators(mesh, [G] * 2).system(0.1)
         assert set(system.scaling_report) == {f"field{f}" for f in range(5)}
         for rec in system.scaling_report.values():
             assert rec["diag_max"] >= rec["diag_mean"] >= rec["diag_min"]
-
-    def test_coo_dump_round_trips(self):
-        rows = np.array([0, 1, 1])
-        cols = np.array([0, 1, 0])
-        vals = np.array([2.0, 3.0, 0.0])
-        dm = pa.DofMap(1, [], "magnetoMech")
-        # symmetric: include the transposed entry of the zero
-        rows = np.append(rows, 0)
-        cols = np.append(cols, 1)
-        vals = np.append(vals, 0.0)
-        system = pa.system_from_triplets(rows, cols, vals, dm)
-        text = system.dump_coo()
-        lines = text.strip().split("\n")
-        n, m, nnz = (int(x) for x in lines[0].split())
-        assert (n, m) == (4, 4)
-        entries = [ln.split() for ln in lines[1:]]
-        assert len(entries) == nnz
-        K2 = sp.coo_matrix(
-            ([float(v) for _, _, v in entries],
-             ([int(r) for r, _, _ in entries], [int(c) for _, c, _ in entries])),
-            shape=(n, m)).tocsc()
-        assert abs(K2 - system.K).max() == 0.0
 
 
 class TestFieldSplit:
     """Split factorization with batched MINRES against the whole-block LU."""
 
     @staticmethod
-    def vem_system(mode):
-        """Elements and dof map of an 8-grain two-phase sample; random
-        symmetric moduli are not quasi-definite, so the moduli are the
-        library's."""
+    def vem_operators(mode):
+        """VEM operators of an 8-grain two-phase sample; random symmetric
+        moduli are not quasi-definite, so the moduli are the library's.
+        Each system(0.1) call builds a fresh system."""
         mesh = voronoi_mesh(8, seed=31)
         moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
                                  mode=mode)
-        elems = [pv.VemElement(mesh, c, G, beta=0.1,
-                               n_fields=pf.FIELD_COUNT[mode])
-                 for c, G in enumerate(moduli)]
-        dm = pa.DofMap(len(mesh.vertices), mesh.boundary_node_ids, mode)
-        return elems, dm
+        return ph.VemOperators(mesh, moduli, mode)
 
     @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
                                       "magnetoMech"])
@@ -323,8 +290,9 @@ class TestFieldSplit:
     def test_batched_solve_equals_single_solves(self, monkeypatch, split):
         if split:
             monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
-        elems, dm = self.vem_system("fullyCoupled")
-        system = pa.assemble(elems, dm)
+        operators = self.vem_operators("fullyCoupled")
+        dm = operators.dof_map
+        system = operators.system(0.1)
         ub = RNG.normal(size=(len(dm.boundary_dofs), 5))
         batched = system.solve_dirichlet(ub)
         assert batched.shape == (dm.n_dofs, 5)
@@ -348,12 +316,12 @@ class TestFieldSplit:
         assert system.solver_stats["path"] == "fallback"
 
     def test_minres_cap_falls_back_to_whole_block(self, monkeypatch):
-        elems, dm = self.vem_system("electroMech")
-        ub = RNG.normal(size=(len(dm.boundary_dofs), 3))
-        expected = pa.assemble(elems, dm).solve_dirichlet(ub)
+        operators = self.vem_operators("electroMech")
+        ub = RNG.normal(size=(len(operators.dof_map.boundary_dofs), 3))
+        expected = operators.system(0.1).solve_dirichlet(ub)
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         monkeypatch.setattr(pa, "MINRES_MAXITER", 2)
-        system = pa.assemble(elems, dm)
+        system = operators.system(0.1)
         got = system.solve_dirichlet(ub)
         assert system.solver_stats["path"] == "fallback"
         assert system.solver_stats["minres_iterations"] == 2
@@ -386,8 +354,9 @@ class TestFieldSplit:
     def test_small_path_matches_direct_solve(self):
         # the electro-mechanical block is well conditioned, so the bound
         # measures the symmetric LU, not the round-off of two solvers
-        elems, dm = self.vem_system("electroMech")
-        system = pa.assemble(elems, dm)
+        operators = self.vem_operators("electroMech")
+        dm = operators.dof_map
+        system = operators.system(0.1)
         ub = RNG.normal(size=(len(dm.boundary_dofs), 4))
         got = system.solve_dirichlet(ub)
         assert system.solver_stats["path"] == "small"
@@ -399,8 +368,7 @@ class TestFieldSplit:
     def test_split_factors_store_less_than_default_relaxation(self,
                                                               monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
-        elems, dm = self.vem_system("fullyCoupled")
-        system = pa.assemble(elems, dm).factorize()
+        system = self.vem_operators("fullyCoupled").system(0.1).factorize()
         Kp, _, nu, _ = system._split
         default = sum(spla.splu(block, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0,

@@ -321,6 +321,15 @@ class TestStudyCommand:
         assert rows[-1][0] == "FEM-O1-coarse"
         # stabilization-full endpoint coincides with the coarse FEM row
         assert rows[20][1] == rows[-1][1]
+        # the diagnostics hold timings only; beta_opt is a result
+        wall = json.loads((out / "run_diagnostics.json").read_text())[
+            "wall_seconds"]
+        assert list(wall) == ["study"]
+        assert isinstance(wall["study"], float)
+        prov = json.loads((out / "provenance.json").read_text())
+        curve = [(float(b), float(d)) for b, d in rows[1:21]]
+        assert prov["beta_opt"] == min(curve, key=lambda bd: abs(bd[1]))[0]
+        assert (prov["kind"], prov["mode"]) == ("beta-sweep", "electroMech")
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         for kind, csv_name, all_workers in (

@@ -33,6 +33,20 @@ def coupled_linear_field(points, n_fields, rng):
     return values, state
 
 
+def tet_stiffness(coords, G, order, n_fields):
+    """Stiffness of one linear (order 1) or 10-node (order 2, corners
+    first) tet: the batched kernels and gauss_stiffness on a batch of
+    one."""
+    coords = np.asarray(coords, dtype=float)
+    corners = np.arange(4)[None]
+    if order == 1:
+        B, vols = fem.batch_o1_operators(coords, corners, n_fields)
+        B, w = B[:, None], vols[:, None]
+    else:
+        B, w = fem.quadratic_state_operators(coords, corners, n_fields)
+    return fem.gauss_stiffness(B, w, np.asarray(G, dtype=float))[0]
+
+
 def random_modulus(n_fields, rng):
     n = 6 + 3 * (n_fields - 3)
     A = rng.standard_normal((n, n))
@@ -71,13 +85,13 @@ class TestLinearElement:
     def test_linear_patch_state(self, n_fields):
         coords = REF_TET + 0.1 * RNG.standard_normal((4, 3))
         values, state = coupled_linear_field(coords, n_fields, RNG)
-        B, _ = fem.tet_state_operator(coords, n_fields)
-        assert np.allclose(B @ values.ravel(), state, atol=1e-12)
+        B, _ = fem.batch_o1_operators(coords, np.arange(4)[None], n_fields)
+        assert np.allclose(B[0] @ values.ravel(), state, atol=1e-12)
 
     def test_energy_matches_quadratic_form(self):
         G = random_modulus(5, RNG)
         values, state = coupled_linear_field(REF_TET, 5, RNG)
-        K = fem.tet_stiffness(REF_TET, G, order=1, n_fields=5)
+        K = tet_stiffness(REF_TET, G, order=1, n_fields=5)
         p = values.ravel()
         U = 0.5 * p @ K @ p
         assert U == pytest.approx((1.0 / 6.0) * mat.energy_quadratic(G, state),
@@ -86,7 +100,7 @@ class TestLinearElement:
     @pytest.mark.parametrize("n_fields,expected_kernel", [(5, 8), (4, 7)])
     def test_kernel_dimension(self, n_fields, expected_kernel):
         G = random_modulus(n_fields, RNG) + 10.0 * np.eye(6 + 3 * (n_fields - 3))
-        K = fem.tet_stiffness(REF_TET, G, order=1, n_fields=n_fields)
+        K = tet_stiffness(REF_TET, G, order=1, n_fields=n_fields)
         s = np.linalg.svd(K, compute_uv=False)
         kernel = int(np.sum(s < 1e-10 * s[0]))
         assert kernel == expected_kernel
@@ -94,7 +108,7 @@ class TestLinearElement:
 
     def test_stiffness_symmetric(self):
         G = random_modulus(5, RNG)
-        K = fem.tet_stiffness(REF_TET, G, order=1, n_fields=5)
+        K = tet_stiffness(REF_TET, G, order=1, n_fields=5)
         assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
 
 
@@ -109,7 +123,7 @@ class TestQuadraticElement:
             pm.TetMesh(REF_TET, np.array([[0, 1, 2, 3]]), np.zeros(1, int), 1.0))
         values, state = coupled_linear_field(mesh10.points, 5, RNG)
         G = random_modulus(5, RNG)
-        K = fem.tet_stiffness(mesh10.points[mesh10.tets[0]], G, order=2, n_fields=5)
+        K = tet_stiffness(mesh10.points[mesh10.tets[0]], G, order=2, n_fields=5)
         p = values.ravel()
         U = 0.5 * p @ K @ p
         assert U == pytest.approx((1.0 / 6.0) * mat.energy_quadratic(G, state),
@@ -130,7 +144,7 @@ class TestQuadraticElement:
         values[:, 0] = pts[:, 0] ** 2
         values[:, 1] = pts[:, 1] ** 2
         values[:, 2] = pts[:, 2] ** 2
-        K = fem.tet_stiffness(pts, G, order=2, n_fields=5)
+        K = tet_stiffness(pts, G, order=2, n_fields=5)
         p = values.ravel()
         assert 0.5 * p @ K @ p == pytest.approx(exact, rel=1e-12)
 
@@ -146,7 +160,7 @@ class TestQuadraticElement:
         pts = mesh10.points[mesh10.tets[0]]
         values = np.zeros((10, 5))
         values[:, 3] = pts[:, 0] ** 2
-        K = fem.tet_stiffness(pts, G, order=2, n_fields=5)
+        K = tet_stiffness(pts, G, order=2, n_fields=5)
         p = values.ravel()
         assert 0.5 * p @ K @ p == pytest.approx(exact, rel=1e-12)
 
@@ -192,6 +206,7 @@ class TestBatchOperators:
         tmesh = pm.union_submeshes(m, subs)
         B, vols = fem.batch_o1_operators(tmesh.vertices, tmesh.tets, 5)
         for k in range(len(tmesh.tets)):
-            Bk, vk = fem.tet_state_operator(tmesh.vertices[tmesh.tets[k]], 5)
-            assert vols[k] == pytest.approx(vk, rel=1e-12)
-            assert np.allclose(B[k], Bk, atol=1e-12)
+            Bk, vk = fem.batch_o1_operators(tmesh.vertices[tmesh.tets[k]],
+                                            np.arange(4)[None], 5)
+            assert vols[k] == pytest.approx(vk[0], rel=1e-12)
+            assert np.allclose(B[k], Bk[0], atol=1e-12)

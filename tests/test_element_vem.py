@@ -1,4 +1,4 @@
-"""Virtual element tests.
+"""Virtual element tests, through the production cell operators.
 
 Central properties: exactness of projected gradients on linear fields for
 arbitrary Voronoi cells; independence of the blended energy from beta on
@@ -11,10 +11,11 @@ import pytest
 
 from polyvem import element_fem as fem
 from polyvem import element_vem as vem
+from polyvem import homogenization as ph
 from polyvem import materials as mat
 from polyvem import mesh as pm
 
-from test_element_fem import coupled_linear_field, random_modulus
+from test_element_fem import random_modulus
 from test_mesh import single_cell_mesh
 
 RNG = np.random.default_rng(99)
@@ -26,6 +27,25 @@ def unit_cube_mesh():
 
 def random_voronoi(n, seed, L=1.0):
     return pm.generate_voronoi(pm.random_seeds(n, L, seed), L)
+
+
+def cell_ops(mesh, G, cell_ids=None, n_fields=5):
+    """CellOperators of the given cells (all by default), one modulus G."""
+    if cell_ids is None:
+        cell_ids = range(len(mesh.cells))
+    cell_ids = list(cell_ids)
+    return list(vem.cell_operators(mesh, cell_ids, [G] * len(cell_ids),
+                                   n_fields))
+
+
+def linear_state(A):
+    """State of the linear field with gradient rows A[f] = grad field f,
+    laid out by the state operator of the unit gradients."""
+    return fem.field_operator(np.eye(3), len(A)) @ A.T.ravel()
+
+
+def energy(K, p):
+    return 0.5 * float(p @ K @ p)
 
 
 def l_prism_mesh():
@@ -94,18 +114,18 @@ class TestProjectedGradient:
         m = unit_cube_mesh() if n_cells == 1 else random_voronoi(n_cells, seed)
         A = RNG.standard_normal((5, 3))
         b = RNG.standard_normal(5)
+        D = vem.gradient_operators(m, range(len(m.cells)))
         for cid, cell in enumerate(m.cells):
             values = m.vertices[cell.vertex_ids] @ A.T + b
-            pg = vem.projected_gradient(m, cid, values)
-            assert np.allclose(pg.displacement_gradient, A[:3], atol=1e-13)
-            assert np.allclose(pg.potential_gradients, A[3:], atol=1e-13)
+            grads = D[cid] @ values          # column f = grad of field f
+            assert np.allclose(grads[:, :3].T, A[:3], atol=1e-13)
+            assert np.allclose(grads[:, 3:].T, A[3:], atol=1e-13)
 
     def test_constant_field_zero_gradient(self):
         m = random_voronoi(4, 5)
         values = np.ones((len(m.cells[0].vertex_ids), 5)) * 3.7
-        pg = vem.projected_gradient(m, 0, values)
-        assert np.allclose(pg.displacement_gradient, 0.0, atol=1e-13)
-        assert np.allclose(pg.potential_gradients, 0.0, atol=1e-13)
+        D, = vem.gradient_operators(m, [0])
+        assert np.allclose(D @ values, 0.0, atol=1e-13)
 
     def test_cube_against_face_quadrature_oracle(self):
         """Independent oracle: on a cube, the face reconstruction integral
@@ -138,18 +158,15 @@ class TestProjectedGradient:
             grad += integral * normal
         grad /= cell.volume
 
-        D = vem.scalar_gradient_operator(m, 0)
+        D, = vem.gradient_operators(m, [0])
         assert np.allclose(D @ values, grad, atol=1e-12)
-
-    def test_wrong_row_count_raises(self):
-        m = unit_cube_mesh()
-        with pytest.raises(pm.MeshError, match="vertex rows"):
-            vem.projected_gradient(m, 0, np.zeros((5, 5)))
 
     def test_state_vector_layout(self):
         g = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
         pots = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-        P = vem.ProjectedGradients(g, pots).state_vector()
+        # acc[j, f] = d field_f / dx_j, as surface_average_state holds it
+        acc = np.hstack([g.T, pots.T])
+        P = fem.field_operator(np.eye(3), 5) @ acc.ravel()
         assert np.allclose(P[:6], [1.0, 5.0, 9.0, 6.0 + 8.0, 3.0 + 7.0, 2.0 + 4.0])
         assert np.allclose(P[6:9], -pots[0])
         assert np.allclose(P[9:12], -pots[1])
@@ -161,24 +178,21 @@ class TestElementEnergy:
         m = random_voronoi(6, 21)
         G = random_modulus(5, RNG)
         A = RNG.standard_normal((5, 3))
+        exact_density = mat.energy_quadratic(G, linear_state(A))
         total = 0.0
-        for cid, cell in enumerate(m.cells):
+        for cell, ops in zip(m.cells, cell_ops(m, G)):
             values = m.vertices[cell.vertex_ids] @ A.T
-            pg = vem.projected_gradient(m, cid, values)
-            exact = cell.volume * mat.energy_quadratic(G, pg.state_vector())
-            U = vem.element_energy(m, cid, G, beta, values)
-            assert U == pytest.approx(exact, rel=1e-11, abs=1e-13)
+            U = energy(ops.blend(beta)[0], values.ravel())
+            assert U == pytest.approx(cell.volume * exact_density,
+                                      rel=1e-11, abs=1e-13)
             total += U
         # cell energies tile the box for the patch field
-        values0 = m.vertices[m.cells[0].vertex_ids] @ A.T
-        pg0 = vem.projected_gradient(m, 0, values0)
-        assert total == pytest.approx(mat.energy_quadratic(G, pg0.state_vector()),
-                                      rel=1e-10)
+        assert total == pytest.approx(exact_density, rel=1e-10)
 
     def test_zero_values_zero_energy(self):
         m = unit_cube_mesh()
-        G = random_modulus(5, RNG)
-        assert vem.element_energy(m, 0, G, 0.3, np.zeros((8, 5))) == 0.0
+        ops, = cell_ops(m, random_modulus(5, RNG))
+        assert energy(ops.blend(0.3)[0], np.zeros(8 * 5)) == 0.0
 
     def test_beta_one_equals_linear_fem_on_submesh(self):
         m = unit_cube_mesh()
@@ -187,13 +201,13 @@ class TestElementEnergy:
         cell = m.cells[0]
         values = RNG.standard_normal((len(cell.vertex_ids), 5))
         order = {int(g): i for i, g in enumerate(cell.vertex_ids)}
+        B, vols = fem.batch_o1_operators(m.vertices, sub.tets, 5)
         fem_energy = 0.0
-        for tet in sub.tets:
-            coords = m.vertices[tet]
-            B, vol = fem.tet_state_operator(coords, 5)
+        for tet, Bt, vol in zip(sub.tets, B, vols):
             p = values[[order[int(t)] for t in tet]].ravel()
-            fem_energy += vol * mat.energy_quadratic(G, B @ p)
-        U = vem.element_energy(m, 0, G, 1.0, values)
+            fem_energy += vol * mat.energy_quadratic(G, Bt @ p)
+        ops, = cell_ops(m, G)
+        U = energy(ops.blend(1.0)[0], values.ravel())
         assert U == pytest.approx(fem_energy, rel=1e-12)
 
     def test_fallback_cell_patch_energy(self):
@@ -201,41 +215,37 @@ class TestElementEnergy:
         G = random_modulus(5, RNG)
         A = RNG.standard_normal((5, 3))
         values = m.vertices[m.cells[0].vertex_ids] @ A.T
-        pg = vem.projected_gradient(m, 0, values)
-        exact = m.cells[0].volume * mat.energy_quadratic(G, pg.state_vector())
+        exact = m.cells[0].volume * mat.energy_quadratic(G, linear_state(A))
+        ops, = cell_ops(m, G)
         for beta in (0.2, 1.0):
-            U = vem.element_energy(m, 0, G, beta, values)
+            U = energy(ops.blend(beta)[0], values.ravel())
             assert U == pytest.approx(exact, rel=1e-10)
 
     def test_invalid_beta_raises(self):
         m = unit_cube_mesh()
+        operators = ph.VemOperators(m, [random_modulus(5, RNG)])
         with pytest.raises(ValueError, match="beta"):
-            vem.VemElement(m, 0, random_modulus(5, RNG), -0.1)
+            operators.evaluate(-0.1)
 
 
 class TestElementStiffness:
     def setup_method(self):
         self.m = unit_cube_mesh()
         self.G = random_modulus(5, RNG) + 6.0 * np.eye(12)
+        self.ops, = cell_ops(self.m, self.G)
 
     def test_symmetry(self):
-        elem = vem.VemElement(self.m, 0, self.G, 0.1)
-        K = elem.stiffness
+        K = self.ops.blend(0.1)[0]
         assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
 
-    def test_residual_is_tangent_times_dofs(self):
-        residual, K = vem.element_residual_tangent(self.m, 0, self.G, 0.1)
-        p = RNG.standard_normal(K.shape[0])
-        assert np.allclose(residual(p), K @ p, atol=1e-12)
-
     def test_zero_energy_modes(self):
-        elem = vem.VemElement(self.m, 0, self.G, 0.1)
-        K = elem.stiffness
+        K = self.ops.blend(0.1)[0]
+        node_ids = self.ops.node_ids
         scale = np.abs(K).max()
-        coords = self.m.vertices[elem.node_ids]
+        coords = self.m.vertices[node_ids]
         # translations and constant potentials
         for f in range(5):
-            p = np.zeros((len(elem.node_ids), 5))
+            p = np.zeros((len(node_ids), 5))
             p[:, f] = 1.0
             assert np.abs(K @ p.ravel()).max() < 1e-10 * scale
         # linearized rotations u = W x with W skew
@@ -243,31 +253,30 @@ class TestElementStiffness:
             W = np.zeros((3, 3))
             i, j = [(1, 2), (0, 2), (0, 1)][axis]
             W[i, j], W[j, i] = 1.0, -1.0
-            p = np.zeros((len(elem.node_ids), 5))
+            p = np.zeros((len(node_ids), 5))
             p[:, :3] = coords @ W.T
             assert np.abs(K @ p.ravel()).max() < 1e-10 * scale
 
     def test_rank_with_and_without_stabilization(self):
         # cube cell, fully coupled: 40 dofs, 8 zero-energy modes
         for beta in (0.1, 1.0):
-            K = vem.VemElement(self.m, 0, self.G, beta).stiffness
+            K = self.ops.blend(beta)[0]
             s = np.linalg.svd(K, compute_uv=False)
             assert int(np.sum(s > 1e-10 * s[0])) == 32
-        K0 = vem.VemElement(self.m, 0, self.G, 0.0).stiffness
+        K0 = self.ops.blend(0.0)[0]
         s = np.linalg.svd(K0, compute_uv=False)
         assert int(np.sum(s > 1e-10 * s[0])) <= 12
 
     def test_rank_deficiency_detection(self):
-        elem0 = vem.VemElement(self.m, 0, self.G, 0.0)
-        assert elem0.consistency_rank_deficient
-        elem = vem.VemElement(self.m, 0, self.G, 0.1)
-        assert not elem.consistency_rank_deficient
+        operators = ph.VemOperators(self.m, [self.G])
+        assert operators.deficient_cells == (0,)
+        assert operators.system(0.0).deficient_cells == (0,)
+        assert operators.system(0.1).deficient_cells == ()
         assert vem.stabilization_required(8, 5)
         assert not vem.stabilization_required(4, 5)   # single tet: 12 <= 12
 
     def test_tangent_matches_energy_finite_differences(self):
-        elem = vem.VemElement(self.m, 0, self.G, 0.3)
-        K = elem.stiffness
+        K = self.ops.blend(0.3)[0]
         p = RNG.standard_normal(K.shape[0])
         # central differences are exact for a quadratic energy, so a large
         # step only suppresses roundoff
@@ -276,18 +285,36 @@ class TestElementStiffness:
         for k in RNG.choice(K.shape[0], size=8, replace=False):
             dp = np.zeros(K.shape[0])
             dp[k] = h
-            num = (elem.energy(p + dp) - elem.energy(p - dp)) / (2 * h)
+            num = (energy(K, p + dp) - energy(K, p - dp)) / (2 * h)
             assert num == pytest.approx((K @ p)[k], rel=1e-6, abs=1e-9 * scale)
 
     def test_fallback_interior_recovery_on_linear_field(self):
+        """The centroid of a fallback submesh, recovered from the
+        uncondensed tet stiffness, carries the linear field, and the
+        condensed K_tet is that stiffness's Schur complement."""
         m = l_prism_mesh()
-        elem = vem.VemElement(m, 0, self.G, 0.4)
-        assert elem.submesh.fallback and elem.interior_recovery is not None
+        sub = pm.triangulate_cell(m, 0)
+        assert sub.fallback and len(sub.extra_vertices) == 1
+        ops, = cell_ops(m, self.G)
+        points = np.vstack([m.vertices, sub.extra_vertices])
+        n_loc = len(ops.node_ids)
+        loc = np.empty(len(points), dtype=int)
+        loc[ops.node_ids] = np.arange(n_loc)
+        loc[sub.n_mesh:] = n_loc                  # the centroid comes last
+        B, vols = fem.batch_o1_operators(points, sub.tets, 5)
+        K = np.zeros(((n_loc + 1) * 5,) * 2)
+        for tet, Bt, vol in zip(sub.tets, B, vols):
+            cols = (loc[tet][:, None] * 5 + np.arange(5)).ravel()
+            K[np.ix_(cols, cols)] += vol * (Bt.T @ self.G @ Bt)
+        nv = n_loc * 5
+        recovery = -np.linalg.solve(K[nv:, nv:], K[:nv, nv:].T)
         A = RNG.standard_normal((5, 3))
-        values = m.vertices[elem.node_ids] @ A.T
-        full = elem.full_dofs(values.ravel())
-        centroid = elem.submesh.extra_vertices[0]
-        assert np.allclose(full[-5:], A @ centroid, atol=1e-9)
+        values = m.vertices[ops.node_ids] @ A.T
+        assert np.allclose(recovery @ values.ravel(),
+                           A @ sub.extra_vertices[0], atol=1e-9)
+        schur = K[:nv, :nv] + K[:nv, nv:] @ recovery
+        assert np.allclose(ops.K_tet, schur,
+                           atol=1e-12 * np.abs(schur).max())
 
 
 class TestAveraging:
@@ -296,23 +323,26 @@ class TestAveraging:
         m = random_voronoi(5, 17)
         G = random_modulus(5, RNG)
         A = RNG.standard_normal((5, 3))
-        for cid, cell in enumerate(m.cells):
+        for cell, ops in zip(m.cells, cell_ops(m, G)):
             values = m.vertices[cell.vertex_ids] @ A.T
-            elem = vem.VemElement(m, cid, G, beta)
-            pg = vem.projected_gradient(m, cid, values)
-            assert np.allclose(elem.average_state(values.ravel()),
-                               pg.state_vector(), atol=1e-11)
+            average = ops.blend(beta)[1] @ values.ravel() / ops.volume
+            assert np.allclose(average, linear_state(A), atol=1e-11)
 
     def test_average_blends_projection_and_tets(self):
         m = random_voronoi(3, 23)
         G = random_modulus(5, RNG)
         beta = 0.37
-        elem = vem.VemElement(m, 0, G, beta)
-        values = RNG.standard_normal((len(elem.node_ids), 5))
+        ops, = cell_ops(m, G, [0])
+        sub = pm.triangulate_cell(m, 0)
+        assert not sub.fallback
+        values = RNG.standard_normal((len(ops.node_ids), 5))
         p = values.ravel()
-        proj = elem.B_proj @ p
+        proj = ops.A_cons @ p / ops.volume
+        order = {int(g): i for i, g in enumerate(ops.node_ids)}
+        B, vols = fem.batch_o1_operators(m.vertices, sub.tets, 5)
         tet_part = np.zeros(12)
-        for P_t, vol in elem.tet_states(p):
-            tet_part += vol * P_t
-        expected = (1 - beta) * proj + beta * tet_part / elem.volume
-        assert np.allclose(elem.average_state(p), expected, atol=1e-11)
+        for tet, Bt, vol in zip(sub.tets, B, vols):
+            tet_part += vol * (Bt @ values[[order[int(t)] for t in tet]].ravel())
+        expected = (1 - beta) * proj + beta * tet_part / ops.volume
+        assert np.allclose(ops.blend(beta)[1] @ p / ops.volume, expected,
+                           atol=1e-11)

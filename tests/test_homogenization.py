@@ -334,8 +334,8 @@ def direct_element(mesh, cell_id, G, beta, nf):
     per-tet stabilization loop weighted by (1-beta)/beta in one matrix,
     then the fallback centroid condensed from that blend."""
     cell = mesh.cells[cell_id]
-    B_proj = fem.field_operator(
-        vem.scalar_gradient_operator(mesh, cell_id).T, nf)
+    B_proj = fem.field_operator(vem.gradient_operators(mesh, [cell_id])[0].T,
+                                nf)
     n_loc = len(cell.vertex_ids)
     ndof_v = n_loc * nf
     sub = pm.triangulate_cell(mesh, cell_id) if beta > 0.0 else None
@@ -347,13 +347,14 @@ def direct_element(mesh, cell_id, G, beta, nf):
     A[:, :ndof_v] = (1.0 - beta) * cell.volume * B_proj
     if sub is not None:
         loc = {int(g): i for i, g in enumerate(cell.vertex_ids)}
-        points = sub.points(mesh)
+        points = np.vstack([mesh.vertices, sub.extra_vertices])
         for tet in sub.tets:
             lids = [loc[int(t)] if int(t) < sub.n_mesh
                     else n_loc + int(t) - sub.n_mesh for t in tet]
             cols = np.concatenate([np.arange(l * nf, l * nf + nf)
                                    for l in lids])
-            Bt, vol = fem.tet_state_operator(points[tet], nf)
+            (Bt,), (vol,) = fem.batch_o1_operators(points[tet],
+                                                   np.arange(4)[None], nf)
             K[np.ix_(cols, cols)] += beta * vol * (Bt.T @ G @ Bt)
             A[:, cols] += beta * vol * Bt
     if n_extra:

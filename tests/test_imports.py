@@ -1,9 +1,13 @@
-"""Static check of the package sources: no unused module-level import."""
+"""Static checks of the package sources: no unused module-level import,
+and every function and method the benchmark tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polyvem"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polyvem"
 
 
 def unused_imports(path):
@@ -37,3 +41,24 @@ def test_no_unused_module_imports():
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path)]
     assert found == []
+
+
+def tracer_targets():
+    """(FUNCTIONS, METHODS) of benchmarks/tracing.py, loaded from its file
+    under a private name so that no benchmark module is imported."""
+    spec = importlib.util.spec_from_file_location(
+        "_tracing_targets", ROOT / "benchmarks" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FUNCTIONS, module.METHODS
+
+
+def test_every_tracer_target_resolves():
+    functions, methods = tracer_targets()
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in functions
+               if not hasattr(importlib.import_module(mod), attr)]
+    for mod, cls_name, attr, *_ in methods:
+        cls = getattr(importlib.import_module(mod), cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{mod}.{cls_name}.{attr}")
+    assert missing == []

@@ -47,6 +47,17 @@ def single_cell_mesh(verts, faces, L):
     return m
 
 
+def locate(mesh, point) -> int:
+    """Containing cell id of a point (convex cells), or -1: the first
+    cell with the point below all its outward face planes."""
+    t = mesh.faces
+    outward = t.normal[t.cell_faces] * t.cell_signs[:, None]
+    offset = np.einsum("ij,ij->i", outward, t.centroid[t.cell_faces])
+    below = outward @ point - offset <= pm.TAU_PLANE * mesh.edge_length
+    inside = np.nonzero(np.logical_and.reduceat(below, t.cell_offsets[:-1]))[0]
+    return int(inside[0]) if len(inside) else -1
+
+
 class TestVoronoi:
     def test_single_seed_full_cube(self):
         m = pm.generate_voronoi([[0.3, 0.4, 0.5]], 1.0)
@@ -125,7 +136,7 @@ class TestVoronoi:
         for p, want in zip(pts, nearest):
             # skip points numerically on a bisector
             ds = np.sort(d[np.all(pts == p, axis=1)][0]) if False else None
-            got = m.locate(p)
+            got = locate(m, p)
             dd = np.sort(np.linalg.norm(ss.seeds - p, axis=1))
             if dd[1] - dd[0] < 1e-9:
                 continue
@@ -250,28 +261,35 @@ class TestTriangulation:
         assert np.all(sub.volumes > 0)
 
 
+def refined_cell(mesh, levels):
+    """(coarse submesh, refined tet mesh, refined tet volumes) of a
+    one-cell mesh."""
+    sub = pm.triangulate_cell(mesh, 0)
+    tm = pm.refine_tet_mesh(pm.union_submeshes(mesh, [sub]), levels)
+    return sub, tm, pm._tet_volumes(tm.vertices, tm.tets)
+
+
 class TestRefinement:
     def test_level_zero_identity(self):
         m = pm.generate_voronoi([[0.5, 0.5, 0.5]], 1.0)
-        sub = pm.triangulate_cell(m, 0)
-        assert pm.refine_submesh(m, sub, 0) is sub
+        sub, tm, _ = refined_cell(m, 0)
+        assert np.array_equal(tm.vertices, m.vertices)
+        assert np.array_equal(tm.tets, sub.tets)
 
     def test_one_tet_to_eight(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
         faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
         m = single_cell_mesh(verts, faces, 1.0)
-        sub = pm.triangulate_cell(m, 0)
-        ref = pm.refine_submesh(m, sub, 1)
-        assert len(ref.tets) == 8
-        assert ref.volumes.sum() == pytest.approx(sub.volumes.sum(), rel=1e-12)
-        assert np.all(ref.volumes > 0)
+        sub, tm, vols = refined_cell(m, 1)
+        assert len(tm.tets) == 8
+        assert vols.sum() == pytest.approx(sub.volumes.sum(), rel=1e-12)
+        assert np.all(vols > 0)
 
     def test_cube_two_levels_384(self):
         m = pm.generate_voronoi([[0.5, 0.5, 0.5]], 1.0)
-        sub = pm.triangulate_cell(m, 0)
-        ref = pm.refine_submesh(m, sub, 2)
-        assert len(ref.tets) == 6 * 64                 # frozen: 6 * 8^2
-        assert ref.volumes.sum() == pytest.approx(1.0, rel=1e-12)
+        _, tm, vols = refined_cell(m, 2)
+        assert len(tm.tets) == 6 * 64                 # frozen: 6 * 8^2
+        assert vols.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_refined_union_is_conforming(self):
         m = pm.generate_voronoi(pm.random_seeds(5, 1.0, 9), 1.0)
@@ -489,7 +507,8 @@ def test_damaged_mesh_text_parses_or_is_a_parse_error(fmt, data):
     ("\nL 1.0\n", f"\nL {value}\n", "edge length")
     for value in ["nan", "inf", "-1", "0", "1e308"]] + [
     ("\n0 0.0 0.0 1.0\n", f"\n0 0.0 {value} 1.0\n", "vertex 0: non-finite")
-    for value in ["nan", "inf", "-inf"]])
+    for value in ["nan", "inf", "-inf"]] + [
+    ("\n0 0.0 0.0 1.0\n", "\n0 0.0 1e200 1.0\n", "vertex 0: outside the box")])
 def test_bad_native_number_is_a_parse_error(old, new, message):
     text = six_grain_texts()["native-no-checksum"][0]
     with pytest.raises(pm.MeshParseError, match=message):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyvem.cli as cli
 import polyvem.homogenization as ph
 import polyvem.materials as pmat
 import polyvem.mesh as pm
@@ -167,37 +168,43 @@ class TestTargetBlocks:
 # ---------------------------------------------------------------------------
 
 class TestStudyConfig:
+    """Defaults and checks of the [study] configuration."""
+
     def test_defaults_valid(self):
-        cfg = ps.StudyConfig()
-        assert cfg.beta == 0.1
-        assert cfg.beta_grid[0] == 0.05 and cfg.beta_grid[-1] == 1.0
-        assert len(cfg.beta_grid) == 20
-        assert cfg.fraction_grid[0] == 0.05 and cfg.fraction_grid[-1] == 0.95
-        assert len(cfg.fraction_grid) == 10
+        assert ps.DEFAULT_BETA == 0.1
+        grid = ps.DEFAULT_BETA_GRID
+        assert grid[0] == 0.05 and grid[-1] == 1.0
+        assert len(grid) == 20
+        fractions = ps.DEFAULT_FRACTION_GRID
+        assert fractions[0] == 0.05 and fractions[-1] == 0.95
+        assert len(fractions) == 10
 
     def test_bad_mode(self):
-        with pytest.raises(ps.StudyError, match="mode"):
-            ps.StudyConfig(mode="thermal")
+        with pytest.raises(cli.ConfigError, match="mode"):
+            cli._mode({"study": {"mode": "thermal"}}, "study", "electroMech")
 
     def test_beta_grid_range(self):
-        with pytest.raises(ps.StudyError, match="beta grid"):
-            ps.StudyConfig(beta_grid=(0.5, 1.5))
+        for step in ("1.5", "0", "-0.1"):
+            with pytest.raises(cli.ConfigError, match="beta_step"):
+                cli._beta_grid({"study": {"beta_step": step}})
+        for step in ("0.05", "0.3", "1"):
+            grid = cli._beta_grid({"study": {"beta_step": step}})
+            assert all(0.0 <= b <= 1.0 for b in grid)
 
     def test_fraction_grid_range(self):
-        with pytest.raises(ps.StudyError, match="fraction grid"):
-            ps.StudyConfig(fraction_grid=(-0.1,))
+        for step in ("-0.1", "0", "0.95"):
+            with pytest.raises(cli.ConfigError, match="fraction_step"):
+                cli._fraction_grid({"study": {"fraction_step": step}})
+        for step in ("0.1", "0.45", "0.9"):
+            grid = cli._fraction_grid({"study": {"fraction_step": step}})
+            assert all(0.0 <= p <= 1.0 for p in grid)
 
     def test_unknown_method(self):
         with pytest.raises(ps.StudyError, match="method"):
-            ps.StudyConfig(methods=("BEM",))
+            ps.parse_method("BEM")
 
     def test_refined_method_with_levels_accepted(self):
-        cfg = ps.StudyConfig(methods=("VEM-VO", "FEM-O1-refined(2)"))
-        assert "FEM-O1-refined(2)" in cfg.methods
-
-    def test_reference_levels_positive(self):
-        with pytest.raises(ps.StudyError, match="refinement"):
-            ps.StudyConfig(reference_levels=0)
+        assert ps.parse_method("FEM-O1-refined(2)") == ("FEM-O1-refined", 2)
 
 
 # ---------------------------------------------------------------------------
