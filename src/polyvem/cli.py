@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import hashlib
 import json
 import os
@@ -29,15 +28,18 @@ from .homogenization import (GrainLayout, HomogenizationError,
 from .materials import (MODE_PINDEX, MODES, MaterialError,
                         anisotropy_index, build_modulus, builtin_library,
                         parse_library)
-from .mesh import (MeshError, MeshParseError, PolyMesh, cell_watertight,
-                   generate_voronoi, interior_face_conformity, mesh_hash,
-                   parse_tess, random_seeds, read_mesh, valid_edge_length,
-                   write_mesh, write_tess)
-from .study import (DEFAULT_BETA, StudyError, beta_curve, beta_opt,
-                    beta_sweep_csv, build_reference,
-                    coarse_fem_deviation, comparison_csv, fraction_csv,
-                    fraction_sweep, method_comparison, parse_method,
-                    run_method, target_block)
+from .mesh import (EDGE_LENGTH_RULE, MeshError, MeshParseError, PolyMesh,
+                   cell_watertight, generate_voronoi,
+                   interior_face_conformity, mesh_hash, parse_tess,
+                   random_seeds, read_mesh, valid_edge_length, write_mesh,
+                   write_tess)
+from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
+                    beta_grid, beta_opt, beta_sweep, beta_sweep_csv,
+                    build_reference, comparison_csv, fraction_csv,
+                    fraction_grid, fraction_sweep, method_comparison,
+                    parse_method, run_method, target_block)
+# re-exported: benchmarks/tracing.py wraps cli._beta_point as the pool task
+from .study import _beta_point  # noqa: F401
 
 __all__ = ["main", "ConfigError", "InputDataError"]
 
@@ -167,8 +169,7 @@ def build_mesh(cfg: dict) -> PolyMesh:
         if n < 1:
             raise ConfigError(f"n_grains must be positive, got {n}")
         if not valid_edge_length(L):
-            raise ConfigError(
-                f"edge_length must be positive with a finite cube, got {L}")
+            raise ConfigError(f"edge_length must be {EDGE_LENGTH_RULE}, got {L}")
         if lloyd < 0:
             raise ConfigError(f"lloyd must be non-negative, got {lloyd}")
         seeds = random_seeds(n, L, mesh_seed)
@@ -301,11 +302,16 @@ def _beta(cfg, section: str) -> float:
     return beta
 
 
-def _method(section: str, method: str) -> str:
+def _checked(section: str, check, *args):
+    """check(*args), with a StudyError raised as a config error."""
     try:
-        parse_method(method)
+        return check(*args)
     except StudyError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _method(section: str, method: str) -> str:
+    _checked(section, parse_method, method)
     return method
 
 
@@ -326,10 +332,7 @@ def _targets(cfg, mode: str) -> tuple:
         raise ConfigError("[study] targets must name at least one block")
     n = len(MODE_PINDEX[mode])
     for target in targets:
-        try:
-            target_block(np.zeros((n, n)), mode, target)
-        except StudyError as exc:
-            raise ConfigError(f"[study] {exc}") from None
+        _checked("study", target_block, np.zeros((n, n)), mode, target)
     return targets
 
 
@@ -367,26 +370,6 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     return 0
 
 
-def _beta_grid(cfg) -> tuple:
-    step = _get(cfg, "study", "beta_step", 0.05, float)
-    if not 0.0 < step <= 1.0:
-        raise ConfigError(f"beta_step must be in (0, 1], got {step}")
-    n = int(round(1.0 / step))
-    return tuple(round(k * step, 10) for k in range(1, n + 1))
-
-
-def _fraction_grid(cfg) -> tuple:
-    step = _get(cfg, "study", "fraction_step", 0.1, float)
-    if not 0.0 < step <= 0.9:
-        raise ConfigError(f"fraction_step must be in (0, 0.9], got {step}")
-    grid = []
-    p = 0.05
-    while p <= 0.95 + 1e-9:
-        grid.append(round(p, 10))
-        p += step
-    return tuple(grid)
-
-
 _STUDY_KINDS = ("comparison", "beta-sweep", "fraction-sweep")
 
 
@@ -409,6 +392,12 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         raise ConfigError(
             f"[study] reference_levels must be at least 1, got {levels}")
     beta = _beta(cfg, "study")
+    betas = _checked("study", beta_grid,
+                     _get(cfg, "study", "beta_step", BETA_STEP, float))
+    fractions = _checked("study", fraction_grid, _get(
+        cfg, "study", "fraction_step", FRACTION_STEP, float))
+    seed = _get(cfg, "run", "seed", 1, int)
+    fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
     cache = cfg["study"].get("cache")
     workers = _get(cfg, "run", "workers", 1, int)
     t0 = time.perf_counter()
@@ -419,42 +408,33 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     solver = None
     extra = {"kind": kind, "mode": mode}
 
-    if kind == "comparison":
-        layout = build_layout(cfg, library, len(mesh.cells))
-        moduli = layout.moduli(library, mode)
-        reference = build_reference(mesh, moduli, mode, levels, cache)
-        rows = method_comparison(mesh, moduli, mode, methods, reference,
-                                 targets, beta=beta)
-        outputs.append(_write(outdir, "comparison.csv",
-                              comparison_csv(rows, targets)))
-        wall["rows"] = [r.wall_seconds for r in rows]
-        solver = {r.method: r.solver_stats for r in rows}
-        # a reference read from the cache carries no solver counters
-        solver["reference"] = reference.solver_stats or {"cached": True}
-    elif kind == "beta-sweep":
-        layout = build_layout(cfg, library, len(mesh.cells))
-        moduli = layout.moduli(library, mode)
-        reference = build_reference(mesh, moduli, mode, levels, cache)
-        grid = _beta_grid(cfg)
-        n = max(1, min(workers, len(grid)))
-        curve = _pool_map(_beta_point, [
-            (mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
-             reference.effective, targets) for k in range(n)], workers)
-        fem_d = coarse_fem_deviation(mesh, moduli, mode, reference, targets)
-        outputs.append(_write(outdir, "beta_sweep.csv",
-                              beta_sweep_csv(curve, fem_d, targets)))
-        extra["beta_opt"] = beta_opt(curve, targets[0])
-    else:                                    # fraction-sweep
-        seed = _get(cfg, "run", "seed", 1, int)
-        fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
-        task = functools.partial(
-            fraction_sweep, mesh, library, rng_seed=fraction_seed,
-            beta_grid=_beta_grid(cfg), mode=run_mode, targets=targets,
-            reference_levels=levels, cache_dir=cache)
-        rows = _pool_map(task, [(f,) for f in _fraction_grid(cfg)], workers)
+    if kind == "fraction-sweep":
+        rows = fraction_sweep(mesh, library, fractions, fraction_seed, betas,
+                              mode=run_mode, targets=targets,
+                              reference_levels=levels, cache_dir=cache,
+                              workers=workers)
         outputs.append(_write(outdir, "fraction_sweep.csv",
                               fraction_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]
+    else:
+        layout = build_layout(cfg, library, len(mesh.cells))
+        moduli = layout.moduli(library, mode)
+        reference = build_reference(mesh, moduli, mode, levels, cache)
+        if kind == "comparison":
+            rows = method_comparison(mesh, moduli, mode, methods, reference,
+                                     targets, beta=beta)
+            outputs.append(_write(outdir, "comparison.csv",
+                                  comparison_csv(rows, targets)))
+            wall["rows"] = [r.wall_seconds for r in rows]
+            solver = {r.method: r.solver_stats for r in rows}
+            # a reference read from the cache carries no solver counters
+            solver["reference"] = reference.solver_stats or {"cached": True}
+        else:                                # beta-sweep
+            curve, fem_d = beta_sweep(mesh, moduli, mode, betas, reference,
+                                      targets, workers)
+            outputs.append(_write(outdir, "beta_sweep.csv",
+                                  beta_sweep_csv(curve, fem_d, targets)))
+            extra["beta_opt"] = beta_opt(curve, targets[0])
 
     write_provenance(outdir, "study", cfg, outputs,
                      mesh_digest=mesh_hash(mesh), extra=extra)
@@ -479,30 +459,6 @@ def cmd_materials(cfg: dict, verbose: bool) -> int:
         outputs = [_write(outdir, "materials.txt", table)]
         write_provenance(outdir, "materials", cfg, outputs)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Worker pool (deterministic merge by grid index)
-# ---------------------------------------------------------------------------
-
-def _beta_point(payload):
-    """Pool task: one contiguous chunk of the beta grid; the VEM
-    operators are built once per chunk."""
-    mesh, moduli, mode, chunk, ref_effective, targets = payload
-    return beta_curve(mesh, moduli, mode, chunk, ref_effective, targets)
-
-
-def _pool_map(task, payloads, workers: int) -> list:
-    """Concatenated list results of task over payloads, in payload
-    order: in a pool of up to `workers` processes, or in this process
-    when workers <= 1."""
-    if workers <= 1:
-        parts = [task(p) for p in payloads]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            parts = list(pool.map(task, payloads))
-    return [item for part in parts for item in part]
 
 
 # ---------------------------------------------------------------------------

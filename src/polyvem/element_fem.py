@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides
+from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides, edge_midpoints
 
 __all__ = [
     "FIELD_COUNT", "tet_gradient", "field_operator", "kernel_dimension",
@@ -161,16 +161,7 @@ def promote_to_quadratic(tmesh: TetMesh) -> TetMeshO2:
     Midpoints are numbered after the corners in order of first
     appearance, tet by tet and edge by edge in _EDGE_LOCAL order.
     """
-    n = tmesh.n_vertices
-    ends = np.sort(tmesh.tets[:, _EDGE_LOCAL], axis=-1).reshape(-1, 2)
-    _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1],
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    a, b = ends[first[order]].T
-    points = np.vstack([tmesh.vertices,
-                        (tmesh.vertices[a] + tmesh.vertices[b]) / 2.0])
-    tets10 = np.hstack([tmesh.tets, n + rank[inverse].reshape(-1, 6)])
+    points, mids = edge_midpoints(tmesh.vertices, tmesh.tets)
+    tets10 = np.hstack([tmesh.tets, mids])
     return TetMeshO2(points, tets10, tmesh.cell_of_tet.copy(),
                      tmesh.edge_length)

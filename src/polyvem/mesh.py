@@ -23,17 +23,23 @@ TAU_MERGE = 1e-9
 TAU_PLANE = 1e-8
 TAU_BOX = 1e-9
 EPS_VOL = 1e-12
-# cell volumes are checked against L**3, which must be a finite float
-_MAX_EDGE_LENGTH = float(np.cbrt(np.finfo(float).max))
+# the face geometry forms L**4 (norms of L**2-sized cross products); these
+# bounds keep it a normal finite float, 68 decades inside the limits
+EDGE_LENGTH_RULE = "positive with a finite cube, in [1e-60, 1e60]"
 
 
 def valid_edge_length(L: float) -> bool:
-    """True for a cube edge length that is positive with a finite cube."""
-    return bool(0.0 < L < _MAX_EDGE_LENGTH)
+    """True for a cube edge length that EDGE_LENGTH_RULE admits."""
+    return bool(1e-60 <= L <= 1e60)
 
 
 class MeshError(Exception):
-    """Invalid geometry or topology."""
+    """Invalid geometry or topology; `cell` is the index of the cell at
+    fault, when there is one, and `detail` the message without it."""
+
+    def __init__(self, detail: str, cell: int | None = None):
+        super().__init__(detail if cell is None else f"cell {cell}: {detail}")
+        self.detail, self.cell = detail, cell
 
 
 class MeshParseError(MeshError):
@@ -217,7 +223,7 @@ def face_table(mesh: PolyMesh) -> FaceTable:
         for loop in cell.faces:
             lp = [int(v) for v in loop]
             if len(lp) < 3:
-                raise MeshError(f"cell {ci}: face with {len(lp)} vertices")
+                raise MeshError(f"face with {len(lp)} vertices", ci)
             f = index.setdefault(frozenset(lp), len(index))
             if f == len(face_loops):
                 face_loops.append(lp)
@@ -242,8 +248,8 @@ def face_table(mesh: PolyMesh) -> FaceTable:
     area_vec = 0.5 * np.add.reduceat(cross, starts)
     area = np.linalg.norm(area_vec, axis=1)
     if np.any(area <= 0.0):
-        raise MeshError(f"cell {owners[np.argmin(area)][0]}: zero-area face "
-                        "(collinear loop)")
+        raise MeshError("zero-area face (collinear loop)",
+                        owners[np.argmin(area)][0])
     normal = area_vec / area[:, None]
     tri_area = 0.5 * np.einsum("ij,ij->i", cross, normal[face])     # signed
     tri_cent = (pts + pts[nxt] + c0[face]) / 3.0
@@ -510,6 +516,8 @@ def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
     """
     ss = seeds if isinstance(seeds, SeedSet) else SeedSet(np.asarray(seeds, dtype=float))
     pts = ss.seeds
+    if not valid_edge_length(L):
+        raise MeshError(f"edge length {L!r} must be {EDGE_LENGTH_RULE}")
     if len(pts) < 1:
         raise MeshError("need at least one seed")
     if np.any(pts <= 0.0) or np.any(pts >= L):
@@ -558,7 +566,7 @@ def _finalize_cells(mesh: PolyMesh):
     total = 0.0
     for ci, (cell, vol) in enumerate(zip(mesh.cells, vols)):
         if vol < EPS_VOL * mesh.edge_length ** 3:
-            raise MeshError(f"degenerate cell {ci} (volume {vol:g})")
+            raise MeshError(f"degenerate (volume {vol:g})", ci)
         cell.volume = vol
         total += vol
     L3 = mesh.edge_length ** 3
@@ -764,33 +772,33 @@ def union_submeshes(mesh: PolyMesh, subs) -> TetMesh:
 _EDGE_LOCAL = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def edge_midpoints(points, tets):
+    """(points with one midpoint per tet edge appended, (m, 6) midpoint
+    ids): numbered in order of first appearance, tet by tet and edge by
+    edge in _EDGE_LOCAL order."""
+    n = len(points)
+    ends = np.sort(tets[:, _EDGE_LOCAL], axis=-1).reshape(-1, 2)
+    _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b = ends[first[order]].T
+    return (np.vstack([points, (points[a] + points[b]) / 2.0]),
+            n + rank[inverse].reshape(-1, 6))
+
+
+# the 8 red children of a tet over its corners (0-3) and edge midpoints
+# (4-9); the octahedron is split around its (m02, m13) diagonal
+_RED_CHILDREN = np.array([
+    [0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9],
+    [5, 8, 4, 6], [5, 8, 6, 9], [5, 8, 9, 7], [5, 8, 7, 4]])
+
+
 def _refine_once(points, tets):
     """Red refinement: each tet into 8 via edge midpoints (conforming)."""
-    pts = [points]
-    nid = len(points)
-    cache = {}
-
-    def mid(a, b):
-        nonlocal nid
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            pts.append((points[a] + points[b])[None, :] / 2.0)
-            cache[key] = nid
-            nid += 1
-        return cache[key]
-
-    out = np.empty((len(tets) * 8, 4), dtype=int)
-    for k, (v0, v1, v2, v3) in enumerate(tets):
-        m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-        m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-        out[8 * k:8 * k + 8] = [
-            (v0, m01, m02, m03), (v1, m01, m12, m13),
-            (v2, m02, m12, m23), (v3, m03, m13, m23),
-            # octahedron split around the (m02, m13) diagonal
-            (m02, m13, m01, m03), (m02, m13, m03, m23),
-            (m02, m13, m23, m12), (m02, m13, m12, m01),
-        ]
-    all_pts = np.vstack(pts)
+    all_pts, mids = edge_midpoints(points, tets)
+    out = np.hstack([tets, mids])[:, _RED_CHILDREN].reshape(-1, 4)
     vols = _tet_volumes(all_pts, out)
     flip = vols < 0.0
     out[flip] = out[flip][:, [0, 1, 3, 2]]
@@ -937,21 +945,23 @@ def read_mesh(text: str) -> PolyMesh:
             raise MeshParseError(f"cell {ci}: {len(face_lists[ci])} faces, header says {nf}")
         vids = np.unique(np.concatenate(face_lists[ci]))
         cells.append(PolyCell(vids, face_lists[ci], material_id=int(mat)))
-    return _parsed_mesh(verts, cells, L)
+    return _parsed_mesh(verts, cells, L, first=0)
 
 
-def _parsed_mesh(verts, cells, L) -> PolyMesh:
+def _parsed_mesh(verts, cells, L, first: int) -> PolyMesh:
     """The validated mesh of parsed cells. A degenerate face or cell is
-    a fault of the file, so any MeshError becomes a MeshParseError."""
+    a fault of the file, so any MeshError becomes a MeshParseError.
+    Errors name vertices and cells by the file's ids, which count from
+    `first`."""
     if not valid_edge_length(L):
-        raise MeshParseError(f"edge length {L!r} is not positive with a finite cube")
+        raise MeshParseError(f"edge length {L!r} must be {EDGE_LENGTH_RULE}")
     # before any face geometry: far-out coordinates overflow its products
     tol = TAU_BOX * L
     outside = np.any((verts < -tol) | (verts > L + tol), axis=1)
     if outside.any():
         i = int(np.argmax(outside))
-        raise MeshParseError(f"vertex {i}: outside the box [0, {L!r}]^3 "
-                             f"at {verts[i].tolist()}")
+        raise MeshParseError(f"vertex {i + first}: outside the box "
+                             f"[0, {L!r}]^3 at {verts[i].tolist()}")
     try:
         mesh = PolyMesh(verts, cells, L)
         t = mesh.faces
@@ -963,14 +973,13 @@ def _parsed_mesh(verts, cells, L) -> PolyMesh:
                   <= TAU_PLANE * mesh.edge_length)
         for ci, cell in enumerate(mesh.cells):
             if not cell_watertight(cell):
-                raise MeshParseError(f"cell {ci} is not watertight")
+                raise MeshError("not watertight", ci)
             if not planar[t.of_cell(ci)[0]].all():
-                raise MeshParseError(f"non-planar face in cell {ci}")
+                raise MeshError("non-planar face", ci)
         _finalize_cells(mesh)
-    except MeshParseError:
-        raise
     except MeshError as exc:
-        raise MeshParseError(str(exc)) from None
+        raise MeshParseError(exc.detail, None if exc.cell is None
+                             else exc.cell + first) from None
     return mesh
 
 
@@ -1081,7 +1090,7 @@ def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
         raise MeshParseError("missing polyhedron ids")
 
     L = float(edge_length) if edge_length else float(np.max(verts))
-    return _parsed_mesh(verts, cells, L)
+    return _parsed_mesh(verts, cells, L, first=1)
 
 
 def mesh_hash(mesh: PolyMesh) -> str:

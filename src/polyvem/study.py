@@ -1,6 +1,9 @@
 """Method-comparison studies: error metrics, stabilization-weight sweeps,
 volume-fraction sweeps, and refined-reference management.
 
+This module alone knows how a study runs: it owns the beta and
+volume-fraction grids and the worker pool of the sweeps.
+
 Errors are percent deviations of Frobenius norms of target modulus
 blocks against a refined linear-tet reference. Sweep outputs are
 plot-ready CSV tables with fixed-format floats and no timing columns,
@@ -31,14 +34,14 @@ __all__ = [
     "StudyError", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
     "target_block", "assign_volume_fraction", "parse_method", "run_method",
-    "build_reference", "method_comparison", "beta_curve",
-    "coarse_fem_deviation", "beta_sweep", "beta_opt",
-    "fraction_sweep", "comparison_csv", "beta_sweep_csv", "fraction_csv",
+    "build_reference", "method_comparison", "beta_curve", "beta_sweep",
+    "beta_opt", "beta_grid", "fraction_grid", "fraction_sweep",
+    "comparison_csv", "beta_sweep_csv", "fraction_csv",
 ]
 
 DEFAULT_BETA = 0.1
-DEFAULT_BETA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
-DEFAULT_FRACTION_GRID = tuple(round(0.05 + 0.1 * k, 2) for k in range(10))
+BETA_STEP = 0.05
+FRACTION_STEP = 0.1
 MEMORY_GUARD_TETS = 2_000_000
 
 METHODS = ("VEM-VO", "FEM-O1-coarse", "FEM-O2-coarse", "FEM-O1-refined")
@@ -46,6 +49,30 @@ METHODS = ("VEM-VO", "FEM-O1-coarse", "FEM-O2-coarse", "FEM-O1-refined")
 
 class StudyError(RuntimeError):
     """Invalid study configuration or resource guard violation."""
+
+
+def beta_grid(step: float = BETA_STEP) -> tuple:
+    """Stabilization weights step, 2 step, ..., 1 (at most 1000)."""
+    if not 1e-3 <= step <= 1.0:
+        raise StudyError(f"beta_step must be in [0.001, 1], got {step}")
+    n = int(round(1.0 / step))
+    return tuple(round(k * step, 10) for k in range(1, n + 1))
+
+
+def fraction_grid(step: float = FRACTION_STEP) -> tuple:
+    """Volume fractions 0.05, 0.05 + step, ... up to 0.95."""
+    if not 1e-3 <= step <= 0.9:
+        raise StudyError(f"fraction_step must be in [0.001, 0.9], got {step}")
+    grid = []
+    p = 0.05
+    while p <= 0.95 + 1e-9:
+        grid.append(round(p, 10))
+        p += step
+    return tuple(grid)
+
+
+DEFAULT_BETA_GRID = beta_grid(BETA_STEP)
+DEFAULT_FRACTION_GRID = fraction_grid(FRACTION_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +348,31 @@ def beta_curve(mesh: PolyMesh, moduli, mode: str, beta_grid,
     return curve
 
 
-def coarse_fem_deviation(mesh: PolyMesh, moduli, mode: str,
-                         reference: HomogenizationResult, targets) -> dict:
-    """d_rel of the coarse linear-tet run, the companion row of a sweep."""
-    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
-    return _deviations(fem.effective, reference.effective, targets, mode)
+def _beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
+    """Pool task: the curve of one contiguous chunk of the beta grid; the
+    VEM operators are built once per chunk."""
+    return beta_curve(mesh, moduli, mode, chunk, ref_effective, targets)
 
 
 def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
-               reference: HomogenizationResult, targets):
+               reference: HomogenizationResult, targets, workers: int = 1):
     """Deviation curve over the stabilization-weight grid.
 
-    Returns (curve, fem_row): curve is a list of (beta, d_rel dict); the
-    companion coarse linear-tet row shares the reference, and the grid
-    endpoint beta = 1 coincides with it by construction.
+    Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
+    grid order; the companion coarse linear-tet row shares the
+    reference, and the grid endpoint beta = 1 coincides with it by
+    construction. The grid is cut into up to `workers` contiguous
+    chunks, one pool task each.
     """
-    curve = beta_curve(mesh, moduli, mode, beta_grid, reference.effective,
-                       targets)
-    return curve, coarse_fem_deviation(mesh, moduli, mode, reference,
-                                       targets)
+    grid = tuple(beta_grid)
+    n = max(1, min(workers, len(grid)))
+    chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
+               reference.effective, targets) for k in range(n)]
+    # _beta_point is read when called, so a wrapper bound in its place runs
+    curve = [point for part in _pool_map(_beta_point, chunks, workers)
+             for point in part]
+    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
+    return curve, _deviations(fem.effective, reference.effective, targets, mode)
 
 
 def beta_opt(curve, target: str = "G") -> float:
@@ -359,28 +392,43 @@ def beta_opt(curve, target: str = "G") -> float:
 def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
                    beta_grid, mode: str = "fullyCoupled",
                    targets=("G",), reference_levels: int = 2,
-                   cache_dir: str | None = None):
-    """Hybrid volume-fraction sweep: per fraction, assign phases, build
-    the refined reference, sweep beta, and report beta_opt plus the
-    error at the default stabilization weight."""
-    rows = []
-    for frac in fractions:
-        layout, achieved, taken = assign_volume_fraction(mesh, frac, rng_seed)
-        moduli = layout.moduli(library, mode)
-        reference = build_reference(mesh, moduli, mode, reference_levels,
-                                    cache_dir)
-        operators = VemOperators(mesh, moduli, mode)
-        curve = beta_curve(mesh, moduli, mode, beta_grid,
-                           reference.effective, targets, operators)
-        b_opt = beta_opt(curve, targets[0])
-        default = operators.evaluate(DEFAULT_BETA)
-        e_c, _ = _errors(default, reference, targets, mode)
-        d_opt = dict(next(d for b, d in curve if b == b_opt))
-        rows.append(FractionRow(
-            fraction_target=float(frac), fraction_achieved=float(achieved),
-            n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
-            wall_seconds=float(sum(default.solve_seconds))))
-    return rows
+                   cache_dir: str | None = None, workers: int = 1):
+    """Hybrid volume-fraction sweep, one pool task per fraction: assign
+    phases, build the refined reference, sweep beta, and report beta_opt
+    plus the error at the default stabilization weight."""
+    return _pool_map(_fraction_row, [
+        (mesh, library, f, rng_seed, beta_grid, mode, targets,
+         reference_levels, cache_dir) for f in fractions], workers)
+
+
+def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
+                  reference_levels, cache_dir) -> FractionRow:
+    layout, achieved, taken = assign_volume_fraction(mesh, frac, rng_seed)
+    moduli = layout.moduli(library, mode)
+    reference = build_reference(mesh, moduli, mode, reference_levels,
+                                cache_dir)
+    operators = VemOperators(mesh, moduli, mode)
+    curve = beta_curve(mesh, moduli, mode, beta_grid,
+                       reference.effective, targets, operators)
+    b_opt = beta_opt(curve, targets[0])
+    default = operators.evaluate(DEFAULT_BETA)
+    e_c, _ = _errors(default, reference, targets, mode)
+    d_opt = dict(next(d for b, d in curve if b == b_opt))
+    return FractionRow(
+        fraction_target=float(frac), fraction_achieved=float(achieved),
+        n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
+        wall_seconds=float(sum(default.solve_seconds)))
+
+
+def _pool_map(task, payloads, workers: int) -> list:
+    """task(*args) for each args tuple of payloads, in order: in a pool of
+    up to `workers` processes, or here when workers <= 1 or there is at
+    most one payload."""
+    if workers <= 1 or len(payloads) <= 1:
+        return [task(*args) for args in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+        return list(pool.map(task, *zip(*payloads)))
 
 
 # ---------------------------------------------------------------------------

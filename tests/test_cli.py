@@ -200,6 +200,9 @@ reference_levels = 9
         ("edge_length", "nan", BAD_EDGE),
         ("edge_length", "inf", BAD_EDGE),
         ("edge_length", "1e200", BAD_EDGE),
+        ("edge_length", "1e100", BAD_EDGE),
+        ("edge_length", "1e77", BAD_EDGE),
+        ("edge_length", "1e-90", BAD_EDGE),
         ("lloyd", "-2", "lloyd must be non-negative"),
     ])
     def test_bad_mesh_value_exits_2_before_mesh(self, tmp_path, capsys,
@@ -330,6 +333,26 @@ class TestStudyCommand:
         curve = [(float(b), float(d)) for b, d in rows[1:21]]
         assert prov["beta_opt"] == min(curve, key=lambda bd: abs(bd[1]))[0]
         assert (prov["kind"], prov["mode"]) == ("beta-sweep", "electroMech")
+
+    @pytest.mark.parametrize("kind,beta_step,extra,message", [
+        ("beta-sweep", 1.5, "", "beta_step must be in"),
+        ("fraction-sweep", 0.5, "fraction_step = 0.95\n",
+         "fraction_step must be in"),
+    ])
+    def test_bad_sweep_step_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, kind, beta_step, extra,
+            message):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the steps were checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        cache, out = tmp_path / "cache", tmp_path / "s"
+        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
+            kind=kind, beta_step=beta_step, cache=cache) + extra)
+        assert main(["study", "--config", p, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not cache.exists() and not out.exists()
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         for kind, csv_name, all_workers in (

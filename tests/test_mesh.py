@@ -421,6 +421,23 @@ class TestTessFormat:
         want = sorted(c.volume for c in m.cells)
         assert np.allclose(got, want, rtol=1e-12)
 
+    def test_errors_name_cells_and_vertices_by_file_ids(self):
+        # tess ids count from 1: polyhedron 2 is the second cell
+        lines = pm.write_tess(pm.generate_voronoi(
+            pm.random_seeds(3, 1.0, 5), 1.0)).splitlines()
+        at = lines.index(" **polyhedron") + 3
+        ci, nf, *refs = lines[at].split()
+        assert ci == "2"
+        dropped = lines[:at] + [f"   2 {int(nf) - 1} " + " ".join(refs[:-1])]
+        with pytest.raises(pm.MeshParseError, match="^cell 2: not watertight$"):
+            pm.parse_tess("\n".join(dropped + lines[at + 1:]) + "\n",
+                          edge_length=1.0)
+        at = lines.index(" **vertex") + 2
+        assert lines[at].split()[0] == "1"
+        moved = lines[:at] + ["   1 1.0 1e200 0.0"] + lines[at + 1:]
+        with pytest.raises(pm.MeshParseError, match="^vertex 1: outside the box"):
+            pm.parse_tess("\n".join(moved) + "\n", edge_length=1.0)
+
     def test_unknown_section_fails_loudly(self):
         m = pm.generate_voronoi([[0.5, 0.5, 0.5]], 1.0)
         text = pm.write_tess(m).replace(" **edge", " **orientation")
@@ -505,7 +522,7 @@ def test_damaged_mesh_text_parses_or_is_a_parse_error(fmt, data):
 
 @pytest.mark.parametrize("old,new,message", [
     ("\nL 1.0\n", f"\nL {value}\n", "edge length")
-    for value in ["nan", "inf", "-1", "0", "1e308"]] + [
+    for value in ["nan", "inf", "-1", "0", "1e308", "1e100", "1e-90"]] + [
     ("\n0 0.0 0.0 1.0\n", f"\n0 0.0 {value} 1.0\n", "vertex 0: non-finite")
     for value in ["nan", "inf", "-inf"]] + [
     ("\n0 0.0 0.0 1.0\n", "\n0 0.0 1e200 1.0\n", "vertex 0: outside the box")])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from polyvem import mesh as pm
+from polyvem.element_fem import promote_to_quadratic
 
 # (n grains, seed, lloyd steps) -> sha256 of mesh_hash, of the fan
 # (int64 tets bytes then volumes bytes of every cell in order), and of
@@ -55,8 +56,9 @@ def test_mesh_numbering_fans_and_volumes_are_pinned(n, seed, lloyd):
 
 
 # ---------------------------------------------------------------------------
-# Frozen copies of the per-tet volume loop and the per-cell, per-face
-# triangulation that the batched volume pass and face_fans replaced
+# Frozen copies of the per-tet volume loop, the per-cell, per-face
+# triangulation and the per-tet red refinement that the batched volume
+# pass, face_fans and edge_midpoints replaced
 # ---------------------------------------------------------------------------
 
 def frozen_volume_centroid(cell, vertices):
@@ -191,3 +193,57 @@ def test_batched_volume_pass_matches_the_per_tet_loop():
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert np.float64(cell.volume).tobytes() == np.float64(want[0]).tobytes()
+
+
+def frozen_refine_once(points, tets):
+    pts = [points]
+    nid = len(points)
+    cache = {}
+
+    def mid(a, b):
+        nonlocal nid
+        key = (a, b) if a < b else (b, a)
+        if key not in cache:
+            pts.append((points[a] + points[b])[None, :] / 2.0)
+            cache[key] = nid
+            nid += 1
+        return cache[key]
+
+    out = np.empty((len(tets) * 8, 4), dtype=int)
+    for k, (v0, v1, v2, v3) in enumerate(tets):
+        m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
+        m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
+        out[8 * k:8 * k + 8] = [
+            (v0, m01, m02, m03), (v1, m01, m12, m13),
+            (v2, m02, m12, m23), (v3, m03, m13, m23),
+            (m02, m13, m01, m03), (m02, m13, m03, m23),
+            (m02, m13, m23, m12), (m02, m13, m12, m01),
+        ]
+    all_pts = np.vstack(pts)
+    vols = pm._tet_volumes(all_pts, out)
+    flip = vols < 0.0
+    out[flip] = out[flip][:, [0, 1, 3, 2]]
+    return all_pts, out
+
+
+@pytest.mark.parametrize("n,seed", [(6, 3), (20, 101), (50, 7)])
+def test_refinement_and_promotion_match_the_per_tet_loop(n, seed):
+    mesh = pm.generate_voronoi(pm.random_seeds(n, 1.0, seed).seeds, 1.0)
+    tmesh = pm.union_submeshes(
+        mesh, [pm.triangulate_cell(mesh, c) for c in range(len(mesh.cells))])
+    points, tets = tmesh.vertices, tmesh.tets
+    for level in (1, 2):
+        points, tets = frozen_refine_once(points, tets)
+        got = pm.refine_tet_mesh(tmesh, level)
+        assert got.vertices.tobytes() == points.tobytes()
+        assert got.tets.dtype == tets.dtype
+        assert got.tets.tobytes() == tets.tobytes()
+        assert got.cell_of_tet.tolist() == np.repeat(
+            tmesh.cell_of_tet, 8 ** level).tolist()
+    # promotion numbers the same midpoints as the first refinement
+    points, tets = frozen_refine_once(tmesh.vertices, tmesh.tets)
+    promoted = promote_to_quadratic(tmesh)
+    assert promoted.points.tobytes() == points.tobytes()
+    a, b = np.array(pm._EDGE_LOCAL).T
+    mids = (tmesh.vertices[tmesh.tets[:, a]] + tmesh.vertices[tmesh.tets[:, b]]) / 2.0
+    assert promoted.points[promoted.tets[:, 4:]].tobytes() == mids.tobytes()

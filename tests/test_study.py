@@ -184,20 +184,22 @@ class TestStudyConfig:
             cli._mode({"study": {"mode": "thermal"}}, "study", "electroMech")
 
     def test_beta_grid_range(self):
-        for step in ("1.5", "0", "-0.1"):
-            with pytest.raises(cli.ConfigError, match="beta_step"):
-                cli._beta_grid({"study": {"beta_step": step}})
-        for step in ("0.05", "0.3", "1"):
-            grid = cli._beta_grid({"study": {"beta_step": step}})
+        for step in (1.5, 0, -0.1, 1e-4, 1e-320, float("nan")):
+            with pytest.raises(ps.StudyError, match="beta_step"):
+                ps.beta_grid(step)
+        for step in (0.05, 0.3, 1):
+            grid = ps.beta_grid(step)
             assert all(0.0 <= b <= 1.0 for b in grid)
+        assert ps.beta_grid() == ps.DEFAULT_BETA_GRID
 
     def test_fraction_grid_range(self):
-        for step in ("-0.1", "0", "0.95"):
-            with pytest.raises(cli.ConfigError, match="fraction_step"):
-                cli._fraction_grid({"study": {"fraction_step": step}})
-        for step in ("0.1", "0.45", "0.9"):
-            grid = cli._fraction_grid({"study": {"fraction_step": step}})
+        for step in (-0.1, 0, 0.95, 1e-4, 1e-320, float("nan")):
+            with pytest.raises(ps.StudyError, match="fraction_step"):
+                ps.fraction_grid(step)
+        for step in (0.1, 0.45, 0.9):
+            grid = ps.fraction_grid(step)
             assert all(0.0 <= p <= 1.0 for p in grid)
+        assert ps.fraction_grid() == ps.DEFAULT_FRACTION_GRID
 
     def test_unknown_method(self):
         with pytest.raises(ps.StudyError, match="method"):
@@ -403,6 +405,18 @@ class TestBetaSweep:
         for _, d in curve:
             assert abs(d["G"]) < 1e-8
         assert abs(fem_d["G"]) < 1e-8
+
+    def test_workers_do_not_change_the_curve(self):
+        mesh = voronoi_mesh(6, seed=31)
+        moduli, _ = _hex_moduli(mesh, seed=13)
+        ref = ps.build_reference(mesh, moduli, "electroMech", 1, None)
+        grid = (0.0, 0.25, 0.5, 1.0)
+        serial = ps.beta_sweep(mesh, moduli, "electroMech", grid, ref,
+                               ("G", "C"))
+        for workers in (2, 3):                # 3: uneven chunks
+            assert ps.beta_sweep(mesh, moduli, "electroMech", grid, ref,
+                                 ("G", "C"), workers=workers) == serial
+        assert [b for b, _ in serial[0]] == list(grid)
 
     def test_beta_opt_picks_minimum(self):
         curve = [(0.1, {"G": 3.0}), (0.2, {"G": -1.0}), (0.3, {"G": 2.0})]
