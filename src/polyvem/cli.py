@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ import scipy
 from . import __version__
 from .assembly import AssemblyError
 from .homogenization import (GrainLayout, HomogenizationError,
-                             result_to_csv, result_to_json)
+                             config_digest, result_to_csv, result_to_json)
 from .materials import (MODE_PINDEX, MODES, MaterialError,
                         anisotropy_index, build_modulus, builtin_library,
                         parse_library)
@@ -68,7 +67,7 @@ _SCHEMA = {
     "mesh": {"source", "path", "n_grains", "mesh_seed", "edge_length",
              "lloyd"},
     "materials": {"library", "names", "orientation_seed"},
-    "homogenize": {"mode", "method", "beta", "check_surface"},
+    "homogenize": {"mode", "method", "beta"},
     "study": {"kind", "mode", "methods", "targets", "beta", "beta_step",
               "fraction_step", "fraction_seed", "reference_levels", "cache"},
 }
@@ -109,13 +108,6 @@ def _get(cfg, section, key, default, conv=str):
     if raw is None:
         return default
     try:
-        if conv is bool:
-            lowered = str(raw).strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return conv(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
@@ -126,14 +118,24 @@ def _get(cfg, section, key, default, conv=str):
 _NON_SCIENTIFIC = {("run", "out"), ("run", "workers")}
 
 
-def config_digest(cfg: dict) -> str:
-    """Order-independent digest of the result-determining configuration."""
-    lines = []
-    for section in sorted(cfg):
-        for key in sorted(cfg[section]):
-            if (section, key) not in _NON_SCIENTIFIC:
-                lines.append(f"{section}.{key}={cfg[section][key]}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+def _scientific(cfg: dict) -> dict:
+    """The result-determining part of a config, which its digest covers."""
+    return {section: {key: value for key, value in body.items()
+                      if (section, key) not in _NON_SCIENTIFIC}
+            for section, body in cfg.items()}
+
+
+# seeds feed NumPy's generators, which reject negative values
+_SEEDS = (("run", "seed"), ("mesh", "mesh_seed"),
+          ("materials", "orientation_seed"), ("study", "fraction_seed"))
+
+
+def _check_seeds(cfg: dict) -> None:
+    for section, key in _SEEDS:
+        seed = _get(cfg, section, key, 0, int)
+        if seed < 0:
+            raise ConfigError(
+                f"[{section}] {key} must be non-negative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ def write_provenance(outdir: str, command: str, cfg: dict, outputs,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "command": command,
-        "config_digest": config_digest(cfg),
+        "config_digest": config_digest(_scientific(cfg)),
         "tolerances": TOLERANCES,
         "outputs": sorted(outputs),
     }
@@ -342,27 +344,23 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     method = _method("homogenize",
                      _get(cfg, "homogenize", "method", "VEM-VO"))
     beta = _beta(cfg, "homogenize")
-    check_surface = _get(cfg, "homogenize", "check_surface", False, bool)
     t0 = time.perf_counter()
     mesh = build_mesh(cfg)
     library = load_library(cfg)
     layout = build_layout(cfg, library, len(mesh.cells))
     moduli = layout.moduli(library, mode)
-    result = run_method(mesh, moduli, mode, method, beta, layout.names,
-                         check_surface)
-    flat = {f"{s}.{k}": v for s in sorted(cfg) for k, v in
-            sorted(cfg[s].items()) if (s, k) not in _NON_SCIENTIFIC}
+    result = run_method(mesh, moduli, mode, method, beta, layout.names)
     outputs = [
-        _write(outdir, "result.json", result_to_json(result, config=flat)),
+        _write(outdir, "result.json",
+               result_to_json(result, config=_scientific(cfg))),
         _write(outdir, "effective.csv", result_to_csv(result)),
     ]
     write_provenance(outdir, "homogenize", cfg, outputs,
                      mesh_digest=result.mesh_digest,
                      extra={"method": result.method, "mode": result.mode,
                             "n_dofs": result.n_dofs})
-    write_diagnostics(outdir, {
-        "homogenize": time.perf_counter() - t0,
-        "solves": list(result.solve_seconds)}, solver=result.solver_stats)
+    write_diagnostics(outdir, {"homogenize": time.perf_counter() - t0},
+                      solver=result.solver_stats)
     if verbose:
         print(f"homogenize: {result.method} on {len(mesh.cells)} cells, "
               f"{result.n_dofs} dofs, max Hill residual "
@@ -501,6 +499,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        _check_seeds(cfg)
         return _COMMANDS[args.command](cfg, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

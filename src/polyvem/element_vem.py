@@ -5,7 +5,7 @@ scalar potentials) with point values at the cell vertices as the only
 unknowns. Gradients are projected to constants via exact face integrals
 of the first-order face reconstruction; the energy blends that projected
 (consistency) part with a linear-tet (stabilization) part on the cell's
-tet submesh, weighted (1-beta) / beta.
+tets in the coarse tet mesh, weighted (1-beta) / beta.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import node_dofs, scatter_columns
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
                           kernel_dimension)
-from .mesh import MeshError, PolyMesh, triangulate_cell, union_submeshes
+from .mesh import MeshError, PolyMesh
 
 __all__ = [
     "CellOperators", "VemElement", "cell_operators", "gradient_operators",
@@ -83,7 +83,7 @@ class CellOperators:
     A(beta) = (1 - beta) A_cons + beta A_tet. K_cons = V B^T G B and
     A_cons = V B act on the projected constant state B; K_tet and A_tet
     are the linear-tet stiffness and integrated-state operator of the
-    cell's submesh. The centroid node of a fallback submesh enters only
+    cell's coarse tets. The centroid node of a fallback cell enters only
     the tet part, so it is condensed out there, and its recovery
     operator does not depend on beta. The tet fields are None when the
     operators were built for beta = 0 only.
@@ -109,14 +109,14 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
     per cell.
 
     The linear-tet operators of all cells come from one batched build
-    over the union of their submeshes; `with_tets=False` skips them (and
-    the triangulation) for beta = 0 only. Cells are yielded one at a
-    time so that a caller scattering them into global arrays never holds
-    every dense cell matrix at once.
+    over their tets in the coarse mesh `mesh.tets`; `with_tets=False`
+    skips them (and the triangulation) for beta = 0 only. Cells are
+    yielded one at a time so that a caller scattering them into global
+    arrays never holds every dense cell matrix at once.
     """
     state_size = 6 + 3 * (n_fields - 3)
     nf = n_fields
-    cell_ids = [int(c) for c in cell_ids]
+    cell_ids = np.asarray(cell_ids, dtype=int)
     moduli = [np.asarray(G, dtype=float) for G in moduli]
     for G in moduli:
         if G.shape != (state_size, state_size):
@@ -124,10 +124,14 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
                 f"modulus must be {state_size}x{state_size} for "
                 f"{n_fields} fields, got {G.shape}")
     if with_tets:
-        subs = [triangulate_cell(mesh, c) for c in cell_ids]
-        tmesh = union_submeshes(mesh, subs)
-        B_all, vols = batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
-        starts = np.cumsum([0] + [len(sub.tets) for sub in subs])
+        tmesh = mesh.tets
+        # a cell's tets are contiguous in the coarse mesh, in cell order
+        bounds = np.searchsorted(tmesh.cell_of_tet,
+                                 np.arange(len(mesh.cells) + 1))
+        counts = bounds[cell_ids + 1] - bounds[cell_ids]
+        tets = tmesh.tets[_ranges(bounds[cell_ids], counts)]
+        B_all, vols = batch_o1_operators(tmesh.vertices, tets, nf)
+        starts = np.concatenate([[0], np.cumsum(counts)])
     gradients = gradient_operators(mesh, cell_ids)
     for k, (c, G, D) in enumerate(zip(cell_ids, moduli, gradients)):
         cell = mesh.cells[c]
@@ -136,23 +140,26 @@ def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
         tet = {}
         if with_tets:
             span = slice(starts[k], starts[k + 1])
-            tet = _tet_part(cell.vertex_ids, subs[k], B_all[span],
-                            vols[span], G, nf)
+            tet = _tet_part(cell.vertex_ids, tets[span], mesh.n_vertices,
+                            B_all[span], vols[span], G, nf)
         yield CellOperators(
             node_ids=cell.vertex_ids.copy(), volume=cell.volume,
             K_cons=(K + K.T) / 2.0, A_cons=cell.volume * B, **tet)
 
 
-def _tet_part(node_ids, sub, B, vol, G, nf):
-    """Condensed K_tet and A_tet of one cell from its per-tet operators."""
+def _tet_part(node_ids, tets, n_mesh, B, vol, G, nf):
+    """Condensed K_tet and A_tet of one cell from its coarse tets and
+    their per-tet operators. Tet nodes from n_mesh on (a fallback
+    centroid) are numbered after the cell's vertices."""
     n_loc = len(node_ids)
-    n_extra = len(sub.extra_vertices)
+    extra = np.unique(tets[tets >= n_mesh])
+    n_extra = len(extra)
     ndof_v = n_loc * nf
     ndof = ndof_v + n_extra * nf
-    loc = np.empty(sub.n_mesh + n_extra, dtype=int)
+    loc = np.empty(max(n_mesh, tets.max() + 1), dtype=int)
     loc[node_ids] = np.arange(n_loc)
-    loc[sub.n_mesh:] = n_loc + np.arange(n_extra)
-    cols = node_dofs(loc[sub.tets], nf)
+    loc[extra] = n_loc + np.arange(n_extra)
+    cols = node_dofs(loc[tets], nf)
     index = cols[:, :, None] * ndof + cols[:, None, :]
     K = np.bincount(index.ravel(),
                     weights=gauss_stiffness(B[:, None], vol[:, None], G).ravel(),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +29,14 @@ from .element_vem import cell_operators, stabilization_required
 from .element_vem import VemElement  # noqa: F401
 from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
                         datasheet_matrix, rotate_modulus)
-from .mesh import (PolyMesh, mesh_hash, refine_tet_mesh, triangulate_cell,
-                   union_submeshes)
+from .mesh import PolyMesh, mesh_hash, refine_tet_mesh
 
 __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
     "case_count", "case_kind", "unit_macro_state", "boundary_values",
     "reduce_modulus", "grain_moduli",
     "VemOperators", "homogenize_vem", "homogenize_fem", "surface_average_state",
-    "result_to_json", "result_from_json", "result_to_csv",
+    "config_digest", "result_to_json", "result_from_json", "result_to_csv",
 ]
 
 # the "format" tag of a result document
@@ -165,11 +163,8 @@ class HomogenizationResult:
     n_factorizations: int
     n_solves: int
     scaling_report: dict
-    # diagnostics, outside result_to_json: per-case seconds and the
-    # counters of SparseSystem.solver_stats
-    solve_seconds: tuple = ()
+    # diagnostics, outside result_to_json: SparseSystem.solver_stats
     solver_stats: dict = field(default_factory=dict)
-    surface_states: np.ndarray | None = None
 
     @property
     def modulus(self) -> GeneralizedModulus | None:
@@ -185,33 +180,23 @@ class HomogenizationResult:
 
 
 def _battery(system, dof_map, coords, mode, volume, averager,
-             method, beta, mesh_digest, material_names, surface_fn=None):
-    n_cases = case_count(mode)
-    nP = 6 + 3 * (FIELD_COUNT[mode] - 3)
-    states = np.zeros((n_cases, nP))
-    fluxes = np.zeros((n_cases, nP))
+             method, beta, mesh_digest, material_names):
+    n_cases = case_count(mode)            # one case per state component
+    states = np.zeros((n_cases, n_cases))
+    fluxes = np.zeros((n_cases, n_cases))
     hills = np.zeros(n_cases)
-    surf = np.zeros((n_cases, nP)) if surface_fn else None
     system.factorize()
     bnodes = dof_map.boundary_nodes
-    t0 = time.perf_counter()
     values = np.stack([boundary_values(case, coords[bnodes], mode).ravel()
                        for case in range(1, n_cases + 1)], axis=1)
     fulls = np.ascontiguousarray(system.solve_dirichlet(values).T)
-    # the one solve of all cases, charged evenly to each
-    share = (time.perf_counter() - t0) / n_cases
-    times = []
     for case, full in enumerate(fulls):
-        t0 = time.perf_counter()
         avgP, avgL = averager(full)
-        times.append(share + time.perf_counter() - t0)
         states[case] = avgP
         fluxes[case] = avgL
         micro = 2.0 * system.energy(full) / volume
         macro = float(avgP @ avgL)
         hills[case] = abs(micro - macro) / max(abs(macro), 1e-300)
-        if surface_fn is not None:
-            surf[case] = surface_fn(full)
     effective = fluxes.T.copy()
     scale = np.abs(effective).max()
     asym = np.abs(effective - effective.T).max() / scale if scale else 0.0
@@ -221,8 +206,8 @@ def _battery(system, dof_map, coords, mode, volume, averager,
         asymmetry=float(asym), mesh_digest=mesh_digest,
         material_names=tuple(material_names), n_dofs=dof_map.n_dofs,
         n_factorizations=system.n_factorizations, n_solves=system.n_solves,
-        scaling_report=system.scaling_report, solve_seconds=tuple(times),
-        solver_stats=dict(system.solver_stats), surface_states=surf)
+        scaling_report=system.scaling_report,
+        solver_stats=dict(system.solver_stats))
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +277,27 @@ class VemOperators:
             self._pattern, self._blend(self._blocks, beta), self.dof_map,
             self.deficient_cells if beta == 0.0 else ())
 
-    def evaluate(self, beta: float, material_names=(),
-                 check_surface: bool = False) -> HomogenizationResult:
+    def evaluate(self, beta: float, material_names=()) -> HomogenizationResult:
         """Effective modulus at stabilization weight `beta`."""
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
         if beta > 0.0 and not self.with_tets:
             raise HomogenizationError(
                 "operators built for beta = 0 only; rebuild with_tets")
-        mesh = self.mesh
-        nf = self.dof_map.n_fields
-        system = self.system(beta)
-        volume = mesh.edge_length ** 3
-        surface_fn = None
-        if check_surface:
-            def surface_fn(full):
-                vals = full.reshape(mesh.n_vertices, nf)
-                return surface_average_state(mesh, vals)
-
-        return _battery(system, self.dof_map, mesh.vertices, self.mode,
-                        volume, _averager(*self._blend(self._average, beta),
-                                          volume), "VEM-VO", float(beta),
-                        self.mesh_digest, material_names, surface_fn)
+        volume = self.mesh.edge_length ** 3
+        return _battery(self.system(beta), self.dof_map, self.mesh.vertices,
+                        self.mode, volume,
+                        _averager(*self._blend(self._average, beta), volume),
+                        "VEM-VO", float(beta), self.mesh_digest,
+                        material_names)
 
 
 def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
-                   mode: str = "fullyCoupled", material_names=(),
-                   check_surface: bool = False) -> HomogenizationResult:
+                   mode: str = "fullyCoupled",
+                   material_names=()) -> HomogenizationResult:
     """Effective modulus on the polyhedral mesh, one element per grain."""
     operators = VemOperators(mesh, moduli, mode, with_tets=beta > 0.0)
-    return operators.evaluate(beta, material_names, check_surface)
+    return operators.evaluate(beta, material_names)
 
 
 def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarray:
@@ -402,15 +378,13 @@ def _fem_o2_system(tmesh, o2, moduli, dof_map):
 
 
 def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
-                   mode: str = "fullyCoupled", material_names=(),
-                   submeshes=None) -> HomogenizationResult:
+                   mode: str = "fullyCoupled",
+                   material_names=()) -> HomogenizationResult:
     """Effective modulus on the tetrahedralized grains.
 
-    order 1 with levels 0 is the coarse linear baseline; levels > 0
-    red-refines every grain conformingly; order 2 promotes the coarse
-    mesh to 10-node quadratic tets (levels must be 0). `submeshes`, one
-    per cell, are the grains' triangulations when the caller already
-    has them.
+    order 1 with levels 0 is the coarse linear baseline (`mesh.tets`);
+    levels > 0 red-refines every grain conformingly; order 2 promotes
+    the coarse mesh to 10-node quadratic tets (levels must be 0).
     """
     if len(moduli) != len(mesh.cells):
         raise HomogenizationError(
@@ -419,9 +393,7 @@ def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
         raise HomogenizationError(f"order must be 1 or 2, got {order}")
     if order == 2 and levels:
         raise HomogenizationError("quadratic path supports levels=0 only")
-    if submeshes is None:
-        submeshes = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
-    tmesh = union_submeshes(mesh, submeshes)
+    tmesh = mesh.tets
     if levels:
         tmesh = refine_tet_mesh(tmesh, levels)
 
@@ -481,8 +453,10 @@ class GrainLayout:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _config_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def config_digest(config: dict) -> str:
+    """Order-independent digest of a configuration mapping (sorted-key
+    JSON); the one digest of result and provenance documents."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -510,7 +484,7 @@ def result_to_json(result: HomogenizationResult, config: dict | None = None) -> 
         "asymmetry": float(result.asymmetry),
         "scaling_report": result.scaling_report,
     }
-    payload["config_digest"] = _config_digest(config if config is not None
+    payload["config_digest"] = config_digest(config if config is not None
                                               else {"mesh": result.mesh_digest,
                                                     "mode": result.mode,
                                                     "method": result.method,

@@ -644,7 +644,21 @@ def parse_library(text: str) -> dict:
                 raise MaterialError(
                     f"material {name!r}: parameter {key!r} is not a number "
                     f"({value!r})") from None
-        records[name] = MaterialRecord(name, sec["mode"], sec["lattice"], params)
+        record = MaterialRecord(name, sec["mode"], sec["lattice"], params)
+        required = REQUIRED_PARAMETERS[record.lattice]
+        for key in params:
+            if key not in required:
+                raise MaterialError(
+                    f"material {name!r}: parameter {key!r} is not one of "
+                    f"the {record.lattice} parameters")
+        for key in required:
+            record.require(key)
+        for key, value in params.items():
+            if not np.isfinite(value):
+                raise MaterialError(
+                    f"material {name!r}: parameter {key!r} is not finite "
+                    f"({value!r})")
+        records[name] = record
     return records
 
 

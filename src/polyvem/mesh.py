@@ -55,7 +55,6 @@ class SeedSet:
     """Voronoi seed points, all strictly inside the cube."""
 
     seeds: np.ndarray              # (n, 3)
-    rng_seed: int | None = None
 
     def __post_init__(self):
         self.seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
@@ -69,7 +68,7 @@ def random_seeds(n: int, L: float, rng_seed: int) -> SeedSet:
     """n uniform seeds in (0, L)^3, reproducible from rng_seed."""
     rng = np.random.default_rng(rng_seed)
     pts = rng.uniform(0.0, L, size=(n, 3))
-    return SeedSet(pts, rng_seed)
+    return SeedSet(pts)
 
 
 @dataclass
@@ -91,6 +90,7 @@ class PolyMesh:
     edge_length: float
     _faces: FaceTable | None = field(default=None, repr=False)
     _fans: FaceFans | None = field(default=None, repr=False)
+    _tets: TetMesh | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -115,6 +115,15 @@ class PolyMesh:
         if self._fans is None:
             self._fans = face_fans(self)
         return self._fans
+
+    @property
+    def tets(self) -> TetMesh:
+        """The coarse tet mesh: the union of one `triangulate_cell` per
+        cell, in cell order (built on first use)."""
+        if self._tets is None:
+            self._tets = union_submeshes(
+                self, [triangulate_cell(self, c) for c in range(len(self.cells))])
+        return self._tets
 
 
 @dataclass(frozen=True)

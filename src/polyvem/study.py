@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .homogenization import (RESULT_FORMAT, GrainLayout, HomogenizationError,
                              homogenize_fem, homogenize_vem,
                              result_from_json, result_to_json)
 from .materials import datasheet_matrix
-from .mesh import PolyMesh, mesh_hash, triangulate_cell
+from .mesh import PolyMesh, mesh_hash
 
 __all__ = [
     "StudyError", "ComparisonRow", "FractionRow",
@@ -52,10 +53,10 @@ class StudyError(RuntimeError):
 
 
 def beta_grid(step: float = BETA_STEP) -> tuple:
-    """Stabilization weights step, 2 step, ..., 1 (at most 1000)."""
+    """Stabilization weights step, 2 step, ... up to 1 (at most 1000)."""
     if not 1e-3 <= step <= 1.0:
         raise StudyError(f"beta_step must be in [0.001, 1], got {step}")
-    n = int(round(1.0 / step))
+    n = int(1.0 / step + 1e-9)
     return tuple(round(k * step, 10) for k in range(1, n + 1))
 
 
@@ -230,14 +231,12 @@ def build_reference(mesh: PolyMesh, moduli, mode: str, levels: int,
         cached = _read_cached(path)
         if cached is not None:
             return cached
-    subs = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
-    n_coarse = sum(len(sub.tets) for sub in subs)
+    n_coarse = len(mesh.tets.tets)
     if n_coarse * 8 ** levels > MEMORY_GUARD_TETS:
         raise StudyError(
             f"refined mesh would have {n_coarse * 8 ** levels} tets "
             f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
-    result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode,
-                            submeshes=subs)
+    result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
     if path is not None:
         _write_atomic(path, result_to_json(result))
     return result
@@ -287,14 +286,13 @@ def parse_method(method: str):
     return base, int(arg[:-1])
 
 
-def run_method(mesh, moduli, mode, method, beta, material_names=(),
-               check_surface=False) -> HomogenizationResult:
+def run_method(mesh, moduli, mode, method, beta,
+               material_names=()) -> HomogenizationResult:
     """One homogenization run of a named method."""
     base, levels = parse_method(method)
     if base == "VEM-VO":
         return homogenize_vem(mesh, moduli, beta=beta, mode=mode,
-                              material_names=material_names,
-                              check_surface=check_surface)
+                              material_names=material_names)
     order = 2 if base == "FEM-O2-coarse" else 1
     return homogenize_fem(mesh, moduli, order=order, levels=levels,
                           mode=mode, material_names=material_names)
@@ -318,40 +316,38 @@ def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
     rows = []
     nf = FIELD_COUNT[mode]
     for method in methods:
+        t0 = time.perf_counter()
         result = run_method(mesh, moduli, mode, method, beta)
+        wall = time.perf_counter() - t0
         e_c, d_rel = _errors(result, reference, targets, mode)
         rows.append(ComparisonRow(
             method=result.method, n_nodes=result.n_dofs // nf,
             n_dofs=result.n_dofs, e_c=e_c, d_rel=d_rel,
-            wall_seconds=float(sum(result.solve_seconds)),
+            wall_seconds=wall,
             solver_stats=result.solver_stats))
     return rows
 
 
-def beta_curve(mesh: PolyMesh, moduli, mode: str, beta_grid,
-               reference_effective, targets, operators=None):
-    """(beta, d_rel dict) for each grid value, in grid order.
-
-    The VEM operators are built once (or taken from `operators`) and
-    blended for every weight; the tet parts are built only when the
-    grid holds a positive weight.
-    """
-    if operators is None:
-        operators = VemOperators(mesh, moduli, mode,
-                                 with_tets=any(b > 0.0 for b in beta_grid))
+def beta_curve(operators: VemOperators, beta_grid, reference_effective,
+               targets):
+    """(beta, d_rel dict) for each grid value, in grid order: the VEM
+    operators blended at every weight."""
     curve = []
     for b in beta_grid:
         result = operators.evaluate(float(b))
         curve.append((float(b), _deviations(result.effective,
                                             reference_effective, targets,
-                                            mode)))
+                                            operators.mode)))
     return curve
 
 
 def _beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
     """Pool task: the curve of one contiguous chunk of the beta grid; the
-    VEM operators are built once per chunk."""
-    return beta_curve(mesh, moduli, mode, chunk, ref_effective, targets)
+    VEM operators are built once per chunk, their tet parts only when
+    the chunk holds a positive weight."""
+    operators = VemOperators(mesh, moduli, mode,
+                             with_tets=any(b > 0.0 for b in chunk))
+    return beta_curve(operators, chunk, ref_effective, targets)
 
 
 def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
@@ -360,7 +356,7 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
 
     Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
     grid order; the companion coarse linear-tet row shares the
-    reference, and the grid endpoint beta = 1 coincides with it by
+    reference, and a grid point beta = 1 coincides with it by
     construction. The grid is cut into up to `workers` contiguous
     chunks, one pool task each.
     """
@@ -403,13 +399,13 @@ def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
 
 def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
                   reference_levels, cache_dir) -> FractionRow:
+    t0 = time.perf_counter()
     layout, achieved, taken = assign_volume_fraction(mesh, frac, rng_seed)
     moduli = layout.moduli(library, mode)
     reference = build_reference(mesh, moduli, mode, reference_levels,
                                 cache_dir)
     operators = VemOperators(mesh, moduli, mode)
-    curve = beta_curve(mesh, moduli, mode, beta_grid,
-                       reference.effective, targets, operators)
+    curve = beta_curve(operators, beta_grid, reference.effective, targets)
     b_opt = beta_opt(curve, targets[0])
     default = operators.evaluate(DEFAULT_BETA)
     e_c, _ = _errors(default, reference, targets, mode)
@@ -417,7 +413,7 @@ def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
     return FractionRow(
         fraction_target=float(frac), fraction_achieved=float(achieved),
         n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
-        wall_seconds=float(sum(default.solve_seconds)))
+        wall_seconds=time.perf_counter() - t0)
 
 
 def _pool_map(task, payloads, workers: int) -> list:

@@ -2,15 +2,17 @@
 determinism, and worker parallelism."""
 
 import csv
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from polyvem.cli import ConfigError, config_digest, load_config, main
+from polyvem.cli import _SCHEMA, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
                                     result_from_json)
 from polyvem.materials import builtin_library
@@ -142,6 +144,35 @@ reference_levels = 9
         p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="unobtainium"))
         assert main(["homogenize", "--config", p,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_surface_check_key_is_unknown(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini",
+                         "[homogenize]\ncheck_surface = true\n")
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'check_surface'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,argv,body,message", [
+        ("mesh", ["--seed", "-1"], "", "[run] seed must be non-negative"),
+        ("mesh", [], "[mesh]\nmesh_seed = -1\n",
+         "[mesh] mesh_seed must be non-negative"),
+        ("homogenize", [], "[materials]\norientation_seed = -5\n",
+         "[materials] orientation_seed must be non-negative"),
+        ("study", [], "[study]\nkind = fraction-sweep\nfraction_seed = -2\n",
+         "[study] fraction_seed must be non-negative"),
+    ])
+    def test_negative_seed_exits_2_before_mesh(self, tmp_path, capsys,
+                                               monkeypatch, command, argv,
+                                               body, message):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the seeds were checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        p = write_config(tmp_path / "c.ini", body)
+        assert main([command, "--config", p, "--out", str(tmp_path / "o"),
+                     *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_study_kind_exits_2(self, tmp_path):
         p = write_config(tmp_path / "c.ini",
@@ -279,6 +310,17 @@ class TestHomogenizeCommand:
         prov = json.loads((out / "provenance.json").read_text())
         assert sorted(prov["outputs"]) == ["effective.csv", "result.json"]
 
+    def test_result_and_provenance_share_the_config_digest(self, tmp_path):
+        p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="BaTiO3"))
+        out = tmp_path / "h"
+        assert main(["homogenize", "--config", p, "--out", str(out),
+                     "--workers", "2"]) == 0
+        digests = [json.loads((out / name).read_text())["config_digest"]
+                   for name in ("result.json", "provenance.json")]
+        assert digests[0] == digests[1]
+        # --out and --workers cannot change a number, so the digest omits them
+        assert digests[0] == config_digest(load_config(p))
+
     def test_reruns_are_byte_identical(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=3, names="BaTiO3"))
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -333,6 +375,16 @@ class TestStudyCommand:
         curve = [(float(b), float(d)) for b, d in rows[1:21]]
         assert prov["beta_opt"] == min(curve, key=lambda bd: abs(bd[1]))[0]
         assert (prov["kind"], prov["mode"]) == ("beta-sweep", "electroMech")
+
+    def test_beta_grid_stops_at_one(self, tmp_path):
+        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
+            kind="beta-sweep", beta_step=0.35, cache=tmp_path / "cache")
+            .replace("n_grains = 8", "n_grains = 6"))
+        out = tmp_path / "s"
+        assert main(["study", "--config", p, "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "beta_sweep.csv").read_text()
+                               .strip().splitlines()))
+        assert [r[0] for r in rows[1:]] == ["0.35", "0.7", "FEM-O1-coarse"]
 
     @pytest.mark.parametrize("kind,beta_step,extra,message", [
         ("beta-sweep", 1.5, "", "beta_step must be in"),
@@ -464,3 +516,34 @@ class TestEntryPoint:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         assert proc.returncode == 0
         assert "BaTiO3" in proc.stdout
+
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def documented_schema() -> dict:
+    """Section -> keys of the `[section] keys` block of docs/formats.md,
+    with the parenthesized value hints dropped."""
+    with open(os.path.join(REPO, "docs", "formats.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = "[run]" + text.split("```\n[run]", 1)[1].split("```", 1)[0]
+    plain, depth = [], 0
+    for ch in block:
+        depth += ch == "("
+        if depth == 0:
+            plain.append(ch)
+        depth -= ch == ")"
+    return {m.group(1): {k.strip() for k in m.group(2).split(",") if k.strip()}
+            for m in re.finditer(r"\[(\w+)\]([^[]*)", "".join(plain))}
+
+
+class TestDocumentedConfig:
+    def test_formats_doc_lists_the_schema(self):
+        assert documented_schema() == _SCHEMA
+
+    def test_demo_configs_load(self):
+        paths = sorted(glob.glob(os.path.join(REPO, "demos", "configs",
+                                              "*.ini")))
+        assert paths
+        for path in paths:
+            load_config(path)

@@ -113,8 +113,13 @@ class TestAverageTheorem:
     def test_volume_vs_surface_on_ten_cells(self):
         mesh = voronoi_mesh(10, seed=9)
         moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=4)
-        res = ph.homogenize_vem(mesh, moduli, beta=0.1, check_surface=True)
-        assert np.abs(res.surface_states - res.average_states).max() < 1e-10
+        res = ph.homogenize_vem(mesh, moduli, beta=0.1)
+        # the solution takes each case's boundary data on the box, so the
+        # divergence form of its average reads that data alone
+        for case in range(1, 13):
+            data = ph.boundary_values(case, mesh.vertices, "fullyCoupled")
+            surface = ph.surface_average_state(mesh, data)
+            assert np.abs(surface - res.average_states[case - 1]).max() < 1e-10
 
     def test_surface_average_of_zero_data(self):
         mesh = voronoi_mesh(3)
@@ -182,7 +187,6 @@ class TestEffectiveModulus:
         res = ph.homogenize_vem(mesh, moduli, beta=0.1)
         assert res.n_factorizations == 1
         assert res.n_solves == 12
-        assert len(res.solve_seconds) == 12
 
     def test_moduli_count_mismatch(self):
         mesh = voronoi_mesh(3, seed=2)
@@ -420,7 +424,7 @@ class TestSharedOperators:
         def boom(*args, **kwargs):
             raise AssertionError("triangulated for beta = 0")
 
-        monkeypatch.setattr(vem, "triangulate_cell", boom)
+        monkeypatch.setattr(pm, "triangulate_cell", boom)
         res = ph.homogenize_vem(mesh, moduli, beta=0.0)
         assert res.beta == 0.0
         operators = ph.VemOperators(mesh, moduli, with_tets=False)

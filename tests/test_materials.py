@@ -476,6 +476,20 @@ class TestLibrary:
         with pytest.raises(mat.MaterialError, match="mode"):
             mat.parse_library(text)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda params: {**params, "C99": 1.0}, "'C99' is not one of"),
+        (lambda params: {k: v for k, v in params.items() if k != "C44"},
+         "missing parameter 'C44'"),
+        (lambda params: {**params, "C11": float("nan")}, "'C11' is not finite"),
+        (lambda params: {**params, "e33": float("inf")}, "'e33' is not finite"),
+    ])
+    def test_parameter_set_and_values_checked(self, edit, message):
+        rec = mat.builtin_library()["BaTiO3"]
+        bad = mat.MaterialRecord("x", rec.mode, rec.lattice,
+                                 edit(dict(rec.parameters)))
+        with pytest.raises(mat.MaterialError, match=r"material 'x'.*" + message):
+            mat.parse_library(mat.format_library({"x": bad}))
+
     def test_mode_index_subsets(self):
         assert mat.MODE_PINDEX["fullyCoupled"] == tuple(range(12))
         assert mat.MODE_PINDEX["electroMech"] == tuple(range(9))

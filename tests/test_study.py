@@ -187,7 +187,7 @@ class TestStudyConfig:
         for step in (1.5, 0, -0.1, 1e-4, 1e-320, float("nan")):
             with pytest.raises(ps.StudyError, match="beta_step"):
                 ps.beta_grid(step)
-        for step in (0.05, 0.3, 1):
+        for step in (0.05, 0.3, 1, 0.35, 0.6, 0.15):
             grid = ps.beta_grid(step)
             assert all(0.0 <= b <= 1.0 for b in grid)
         assert ps.beta_grid() == ps.DEFAULT_BETA_GRID
@@ -341,14 +341,17 @@ class TestBuildReference:
         mesh = voronoi_mesh(3)
         moduli, _ = _hex_moduli(mesh, seed=5)
         calls = []
+        triangulate = pm.triangulate_cell
 
         def counting(mesh, cell_id, *args, **kwargs):
             calls.append(cell_id)
-            return pm.triangulate_cell(mesh, cell_id, *args, **kwargs)
+            return triangulate(mesh, cell_id, *args, **kwargs)
 
-        monkeypatch.setattr(ps, "triangulate_cell", counting)
-        monkeypatch.setattr(ph, "triangulate_cell", counting)
-        ps.build_reference(mesh, moduli, "electroMech", 1, None)
+        monkeypatch.setattr(pm, "triangulate_cell", counting)
+        reference = ps.build_reference(mesh, moduli, "electroMech", 1, None)
+        # the methods of a comparison reuse the reference's coarse tets
+        ps.method_comparison(mesh, moduli, "electroMech", ps.METHODS[:3],
+                             reference, ("G",))
         assert sorted(calls) == list(range(len(mesh.cells)))
 
     def test_levels_validated(self):
