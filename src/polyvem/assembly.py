@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .cholesky import NodeCholesky
 from .element_fem import FIELD_COUNT
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
@@ -246,6 +247,14 @@ def _symmetric_lu(block):
                      relax=1, options={"SymmetricMode": True})
 
 
+def _node_order(perm_c, per_node: int) -> np.ndarray:
+    """Nodes in the order a SuperLU column permutation eliminates their
+    first dof (node-major dofs, `per_node` per node)."""
+    nodes = np.argsort(perm_c) // per_node
+    _, first = np.unique(nodes, return_index=True)
+    return nodes[np.sort(first)]
+
+
 def _block_minres(K, precondition, B):
     """Solution X of K X = B for every column of B by MINRES (Paige &
     Saunders 1975) with the SPD preconditioner `precondition` (r -> M^-1 r).
@@ -318,7 +327,7 @@ class SparseSystem:
 
     `solver_stats` records how the interior block was solved: the path
     ("split", "small" or "fallback"), the MINRES iterations, the stored
-    entries of each LU factor and the worst interior residual.
+    entries of each factor and the worst interior residual.
     """
 
     # rungs of the solve, tried in this order: the field split (large
@@ -408,16 +417,23 @@ class SparseSystem:
         dofs permuted first.
 
         The block is symmetric quasi-definite, so both are positive
-        definite. The permuted block then replaces the scaled one, which
-        a later rung rebuilds from it. (Freeing the scaled block before
-        factoring lowers the factorization's peak but not the process
-        peak: the MINRES work arrays then find no freed block to reuse.)
+        definite. -K_pp takes the symmetric SuperLU factor; its column
+        order, read as nodes by first appearance, is the elimination
+        order of the supernodal Cholesky factor of K_uu, whose dofs come
+        in blocks of 3 per node over the same interior nodes. The
+        permuted block then replaces the scaled one, which a later rung
+        rebuilds from it. (Freeing the scaled block before factoring
+        lowers the factorization's peak but not the process peak: the
+        MINRES work arrays then find no freed block to reuse.)
         """
-        mech = self._ii % self.dof_map.n_fields < 3
+        nf = self.dof_map.n_fields
+        mech = self._ii % nf < 3
         order = np.argsort(~mech, kind="stable")
         nu = int(mech.sum())
         Kp = self._Kii_s[order][:, order]
-        factors = [_symmetric_lu(Kp[:nu, :nu]), _symmetric_lu(-Kp[nu:, nu:])]
+        lu_p = _symmetric_lu(-Kp[nu:, nu:])
+        factors = [NodeCholesky(Kp[:nu, :nu], 3,
+                                _node_order(lu_p.perm_c, nf - 3)), lu_p]
         self._split, self._Kii_s = (Kp, order, nu, factors), None
         self.solver_stats["lu_nnz"] = [int(f.nnz) for f in factors]
 

@@ -318,38 +318,35 @@ def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarra
 # Tetrahedral finite-element paths
 # ---------------------------------------------------------------------------
 
-def _tet_system(nodes, B, w, owners, moduli, dof_map):
-    """(system, intP, intL) of a tet mesh from its Gauss-point operators.
+def _tet_system(nodes, owners, operators, moduli, dof_map):
+    """(system, intP, intL) of a tet mesh, built one grain at a time.
 
-    B (m, n_gauss, nP, nd) and w (m, n_gauss) are the state operators
-    and weights of each tet (a linear tet is one point of weight V),
-    nodes (m, k) its node ids and owners its grain. The stiffness is
-    summed per grain into the node-pair blocks of one pattern; the
-    integrated-state pair intP = int P, intL = int G P (nP x n_dofs) is
-    built after the blocks are freed, so the two never share the peak
-    memory of a refined mesh.
+    nodes (m, k) are the node ids of each tet and owners its grain;
+    operators(idx) gives the state operators B (len(idx), n_gauss, nP,
+    nd) and weights w (len(idx), n_gauss) of the tets idx at their
+    Gauss points (a linear tet is one point of weight V). Per grain,
+    the stiffness is summed into the node-pair blocks of one pattern
+    and the weighted operators into the integrated-state pair intP =
+    int P, intL = int G P (nP x n_dofs), so no operator array larger
+    than one grain's is ever held.
     """
     nf = dof_map.n_fields
     pattern, (positions,) = BlockPattern.of_elements([nodes], dof_map.n_nodes,
                                                      nf)
-    grains = [(moduli[c], np.nonzero(owners == c)[0])
-              for c in np.unique(owners)]
     blocks = np.zeros((pattern.n_pairs, nf, nf))
-    for G, idx in grains:
-        add_blocks(blocks, positions[idx], gauss_stiffness(B[idx], w[idx], G))
-    del positions
-    system = system_from_blocks(pattern, blocks, dof_map)
-    del pattern, blocks
-    dofs = node_dofs(nodes, nf)
-    intP = np.zeros((B.shape[2], dof_map.n_dofs))
+    intP = np.zeros((case_count(dof_map.mode), dof_map.n_dofs))
     intL = np.zeros_like(intP)
-    for G, idx in grains:
-        part = scatter_columns(dofs[idx],
-                               np.einsum("mg,mgpa->mpa", w[idx], B[idx]),
+    for c in np.unique(owners):
+        idx = np.nonzero(owners == c)[0]
+        B, w = operators(idx)
+        add_blocks(blocks, positions[idx], gauss_stiffness(B, w, moduli[c]))
+        part = scatter_columns(node_dofs(nodes[idx], nf),
+                               np.einsum("mg,mgpa->mpa", w, B),
                                dof_map.n_dofs)
         intP += part
-        intL += G @ part
-    return system, intP, intL
+        intL += moduli[c] @ part
+    del positions
+    return system_from_blocks(pattern, blocks, dof_map), intP, intL
 
 
 def _averager(intP, intL, volume):
@@ -362,17 +359,21 @@ def _averager(intP, intL, volume):
 
 def _fem_o1_system(points, tets, owners, moduli, dof_map):
     """Linear-tet system and its integrated-state pair (intP, intL)."""
-    B, vols = batch_o1_operators(points, tets, dof_map.n_fields)
-    system, *pair = _tet_system(tets, B[:, None], vols[:, None], owners,
-                                moduli, dof_map)
+    def operators(idx):
+        B, vols = batch_o1_operators(points, tets[idx], dof_map.n_fields)
+        return B[:, None], vols[:, None]
+
+    system, *pair = _tet_system(tets, owners, operators, moduli, dof_map)
     return system, pair
 
 
 def _fem_o2_system(tmesh, o2, moduli, dof_map):
     """Quadratic-tet system and its integrated-state pair (intP, intL)."""
-    B, w = quadratic_state_operators(tmesh.vertices, tmesh.tets,
-                                     dof_map.n_fields)
-    system, *pair = _tet_system(o2.tets, B, w, o2.cell_of_tet, moduli,
+    def operators(idx):
+        return quadratic_state_operators(tmesh.vertices, tmesh.tets[idx],
+                                         dof_map.n_fields)
+
+    system, *pair = _tet_system(o2.tets, o2.cell_of_tet, operators, moduli,
                                 dof_map)
     return system, pair
 

@@ -361,6 +361,8 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     chunks, one pool task each.
     """
     grid = tuple(beta_grid)
+    if any(b > 0.0 for b in grid):
+        mesh.tets           # built here, so every payload's mesh carries it
     n = max(1, min(workers, len(grid)))
     chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
                reference.effective, targets) for k in range(n)]

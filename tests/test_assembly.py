@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import polyvem.assembly as pa
+import polyvem.cholesky as pc
 import polyvem.element_fem as pf
 import polyvem.element_vem as pv
 import polyvem.homogenization as ph
@@ -377,6 +378,130 @@ class TestFieldSplit:
         assert sum(system.solver_stats["lu_nnz"]) < default
 
 
+def node_block_spd(n_nodes, b, elements, rng):
+    """Sparse SPD matrix with b dofs per node (node-major), the sum of
+    one random SPD matrix per element (a list of node-id arrays) plus a
+    diagonal that keeps it well conditioned."""
+    rows, cols, vals = [], [], []
+    for nodes in elements:
+        dofs = pa.node_dofs(np.asarray(nodes)[None], b)[0]
+        X = rng.normal(size=(len(dofs), len(dofs)))
+        rows.append(np.repeat(dofs, len(dofs)))
+        cols.append(np.tile(dofs, len(dofs)))
+        vals.append((X @ X.T).ravel())
+    n = n_nodes * b
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
+                      shape=(n, n)).tocsc()
+    return (A + n * sp.eye(n)).tocsc()
+
+
+class TestNodeCholesky:
+    """The supernodal node-block Cholesky factor against dense solves."""
+
+    @staticmethod
+    def assert_solves(A, b, order, n_rhs=3):
+        factor = pc.NodeCholesky(A, b, order)
+        rhs = RNG.normal(size=(A.shape[0], n_rhs))
+        expected = np.linalg.solve(A.toarray(), rhs)
+        for got in (factor.solve(rhs), factor.solve(rhs[:, 0])[:, None]):
+            assert np.abs(got - expected[:, :got.shape[1]]).max() \
+                <= 1e-12 * np.abs(expected).max()
+        return factor
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_random_node_block_matrices(self, b):
+        rng = np.random.default_rng(b)
+        n_nodes = 60
+        elements = [rng.choice(n_nodes, 4, replace=False) for _ in range(70)]
+        A = node_block_spd(n_nodes, b, elements, rng)
+        factor = self.assert_solves(A, b, rng.permutation(n_nodes))
+        # the store's lower triangle covers the nonzeros of A at least
+        assert factor.nnz >= sp.tril(A).nnz
+
+    def test_forest_of_two_grains(self):
+        # two grains that share no node, their node ids interleaved: the
+        # elimination tree is a forest with two roots
+        rng = np.random.default_rng(11)
+        grains = [np.arange(0, 40, 2), np.arange(1, 40, 2)]
+        elements = [rng.choice(g, 4, replace=False) for g in grains
+                    for _ in range(25)]
+        A = node_block_spd(40, 3, elements, rng)
+        d0, d1 = (pa.node_dofs(g[None], 3)[0] for g in grains)
+        assert A[d0][:, d1].nnz == 0
+        self.assert_solves(A, 3, np.arange(40))
+
+    def test_one_dense_clique(self):
+        # one polyhedral element couples all its nodes: a single supernode
+        rng = np.random.default_rng(12)
+        A = node_block_spd(14, 3, [np.arange(14)], rng)
+        factor = self.assert_solves(A, 3, rng.permutation(14))
+        assert len(factor.below) == 1 and factor.nnz == 42 * 43 // 2
+
+    def test_single_node(self):
+        A = node_block_spd(1, 3, [np.array([0])], np.random.default_rng(13))
+        self.assert_solves(A, 3, [0])
+
+    def test_nonpositive_pivot_raises(self):
+        A = node_block_spd(6, 3, [np.arange(6)], np.random.default_rng(14))
+        A = A.tolil()
+        A[4, 4] = -1.0
+        with pytest.raises(RuntimeError, match="not positive"):
+            pc.NodeCholesky(A.tocsc(), 3, np.arange(6))
+
+    def test_split_with_nonpositive_pivot_falls_back(self, monkeypatch):
+        # an indefinite but nonsingular mechanical block: the split's
+        # Cholesky factor refuses it, and the symmetric LU of the whole
+        # block solves it
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        rng = np.random.default_rng(15)
+        M = np.zeros((12, 12))
+        M[:8, :8] = np.diag([2.0, 3.0, -1.0, -1.0, 2.0, 3.0, 3.0, -2.0])
+        M[:8, :8] += 0.1 * np.ones((8, 8))
+        M[:8, 8:] = 0.1 * rng.normal(size=(8, 4))
+        M[8:, :8] = M[:8, 8:].T
+        M[8:, 8:] = np.eye(4)
+        rows, cols = np.nonzero(M)
+        dm = pa.DofMap(3, [2], "electroMech")
+        system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
+        ub = rng.normal(size=(4, 3))
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == "fallback"
+        assert system.solver_stats["max_interior_residual"] <= 1e-10
+        ii = dm.interior_dofs
+        ib = dm.boundary_dofs
+        expected = np.linalg.solve(M[np.ix_(ii, ii)], -M[np.ix_(ii, ib)] @ ub)
+        assert np.abs(got[ii] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_factorizations_are_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        operators = TestFieldSplit.vem_operators("fullyCoupled")
+        ub = RNG.normal(size=(len(operators.dof_map.boundary_dofs), 4))
+        first, second = (operators.system(0.1).solve_dirichlet(ub)
+                         for _ in range(2))
+        assert np.array_equal(first, second)
+
+    def test_factor_memory_guard(self):
+        # factoring K_uu of the 20-grain level-1 reference may hold at
+        # most twice the bytes of the factor's store
+        tmesh, moduli = TestBlockPattern.level1_reference()
+        dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, "electroMech")
+        system, _ = ph._fem_o1_system(tmesh.vertices, tmesh.tets,
+                                      tmesh.cell_of_tet, moduli, dm)
+        ii = dm.interior_dofs
+        mech = ii % dm.n_fields < 3
+        K = system.K[ii][:, ii]
+        Kuu, Kpp = K[mech][:, mech].tocsc(), K[~mech][:, ~mech].tocsc()
+        order = pa._node_order(pa._symmetric_lu(-Kpp).perm_c, 1)
+        tracemalloc.start()
+        try:
+            factor = pc.NodeCholesky(Kuu, 3, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * factor._store.nbytes
+
+
 def block_triplets(dofs, blocks):
     """Dof-level COO (rows, cols, vals) of dense blocks: blocks[k] couples
     dofs[k] with themselves (the layout global assembly once used)."""
@@ -427,7 +552,8 @@ class TestBlockPattern:
             dm = pa.DofMap(o2.n_points, o2.boundary_node_ids, self.MODE)
             B, w = pf.quadratic_state_operators(tmesh.vertices, tmesh.tets, nf)
             nodes, owners = o2.tets, o2.cell_of_tet
-        system, _, _ = ph._tet_system(nodes, B, w, owners, moduli, dm)
+        system, _, _ = ph._tet_system(nodes, owners,
+                                      lambda idx: (B[idx], w[idx]), moduli, dm)
         chunks = []
         for c in np.unique(owners):
             idx = np.nonzero(owners == c)[0]
@@ -481,23 +607,32 @@ class TestBlockPattern:
                               elem.stiffness[None])], 12)
         self.assert_same_matrix(system.K, ref)
 
-    def test_refined_system_memory_guard(self):
-        # the 20-grain level-1 electro-mechanical reference (3,248 tets):
-        # building its system may hold at most 8 times the bytes of K
+    @staticmethod
+    def level1_reference():
+        """Mesh and moduli of the 20-grain level-1 electro-mechanical
+        reference (3,248 tets)."""
         mesh = pm.generate_voronoi(pm.random_seeds(20, 1.0, 101).seeds, 1.0)
-        moduli, _ = table_moduli(mesh, ["BaTiO3"], seed=7, mode=self.MODE)
-        tmesh = pm.refine_tet_mesh(pm.union_submeshes(
-            mesh, [pm.triangulate_cell(mesh, c)
-                   for c in range(len(mesh.cells))]), 1)
+        moduli, _ = table_moduli(mesh, ["BaTiO3"], seed=7,
+                                 mode=TestBlockPattern.MODE)
+        tmesh = pm.refine_tet_mesh(mesh.tets, 1)
         assert len(tmesh.tets) == 3248
+        return tmesh, moduli
+
+    def test_refined_system_memory_guard(self):
+        # building the level-1 reference's system, tet operators included,
+        # may hold at most 8 times the bytes of K
+        tmesh, moduli = self.level1_reference()
         dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
-        B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets,
-                                        dm.n_fields)
+
+        def operators(idx):
+            B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets[idx],
+                                            dm.n_fields)
+            return B[:, None], vols[:, None]
+
         tracemalloc.start()
         try:
-            system, _, _ = ph._tet_system(tmesh.tets, B[:, None],
-                                          vols[:, None], tmesh.cell_of_tet,
-                                          moduli, dm)
+            system, _, _ = ph._tet_system(tmesh.tets, tmesh.cell_of_tet,
+                                          operators, moduli, dm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,6 +5,8 @@ checks use independent constructions (direct 3x3 tensor rotation, central
 finite differences, Voigt/Reuss assembly in the cubic closed form).
 """
 
+import importlib.resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -494,3 +496,57 @@ class TestLibrary:
         assert mat.MODE_PINDEX["fullyCoupled"] == tuple(range(12))
         assert mat.MODE_PINDEX["electroMech"] == tuple(range(9))
         assert mat.MODE_PINDEX["magnetoMech"] == tuple(range(6)) + (9, 10, 11)
+
+
+# the built-in library text, line by line, for the mutation test below
+BUILTIN_LINES = (importlib.resources.files("polyvem") / "data"
+                 / "materials.lib").read_text().splitlines()
+GARBLE = st.lists(st.sampled_from(list("[]=:;#% \t\n\x00é∞-+.eE0179xX")
+                                  + ["inf", "nan", "1e999", "DEFAULT"]),
+                  max_size=6).map("".join)
+LINE_EDIT = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, len(BUILTIN_LINES) - 1)),
+    st.tuples(st.just("duplicate"), st.integers(0, len(BUILTIN_LINES) - 1)),
+    st.tuples(st.just("garble"), st.integers(0, len(BUILTIN_LINES) - 1),
+              st.integers(0, 40), GARBLE),
+    st.tuples(st.just("value"), st.integers(0, len(BUILTIN_LINES) - 1),
+              st.one_of(GARBLE, st.sampled_from(
+                  ["", "-0.0", "1_0", "0x10", "1e-400", "1e308", "True",
+                   "fullyCoupled", "hex6mm", "cubic", "polyvem-materials"]))),
+)
+
+
+def mutate_lines(lines, edits):
+    """The lines with each edit applied in turn; indices wrap around."""
+    lines = list(lines)
+    for kind, at, *rest in edits:
+        if not lines:
+            break
+        at %= len(lines)
+        if kind == "drop":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "garble":
+            cut, text = rest
+            lines[at] = lines[at][:cut] + text + lines[at][cut + len(text):]
+        elif "=" in lines[at]:                  # replace the value
+            lines[at] = lines[at].split("=", 1)[0] + "= " + rest[0]
+    return lines
+
+
+class TestLibraryMutations:
+    @given(st.lists(LINE_EDIT, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_builtin_text_parses_or_raises_material_error(self, edits):
+        # a damaged library text yields complete records or MaterialError
+        # (exit code 4 at the CLI), never another exception
+        text = "\n".join(mutate_lines(BUILTIN_LINES, edits)) + "\n"
+        try:
+            records = mat.parse_library(text)
+        except mat.MaterialError:
+            return
+        for name, rec in records.items():
+            assert isinstance(rec, mat.MaterialRecord) and rec.name == name
+            for key in mat.REQUIRED_PARAMETERS[rec.lattice]:
+                assert np.isfinite(rec.require(key))

@@ -421,6 +421,39 @@ class TestBetaSweep:
                                  ("G", "C"), workers=workers) == serial
         assert [b for b, _ in serial[0]] == list(grid)
 
+    def test_pool_payloads_carry_the_coarse_tets(self, monkeypatch):
+        moduli, _ = _hex_moduli(voronoi_mesh(6, seed=31), seed=13)
+        ref = ps.build_reference(voronoi_mesh(6, seed=31), moduli,
+                                 "electroMech", 1, None)
+        shipped = []
+
+        def in_process(task, payloads, workers):
+            shipped.extend(args[0]._tets is not None for args in payloads)
+            return [task(*args) for args in payloads]
+
+        monkeypatch.setattr(ps, "_pool_map", in_process)
+        ps.beta_sweep(voronoi_mesh(6, seed=31), moduli, "electroMech",
+                      (0.0, 0.5, 1.0), ref, ("G",), workers=2)
+        assert shipped == [True, True]
+
+    def test_sweep_triangulates_each_cell_once(self, monkeypatch):
+        moduli, _ = _hex_moduli(voronoi_mesh(6, seed=31), seed=13)
+        ref = ps.build_reference(voronoi_mesh(6, seed=31), moduli,
+                                 "electroMech", 1, None)
+        mesh = voronoi_mesh(6, seed=31)
+        calls = []
+        triangulate = pm.triangulate_cell
+
+        def counting(mesh, cell_id, *args, **kwargs):
+            calls.append(cell_id)
+            return triangulate(mesh, cell_id, *args, **kwargs)
+
+        monkeypatch.setattr(pm, "triangulate_cell", counting)
+        # the β chunks and the coarse FEM row share the mesh's tets
+        ps.beta_sweep(mesh, moduli, "electroMech", (0.0, 0.5, 1.0), ref,
+                      ("G",), workers=1)
+        assert sorted(calls) == list(range(len(mesh.cells)))
+
     def test_beta_opt_picks_minimum(self):
         curve = [(0.1, {"G": 3.0}), (0.2, {"G": -1.0}), (0.3, {"G": 2.0})]
         assert ps.beta_opt(curve) == 0.2
