@@ -54,15 +54,20 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.n_nodes * self.n_fields
 
-    @property
+    @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """Sorted ids of the nodes off the boundary."""
+        mask = np.ones(self.n_nodes, dtype=bool)
+        mask[self.boundary_nodes] = False
+        return np.flatnonzero(mask)
+
+    @cached_property
     def boundary_dofs(self) -> np.ndarray:
         return node_dofs(self.boundary_nodes, self.n_fields)
 
-    @property
+    @cached_property
     def interior_dofs(self) -> np.ndarray:
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.boundary_dofs] = False
-        return np.nonzero(mask)[0]
+        return node_dofs(self.interior_nodes, self.n_fields)
 
 
 def node_dofs(nodes, n_fields: int) -> np.ndarray:
@@ -152,39 +157,40 @@ def _audit_symmetry(asymmetry: float, scale: float):
 def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,
                        dof_map: DofMap, deficient_cells=()) -> "SparseSystem":
     """Sparse system of the node-pair blocks (n_pairs, nf, nf) of
-    `pattern`. The CSC arrays come from the pattern's block index
-    arrays: no coordinate list, sort or duplicate sum. Each block is
-    audited against the transpose of its mirror pair's block."""
+    `pattern`, whose pairs come with their mirrors. Each block is audited
+    against the transpose of its mirror pair's block."""
     nf = dof_map.n_fields
     if (pattern.n_nodes, pattern.n_fields) != (dof_map.n_nodes, nf) or \
             blocks.shape != (pattern.n_pairs, nf, nf):
         raise AssemblyError(
             f"blocks {blocks.shape} on a {pattern.n_nodes}-node pattern do "
             f"not fit {dof_map.n_nodes} nodes x {nf} fields")
-    diff = blocks[pattern.mirror].transpose(0, 2, 1)
-    diff -= blocks
+    # pair k read as block row cols[k] holds K's block (cols[k], rows[k]),
+    # which is its mirror pair's block
+    row_blocks = blocks[pattern.mirror]
     if blocks.size:
+        diff = row_blocks.transpose(0, 2, 1) - blocks
         _audit_symmetry(max(diff.max(), -diff.min()),
                         max(blocks.max(), -blocks.min()))
-    del diff
-    # the pairs run by column node, so read by rows they are the blocks
-    # of K^T, whose CSR arrays are the CSC arrays of K
-    n = dof_map.n_dofs
-    KT = sp.bsr_matrix((blocks.transpose(0, 2, 1), pattern.rows,
-                        pattern.indptr), shape=(n, n)).tocsr()
-    K = sp.csc_matrix((KT.data, KT.indices, KT.indptr), shape=(n, n))
-    return SparseSystem(K, dof_map, tuple(deficient_cells))
+        del diff
+    return SparseSystem(pattern, row_blocks, dof_map, deficient_cells)
 
 
 def system_from_triplets(rows, cols, vals, dof_map: DofMap,
                          deficient_cells=()) -> "SparseSystem":
     """Sparse system of dof-level (row, col, value) triplets, duplicates
-    summed; for small hand-made systems."""
-    n = dof_map.n_dofs
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    if K.nnz:
-        _audit_symmetry(abs(K - K.T).max(), abs(K).max())
-    return SparseSystem(K, dof_map, tuple(deficient_cells))
+    summed; for small hand-made systems. Its pattern holds every node
+    pair with an entry in either orientation."""
+    n, nf, n_nodes = dof_map.n_dofs, dof_map.n_fields, dof_map.n_nodes
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc().tocoo()
+    row_node, row_field = np.divmod(K.row.astype(np.int64), nf)
+    col_node, col_field = np.divmod(K.col.astype(np.int64), nf)
+    at = col_node * n_nodes + row_node
+    keys = np.unique(np.concatenate([at, row_node * n_nodes + col_node]))
+    blocks = np.zeros((len(keys), nf, nf))
+    blocks[np.searchsorted(keys, at), row_field, col_field] = K.data
+    return system_from_blocks(BlockPattern(keys, n_nodes, nf), blocks,
+                              dof_map, deficient_cells)
 
 
 def assemble(elements, dof_map: DofMap) -> "SparseSystem":
@@ -255,9 +261,28 @@ def _node_order(perm_c, per_node: int) -> np.ndarray:
     return nodes[np.sort(first)]
 
 
-def _block_minres(K, precondition, B):
+def _csc_of_blocks(rows, cols, blocks, n_rows: int,
+                   n_cols: int) -> sp.csc_matrix:
+    """CSC matrix of node blocks given transposed: blocks[k] (b x a) is
+    the block at node pair (rows[k], cols[k]) transposed, with a row and
+    b column dofs per node, the pairs sorted by column, then row. Read by
+    rows these are the BSR arrays of the transpose, whose CSR arrays are
+    the CSC arrays wanted. Exact zeros are dropped, as a sparse matrix
+    product drops them."""
+    _, b, a = blocks.shape
+    indptr = np.searchsorted(cols, np.arange(n_cols + 1))
+    T = sp.bsr_matrix((blocks, rows, indptr),
+                      shape=(n_cols * b, n_rows * a)).tocsr()
+    A = sp.csc_matrix((T.data, T.indices, T.indptr),
+                      shape=(n_rows * a, n_cols * b))
+    A.eliminate_zeros()
+    return A
+
+
+def _block_minres(apply, precondition, B):
     """Solution X of K X = B for every column of B by MINRES (Paige &
-    Saunders 1975) with the SPD preconditioner `precondition` (r -> M^-1 r).
+    Saunders 1975), with K given by `apply` (v -> K v) and the SPD
+    preconditioner by `precondition` (r -> M^-1 r).
 
     One recurrence runs over all columns, so each iteration makes one
     matrix product and one preconditioner application on the columns
@@ -288,7 +313,7 @@ def _block_minres(K, precondition, B):
             return None, iterations
         iterations += 1
         v = y / beta
-        y = K @ v
+        y = apply(v)
         if iterations > 1:
             y -= (beta / old_beta) * r1
         alpha = np.einsum("ij,ij->j", v, y)
@@ -325,6 +350,10 @@ def _block_minres(K, precondition, B):
 class SparseSystem:
     """Symmetric sparse system with shared-factorization Dirichlet solves.
 
+    `K` is the matrix as BSR over the node pairs of `pattern`, which
+    must come with their mirrors: pair k, read as block row cols[k],
+    holds K's block (cols[k], rows[k]) in `row_blocks[k]`.
+
     `solver_stats` records how the interior block was solved: the path
     ("split", "small" or "fallback"), the MINRES iterations, the stored
     entries of each factor and the worst interior residual.
@@ -335,8 +364,12 @@ class SparseSystem:
     # block's LU with COLAMD and partial pivoting
     SPLIT, SYMMETRIC, PIVOTED = range(3)
 
-    def __init__(self, K: sp.csc_matrix, dof_map: DofMap, deficient_cells=()):
-        self.K = K
+    def __init__(self, pattern: BlockPattern, row_blocks: np.ndarray,
+                 dof_map: DofMap, deficient_cells=()):
+        n = dof_map.n_dofs
+        self.pattern = pattern
+        self.K = sp.bsr_matrix((row_blocks, pattern.rows, pattern.indptr),
+                               shape=(n, n))
         self.dof_map = dof_map
         self.deficient_cells = tuple(deficient_cells)
         self.n_factorizations = 0
@@ -364,28 +397,59 @@ class SparseSystem:
         self.scaling = s
         self.scaling_report = report
 
+    @cached_property
+    def _rows(self) -> sp.csr_matrix:
+        """K as CSR, for products: a row sums its entries in column order
+        from zero, as K's BSR and CSC products do, at a lower cost per
+        entry than BSR's."""
+        return self.K.tocsr()
+
+    def _scaled_pairs(self, pairs):
+        """(row labels, column labels, blocks) of the scaled matrix
+        S K S at the node pairs `pairs`, each block transposed, each
+        node labelled by its rank among the interior or the boundary
+        nodes. The entries are (K_ij s_i) s_j, the products of the
+        sparse product S @ K @ S."""
+        nf = self.dof_map.n_fields
+        p = self.pattern
+        rows, cols = p.rows[pairs], p.cols[pairs]
+        s = self.scaling.reshape(-1, nf)
+        blocks = np.empty((len(pairs), nf, nf))
+        np.multiply(self.K.data[p.mirror[pairs]].transpose(0, 2, 1),
+                    s[rows, None, :], out=blocks)
+        blocks *= s[cols, :, None]
+        return self._label[rows], self._label[cols], blocks
+
     def factorize(self):
         """Factor the scaled interior block once; reused by every solve.
 
-        From SPLIT_MIN_DOFS interior dofs on, the two sign-definite
-        diagonal blocks are factored instead of the whole block. A rung
-        that fails to factor, or whose solve fails, hands the block to
-        the next rung: split, symmetric whole block, pivoted whole block.
+        The interior and interior-boundary blocks are cut out of the
+        node pairs by node masks and scaled there. From SPLIT_MIN_DOFS
+        interior dofs on, the two sign-definite diagonal blocks are
+        factored instead of the whole block. A rung that fails to
+        factor, or whose solve fails, hands the block to the next rung:
+        split, symmetric whole block, pivoted whole block.
         """
-        ii = self.dof_map.interior_dofs
-        ib = self.dof_map.boundary_dofs
-        S = sp.diags(self.scaling)
-        # one row slice of the scaled K, freed before factoring
-        rows = (S @ self.K @ S).tocsc()[ii]
-        self._Kii_s, self._Kib_s = rows[:, ii], rows[:, ib]
-        del rows
-        self._ii, self._ib = ii, ib
+        dm = self.dof_map
+        inner, bound = dm.interior_nodes, dm.boundary_nodes
+        self._label = np.empty(dm.n_nodes, dtype=np.int64)
+        self._label[inner] = np.arange(len(inner))
+        self._label[bound] = np.arange(len(bound))
+        is_inner = np.zeros(dm.n_nodes, dtype=bool)
+        is_inner[inner] = True
+        row_in, col_in = (is_inner[self.pattern.rows],
+                          is_inner[self.pattern.cols])
+        self._inner_pairs = np.flatnonzero(row_in & col_in)
+        self._Kib_s = _csc_of_blocks(
+            *self._scaled_pairs(np.flatnonzero(row_in & ~col_in)),
+            len(inner), len(bound))
+        self._ii, self._ib = dm.interior_dofs, dm.boundary_dofs
         self._lu = self._split = None
-        large = len(ii) >= SPLIT_MIN_DOFS
+        large = len(self._ii) >= SPLIT_MIN_DOFS
         self.solver_stats = {"path": "split" if large else "small",
                              "minres_iterations": 0, "lu_nnz": [],
                              "max_interior_residual": 0.0}
-        if len(ii) == 0:
+        if len(self._ii) == 0:
             self._lu, self._rung = _EmptyFactor(), self.PIVOTED
         else:
             self._factor(self.SPLIT if large else self.SYMMETRIC)
@@ -413,86 +477,86 @@ class SparseSystem:
         raise self._failure(f"factorization failed: {failure}")
 
     def _factor_split(self):
-        """Factor K_uu and -K_pp of the scaled block with the mechanical
-        dofs permuted first.
+        """Factor K_uu and -K_pp of the scaled block, each from the
+        sub-blocks of the interior node pairs.
 
         The block is symmetric quasi-definite, so both are positive
         definite. -K_pp takes the symmetric SuperLU factor; its column
         order, read as nodes by first appearance, is the elimination
         order of the supernodal Cholesky factor of K_uu, whose dofs come
-        in blocks of 3 per node over the same interior nodes. The
-        permuted block then replaces the scaled one, which a later rung
-        rebuilds from it. (Freeing the scaled block before factoring
-        lowers the factorization's peak but not the process peak: the
-        MINRES work arrays then find no freed block to reuse.)
+        in blocks of 3 per node over the same interior nodes. Both see
+        the pattern of the scaled block with its exact zeros dropped:
+        -K_pp as CSC, K_uu as the node blocks that hold a nonzero.
         """
         nf = self.dof_map.n_fields
-        mech = self._ii % nf < 3
-        order = np.argsort(~mech, kind="stable")
-        nu = int(mech.sum())
-        Kp = self._Kii_s[order][:, order]
-        lu_p = _symmetric_lu(-Kp[nu:, nu:])
-        factors = [NodeCholesky(Kp[:nu, :nu], 3,
-                                _node_order(lu_p.perm_c, nf - 3)), lu_p]
-        self._split, self._Kii_s = (Kp, order, nu, factors), None
-        self.solver_stats["lu_nnz"] = [int(f.nnz) for f in factors]
+        n = len(self._ii) // nf
+        rows, cols, blocks = self._scaled_pairs(self._inner_pairs)
+        lu_p = _symmetric_lu(_csc_of_blocks(rows, cols, -blocks[:, 3:, 3:],
+                                            n, n))
+        uu = blocks[:, :3, :3]
+        nonzero = uu.any(axis=(1, 2))
+        uu, rows, cols = uu[nonzero], rows[nonzero], cols[nonzero]
+        del blocks, nonzero
+        self._split = (NodeCholesky.of_blocks(
+            uu, rows, cols, _node_order(lu_p.perm_c, nf - 3)), lu_p)
+        self.solver_stats["lu_nnz"] = [int(f.nnz) for f in self._split]
 
     def _scaled_block(self):
-        """The scaled interior block in dof order, rebuilt from the split's
-        permuted block (and the split freed) when that holds it; sorted
-        CSC either way, so every rung factors the same arrays."""
-        if self._split is not None:
-            Kp, order, _, _ = self._split
-            self._split = None
-            inverse = np.argsort(order)
-            self._Kii_s = Kp[inverse][:, inverse]
-            self._Kii_s.sort_indices()
-        return self._Kii_s
+        """The scaled interior block as sorted CSC, built from the node
+        pairs (and the split freed), so every rung factors the same
+        arrays."""
+        self._split = None
+        n = len(self._ii) // self.dof_map.n_fields
+        return _csc_of_blocks(*self._scaled_pairs(self._inner_pairs), n, n)
 
     def _failure(self, message: str) -> AssemblyError:
         hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
                 if self.deficient_cells else "")
         return AssemblyError(f"{message}{hint}")
 
+    def _interior_product(self, x):
+        """K_ii x of interior columns x (n_interior, m), through K."""
+        z = np.zeros((self.dof_map.n_dofs, x.shape[1]))
+        z[self._ii] = x
+        return (self._rows @ z)[self._ii]
+
     def _solve_scaled(self, rhs_s):
         """(u_i, worst interior residual) by the current rung; u_i None and
         the residual infinite when MINRES does not converge."""
+        s = self.scaling[self._ii, None]
         if self._rung != self.SPLIT:
-            ui = self._lu.solve(rhs_s) * self.scaling[self._ii, None]
+            ui = self._lu.solve(rhs_s) * s
             return ui, self._worst_residual(ui, rhs_s)
-        Kp, order, nu, (lu_u, lu_p) = self._split
+        lu_u, lu_p = self._split
+        nf = self.dof_map.n_fields
 
         def precondition(r):
-            return np.vstack([lu_u.solve(r[:nu]), lu_p.solve(r[nu:])])
+            # the mechanical and potential dofs of each node, node-major
+            r = r.reshape(-1, nf, r.shape[1])
+            out = np.empty_like(r)
+            for fields, lu in ((slice(0, 3), lu_u), (slice(3, nf), lu_p)):
+                part = r[:, fields]
+                out[:, fields] = lu.solve(
+                    part.reshape(-1, r.shape[2])).reshape(part.shape)
+            return out.reshape(-1, r.shape[2])
 
-        X, iterations = _block_minres(Kp, precondition, rhs_s[order])
+        def apply(v):                    # the scaled block, through K
+            return self._interior_product(v * s) * s
+
+        X, iterations = _block_minres(apply, precondition, rhs_s)
         self.solver_stats["minres_iterations"] += iterations
         if X is None:
             return None, np.inf
-        ui = np.empty_like(X)
-        ui[order] = X
-        ui *= self.scaling[self._ii, None]
+        ui = X * s
         return ui, self._worst_residual(ui, rhs_s)
 
     def _worst_residual(self, ui, rhs_s) -> float:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
-        over the columns with a nonzero right-hand side (NaN if any is).
-
-        Both terms come from the scaled block: with s the scaling,
-        K_ib u_b = -rhs_s / s_i and K_ii u_i = (K_s,ii (u_i / s_i)) / s_i,
-        where K_s,ii is applied through the split's permuted block when
-        that holds it.
-        """
-        s = self.scaling[self._ii, None]
-        x = ui / s
-        if self._split is not None:
-            Kp, order, _, _ = self._split
-            Kx = np.empty_like(x)
-            Kx[order] = Kp @ x[order]
-        else:
-            Kx = self._Kii_s @ x
-        denom = np.linalg.norm(rhs_s / s, axis=0)
-        res = np.linalg.norm((Kx - rhs_s) / s, axis=0)
+        over the columns with a nonzero right-hand side (NaN if any is):
+        K_ii u_i through K, K_ib u_b = -rhs_s / s_i with s the scaling."""
+        b = rhs_s / self.scaling[self._ii, None]
+        denom = np.linalg.norm(b, axis=0)
+        res = np.linalg.norm(self._interior_product(ui) - b, axis=0)
         live = denom > 0.0
         return float(np.max(res[live] / denom[live], initial=0.0))
 
@@ -530,7 +594,14 @@ class SparseSystem:
         full[self._ib] = ub
         return full[:, 0] if single else full
 
-    def energy(self, full_solution: np.ndarray) -> float:
-        """Quadratic form 0.5 u.K.u of a full solution vector."""
-        u = np.asarray(full_solution, dtype=float).ravel()
-        return 0.5 * float(u @ (self.K @ u))
+    def energy(self, full_solution: np.ndarray):
+        """Quadratic form 0.5 u.K.u of a full solution: a float for a
+        vector (n_dofs,), an array for the columns of (n_dofs, n_cases),
+        all columns by one sparse product."""
+        U = np.asarray(full_solution, dtype=float)
+        KU = self._rows @ U
+        if U.ndim == 1:
+            return 0.5 * float(U @ KU)
+        # contiguous rows, so each dot sums as that of a single vector
+        return 0.5 * np.array([u @ ku for u, ku in zip(
+            np.ascontiguousarray(U.T), np.ascontiguousarray(KU.T))])

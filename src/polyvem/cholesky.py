@@ -159,29 +159,42 @@ class NodeCholesky:
         n = A.shape[0]
         if n % b or A.shape != (n, n):
             raise ValueError(f"matrix {A.shape} is not square in blocks of {b}")
-        n_nodes = n // b
-        order = np.asarray(order, dtype=np.int64)
-        if not np.array_equal(np.sort(order), np.arange(n_nodes)):
-            raise ValueError("order must be a permutation of the nodes")
-        self.b, self.n = b, n
         # node blocks of A^T read from A's CSC arrays: block (J, I) holds
         # A's block (I, J) transposed
         A = A.tocsc()
         M = sp.csr_matrix((A.data, A.indices, A.indptr),
                           shape=(n, n)).tobsr((b, b))
-        col = np.repeat(np.arange(n_nodes), np.diff(M.indptr))
-        row = M.indices.astype(np.int64)
+        col = np.repeat(np.arange(n // b), np.diff(M.indptr))
+        self._setup(M.data, M.indices.astype(np.int64), col, n // b, order)
+
+    @classmethod
+    def of_blocks(cls, blocks, rows, cols, order):
+        """Factor of the matrix A whose node block (rows[k], cols[k]) is
+        blocks[k] transposed (b x b), with no other nonzero block: the
+        block arrays of Aᵀ, as node-pair assembly holds them."""
+        self = cls.__new__(cls)
+        self._setup(blocks, np.asarray(rows, dtype=np.int64),
+                    np.asarray(cols, dtype=np.int64), len(order), order)
+        return self
+
+    def _setup(self, blocks, row, col, n_nodes, order):
+        """Symbolic step, store and numeric factor of the node blocks
+        (blocks[k] is A's block (row[k], col[k]) transposed)."""
+        b = blocks.shape[1]
+        order = np.asarray(order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(n_nodes)):
+            raise ValueError("order must be a permutation of the nodes")
+        self.b, self.n = b, n_nodes * b
         self._symbolic(order, row, col)
         # keep the blocks of the lower triangle in the final order only;
-        # everything but their positions and values is freed before the
-        # store is allocated
+        # this step's other arrays are freed before the store is allocated
         new = np.empty(n_nodes, dtype=np.int64)
         new[self.order] = np.arange(n_nodes)
         row, col = new[row], new[col]
         keep = np.flatnonzero(row >= col)
         index = self._positions(row[keep], col[keep])
-        blocks = M.data[keep]
-        del M, row, col, keep
+        blocks = blocks[keep]
+        del row, col, keep
         self._store = np.zeros(int(self.offset[-1]))
         self._store[index] = blocks
         del index, blocks

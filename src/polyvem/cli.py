@@ -425,14 +425,15 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
                                   comparison_csv(rows, targets)))
             wall["rows"] = [r.wall_seconds for r in rows]
             solver = {r.method: r.solver_stats for r in rows}
-            # a reference read from the cache carries no solver counters
-            solver["reference"] = reference.solver_stats or {"cached": True}
         else:                                # beta-sweep
+            solver = {}
             curve, fem_d = beta_sweep(mesh, moduli, mode, betas, reference,
-                                      targets, workers)
+                                      targets, workers, solver)
             outputs.append(_write(outdir, "beta_sweep.csv",
                                   beta_sweep_csv(curve, fem_d, targets)))
             extra["beta_opt"] = beta_opt(curve, targets[0])
+        # a reference read from the cache carries no solver counters
+        solver["reference"] = reference.solver_stats or {"cached": True}
 
     write_provenance(outdir, "study", cfg, outputs,
                      mesh_digest=mesh_hash(mesh), extra=extra)

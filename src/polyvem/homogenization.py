@@ -190,13 +190,13 @@ def _battery(system, dof_map, coords, mode, volume, averager,
     values = np.stack([boundary_values(case, coords[bnodes], mode).ravel()
                        for case in range(1, n_cases + 1)], axis=1)
     fulls = np.ascontiguousarray(system.solve_dirichlet(values).T)
+    micro = 2.0 * system.energy(fulls.T) / volume
     for case, full in enumerate(fulls):
         avgP, avgL = averager(full)
         states[case] = avgP
         fluxes[case] = avgL
-        micro = 2.0 * system.energy(full) / volume
         macro = float(avgP @ avgL)
-        hills[case] = abs(micro - macro) / max(abs(macro), 1e-300)
+        hills[case] = abs(micro[case] - macro) / max(abs(macro), 1e-300)
     effective = fluxes.T.copy()
     scale = np.abs(effective).max()
     asym = np.abs(effective - effective.T).max() / scale if scale else 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import importlib.resources
+import io
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -610,8 +611,30 @@ _LIB_VERSION = 1
 _RESERVED_KEYS = ("mode", "lattice", "units")
 
 
+def _line_numbers(text: str) -> dict:
+    """1-based line of each section header, under (section, None), and of
+    each option, under (section, key), numbered as configparser reads
+    them; an indented line continues a value and is skipped."""
+    where, section = {}, None
+    for number, line in enumerate(io.StringIO(text), start=1):
+        value = line.strip()
+        if not value or value[0] in "#;" or line[0].isspace():
+            continue
+        header = configparser.ConfigParser.SECTCRE.match(value)
+        if header:
+            section = header.group("header")
+            where.setdefault((section, None), number)
+        else:
+            option = configparser.ConfigParser.OPTCRE.match(value)
+            if option and section is not None:
+                where.setdefault((section, option.group("option").rstrip()),
+                                 number)
+    return where
+
+
 def parse_library(text: str) -> dict:
-    """Parse a material library; returns name -> MaterialRecord."""
+    """Parse a material library; returns name -> MaterialRecord. Errors
+    in a material name the line of its section or of the offending key."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -626,6 +649,13 @@ def parse_library(text: str) -> dict:
     version = head.get("version", "")
     if version != str(_LIB_VERSION):
         raise MaterialError(f"unsupported material library version {version!r}")
+    lines = _line_numbers(text)
+
+    def at(name, key=None):
+        # a key may come from the DEFAULT section, which every section reads
+        number = lines.get((name, key)) or lines.get((cp.default_section, key))
+        return f"line {number}: " if number else ""
+
     records = {}
     for name in cp.sections():
         if name == "library":
@@ -633,7 +663,8 @@ def parse_library(text: str) -> dict:
         sec = cp[name]
         for field in ("mode", "lattice"):
             if field not in sec:
-                raise MaterialError(f"material {name!r} is missing {field!r}")
+                raise MaterialError(
+                    f"{at(name)}material {name!r} is missing {field!r}")
         params = {}
         for key, value in sec.items():
             if key in _RESERVED_KEYS:
@@ -642,22 +673,30 @@ def parse_library(text: str) -> dict:
                 params[key] = float(value)
             except ValueError:
                 raise MaterialError(
-                    f"material {name!r}: parameter {key!r} is not a number "
-                    f"({value!r})") from None
-        record = MaterialRecord(name, sec["mode"], sec["lattice"], params)
+                    f"{at(name, key)}material {name!r}: parameter {key!r} is "
+                    f"not a number ({value!r})") from None
+        try:
+            record = MaterialRecord(name, sec["mode"], sec["lattice"], params)
+        except MaterialError as exc:
+            key = "mode" if sec["mode"] not in MODES else "lattice"
+            raise MaterialError(
+                f"{at(name, key)}material {name!r}: {exc}") from None
         required = REQUIRED_PARAMETERS[record.lattice]
         for key in params:
             if key not in required:
                 raise MaterialError(
-                    f"material {name!r}: parameter {key!r} is not one of "
-                    f"the {record.lattice} parameters")
+                    f"{at(name, key)}material {name!r}: parameter {key!r} is "
+                    f"not one of the {record.lattice} parameters")
         for key in required:
-            record.require(key)
+            try:
+                record.require(key)
+            except MaterialError as exc:
+                raise MaterialError(f"{at(name)}{exc}") from None
         for key, value in params.items():
             if not np.isfinite(value):
                 raise MaterialError(
-                    f"material {name!r}: parameter {key!r} is not finite "
-                    f"({value!r})")
+                    f"{at(name, key)}material {name!r}: parameter {key!r} is "
+                    f"not finite ({value!r})")
         records[name] = record
     return records
 

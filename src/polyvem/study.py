@@ -36,7 +36,7 @@ __all__ = [
     "frobenius", "computational_error", "relative_deviation",
     "target_block", "assign_volume_fraction", "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve", "beta_sweep",
-    "beta_opt", "beta_grid", "fraction_grid", "fraction_sweep",
+    "beta_opt", "beta_grid", "beta_key", "fraction_grid", "fraction_sweep",
     "comparison_csv", "beta_sweep_csv", "fraction_csv",
 ]
 
@@ -328,13 +328,21 @@ def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
     return rows
 
 
+def beta_key(beta: float) -> str:
+    """A weight as the beta column of the sweep's CSV prints it."""
+    return f"{beta:.6g}"
+
+
 def beta_curve(operators: VemOperators, beta_grid, reference_effective,
-               targets):
+               targets, solver=None):
     """(beta, d_rel dict) for each grid value, in grid order: the VEM
-    operators blended at every weight."""
+    operators blended at every weight. A dict `solver` receives each
+    point's solver counters under its `beta_key`."""
     curve = []
     for b in beta_grid:
         result = operators.evaluate(float(b))
+        if solver is not None:
+            solver[beta_key(b)] = result.solver_stats
         curve.append((float(b), _deviations(result.effective,
                                             reference_effective, targets,
                                             operators.mode)))
@@ -342,23 +350,27 @@ def beta_curve(operators: VemOperators, beta_grid, reference_effective,
 
 
 def _beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
-    """Pool task: the curve of one contiguous chunk of the beta grid; the
-    VEM operators are built once per chunk, their tet parts only when
-    the chunk holds a positive weight."""
+    """Pool task: the curve of one contiguous chunk of the beta grid and
+    its points' solver counters; the VEM operators are built once per
+    chunk, their tet parts only when the chunk holds a positive weight."""
     operators = VemOperators(mesh, moduli, mode,
                              with_tets=any(b > 0.0 for b in chunk))
-    return beta_curve(operators, chunk, ref_effective, targets)
+    solver = {}
+    return beta_curve(operators, chunk, ref_effective, targets, solver), solver
 
 
 def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
-               reference: HomogenizationResult, targets, workers: int = 1):
+               reference: HomogenizationResult, targets, workers: int = 1,
+               solver=None):
     """Deviation curve over the stabilization-weight grid.
 
     Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
     grid order; the companion coarse linear-tet row shares the
     reference, and a grid point beta = 1 coincides with it by
     construction. The grid is cut into up to `workers` contiguous
-    chunks, one pool task each.
+    chunks, one pool task each. A dict `solver` receives the solver
+    counters of each point under its `beta_key` and of the coarse row
+    under "FEM-O1-coarse".
     """
     grid = tuple(beta_grid)
     if any(b > 0.0 for b in grid):
@@ -367,9 +379,14 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
                reference.effective, targets) for k in range(n)]
     # _beta_point is read when called, so a wrapper bound in its place runs
-    curve = [point for part in _pool_map(_beta_point, chunks, workers)
-             for point in part]
+    curve = []
+    for part, stats in _pool_map(_beta_point, chunks, workers):
+        curve += part
+        if solver is not None:
+            solver.update(stats)
     fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
+    if solver is not None:
+        solver["FEM-O1-coarse"] = fem.solver_stats
     return curve, _deviations(fem.effective, reference.effective, targets, mode)
 
 
@@ -456,7 +473,7 @@ def beta_sweep_csv(curve, fem_d, targets) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["beta"] + [f"D_rel_{t}_pct" for t in targets])
     for b, d in sorted(curve, key=lambda item: item[0]):
-        w.writerow([f"{b:.6g}"] + [_fmt(d[t]) for t in targets])
+        w.writerow([beta_key(b)] + [_fmt(d[t]) for t in targets])
     w.writerow(["FEM-O1-coarse"] + [_fmt(fem_d[t]) for t in targets])
     return buf.getvalue()
 

@@ -370,12 +370,19 @@ class TestFieldSplit:
                                                               monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         system = self.vem_operators("fullyCoupled").system(0.1).factorize()
-        Kp, _, nu, _ = system._split
         default = sum(spla.splu(block, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True}).nnz
-                      for block in (Kp[:nu, :nu], -Kp[nu:, nu:]))
+                      for block in split_blocks(system._scaled_block(), 5))
         assert sum(system.solver_stats["lu_nnz"]) < default
+
+
+def split_blocks(K, n_fields):
+    """(K_uu, -K_pp) of a node-major block K: the mechanical dofs
+    (field < 3) and the negated potential dofs, each in dof order."""
+    mech = np.arange(K.shape[0]) % n_fields < 3
+    K = K.tocsr()
+    return K[mech][:, mech].tocsc(), -K[~mech][:, ~mech].tocsc()
 
 
 def node_block_spd(n_nodes, b, elements, rng):
@@ -490,7 +497,7 @@ class TestNodeCholesky:
                                       tmesh.cell_of_tet, moduli, dm)
         ii = dm.interior_dofs
         mech = ii % dm.n_fields < 3
-        K = system.K[ii][:, ii]
+        K = system.K.tocsr()[ii][:, ii]
         Kuu, Kpp = K[mech][:, mech].tocsc(), K[~mech][:, ~mech].tocsc()
         order = pa._node_order(pa._symmetric_lu(-Kpp).perm_c, 1)
         tracemalloc.start()
@@ -533,6 +540,7 @@ class TestBlockPattern:
 
     @staticmethod
     def assert_same_matrix(K, ref):
+        K = K.tocsc()
         assert np.array_equal(K.indptr, ref.indptr)
         assert np.array_equal(K.indices, ref.indices)
         assert np.abs(K.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
@@ -638,3 +646,96 @@ class TestBlockPattern:
             tracemalloc.stop()
         K = system.K
         assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+def quasi_definite_triplets(rng):
+    """(rows, cols, vals, dof map) of a sparse symmetric electro-mechanical
+    system of 6 nodes, 2 on the boundary: K_uu positive and K_pp negative
+    definite, some node pairs uncoupled and some entries of coupled pairs
+    exactly zero."""
+    n_nodes, nf = 6, 4
+    X = rng.normal(size=(n_nodes * nf, n_nodes * nf))
+    X += X.T
+    coupled = rng.random((n_nodes, n_nodes)) < 0.6
+    coupled |= coupled.T | np.eye(n_nodes, dtype=bool)
+    X *= np.kron(coupled, np.ones((nf, nf)))
+    X[0, 5] = X[5, 0] = X[6, 9] = X[9, 6] = 0.0
+    X += np.diag(np.tile([30.0, 30.0, 30.0, -30.0], n_nodes))
+    rows, cols = np.nonzero(X)
+    return rows, cols, X[rows, cols], pa.DofMap(n_nodes, [0, 5], "electroMech")
+
+
+def scaled_oracle(system):
+    """(scaling, K_ii, K_ib) of the scaled matrix S K S, sliced from the
+    CSC of system.K by sparse products and fancy indexing."""
+    dm = system.dof_map
+    nf = dm.n_fields
+    K = system.K.tocsc()
+    diag = K.diagonal()
+    s = np.ones(dm.n_dofs)
+    for f in range(nf):
+        mean = np.abs(diag[f::nf]).mean()
+        if mean > 0.0:
+            s[f::nf] = 1.0 / np.sqrt(mean)
+    S = sp.diags(s)
+    rows = (S @ K @ S).tocsc()[dm.interior_dofs]
+    return s, rows[:, dm.interior_dofs], rows[:, dm.boundary_dofs]
+
+
+def assert_same_bits(A, B):
+    A, B = A.tocsc().sorted_indices(), B.tocsc().sorted_indices()
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
+
+
+class TestScaledBlocks:
+    """The scaled interior and interior-boundary blocks cut from the node
+    pairs, bit for bit against S K S sliced from the assembled matrix."""
+
+    @staticmethod
+    def system(case):
+        if case.startswith("vem-"):
+            return TestFieldSplit.vem_operators(case[4:]).system(0.1)
+        if case.startswith("tet-"):
+            return TestBlockPattern().tet_case(int(case[-1]), 0)[0]
+        rows, cols, vals, dm = quasi_definite_triplets(
+            np.random.default_rng(21))
+        if case == "all-boundary":
+            dm = pa.DofMap(dm.n_nodes, np.arange(dm.n_nodes), dm.mode)
+        return pa.system_from_triplets(rows, cols, vals, dm)
+
+    CASES = ["vem-electroMech", "vem-fullyCoupled", "tet-1", "tet-2",
+             "triplets", "all-boundary"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scaling_and_blocks_match_sparse_products(self, case):
+        system = self.system(case).factorize()
+        s, Kii, Kib = scaled_oracle(system)
+        assert system.scaling.tobytes() == s.tobytes()
+        assert_same_bits(system._Kib_s, Kib)
+        if case == "all-boundary":
+            assert Kii.shape == (0, 0)
+        else:
+            assert_same_bits(system._scaled_block(), Kii)
+
+    def test_fully_coupled_blocks_hold_exact_zeros(self):
+        # the zero sub-blocks are stored in the node pairs but not in the
+        # scaled block, whose pattern SuperLU orders
+        system = self.system("vem-fullyCoupled").factorize()
+        assert (system.K.data == 0.0).any()
+        assert (system._scaled_block().data != 0.0).all()
+
+    @pytest.mark.parametrize("case", CASES[:-1])
+    def test_split_stores_as_from_the_sliced_block(self, monkeypatch, case):
+        # the factors of K_uu and -K_pp cut from the node pairs store as
+        # many entries as those of the blocks sliced from S K S
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        system = self.system(case).factorize()
+        assert system.solver_stats["path"] == "split"
+        nf = system.dof_map.n_fields
+        Kuu, Kpp = split_blocks(scaled_oracle(system)[1], nf)
+        lu_p = pa._symmetric_lu(Kpp)
+        factor = pc.NodeCholesky(Kuu, 3, pa._node_order(lu_p.perm_c, nf - 3))
+        assert system.solver_stats["lu_nnz"] == [factor.nnz, lu_p.nnz]

@@ -376,6 +376,27 @@ class TestStudyCommand:
         assert prov["beta_opt"] == min(curve, key=lambda bd: abs(bd[1]))[0]
         assert (prov["kind"], prov["mode"]) == ("beta-sweep", "electroMech")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_beta_sweep_writes_solver_counters(self, tmp_path, workers):
+        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
+            kind="beta-sweep", beta_step=0.25, cache=tmp_path / "cache"))
+        out = tmp_path / "s"
+        assert main(["study", "--config", p, "--out", str(out),
+                     "--workers", workers]) == 0
+        rows = list(csv.reader((out / "beta_sweep.csv").read_text()
+                               .strip().splitlines()))
+        solver = json.loads((out / "run_diagnostics.json").read_text())[
+            "solver"]
+        # one entry per CSV row (the grid points and the coarse FEM row),
+        # and the reference, built here rather than read from the cache
+        assert sorted(solver) == sorted([r[0] for r in rows[1:]]
+                                        + ["reference"])
+        for stats in solver.values():
+            assert set(stats) == {"path", "minres_iterations", "lu_nnz",
+                                  "max_interior_residual"}
+            assert stats["path"] == "small"
+            assert stats["max_interior_residual"] <= 1e-10
+
     def test_beta_grid_stops_at_one(self, tmp_path):
         p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
             kind="beta-sweep", beta_step=0.35, cache=tmp_path / "cache")

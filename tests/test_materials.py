@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvem import cli
 from polyvem import materials as mat
 
 
@@ -491,6 +492,52 @@ class TestLibrary:
                                  edit(dict(rec.parameters)))
         with pytest.raises(mat.MaterialError, match=r"material 'x'.*" + message):
             mat.parse_library(mat.format_library({"x": bad}))
+
+    @pytest.mark.parametrize("edit,key,message", [
+        (lambda k, v: None if k == "mode" else v, None, "missing 'mode'"),
+        (lambda k, v: None if k == "lattice" else v, None,
+         "missing 'lattice'"),
+        (lambda k, v: "abc" if k == "C11" else v, "C11", "not a number"),
+        (lambda k, v: "nope" if k == "mode" else v, "mode", "unknown mode"),
+        (lambda k, v: "cubic" if k == "lattice" else v, "lattice",
+         "unknown lattice"),
+        (lambda k, v: None if k == "C44" else v, None,
+         "missing parameter 'C44'"),
+        (lambda k, v: "nan" if k == "C11" else v, "C11", "'C11' is not finite"),
+        (lambda k, v: "-inf" if k == "e33" else v, "e33",
+         "'e33' is not finite"),
+    ])
+    def test_errors_name_their_line(self, tmp_path, capsys, edit, key,
+                                    message):
+        # a comment and a second material move [x] off the text's start
+        lib = mat.builtin_library()
+        text = "# test library\n" + mat.format_library(
+            {"ok": lib["CoFe2O4"], "x": lib["BaTiO3"]})
+        lines, section = [], None
+        for line in text.splitlines():
+            if line.startswith("["):
+                section = line
+            elif section == "[x]" and " = " in line:
+                k, v = line.split(" = ")
+                v = edit(k, v)
+                if v is None:
+                    continue
+                line = f"{k} = {v}"
+            lines.append(line)
+        expected = 1 + next(i for i, line in enumerate(lines) if (
+            line == "[x]" if key is None else line.startswith(f"{key} =")
+            and i > lines.index("[x]")))
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(mat.MaterialError,
+                           match=rf"^line {expected}: material 'x'.*{message}"):
+            mat.parse_library(text)
+        # the CLI reports it as malformed input (exit code 4)
+        path = tmp_path / "bad.lib"
+        path.write_text(text, encoding="utf-8")
+        config = tmp_path / "c.ini"
+        config.write_text(f"[materials]\nlibrary = {path}\n", encoding="utf-8")
+        assert cli.main(["materials", "--config", str(config)]) == 4
+        assert f"line {expected}: " in capsys.readouterr().err
 
     def test_mode_index_subsets(self):
         assert mat.MODE_PINDEX["fullyCoupled"] == tuple(range(12))
