@@ -20,11 +20,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cholesky import NodeCholesky
-from .element_fem import FIELD_COUNT
+from .element_fem import FIELD_COUNT, gauss_stiffness
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
-           "assemble", "add_blocks", "node_dofs", "scatter_columns",
-           "system_from_blocks", "system_from_triplets"]
+           "assemble", "assemble_parts", "add_blocks", "node_dofs",
+           "scatter_columns", "system_from_blocks", "system_from_triplets"]
 
 
 class AssemblyError(RuntimeError):
@@ -144,6 +144,42 @@ def add_blocks(blocks: np.ndarray, positions: np.ndarray,
     blocks[touched] += np.bincount(
         index.ravel(), weights=values.ravel(),
         minlength=len(touched) * nf * nf).reshape(-1, nf, nf)
+
+
+def assemble_parts(parts, moduli, n_nodes: int, n_fields: int):
+    """(pattern, [(blocks, intP, intL) per part]) of a system built one
+    grain at a time, so no operator array larger than one grain's is
+    held; every global system is built here.
+
+    A part is (nodes, operators): nodes[c] (m, k) are the node ids of
+    grain c's elements and operators(c) their state operators B (m,
+    n_points, nP, k * n_fields) and weights w (m, n_points) (a linear
+    tet is one point of weight V). One pattern covers every part. Each
+    part sums its element matrices sum_g w_g B_g^T G B_g into node-pair
+    blocks and its weighted operators into intP = int P, intL = int G P.
+    """
+    nf, n_dofs, nP = n_fields, n_nodes * n_fields, 6 + 3 * (n_fields - 3)
+    if any(np.shape(G) != (nP, nP) for G in moduli):
+        raise AssemblyError(f"every modulus must be {nP}x{nP} for {nf} fields")
+    pattern, positions = BlockPattern.of_elements(
+        [nodes for part_nodes, _ in parts for nodes in part_nodes], n_nodes,
+        nf)
+    sums = [(np.zeros((pattern.n_pairs, nf, nf)), np.zeros((nP, n_dofs)),
+             np.zeros((nP, n_dofs))) for _ in parts]
+    for c, G in enumerate(moduli):
+        for p, ((nodes, operators), (blocks, intP, intL)) in enumerate(
+                zip(parts, sums)):
+            B, w = operators(c)
+            add_blocks(blocks, positions[p * len(moduli) + c],
+                       gauss_stiffness(B, w, G))
+            own, local = np.unique(nodes[c], return_inverse=True)
+            integral = scatter_columns(
+                node_dofs(local.reshape(nodes[c].shape), nf),
+                np.einsum("mg,mgpa->mpa", w, B), len(own) * nf)
+            cols = node_dofs(own, nf)
+            intP[:, cols] += integral
+            intL[:, cols] += G @ integral
+    return pattern, sums
 
 
 def _audit_symmetry(asymmetry: float, scale: float):
@@ -472,6 +508,8 @@ class SparseSystem:
                 self.solver_stats["path"] = "fallback"
                 failure = exc
                 continue
+            except MemoryError as exc:      # too large for any rung
+                raise self._failure(f"factorization failed: {exc}") from exc
             self._rung = rung
             return
         raise self._failure(f"factorization failed: {failure}")
@@ -497,8 +535,8 @@ class SparseSystem:
         nonzero = uu.any(axis=(1, 2))
         uu, rows, cols = uu[nonzero], rows[nonzero], cols[nonzero]
         del blocks, nonzero
-        self._split = (NodeCholesky.of_blocks(
-            uu, rows, cols, _node_order(lu_p.perm_c, nf - 3)), lu_p)
+        self._split = (NodeCholesky(uu, rows, cols,
+                                    _node_order(lu_p.perm_c, nf - 3)), lu_p)
         self.solver_stats["lu_nnz"] = [int(f.nnz) for f in self._split]
 
     def _scaled_block(self):

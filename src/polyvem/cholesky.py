@@ -14,12 +14,13 @@ chunk.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
-__all__ = ["NodeCholesky"]
+__all__ = ["NodeCholesky", "physical_memory"]
 
 # A child supernode merges into its parent when the merged supernode has
 # at most AMALGAMATE_NODES nodes or at most AMALGAMATE_ZEROS of its
@@ -138,16 +139,24 @@ def _amalgamate(ncols, nrows, sparent):
     return np.array(into, dtype=np.int64)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class NodeCholesky:
-    """Cholesky factor of an SPD sparse matrix `A` with n_nodes * b dofs,
+    """Cholesky factor of the SPD matrix A whose node block (rows[k],
+    cols[k]) is blocks[k] transposed (b x b), with no other nonzero
+    block (the block arrays of Aᵀ, as node-pair assembly holds them),
     node-major, eliminated in the node order `order` (order[k] is the
     node eliminated k-th) up to a postorder of its elimination tree and
     the amalgamation of supernodes.
 
     Only the lower triangle in the final order is read. A nonpositive
-    pivot raises RuntimeError. `nnz` counts the stored entries of L: the
-    lower triangle of each supernode's diagonal block and its rows
-    below, merge zeros included.
+    pivot raises RuntimeError, a store beyond physical memory
+    MemoryError before it is allocated. `nnz` counts the stored entries
+    of L: the lower triangle of each supernode's diagonal block and its
+    rows below, merge zeros included.
 
     Supernode t has kd[t] dof columns and md[t] dof rows below them.
     The store holds, per supernode, L11 (kd x kd, column-major, its
@@ -155,37 +164,22 @@ class NodeCholesky:
     L21 column-major).
     """
 
-    def __init__(self, A, b: int, order):
-        n = A.shape[0]
-        if n % b or A.shape != (n, n):
-            raise ValueError(f"matrix {A.shape} is not square in blocks of {b}")
-        # node blocks of A^T read from A's CSC arrays: block (J, I) holds
-        # A's block (I, J) transposed
-        A = A.tocsc()
-        M = sp.csr_matrix((A.data, A.indices, A.indptr),
-                          shape=(n, n)).tobsr((b, b))
-        col = np.repeat(np.arange(n // b), np.diff(M.indptr))
-        self._setup(M.data, M.indices.astype(np.int64), col, n // b, order)
-
-    @classmethod
-    def of_blocks(cls, blocks, rows, cols, order):
-        """Factor of the matrix A whose node block (rows[k], cols[k]) is
-        blocks[k] transposed (b x b), with no other nonzero block: the
-        block arrays of Aᵀ, as node-pair assembly holds them."""
-        self = cls.__new__(cls)
-        self._setup(blocks, np.asarray(rows, dtype=np.int64),
-                    np.asarray(cols, dtype=np.int64), len(order), order)
-        return self
-
-    def _setup(self, blocks, row, col, n_nodes, order):
-        """Symbolic step, store and numeric factor of the node blocks
-        (blocks[k] is A's block (row[k], col[k]) transposed)."""
+    def __init__(self, blocks, rows, cols, order):
         b = blocks.shape[1]
         order = np.asarray(order, dtype=np.int64)
+        n_nodes = len(order)
         if not np.array_equal(np.sort(order), np.arange(n_nodes)):
             raise ValueError("order must be a permutation of the nodes")
         self.b, self.n = b, n_nodes * b
+        row = np.asarray(rows, dtype=np.int64)
+        col = np.asarray(cols, dtype=np.int64)
         self._symbolic(order, row, col)
+        size, bound = 8 * int(self.offset[-1]), physical_memory()
+        if size > bound:
+            raise MemoryError(
+                f"supernodal Cholesky: the factor would store "
+                f"{size / 2**30:.3g} GiB, more than the {bound / 2**30:.3g} "
+                f"GiB of physical memory")
         # keep the blocks of the lower triangle in the final order only;
         # this step's other arrays are freed before the store is allocated
         new = np.empty(n_nodes, dtype=np.int64)

@@ -11,18 +11,17 @@ tets in the coarse tet mesh, weighted (1-beta) / beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .assembly import node_dofs, scatter_columns
+from .assembly import assemble_parts, node_dofs
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
                           kernel_dimension)
 from .mesh import MeshError, PolyMesh
 
 __all__ = [
-    "CellOperators", "VemElement", "cell_operators", "gradient_operators",
-    "stabilization_required",
+    "CellOperators", "VemElement", "cell_operators", "consistency_part",
+    "gradient_operators", "stabilization_part", "stabilization_required",
 ]
 
 
@@ -74,26 +73,66 @@ def stabilization_required(n_vertices: int, n_fields: int) -> bool:
     return n_vertices * n_fields - kernel_dimension(n_fields) > state_size
 
 
+def consistency_part(mesh: PolyMesh, cell_ids, n_fields: int):
+    """Consistency part of the cells for `assembly.assemble_parts`: per
+    cell one element over its vertices with one point, the projected
+    state operator B at weight V (all gradients from one scatter)."""
+    gradients = gradient_operators(mesh, cell_ids)
+    cells = [mesh.cells[c] for c in cell_ids]
+
+    def operators(k):
+        return (field_operator(gradients[k].T, n_fields)[None, None],
+                np.array([[cells[k].volume]]))
+
+    return [cell.vertex_ids[None] for cell in cells], operators
+
+
+def stabilization_part(mesh: PolyMesh, cell_ids, moduli, n_fields: int):
+    """Stabilization part of the cells (one modulus each) for
+    `assembly.assemble_parts`: their tets in the coarse mesh, one point
+    each, i.e. the coarse linear-tet system. A fallback cell is one
+    element over its vertices whose points are its tets, each operator
+    B carried to the vertex dofs as B R by the centroid recovery map R
+    = [I; -Kcc^-1 Kvc^T] of the tets' stiffness K (R^T K R is K's Schur
+    complement)."""
+    tmesh = mesh.tets
+    # a cell's tets are contiguous in the coarse mesh, in cell order
+    bounds = np.searchsorted(tmesh.cell_of_tet, np.arange(len(mesh.cells) + 1))
+    tets = [tmesh.tets[bounds[c]:bounds[c + 1]] for c in cell_ids]
+    nodes = [t if t.max() < mesh.n_vertices else mesh.cells[c].vertex_ids[None]
+             for c, t in zip(cell_ids, tets)]
+
+    def operators(k):
+        B, vols = batch_o1_operators(tmesh.vertices, tets[k], n_fields)
+        if nodes[k] is tets[k]:                  # no centroid node
+            return B[:, None], vols[:, None]
+        n_loc = nodes[k].shape[1]
+        loc = np.full(tets[k].max() + 1, n_loc)   # the centroid is n_loc
+        loc[nodes[k][0]] = np.arange(n_loc)
+        full = np.zeros((*B.shape[:2], (n_loc + 1) * n_fields))
+        np.put_along_axis(full, node_dofs(loc[tets[k]], n_fields)[:, None],
+                          B, axis=2)
+        K = gauss_stiffness(full[:, None], vols[:, None], moduli[k]).sum(0)
+        nv = n_loc * n_fields
+        R = np.vstack([np.eye(nv), -np.linalg.solve(K[nv:, nv:], K[nv:, :nv])])
+        return (full @ R)[None], vols[None]
+
+    return nodes, operators
+
+
 @dataclass(frozen=True)
 class CellOperators:
-    """Weight-independent operators of one polyhedral cell.
-
-    Over the cell's vertex dofs the blended element is affine in the
-    stabilization weight: K(beta) = (1 - beta) K_cons + beta K_tet and
-    A(beta) = (1 - beta) A_cons + beta A_tet. K_cons = V B^T G B and
-    A_cons = V B act on the projected constant state B; K_tet and A_tet
-    are the linear-tet stiffness and integrated-state operator of the
-    cell's coarse tets. The centroid node of a fallback cell enters only
-    the tet part, so it is condensed out there, and its recovery
-    operator does not depend on beta. The tet fields are None when the
-    operators were built for beta = 0 only.
-    """
+    """Weight-independent operators of one polyhedral cell over its
+    vertex dofs, a per-cell view of the global build: the stiffness K
+    and integrated-state operator A of the consistency and the
+    stabilization part, blended as K(beta) = (1 - beta) K_cons + beta
+    K_tet and A(beta) = (1 - beta) A_cons + beta A_tet."""
     node_ids: np.ndarray
     volume: float
     K_cons: np.ndarray
     A_cons: np.ndarray
-    K_tet: Optional[np.ndarray] = None
-    A_tet: Optional[np.ndarray] = None
+    K_tet: np.ndarray
+    A_tet: np.ndarray
 
     def blend(self, beta: float):
         """(stiffness, integrated-state operator) at weight beta."""
@@ -103,74 +142,27 @@ class CellOperators:
                 (1.0 - beta) * self.A_cons + beta * self.A_tet)
 
 
-def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5,
-                   with_tets: bool = True):
+def cell_operators(mesh: PolyMesh, cell_ids, moduli, n_fields: int = 5):
     """Yield the CellOperators of the given cells in order, one modulus
-    per cell.
-
-    The linear-tet operators of all cells come from one batched build
-    over their tets in the coarse mesh `mesh.tets`; `with_tets=False`
-    skips them (and the triangulation) for beta = 0 only. Cells are
-    yielded one at a time so that a caller scattering them into global
-    arrays never holds every dense cell matrix at once.
-    """
-    state_size = 6 + 3 * (n_fields - 3)
-    nf = n_fields
-    cell_ids = np.asarray(cell_ids, dtype=int)
-    moduli = [np.asarray(G, dtype=float) for G in moduli]
-    for G in moduli:
-        if G.shape != (state_size, state_size):
-            raise ValueError(
-                f"modulus must be {state_size}x{state_size} for "
-                f"{n_fields} fields, got {G.shape}")
-    if with_tets:
-        tmesh = mesh.tets
-        # a cell's tets are contiguous in the coarse mesh, in cell order
-        bounds = np.searchsorted(tmesh.cell_of_tet,
-                                 np.arange(len(mesh.cells) + 1))
-        counts = bounds[cell_ids + 1] - bounds[cell_ids]
-        tets = tmesh.tets[_ranges(bounds[cell_ids], counts)]
-        B_all, vols = batch_o1_operators(tmesh.vertices, tets, nf)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-    gradients = gradient_operators(mesh, cell_ids)
-    for k, (c, G, D) in enumerate(zip(cell_ids, moduli, gradients)):
+    per cell: the parts `VemOperators` builds, by `assemble_parts` on
+    each cell alone with its vertices numbered locally."""
+    for c, G in zip(cell_ids, moduli):
         cell = mesh.cells[c]
-        B = field_operator(D.T, nf)
-        K = cell.volume * (B.T @ G @ B)
-        tet = {}
-        if with_tets:
-            span = slice(starts[k], starts[k + 1])
-            tet = _tet_part(cell.vertex_ids, tets[span], mesh.n_vertices,
-                            B_all[span], vols[span], G, nf)
-        yield CellOperators(
-            node_ids=cell.vertex_ids.copy(), volume=cell.volume,
-            K_cons=(K + K.T) / 2.0, A_cons=cell.volume * B, **tet)
-
-
-def _tet_part(node_ids, tets, n_mesh, B, vol, G, nf):
-    """Condensed K_tet and A_tet of one cell from its coarse tets and
-    their per-tet operators. Tet nodes from n_mesh on (a fallback
-    centroid) are numbered after the cell's vertices."""
-    n_loc = len(node_ids)
-    extra = np.unique(tets[tets >= n_mesh])
-    n_extra = len(extra)
-    ndof_v = n_loc * nf
-    ndof = ndof_v + n_extra * nf
-    loc = np.empty(max(n_mesh, tets.max() + 1), dtype=int)
-    loc[node_ids] = np.arange(n_loc)
-    loc[extra] = n_loc + np.arange(n_extra)
-    cols = node_dofs(loc[tets], nf)
-    index = cols[:, :, None] * ndof + cols[:, None, :]
-    K = np.bincount(index.ravel(),
-                    weights=gauss_stiffness(B[:, None], vol[:, None], G).ravel(),
-                    minlength=ndof * ndof).reshape(ndof, ndof)
-    A = scatter_columns(cols, B * vol[:, None, None], ndof)
-    if n_extra:
-        Kvc = K[:ndof_v, ndof_v:]
-        recovery = -np.linalg.solve(K[ndof_v:, ndof_v:], Kvc.T)
-        K = K[:ndof_v, :ndof_v] + Kvc @ recovery
-        A = A[:, :ndof_v] + A[:, ndof_v:] @ recovery
-    return {"K_tet": (K + K.T) / 2.0, "A_tet": A}
+        n = len(cell.vertex_ids)
+        loc = np.zeros(mesh.n_vertices, dtype=int)
+        loc[cell.vertex_ids] = np.arange(n)
+        _, sums = assemble_parts(
+            [([loc[nodes[0]]], operators) for nodes, operators in (
+                consistency_part(mesh, [c], n_fields),
+                stabilization_part(mesh, [c], [G], n_fields))],
+            [G], n, n_fields)
+        # the consistency element couples all vertices: pair (row a,
+        # column b) of the clique pattern is b n + a
+        (K_cons, A_cons), (K_tet, A_tet) = (
+            (blocks.reshape(n, n, n_fields, n_fields).transpose(1, 2, 0, 3)
+             .reshape(n * n_fields, -1), intP) for blocks, intP, _ in sums)
+        yield CellOperators(cell.vertex_ids.copy(), cell.volume, K_cons,
+                            A_cons, K_tet, A_tet)
 
 
 class VemElement:
@@ -181,8 +173,7 @@ class VemElement:
                  beta: float, n_fields: int = 5):
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        ops, = cell_operators(mesh, [cell_id], [G], n_fields,
-                              with_tets=beta > 0.0)
+        ops, = cell_operators(mesh, [cell_id], [G], n_fields)
         self.cell_id = cell_id
         self.node_ids = ops.node_ids
         self.stiffness = ops.blend(beta)[0]

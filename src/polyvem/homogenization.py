@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembly import (BlockPattern, DofMap, add_blocks, node_dofs,
-                       scatter_columns, system_from_blocks)
+from .assembly import DofMap, assemble_parts, system_from_blocks
 from .element_fem import (FIELD_COUNT, batch_o1_operators, field_operator,
-                          gauss_stiffness, promote_to_quadratic,
-                          quadratic_state_operators)
-from .element_vem import cell_operators, stabilization_required
+                          promote_to_quadratic, quadratic_state_operators)
+from .element_vem import (consistency_part, stabilization_part,
+                          stabilization_required)
 # re-exported: the benchmark's tracing test reads VemElement here
 from .element_vem import VemElement  # noqa: F401
 from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
@@ -216,88 +215,69 @@ def _battery(system, dof_map, coords, mode, volume, averager,
 
 class VemOperators:
     """The weight-independent pieces of the VEM battery on one (mesh,
-    moduli, mode): the assembly pattern, the consistency and
-    stabilization parts of the global stiffness values, and the same two
-    parts of the volume-averaging operators. `evaluate(beta)` blends
-    them, then factorizes, solves and averages once per weight.
-
-    `with_tets=False` skips the stabilization parts and the
-    triangulation; such operators evaluate at beta = 0 only.
+    moduli, mode): the assembly pattern and, per part (consistency,
+    stabilization), the global stiffness blocks and integrated-state
+    pair. `evaluate(beta)` blends them, then factorizes, solves and
+    averages once per weight. The stabilization part, and with it the
+    triangulation, is built at the first positive weight.
     """
 
-    def __init__(self, mesh: PolyMesh, moduli, mode: str = "fullyCoupled",
-                 with_tets: bool = True):
+    def __init__(self, mesh: PolyMesh, moduli, mode: str = "fullyCoupled"):
         if len(moduli) != len(mesh.cells):
             raise HomogenizationError(
                 f"need one modulus per cell ({len(mesh.cells)}), "
                 f"got {len(moduli)}")
         nf = FIELD_COUNT[mode]
-        nP = case_count(mode)
         self.mesh = mesh
+        self.moduli = moduli
         self.mode = mode
-        self.with_tets = with_tets
         self.dof_map = DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
         self.mesh_digest = mesh_hash(mesh)
         # cells whose consistency part alone is singular (hint at beta = 0)
         self.deficient_cells = tuple(
             c for c, cell in enumerate(mesh.cells)
             if stabilization_required(len(cell.vertex_ids), nf))
+        self._parts = None
 
-        # shared pattern: one nf x nf block per coupled node pair, so each
-        # weight assembles only the blended values of summed blocks
-        self._pattern, positions = BlockPattern.of_elements(
-            [cell.vertex_ids[None] for cell in mesh.cells], mesh.n_vertices,
-            nf)
-
-        # index 0: consistency part, 1: stabilization part
-        n_parts = 2 if with_tets else 1
-        blocks = np.zeros((n_parts, self._pattern.n_pairs, nf, nf))
-        average = np.zeros((n_parts, 2, nP, self.dof_map.n_dofs))
-        cells = cell_operators(mesh, range(len(mesh.cells)), moduli, nf,
-                               with_tets)
-        for c, G, at in zip(cells, moduli, positions):
-            dofs = node_dofs(c.node_ids, nf)
-            for part, (K, A) in enumerate([(c.K_cons, c.A_cons),
-                                           (c.K_tet, c.A_tet)][:n_parts]):
-                add_blocks(blocks[part], at, K[None])
-                average[part, 0][:, dofs] += A
-                average[part, 1][:, dofs] += G @ A
-        self._blocks = blocks
-        self._average = average
-
-    @staticmethod
-    def _blend(parts, beta):
-        if beta == 0.0:
-            return parts[0]
-        return (1.0 - beta) * parts[0] + beta * parts[1]
+    def _blended(self, beta):
+        """(system, intP, intL) at weight beta: both parts share one
+        pattern, so a weight blends only the values of summed blocks."""
+        n_parts = 1 if beta == 0.0 else 2
+        if self._parts is None or len(self._parts[1]) < n_parts:
+            cells, nf = range(len(self.mesh.cells)), self.dof_map.n_fields
+            parts = [consistency_part(self.mesh, cells, nf)]
+            if n_parts == 2:
+                parts.append(stabilization_part(self.mesh, cells, self.moduli,
+                                                nf))
+            self._parts = assemble_parts(parts, self.moduli,
+                                         self.mesh.n_vertices, nf)
+        pattern, parts = self._parts
+        blocks, intP, intL = parts[0] if beta == 0.0 else (
+            (1.0 - beta) * a + beta * b for a, b in zip(*parts))
+        return system_from_blocks(
+            pattern, blocks, self.dof_map,
+            self.deficient_cells if beta == 0.0 else ()), intP, intL
 
     def system(self, beta: float):
         """The global sparse system at stabilization weight `beta`."""
-        return system_from_blocks(
-            self._pattern, self._blend(self._blocks, beta), self.dof_map,
-            self.deficient_cells if beta == 0.0 else ())
+        return self._blended(beta)[0]
 
     def evaluate(self, beta: float, material_names=()) -> HomogenizationResult:
         """Effective modulus at stabilization weight `beta`."""
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        if beta > 0.0 and not self.with_tets:
-            raise HomogenizationError(
-                "operators built for beta = 0 only; rebuild with_tets")
         volume = self.mesh.edge_length ** 3
-        return _battery(self.system(beta), self.dof_map, self.mesh.vertices,
-                        self.mode, volume,
-                        _averager(*self._blend(self._average, beta), volume),
-                        "VEM-VO", float(beta), self.mesh_digest,
-                        material_names)
+        system, *pair = self._blended(beta)
+        return _battery(system, self.dof_map, self.mesh.vertices, self.mode,
+                        volume, _averager(*pair, volume), "VEM-VO",
+                        float(beta), self.mesh_digest, material_names)
 
 
 def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
                    mode: str = "fullyCoupled",
                    material_names=()) -> HomogenizationResult:
     """Effective modulus on the polyhedral mesh, one element per grain."""
-    operators = VemOperators(mesh, moduli, mode, with_tets=beta > 0.0)
-    return operators.evaluate(beta, material_names)
+    return VemOperators(mesh, moduli, mode).evaluate(beta, material_names)
 
 
 def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarray:
@@ -319,33 +299,15 @@ def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _tet_system(nodes, owners, operators, moduli, dof_map):
-    """(system, intP, intL) of a tet mesh, built one grain at a time.
-
-    nodes (m, k) are the node ids of each tet and owners its grain;
-    operators(idx) gives the state operators B (len(idx), n_gauss, nP,
-    nd) and weights w (len(idx), n_gauss) of the tets idx at their
-    Gauss points (a linear tet is one point of weight V). Per grain,
-    the stiffness is summed into the node-pair blocks of one pattern
-    and the weighted operators into the integrated-state pair intP =
-    int P, intL = int G P (nP x n_dofs), so no operator array larger
-    than one grain's is ever held.
-    """
-    nf = dof_map.n_fields
-    pattern, (positions,) = BlockPattern.of_elements([nodes], dof_map.n_nodes,
-                                                     nf)
-    blocks = np.zeros((pattern.n_pairs, nf, nf))
-    intP = np.zeros((case_count(dof_map.mode), dof_map.n_dofs))
-    intL = np.zeros_like(intP)
-    for c in np.unique(owners):
-        idx = np.nonzero(owners == c)[0]
-        B, w = operators(idx)
-        add_blocks(blocks, positions[idx], gauss_stiffness(B, w, moduli[c]))
-        part = scatter_columns(node_dofs(nodes[idx], nf),
-                               np.einsum("mg,mgpa->mpa", w, B),
-                               dof_map.n_dofs)
-        intP += part
-        intL += moduli[c] @ part
-    del positions
+    """(system, intP, intL) of a tet mesh, one `assemble_parts` part:
+    nodes (m, k) are the node ids of each tet, owners its grain and
+    operators(idx) the Gauss-point operators and weights of tets idx."""
+    order = np.argsort(owners, kind="stable")
+    grains = np.split(order, np.searchsorted(owners[order],
+                                             np.arange(1, len(moduli))))
+    pattern, ((blocks, intP, intL),) = assemble_parts(
+        [([nodes[idx] for idx in grains], lambda c: operators(grains[c]))],
+        moduli, dof_map.n_nodes, dof_map.n_fields)
     return system_from_blocks(pattern, blocks, dof_map), intP, intL
 
 

@@ -37,7 +37,7 @@ __all__ = [
     "target_block", "assign_volume_fraction", "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve", "beta_sweep",
     "beta_opt", "beta_grid", "beta_key", "fraction_grid", "fraction_sweep",
-    "comparison_csv", "beta_sweep_csv", "fraction_csv",
+    "usable_workers", "comparison_csv", "beta_sweep_csv", "fraction_csv",
 ]
 
 DEFAULT_BETA = 0.1
@@ -352,9 +352,8 @@ def beta_curve(operators: VemOperators, beta_grid, reference_effective,
 def _beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
     """Pool task: the curve of one contiguous chunk of the beta grid and
     its points' solver counters; the VEM operators are built once per
-    chunk, their tet parts only when the chunk holds a positive weight."""
-    operators = VemOperators(mesh, moduli, mode,
-                             with_tets=any(b > 0.0 for b in chunk))
+    chunk."""
+    operators = VemOperators(mesh, moduli, mode)
     solver = {}
     return beta_curve(operators, chunk, ref_effective, targets, solver), solver
 
@@ -368,14 +367,15 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     grid order; the companion coarse linear-tet row shares the
     reference, and a grid point beta = 1 coincides with it by
     construction. The grid is cut into up to `workers` contiguous
-    chunks, one pool task each. A dict `solver` receives the solver
-    counters of each point under its `beta_key` and of the coarse row
-    under "FEM-O1-coarse".
+    chunks, one pool task each, `workers` capped at the CPUs this
+    process may run on. A dict `solver` receives the solver counters of
+    each point under its `beta_key` and of the coarse row under
+    "FEM-O1-coarse".
     """
     grid = tuple(beta_grid)
     if any(b > 0.0 for b in grid):
         mesh.tets           # built here, so every payload's mesh carries it
-    n = max(1, min(workers, len(grid)))
+    n = max(1, min(usable_workers(workers), len(grid)))
     chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
                reference.effective, targets) for k in range(n)]
     # _beta_point is read when called, so a wrapper bound in its place runs
@@ -410,10 +410,12 @@ def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
                    cache_dir: str | None = None, workers: int = 1):
     """Hybrid volume-fraction sweep, one pool task per fraction: assign
     phases, build the refined reference, sweep beta, and report beta_opt
-    plus the error at the default stabilization weight."""
+    plus the error at the default stabilization weight. `workers` is
+    capped at the CPUs this process may run on."""
     return _pool_map(_fraction_row, [
         (mesh, library, f, rng_seed, beta_grid, mode, targets,
-         reference_levels, cache_dir) for f in fractions], workers)
+         reference_levels, cache_dir) for f in fractions],
+        usable_workers(workers))
 
 
 def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
@@ -433,6 +435,11 @@ def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
         fraction_target=float(frac), fraction_achieved=float(achieved),
         n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
         wall_seconds=time.perf_counter() - t0)
+
+
+def usable_workers(workers: int) -> int:
+    """`workers`, at most the number of CPUs this process may run on."""
+    return min(workers, len(os.sched_getaffinity(0)))
 
 
 def _pool_map(task, payloads, workers: int) -> list:

@@ -403,12 +403,26 @@ def node_block_spd(n_nodes, b, elements, rng):
     return (A + n * sp.eye(n)).tocsc()
 
 
+def node_cholesky(A, b, order):
+    """NodeCholesky of a sparse matrix A with b dofs per node, node-major:
+    its node blocks read from A's CSC arrays, which are the CSR arrays
+    of Aᵀ, so block (J, I) of Aᵀ holds A's block (I, J) transposed."""
+    n = A.shape[0]
+    if n % b or A.shape != (n, n):
+        raise ValueError(f"matrix {A.shape} is not square in blocks of {b}")
+    A = A.tocsc()
+    M = sp.csr_matrix((A.data, A.indices, A.indptr),
+                      shape=(n, n)).tobsr((b, b))
+    col = np.repeat(np.arange(n // b), np.diff(M.indptr))
+    return pc.NodeCholesky(M.data, M.indices, col, order)
+
+
 class TestNodeCholesky:
     """The supernodal node-block Cholesky factor against dense solves."""
 
     @staticmethod
     def assert_solves(A, b, order, n_rhs=3):
-        factor = pc.NodeCholesky(A, b, order)
+        factor = node_cholesky(A, b, order)
         rhs = RNG.normal(size=(A.shape[0], n_rhs))
         expected = np.linalg.solve(A.toarray(), rhs)
         for got in (factor.solve(rhs), factor.solve(rhs[:, 0])[:, None]):
@@ -454,7 +468,25 @@ class TestNodeCholesky:
         A = A.tolil()
         A[4, 4] = -1.0
         with pytest.raises(RuntimeError, match="not positive"):
-            pc.NodeCholesky(A.tocsc(), 3, np.arange(6))
+            node_cholesky(A.tocsc(), 3, np.arange(6))
+
+    def test_matrix_not_square_in_blocks_raises(self):
+        A = node_block_spd(5, 2, [np.arange(5)], np.random.default_rng(16))
+        with pytest.raises(ValueError, match="not square in blocks of 3"):
+            node_cholesky(A, 3, np.arange(5))
+
+    def test_store_beyond_physical_memory_leaves_the_ladder(self,
+                                                            monkeypatch):
+        # the factor's size is known before its store is allocated; a
+        # store the machine cannot hold is an AssemblyError, and no
+        # later rung tries to factor the block
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        monkeypatch.setattr(pc, "physical_memory", lambda: 1000)
+        system = TestFieldSplit.vem_operators("fullyCoupled").system(0.1)
+        with pytest.raises(pa.AssemblyError, match="physical memory"):
+            system.factorize()
+        assert system.solver_stats["path"] == "split"
+        assert system._lu is None and system._split is None
 
     def test_split_with_nonpositive_pivot_falls_back(self, monkeypatch):
         # an indefinite but nonsingular mechanical block: the split's
@@ -502,7 +534,7 @@ class TestNodeCholesky:
         order = pa._node_order(pa._symmetric_lu(-Kpp).perm_c, 1)
         tracemalloc.start()
         try:
-            factor = pc.NodeCholesky(Kuu, 3, order)
+            factor = node_cholesky(Kuu, 3, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -737,5 +769,5 @@ class TestScaledBlocks:
         nf = system.dof_map.n_fields
         Kuu, Kpp = split_blocks(scaled_oracle(system)[1], nf)
         lu_p = pa._symmetric_lu(Kpp)
-        factor = pc.NodeCholesky(Kuu, 3, pa._node_order(lu_p.perm_c, nf - 3))
+        factor = node_cholesky(Kuu, 3, pa._node_order(lu_p.perm_c, nf - 3))
         assert system.solver_stats["lu_nnz"] == [factor.nnz, lu_p.nnz]

@@ -12,6 +12,9 @@ import sys
 import numpy as np
 import pytest
 
+import polyvem.assembly as pa
+import polyvem.cholesky as pc
+import polyvem.study as study
 from polyvem.cli import _SCHEMA, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
                                     result_from_json)
@@ -139,6 +142,16 @@ reference_levels = 9
         assert main(["study", "--config", p,
                      "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_factor_beyond_physical_memory_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        monkeypatch.setattr(pc, "physical_memory", lambda: 1000)
+        p = write_config(tmp_path / "c.ini", BASE.format(n=8, names="BaTiO3"))
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "physical memory" in err
 
     def test_unknown_material_exits_2(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="unobtainium"))
@@ -427,7 +440,9 @@ class TestStudyCommand:
         assert message in capsys.readouterr().err
         assert not cache.exists() and not out.exists()
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
+    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # as many workers as asked, whatever this host's CPU count
+        monkeypatch.setattr(study, "usable_workers", lambda workers: workers)
         for kind, csv_name, all_workers in (
                 ("beta-sweep", "beta_sweep.csv", ("2", "3")),  # 3: uneven chunks
                 ("fraction-sweep", "fraction_sweep.csv", ("2",))):

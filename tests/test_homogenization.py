@@ -427,9 +427,52 @@ class TestSharedOperators:
         monkeypatch.setattr(pm, "triangulate_cell", boom)
         res = ph.homogenize_vem(mesh, moduli, beta=0.0)
         assert res.beta == 0.0
-        operators = ph.VemOperators(mesh, moduli, with_tets=False)
-        with pytest.raises(ph.HomogenizationError, match="beta = 0 only"):
-            operators.evaluate(0.1)
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech"])
+    def test_stabilization_part_is_the_coarse_tet_system(self, mode):
+        # bit for bit on every pair of the coarse tets, zero elsewhere
+        mesh = voronoi_mesh(20, seed=4)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], mode=mode)
+        operators = ph.VemOperators(mesh, moduli, mode)
+        operators.system(0.1)
+        pattern, (_, (blocks, intP, intL)) = operators._parts
+        tmesh = mesh.tets
+        assert tmesh.n_vertices == mesh.n_vertices     # no fallback cell
+        system, (tet_P, tet_L) = ph._fem_o1_system(
+            tmesh.vertices, tmesh.tets, tmesh.cell_of_tet, moduli,
+            operators.dof_map)
+        tets = system.pattern
+        tet_blocks = system.K.data[tets.mirror]
+        n = mesh.n_vertices
+        at = np.searchsorted(pattern.cols * n + pattern.rows,
+                             tets.cols * n + tets.rows)
+        assert np.array_equal(pattern.cols[at], tets.cols)
+        assert np.array_equal(pattern.rows[at], tets.rows)
+        assert blocks[at].tobytes() == tet_blocks.tobytes()
+        others = np.ones(pattern.n_pairs, dtype=bool)
+        others[at] = False
+        assert others.any() and not blocks[others].any()
+        assert intP.tobytes() == tet_P.tobytes()
+        assert intL.tobytes() == tet_L.tobytes()
+
+    def test_stabilization_part_is_built_at_the_first_positive_weight(
+            self, monkeypatch):
+        mesh = voronoi_mesh(4, seed=2)
+        moduli, _ = table_moduli(mesh, ["BaTiO3"])
+        calls = []
+        triangulate = pm.triangulate_cell
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return triangulate(*args, **kwargs)
+
+        monkeypatch.setattr(pm, "triangulate_cell", counted)
+        operators = ph.VemOperators(mesh, moduli)
+        counts = []
+        for beta in (0.0, 0.1, 0.5):
+            operators.evaluate(beta)
+            counts.append(len(calls))
+        assert counts == [0, len(mesh.cells), len(mesh.cells)]
 
 
 

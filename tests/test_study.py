@@ -1,5 +1,8 @@
 """Tests for error metrics, sweeps, references, and study CSV tables."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,7 +412,9 @@ class TestBetaSweep:
             assert abs(d["G"]) < 1e-8
         assert abs(fem_d["G"]) < 1e-8
 
-    def test_workers_do_not_change_the_curve(self):
+    def test_workers_do_not_change_the_curve(self, monkeypatch):
+        # as many workers as asked, whatever this host's CPU count
+        monkeypatch.setattr(ps, "usable_workers", lambda workers: workers)
         mesh = voronoi_mesh(6, seed=31)
         moduli, _ = _hex_moduli(mesh, seed=13)
         ref = ps.build_reference(mesh, moduli, "electroMech", 1, None)
@@ -432,6 +437,7 @@ class TestBetaSweep:
             return [task(*args) for args in payloads]
 
         monkeypatch.setattr(ps, "_pool_map", in_process)
+        monkeypatch.setattr(ps, "usable_workers", lambda workers: workers)
         ps.beta_sweep(voronoi_mesh(6, seed=31), moduli, "electroMech",
                       (0.0, 0.5, 1.0), ref, ("G",), workers=2)
         assert shipped == [True, True]
@@ -453,6 +459,49 @@ class TestBetaSweep:
         ps.beta_sweep(mesh, moduli, "electroMech", (0.0, 0.5, 1.0), ref,
                       ("G",), workers=1)
         assert sorted(calls) == list(range(len(mesh.cells)))
+
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        # 1000 workers on a 1000-point grid or 901 fractions start as many
+        # processes as this process may run on (3 here), no more
+        started = []
+
+        class FakePool:
+            """Records max_workers and runs the tasks here."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, *columns):
+                return map(task, *columns)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        chunks = []
+
+        def beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
+            chunks.append(len(chunk))
+            return [(b, {"G": 0.0}) for b in chunk], {}
+
+        monkeypatch.setattr(ps, "_beta_point", beta_point)
+        monkeypatch.setattr(ps, "_fraction_row", lambda *args: args[2])
+        mesh = voronoi_mesh(2, seed=3)
+        moduli, _ = _hex_moduli(mesh, seed=13)
+        ref = ph.homogenize_fem(mesh, moduli, mode="electroMech")
+        curve, _ = ps.beta_sweep(mesh, moduli, "electroMech",
+                                 ps.beta_grid(0.001), ref, ("G",),
+                                 workers=1000)
+        assert len(curve) == 1000 and chunks == [333, 333, 334]
+        fractions = ps.fraction_grid(0.001)
+        assert ps.fraction_sweep(mesh, LIB, fractions, 0, (0.5,),
+                                 workers=1000) == list(fractions)
+        assert started == [3, 3]
 
     def test_beta_opt_picks_minimum(self):
         curve = [(0.1, {"G": 3.0}), (0.2, {"G": -1.0}), (0.3, {"G": 2.0})]
