@@ -4,7 +4,8 @@ Dofs are node-major: global index = node * n_fields + field. Boundary
 dofs are eliminated (not penalized); the interior block is factorized
 once per configuration and the factorization is reused for every load
 case, all cases in one solve. Large blocks factor their mechanical and
-potential diagonal blocks apart and couple them by MINRES. A per-field
+potential diagonal blocks apart and couple them by conjugate gradients
+on the potential's Schur complement. A per-field
 diagonal congruence scaling equalizes the widely different magnitudes
 of the mechanical, electric, and magnetic blocks before factorization
 and is undone exactly afterwards.
@@ -270,10 +271,10 @@ class _EmptyFactor:
 
 # Interior dofs from which `factorize` splits the block (docs/fem.md):
 # below it one symmetric LU of the whole block and its back-substitutions
-# beat two block LUs and the MINRES iterations that couple them.
+# beat two block factors and the CG iterations that couple them.
 SPLIT_MIN_DOFS = 10000
-MINRES_RTOL = 1e-14          # per column, preconditioned residual estimate
-MINRES_MAXITER = 100
+CG_RTOL = 1e-14              # per column, preconditioned residual
+CG_MAXITER = 100
 RESIDUAL_GATE = 1e-10        # per column, interior residual, unscaled
 
 
@@ -315,72 +316,72 @@ def _csc_of_blocks(rows, cols, blocks, n_rows: int,
     return A
 
 
-def _block_minres(apply, precondition, B):
-    """Solution X of K X = B for every column of B by MINRES (Paige &
-    Saunders 1975), with K given by `apply` (v -> K v) and the SPD
-    preconditioner by `precondition` (r -> M^-1 r).
+def _schur_cg(solve_a, solve_c, B, C, f, g):
+    """(u, p, iterations) of the quasi-definite system [[A, B], [Bᵀ, -C]]
+    [u; p] = [f; g], every column of f and g, by CG on the potential's
+    Schur complement S = C + Bᵀ A⁻¹ B preconditioned by C (Benzi, Golub
+    & Liesen, Acta Numerica 14 (2005) 1, §5), with A⁻¹ and C⁻¹ given by
+    `solve_a` and `solve_c`.
 
-    One recurrence runs over all columns, so each iteration makes one
-    matrix product and one preconditioner application on the columns
-    still open; a column closes when its preconditioned residual
-    estimate falls to MINRES_RTOL of its start. Returns (X, iterations),
-    X None when a column is still open after MINRES_MAXITER iterations
-    or the recurrence turns non-finite (an indefinite preconditioner
-    shows as the square root of a negative number).
+    u₀ = A⁻¹ f, then S p = Bᵀ u₀ - g, then u = u₀ - A⁻¹ B p. Each
+    iteration makes one solve with A and one with C on the columns still
+    open, and carries w = A⁻¹ B p, so u takes no solve after the last.
+    The whole system's residual is then [0; r], and its norm under the
+    block-diagonal preconditioner diag(A, C) is √(rᵀ C⁻¹ r). A column
+    closes when that falls to CG_RTOL of the same norm of its right-hand
+    side, √(fᵀ A⁻¹ f + gᵀ C⁻¹ g), or starts there (a zero column). u and
+    p are None when a column is still open after CG_MAXITER iterations,
+    when rᵀ C⁻¹ r or gᵀ C⁻¹ g turns negative or non-finite, or when
+    dᵀ S d is not positive: that is how an indefinite C or S shows.
     """
-    X = np.zeros_like(B)
-    r1 = B
-    y = precondition(r1)
-    with np.errstate(invalid="ignore"):
-        beta = np.sqrt(np.einsum("ij,ij->j", r1, y))
-    if not np.isfinite(beta).all():
-        return None, 0
-    cols = np.nonzero(beta > 0.0)[0]
-    r1, y, beta = r1[:, cols], y[:, cols], beta[cols]
-    r2 = r1
-    stop = MINRES_RTOL * beta
-    phibar = beta
-    old_beta = dbar = eps_ln = sn = np.zeros_like(beta)
-    cs = -np.ones_like(beta)
-    w = w2 = np.zeros_like(r1)
+    u = solve_a(f)
+    start = np.einsum("ij,ij->j", f, u) + np.einsum("ij,ij->j", g, solve_c(g))
+    r = B.T @ u
+    r -= g
+    p, w = np.zeros_like(r), np.zeros_like(u)
+    z = solve_c(r)
+    rz = np.einsum("ij,ij->j", r, z)
+    if not (np.isfinite(start + rz).all() and (start >= 0.0).all()
+            and (rz >= 0.0).all()):
+        return None, None, 0
+    stop = CG_RTOL ** 2 * start
+    cols = np.flatnonzero(rz > stop)
+    r, d, rz, stop = r[:, cols], z[:, cols], rz[cols], stop[cols]
+    pc, wc = p[:, cols], w[:, cols]
     iterations = 0
     while len(cols):
-        if iterations == MINRES_MAXITER:
-            return None, iterations
+        if iterations == CG_MAXITER:
+            return None, None, iterations
         iterations += 1
-        v = y / beta
-        y = apply(v)
-        if iterations > 1:
-            y -= (beta / old_beta) * r1
-        alpha = np.einsum("ij,ij->j", v, y)
-        y -= (alpha / beta) * r2
-        r1, r2 = r2, y
-        y = precondition(r2)
-        old_beta = beta
-        with np.errstate(invalid="ignore"):
-            beta = np.sqrt(np.einsum("ij,ij->j", r2, y))
-        # plane rotation that keeps the tridiagonal least-squares form
-        old_eps = eps_ln
-        delta = cs * dbar + sn * alpha
-        gbar = sn * dbar - cs * alpha
-        eps_ln = sn * beta
-        dbar = -cs * beta
-        gamma = np.maximum(np.hypot(gbar, beta), np.finfo(float).eps)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - old_eps * w1 - delta * w2) / gamma
-        X[:, cols] += phi * w
-        if not np.isfinite(phibar).all():
-            return None, iterations
-        open_ = phibar > stop
+        ad = solve_a(B @ d)
+        q = C @ d
+        q += B.T @ ad
+        dq = np.einsum("ij,ij->j", d, q)
+        if not (dq > 0.0).all():
+            return None, None, iterations
+        alpha = rz / dq
+        ad *= alpha
+        wc += ad
+        q *= alpha
+        r -= q
+        np.multiply(d, alpha, out=q)
+        pc += q
+        z = solve_c(r)
+        rz_next = np.einsum("ij,ij->j", r, z)
+        if not (np.isfinite(rz_next).all() and (rz_next >= 0.0).all()):
+            return None, None, iterations
+        d *= rz_next / rz
+        d += z
+        rz = rz_next
+        open_ = rz > stop
         if not open_.all():
+            done = cols[~open_]
+            p[:, done], w[:, done] = pc[:, ~open_], wc[:, ~open_]
             cols = cols[open_]
-            (y, r1, r2, w, w2) = (a[:, open_] for a in (y, r1, r2, w, w2))
-            (beta, old_beta, dbar, eps_ln, cs, sn, phibar, stop) = (
-                a[open_] for a in (beta, old_beta, dbar, eps_ln, cs, sn,
-                                   phibar, stop))
-    return X, iterations
+            r, d, pc, wc = (a[:, open_] for a in (r, d, pc, wc))
+            rz, stop = rz[open_], stop[open_]
+    u -= w
+    return u, p, iterations
 
 
 class SparseSystem:
@@ -391,7 +392,7 @@ class SparseSystem:
     holds K's block (cols[k], rows[k]) in `row_blocks[k]`.
 
     `solver_stats` records how the interior block was solved: the path
-    ("split", "small" or "fallback"), the MINRES iterations, the stored
+    ("split", "small" or "fallback"), the CG iterations, the stored
     entries of each factor and the worst interior residual.
     """
 
@@ -483,7 +484,7 @@ class SparseSystem:
         self._lu = self._split = None
         large = len(self._ii) >= SPLIT_MIN_DOFS
         self.solver_stats = {"path": "split" if large else "small",
-                             "minres_iterations": 0, "lu_nnz": [],
+                             "cg_iterations": 0, "lu_nnz": [],
                              "max_interior_residual": 0.0}
         if len(self._ii) == 0:
             self._lu, self._rung = _EmptyFactor(), self.PIVOTED
@@ -515,29 +516,31 @@ class SparseSystem:
         raise self._failure(f"factorization failed: {failure}")
 
     def _factor_split(self):
-        """Factor K_uu and -K_pp of the scaled block, each from the
-        sub-blocks of the interior node pairs.
+        """Factor K_uu and C = -K_pp of the scaled block, each from the
+        sub-blocks of the interior node pairs, and keep C and the
+        coupling block K_up for the Schur complement CG.
 
         The block is symmetric quasi-definite, so both are positive
-        definite. -K_pp takes the symmetric SuperLU factor; its column
+        definite. C takes the symmetric SuperLU factor; its column
         order, read as nodes by first appearance, is the elimination
         order of the supernodal Cholesky factor of K_uu, whose dofs come
-        in blocks of 3 per node over the same interior nodes. Both see
+        in blocks of 3 per node over the same interior nodes. All see
         the pattern of the scaled block with its exact zeros dropped:
-        -K_pp as CSC, K_uu as the node blocks that hold a nonzero.
+        C and K_up as CSC, K_uu as the node blocks that hold a nonzero.
         """
         nf = self.dof_map.n_fields
         n = len(self._ii) // nf
         rows, cols, blocks = self._scaled_pairs(self._inner_pairs)
-        lu_p = _symmetric_lu(_csc_of_blocks(rows, cols, -blocks[:, 3:, 3:],
-                                            n, n))
+        C = _csc_of_blocks(rows, cols, -blocks[:, 3:, 3:], n, n)
+        lu_p = _symmetric_lu(C)
+        B = _csc_of_blocks(rows, cols, blocks[:, 3:, :3], n, n)
         uu = blocks[:, :3, :3]
         nonzero = uu.any(axis=(1, 2))
         uu, rows, cols = uu[nonzero], rows[nonzero], cols[nonzero]
         del blocks, nonzero
-        self._split = (NodeCholesky(uu, rows, cols,
-                                    _node_order(lu_p.perm_c, nf - 3)), lu_p)
-        self.solver_stats["lu_nnz"] = [int(f.nnz) for f in self._split]
+        chol = NodeCholesky(uu, rows, cols, _node_order(lu_p.perm_c, nf - 3))
+        self._split = (chol, lu_p, B, C)
+        self.solver_stats["lu_nnz"] = [int(chol.nnz), int(lu_p.nnz)]
 
     def _scaled_block(self):
         """The scaled interior block as sorted CSC, built from the node
@@ -552,40 +555,27 @@ class SparseSystem:
                 if self.deficient_cells else "")
         return AssemblyError(f"{message}{hint}")
 
-    def _interior_product(self, x):
-        """K_ii x of interior columns x (n_interior, m), through K."""
-        z = np.zeros((self.dof_map.n_dofs, x.shape[1]))
-        z[self._ii] = x
-        return (self._rows @ z)[self._ii]
-
     def _solve_scaled(self, rhs_s):
         """(u_i, worst interior residual) by the current rung; u_i None and
-        the residual infinite when MINRES does not converge."""
+        the residual infinite when the split's CG fails."""
         s = self.scaling[self._ii, None]
         if self._rung != self.SPLIT:
             ui = self._lu.solve(rhs_s) * s
             return ui, self._worst_residual(ui, rhs_s)
-        lu_u, lu_p = self._split
+        chol, lu_p, B, C = self._split
         nf = self.dof_map.n_fields
-
-        def precondition(r):
-            # the mechanical and potential dofs of each node, node-major
-            r = r.reshape(-1, nf, r.shape[1])
-            out = np.empty_like(r)
-            for fields, lu in ((slice(0, 3), lu_u), (slice(3, nf), lu_p)):
-                part = r[:, fields]
-                out[:, fields] = lu.solve(
-                    part.reshape(-1, r.shape[2])).reshape(part.shape)
-            return out.reshape(-1, r.shape[2])
-
-        def apply(v):                    # the scaled block, through K
-            return self._interior_product(v * s) * s
-
-        X, iterations = _block_minres(apply, precondition, rhs_s)
-        self.solver_stats["minres_iterations"] += iterations
-        if X is None:
+        # the mechanical and potential dofs of each node, node-major
+        rhs = rhs_s.reshape(-1, nf, rhs_s.shape[1])
+        u, p, iterations = _schur_cg(
+            chol.solve, lu_p.solve, B, C,
+            rhs[:, :3].reshape(-1, rhs.shape[2]),
+            rhs[:, 3:].reshape(-1, rhs.shape[2]))
+        self.solver_stats["cg_iterations"] += iterations
+        if u is None:
             return None, np.inf
-        ui = X * s
+        ui = np.concatenate([u.reshape(-1, 3, rhs.shape[2]),
+                             p.reshape(-1, nf - 3, rhs.shape[2])],
+                            axis=1).reshape(rhs_s.shape) * s
         return ui, self._worst_residual(ui, rhs_s)
 
     def _worst_residual(self, ui, rhs_s) -> float:
@@ -594,7 +584,9 @@ class SparseSystem:
         K_ii u_i through K, K_ib u_b = -rhs_s / s_i with s the scaling."""
         b = rhs_s / self.scaling[self._ii, None]
         denom = np.linalg.norm(b, axis=0)
-        res = np.linalg.norm(self._interior_product(ui) - b, axis=0)
+        z = np.zeros((self.dof_map.n_dofs, ui.shape[1]))
+        z[self._ii] = ui
+        res = np.linalg.norm((self._rows @ z)[self._ii] - b, axis=0)
         live = denom > 0.0
         return float(np.max(res[live] / denom[live], initial=0.0))
 

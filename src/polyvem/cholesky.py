@@ -282,13 +282,6 @@ class NodeCholesky:
                 + (b * (c - first[t])[:, None, None] + d[:, None])
                 * lead[:, None, None])
 
-    def _panels(self, t):
-        """(L11, L21) of supernode t as column-major views of the store."""
-        o, k, m = int(self.offset[t]), int(self.kd[t]), int(self.md[t])
-        L11 = self._store[o:o + k * k].reshape(k, k, order="F")
-        L21 = self._store[o + k * k:o + k * (k + m)].reshape(m, k, order="F")
-        return L11, L21
-
     def _pieces(self, rows, width):
         """Column pieces of a supernode's update: (start, end, owner end)
         node ranges of `rows` that one ancestor owns, at most `width`
@@ -305,14 +298,21 @@ class NodeCholesky:
         store, offset, kd, md = self._store, self.offset, self.kd, self.md
         d = np.arange(b)
         width = max(1, UPDATE_CHUNK // b)
-        self._rows = []                  # dof rows below each supernode
+        # per supernode, what a solve reads: its panels L11 and L21 as
+        # column-major views of the store, its first dof column, the end
+        # of its columns and the dof rows below them
+        self._plan = []
         for t, rows in enumerate(below):
-            L11, L21 = self._panels(t)
+            o, k, m = int(offset[t]), int(kd[t]), int(md[t])
+            L11 = store[o:o + k * k].reshape(k, k, order="F")
+            L21 = store[o + k * k:o + k * (k + m)].reshape(m, k, order="F")
             _, info = dpotrf(L11, lower=1, overwrite_a=1, clean=0)
             if info != 0:
                 raise RuntimeError(f"supernodal Cholesky: pivot {info} of "
                                    f"supernode {t} is not positive")
-            self._rows.append((b * rows[:, None] + d).ravel())
+            lo = b * int(first[t])
+            self._plan.append((L11, L21, lo, lo + k,
+                               (b * rows[:, None] + d).ravel()))
             if not len(rows):
                 continue
             dtrsm(1.0, L11, L21, side=1, lower=1, trans_a=1, overwrite_b=1)
@@ -353,21 +353,17 @@ class NodeCholesky:
         """Solution of A x = rhs for a vector or the columns of a matrix."""
         rhs = np.asarray(rhs, dtype=float)
         x = np.ascontiguousarray(rhs.reshape(self.n, -1)[self._dofs])
-        first = self.first * self.b
-        n_sn = len(self.below)
-        # L y = rhs, then L^T x = y; x[first[t]:first[t + 1]] is
-        # C-contiguous, so its transpose is a column-major right-hand side
-        for t in range(n_sn):
-            L11, L21 = self._panels(t)
-            xs = x[first[t]:first[t + 1]]
+        # L y = rhs, then L^T x = y; x[lo:hi] is C-contiguous, so its
+        # transpose is a column-major right-hand side
+        for L11, L21, lo, hi, rows in self._plan:
+            xs = x[lo:hi]
             dtrsm(1.0, L11, xs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-            if len(L21):
-                x[self._rows[t]] -= L21 @ xs
-        for t in reversed(range(n_sn)):
-            L11, L21 = self._panels(t)
-            xs = x[first[t]:first[t + 1]]
-            if len(L21):
-                xs -= L21.T @ x[self._rows[t]]
+            if len(rows):
+                x[rows] -= L21 @ xs
+        for L11, L21, lo, hi, rows in reversed(self._plan):
+            xs = x[lo:hi]
+            if len(rows):
+                xs -= L21.T @ x[rows]
             dtrsm(1.0, L11, xs.T, side=1, lower=1, trans_a=0, overwrite_b=1)
         out = np.empty_like(x)
         out[self._dofs] = x

@@ -414,6 +414,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         outputs.append(_write(outdir, "fraction_sweep.csv",
                               fraction_csv(rows, targets)))
         wall["rows"] = [r.wall_seconds for r in rows]
+        solver = {f"{r.fraction_target:.6g}": r.solver_stats for r in rows}
     else:
         layout = build_layout(cfg, library, len(mesh.cells))
         moduli = layout.moduli(library, mode)

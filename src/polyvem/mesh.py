@@ -91,6 +91,7 @@ class PolyMesh:
     _faces: FaceTable | None = field(default=None, repr=False)
     _fans: FaceFans | None = field(default=None, repr=False)
     _tets: TetMesh | None = field(default=None, repr=False)
+    _digest: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -1103,5 +1104,8 @@ def parse_tess(text: str, edge_length: float | None = None) -> PolyMesh:
 
 
 def mesh_hash(mesh: PolyMesh) -> str:
-    """Stable content hash used for caching and provenance."""
-    return hashlib.sha256(write_mesh(mesh).encode()).hexdigest()
+    """Stable content hash used for caching and provenance, computed on
+    first use and kept with the mesh (a mesh is not changed once built)."""
+    if mesh._digest is None:
+        mesh._digest = hashlib.sha256(write_mesh(mesh).encode()).hexdigest()
+    return mesh._digest

@@ -165,6 +165,9 @@ class FractionRow:
     e_c: dict                       # target -> percent error at DEFAULT_BETA
     d_rel_opt: dict                 # target -> deviation at beta_opt
     wall_seconds: float
+    # solver counters of the reference and of the DEFAULT_BETA point;
+    # diagnostics, not in the CSV
+    solver_stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +376,10 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     "FEM-O1-coarse".
     """
     grid = tuple(beta_grid)
+    # built here, so every payload's mesh carries them
+    mesh_hash(mesh)
     if any(b > 0.0 for b in grid):
-        mesh.tets           # built here, so every payload's mesh carries it
+        mesh.tets
     n = max(1, min(usable_workers(workers), len(grid)))
     chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
                reference.effective, targets) for k in range(n)]
@@ -431,10 +436,13 @@ def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
     default = operators.evaluate(DEFAULT_BETA)
     e_c, _ = _errors(default, reference, targets, mode)
     d_opt = dict(next(d for b, d in curve if b == b_opt))
+    # a reference read from the cache carries no solver counters
+    solver = {"reference": reference.solver_stats or {"cached": True},
+              beta_key(DEFAULT_BETA): default.solver_stats}
     return FractionRow(
         fraction_target=float(frac), fraction_achieved=float(achieved),
         n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
-        wall_seconds=time.perf_counter() - t0)
+        wall_seconds=time.perf_counter() - t0, solver_stats=solver)
 
 
 def usable_workers(workers: int) -> int:

@@ -405,7 +405,7 @@ class TestStudyCommand:
         assert sorted(solver) == sorted([r[0] for r in rows[1:]]
                                         + ["reference"])
         for stats in solver.values():
-            assert set(stats) == {"path", "minres_iterations", "lu_nnz",
+            assert set(stats) == {"path", "cg_iterations", "lu_nnz",
                                   "max_interior_residual"}
             assert stats["path"] == "small"
             assert stats["max_interior_residual"] <= 1e-10
@@ -493,6 +493,34 @@ class TestStudyCommand:
         assert [r[0] for r in rows[1:]] == ["0.05", "0.5", "0.95"]
         assert (o1 / "fraction_sweep.csv").read_bytes() == \
             (o2 / "fraction_sweep.csv").read_bytes()
+
+    def test_fraction_sweep_writes_solver_counters(self, tmp_path):
+        cfg = STUDY_BASE.format(kind="fraction-sweep", beta_step=0.5,
+                                cache=tmp_path / "cache")
+        cfg += "fraction_step = 0.45\nfraction_seed = 9\n"
+        p = write_config(tmp_path / "c.ini", cfg)
+        outs = tmp_path / "built", tmp_path / "cached"
+        for out in outs:
+            assert main(["study", "--config", p, "--out", str(out)]) == 0
+        keys = {"path", "cg_iterations", "lu_nnz", "max_interior_residual"}
+        for out, built in zip(outs, (True, False)):
+            solver = json.loads((out / "run_diagnostics.json").read_text())[
+                "solver"]
+            # one entry per CSV row, keyed by its fraction_target
+            assert sorted(solver) == ["0.05", "0.5", "0.95"]
+            for row in solver.values():
+                assert sorted(row) == ["0.1", "reference"]
+                assert set(row["0.1"]) == keys
+                assert row["0.1"]["max_interior_residual"] <= 1e-10
+                assert (set(row["reference"]) == keys if built
+                        else row["reference"] == {"cached": True})
+        # the counters stay out of the numeric table
+        first, second = ((out / "fraction_sweep.csv").read_text()
+                         for out in outs)
+        assert first == second
+        assert first.splitlines()[0] == (
+            "fraction_target,fraction_achieved,n_active_grains,beta_opt,"
+            "E_C_G_pct_beta_default,D_rel_G_pct_beta_opt")
 
     def test_comparison_runs_all_methods(self, tmp_path):
         cfg = STUDY_BASE.format(kind="comparison", beta_step=0.05,

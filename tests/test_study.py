@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -441,6 +442,34 @@ class TestBetaSweep:
         ps.beta_sweep(voronoi_mesh(6, seed=31), moduli, "electroMech",
                       (0.0, 0.5, 1.0), ref, ("G",), workers=2)
         assert shipped == [True, True]
+
+    def test_sweep_hashes_the_mesh_once(self, monkeypatch):
+        # the digest is kept with the mesh before the payloads are
+        # pickled, so the chunks, the coarse FEM row and the caller all
+        # read that one
+        moduli, _ = _hex_moduli(voronoi_mesh(6, seed=31), seed=13)
+        ref = ps.build_reference(voronoi_mesh(6, seed=31), moduli,
+                                 "electroMech", 1, None)
+        expected = pm.mesh_hash(voronoi_mesh(6, seed=31))
+        mesh = voronoi_mesh(6, seed=31)
+        calls = []
+        write = pm.write_mesh
+
+        def counting(m):
+            calls.append(m)
+            return write(m)
+
+        def shipped(task, payloads, workers):
+            return [task(*pickle.loads(pickle.dumps(args)))
+                    for args in payloads]
+
+        monkeypatch.setattr(pm, "write_mesh", counting)
+        monkeypatch.setattr(ps, "_pool_map", shipped)
+        monkeypatch.setattr(ps, "usable_workers", lambda workers: workers)
+        ps.beta_sweep(mesh, moduli, "electroMech", (0.0, 0.5, 1.0), ref,
+                      ("G",), workers=2)
+        assert pm.mesh_hash(mesh) == expected
+        assert [m is mesh for m in calls] == [True]
 
     def test_sweep_triangulates_each_cell_once(self, monkeypatch):
         moduli, _ = _hex_moduli(voronoi_mesh(6, seed=31), seed=13)
