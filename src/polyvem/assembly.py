@@ -5,10 +5,7 @@ dofs are eliminated (not penalized); the interior block is factorized
 once per configuration and the factorization is reused for every load
 case, all cases in one solve. Large blocks factor their mechanical and
 potential diagonal blocks apart and couple them by conjugate gradients
-on the potential's Schur complement. A per-field
-diagonal congruence scaling equalizes the widely different magnitudes
-of the mechanical, electric, and magnetic blocks before factorization
-and is undone exactly afterwards.
+on the potential's Schur complement.
 """
 
 from __future__ import annotations
@@ -270,12 +267,12 @@ class _EmptyFactor:
 
 
 # Interior dofs from which `factorize` splits the block (docs/fem.md):
-# below it one symmetric LU of the whole block and its back-substitutions
-# beat two block factors and the CG iterations that couple them.
+# set when block MINRES coupled the split; with CG the split also wins on
+# some smaller blocks, so this is not the measured crossover.
 SPLIT_MIN_DOFS = 10000
 CG_RTOL = 1e-14              # per column, preconditioned residual
 CG_MAXITER = 100
-RESIDUAL_GATE = 1e-10        # per column, interior residual, unscaled
+RESIDUAL_GATE = 1e-10        # per column, interior residual
 
 
 def _symmetric_lu(block):
@@ -414,25 +411,6 @@ class SparseSystem:
         self._lu = None
         self._split = None
         self.solver_stats = {}
-        self._prepare_scaling()
-
-    def _prepare_scaling(self):
-        nf = self.dof_map.n_fields
-        diag = self.K.diagonal()
-        s = np.ones(self.dof_map.n_dofs)
-        report = {}
-        for f in range(nf):
-            d = np.abs(diag[f::nf])
-            mean = d.mean() if len(d) else 0.0
-            report[f"field{f}"] = {
-                "diag_mean": float(mean),
-                "diag_min": float(d.min()) if len(d) else 0.0,
-                "diag_max": float(d.max()) if len(d) else 0.0,
-            }
-            if mean > 0.0:
-                s[f::nf] = 1.0 / np.sqrt(mean)
-        self.scaling = s
-        self.scaling_report = report
 
     @cached_property
     def _rows(self) -> sp.csr_matrix:
@@ -441,31 +419,30 @@ class SparseSystem:
         entry than BSR's."""
         return self.K.tocsr()
 
-    def _scaled_pairs(self, pairs):
-        """(row labels, column labels, blocks) of the scaled matrix
-        S K S at the node pairs `pairs`, each block transposed, each
+    def _pair_blocks(self, pairs):
+        """(row labels, column labels, blocks) of K at the node pairs
+        `pairs`, each block transposed and gathered contiguously, each
         node labelled by its rank among the interior or the boundary
-        nodes. The entries are (K_ij s_i) s_j, the products of the
-        sparse product S @ K @ S."""
+        nodes."""
         nf = self.dof_map.n_fields
         p = self.pattern
         rows, cols = p.rows[pairs], p.cols[pairs]
-        s = self.scaling.reshape(-1, nf)
+        # K's block at pair k is its mirror pair's row block; mode "clip"
+        # lets take write into `out` unbuffered (the indices are in range)
         blocks = np.empty((len(pairs), nf, nf))
-        np.multiply(self.K.data[p.mirror[pairs]].transpose(0, 2, 1),
-                    s[rows, None, :], out=blocks)
-        blocks *= s[cols, :, None]
+        np.take(self.K.data.transpose(0, 2, 1), p.mirror[pairs], axis=0,
+                out=blocks, mode="clip")
         return self._label[rows], self._label[cols], blocks
 
     def factorize(self):
-        """Factor the scaled interior block once; reused by every solve.
+        """Factor the interior block once; reused by every solve.
 
         The interior and interior-boundary blocks are cut out of the
-        node pairs by node masks and scaled there. From SPLIT_MIN_DOFS
-        interior dofs on, the two sign-definite diagonal blocks are
-        factored instead of the whole block. A rung that fails to
-        factor, or whose solve fails, hands the block to the next rung:
-        split, symmetric whole block, pivoted whole block.
+        node pairs by node masks. From SPLIT_MIN_DOFS interior dofs on,
+        the two sign-definite diagonal blocks are factored instead of
+        the whole block. A rung that fails to factor, or whose solve
+        fails, hands the block to the next rung: split, symmetric whole
+        block, pivoted whole block.
         """
         dm = self.dof_map
         inner, bound = dm.interior_nodes, dm.boundary_nodes
@@ -477,8 +454,8 @@ class SparseSystem:
         row_in, col_in = (is_inner[self.pattern.rows],
                           is_inner[self.pattern.cols])
         self._inner_pairs = np.flatnonzero(row_in & col_in)
-        self._Kib_s = _csc_of_blocks(
-            *self._scaled_pairs(np.flatnonzero(row_in & ~col_in)),
+        self._Kib = _csc_of_blocks(
+            *self._pair_blocks(np.flatnonzero(row_in & ~col_in)),
             len(inner), len(bound))
         self._ii, self._ib = dm.interior_dofs, dm.boundary_dofs
         self._lu = self._split = None
@@ -494,14 +471,14 @@ class SparseSystem:
         return self
 
     def _factor(self, rung: int):
-        """Factor the scaled block by the first rung from `rung` on that
+        """Factor the interior block by the first rung from `rung` on that
         meets no zero pivot; AssemblyError when even the pivoted LU does."""
         for rung in range(rung, self.PIVOTED + 1):
             try:
                 if rung == self.SPLIT:
                     self._factor_split()
                 else:
-                    block = self._scaled_block()
+                    block = self._interior_block()
                     self._lu = (_symmetric_lu(block) if rung == self.SYMMETRIC
                                 else spla.splu(block))
                     self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
@@ -516,7 +493,7 @@ class SparseSystem:
         raise self._failure(f"factorization failed: {failure}")
 
     def _factor_split(self):
-        """Factor K_uu and C = -K_pp of the scaled block, each from the
+        """Factor K_uu and C = -K_pp of the interior block, each from the
         sub-blocks of the interior node pairs, and keep C and the
         coupling block K_up for the Schur complement CG.
 
@@ -525,12 +502,12 @@ class SparseSystem:
         order, read as nodes by first appearance, is the elimination
         order of the supernodal Cholesky factor of K_uu, whose dofs come
         in blocks of 3 per node over the same interior nodes. All see
-        the pattern of the scaled block with its exact zeros dropped:
+        the pattern of the interior block with its exact zeros dropped:
         C and K_up as CSC, K_uu as the node blocks that hold a nonzero.
         """
         nf = self.dof_map.n_fields
         n = len(self._ii) // nf
-        rows, cols, blocks = self._scaled_pairs(self._inner_pairs)
+        rows, cols, blocks = self._pair_blocks(self._inner_pairs)
         C = _csc_of_blocks(rows, cols, -blocks[:, 3:, 3:], n, n)
         lu_p = _symmetric_lu(C)
         B = _csc_of_blocks(rows, cols, blocks[:, 3:, :3], n, n)
@@ -542,51 +519,46 @@ class SparseSystem:
         self._split = (chol, lu_p, B, C)
         self.solver_stats["lu_nnz"] = [int(chol.nnz), int(lu_p.nnz)]
 
-    def _scaled_block(self):
-        """The scaled interior block as sorted CSC, built from the node
-        pairs (and the split freed), so every rung factors the same
-        arrays."""
+    def _interior_block(self):
+        """The interior block as sorted CSC, built from the node pairs
+        (and the split freed), so every rung factors the same arrays."""
         self._split = None
         n = len(self._ii) // self.dof_map.n_fields
-        return _csc_of_blocks(*self._scaled_pairs(self._inner_pairs), n, n)
+        return _csc_of_blocks(*self._pair_blocks(self._inner_pairs), n, n)
 
     def _failure(self, message: str) -> AssemblyError:
         hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
                 if self.deficient_cells else "")
         return AssemblyError(f"{message}{hint}")
 
-    def _solve_scaled(self, rhs_s):
+    def _solve_interior(self, rhs):
         """(u_i, worst interior residual) by the current rung; u_i None and
         the residual infinite when the split's CG fails."""
-        s = self.scaling[self._ii, None]
         if self._rung != self.SPLIT:
-            ui = self._lu.solve(rhs_s) * s
-            return ui, self._worst_residual(ui, rhs_s)
+            ui = self._lu.solve(rhs)
+            return ui, self._worst_residual(ui, rhs)
         chol, lu_p, B, C = self._split
-        nf = self.dof_map.n_fields
+        nf, m = self.dof_map.n_fields, rhs.shape[1]
         # the mechanical and potential dofs of each node, node-major
-        rhs = rhs_s.reshape(-1, nf, rhs_s.shape[1])
+        by_node = rhs.reshape(-1, nf, m)
         u, p, iterations = _schur_cg(
-            chol.solve, lu_p.solve, B, C,
-            rhs[:, :3].reshape(-1, rhs.shape[2]),
-            rhs[:, 3:].reshape(-1, rhs.shape[2]))
+            chol.solve, lu_p.solve, B, C, by_node[:, :3].reshape(-1, m),
+            by_node[:, 3:].reshape(-1, m))
         self.solver_stats["cg_iterations"] += iterations
         if u is None:
             return None, np.inf
-        ui = np.concatenate([u.reshape(-1, 3, rhs.shape[2]),
-                             p.reshape(-1, nf - 3, rhs.shape[2])],
-                            axis=1).reshape(rhs_s.shape) * s
-        return ui, self._worst_residual(ui, rhs_s)
+        ui = np.concatenate([u.reshape(-1, 3, m), p.reshape(-1, nf - 3, m)],
+                            axis=1).reshape(rhs.shape)
+        return ui, self._worst_residual(ui, rhs)
 
-    def _worst_residual(self, ui, rhs_s) -> float:
+    def _worst_residual(self, ui, rhs) -> float:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
         over the columns with a nonzero right-hand side (NaN if any is):
-        K_ii u_i through K, K_ib u_b = -rhs_s / s_i with s the scaling."""
-        b = rhs_s / self.scaling[self._ii, None]
-        denom = np.linalg.norm(b, axis=0)
+        K_ii u_i through K, K_ib u_b the negated right-hand side."""
+        denom = np.linalg.norm(rhs, axis=0)
         z = np.zeros((self.dof_map.n_dofs, ui.shape[1]))
         z[self._ii] = ui
-        res = np.linalg.norm((self._rows @ z)[self._ii] - b, axis=0)
+        res = np.linalg.norm((self._rows @ z)[self._ii] - rhs, axis=0)
         live = denom > 0.0
         return float(np.max(res[live] / denom[live], initial=0.0))
 
@@ -605,16 +577,15 @@ class SparseSystem:
         single = ub.ndim == 1
         if single:
             ub = ub[:, None]
-        yb = ub / self.scaling[self._ib, None]
-        rhs_s = -(self._Kib_s @ yb)
-        ui, worst = self._solve_scaled(rhs_s)
+        rhs = -(self._Kib @ ub)
+        ui, worst = self._solve_interior(rhs)
         while not worst <= RESIDUAL_GATE:
             if self._rung == self.PIVOTED:
                 raise self._failure(f"interior solve residual {worst:.3e} "
                                     f"exceeds {RESIDUAL_GATE:g}")
             self.solver_stats["path"] = "fallback"
             self._factor(self._rung + 1)
-            ui, worst = self._solve_scaled(rhs_s)
+            ui, worst = self._solve_interior(rhs)
         stats = self.solver_stats
         stats["max_interior_residual"] = max(
             stats["max_interior_residual"], worst)

@@ -161,7 +161,6 @@ class HomogenizationResult:
     n_dofs: int
     n_factorizations: int
     n_solves: int
-    scaling_report: dict
     # diagnostics, outside result_to_json: SparseSystem.solver_stats
     solver_stats: dict = field(default_factory=dict)
 
@@ -205,7 +204,6 @@ def _battery(system, dof_map, coords, mode, volume, averager,
         asymmetry=float(asym), mesh_digest=mesh_digest,
         material_names=tuple(material_names), n_dofs=dof_map.n_dofs,
         n_factorizations=system.n_factorizations, n_solves=system.n_solves,
-        scaling_report=system.scaling_report,
         solver_stats=dict(system.solver_stats))
 
 
@@ -445,7 +443,6 @@ def result_to_json(result: HomogenizationResult, config: dict | None = None) -> 
                            for row in result.average_fluxes],
         "hill_residuals": [float(x) for x in result.hill_residuals],
         "asymmetry": float(result.asymmetry),
-        "scaling_report": result.scaling_report,
     }
     payload["config_digest"] = config_digest(config if config is not None
                                               else {"mesh": result.mesh_digest,
@@ -472,8 +469,7 @@ def result_from_json(text: str) -> HomogenizationResult:
         material_names=tuple(doc["materials"]),
         n_dofs=int(doc["n_dofs"]),
         n_factorizations=int(doc["n_factorizations"]),
-        n_solves=int(doc["n_solves"]),
-        scaling_report=doc["scaling_report"])
+        n_solves=int(doc["n_solves"]))
 
 
 def result_to_csv(result: HomogenizationResult) -> str:

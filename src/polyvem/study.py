@@ -234,15 +234,21 @@ def build_reference(mesh: PolyMesh, moduli, mode: str, levels: int,
         cached = _read_cached(path)
         if cached is not None:
             return cached
-    n_coarse = len(mesh.tets.tets)
-    if n_coarse * 8 ** levels > MEMORY_GUARD_TETS:
-        raise StudyError(
-            f"refined mesh would have {n_coarse * 8 ** levels} tets "
-            f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
+    _guard_refinement(mesh, levels)
     result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
     if path is not None:
         _write_atomic(path, result_to_json(result))
     return result
+
+
+def _guard_refinement(mesh: PolyMesh, levels: int) -> None:
+    """StudyError when `levels` refinements of the coarse tets, each
+    into 8, would give more than MEMORY_GUARD_TETS tets."""
+    n_tets = len(mesh.tets.tets) * 8 ** levels
+    if n_tets > MEMORY_GUARD_TETS:
+        raise StudyError(
+            f"refined mesh would have {n_tets} tets "
+            f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
 
 
 def _read_cached(path: str) -> HomogenizationResult | None:
@@ -284,9 +290,12 @@ def parse_method(method: str):
                          f"{', '.join(METHODS)}")
     if not paren:
         return base, int(refined)
-    if not (arg.endswith(")") and arg[:-1].isdigit() and int(arg[:-1]) > 0):
+    level = arg[:-1]
+    # str.isdigit also accepts digits such as "²" that int() rejects
+    if not (arg.endswith(")") and level.isascii() and level.isdigit()
+            and int(level) > 0):
         raise StudyError(f"bad refinement level in method {method!r}")
-    return base, int(arg[:-1])
+    return base, int(level)
 
 
 def run_method(mesh, moduli, mode, method, beta,
@@ -296,6 +305,8 @@ def run_method(mesh, moduli, mode, method, beta,
     if base == "VEM-VO":
         return homogenize_vem(mesh, moduli, beta=beta, mode=mode,
                               material_names=material_names)
+    if levels:
+        _guard_refinement(mesh, levels)
     order = 2 if base == "FEM-O2-coarse" else 1
     return homogenize_fem(mesh, moduli, order=order, levels=levels,
                           mode=mode, material_names=material_names)
@@ -431,14 +442,21 @@ def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
     reference = build_reference(mesh, moduli, mode, reference_levels,
                                 cache_dir)
     operators = VemOperators(mesh, moduli, mode)
-    curve = beta_curve(operators, beta_grid, reference.effective, targets)
+    points = {}
+    curve = beta_curve(operators, beta_grid, reference.effective, targets,
+                       points)
     b_opt = beta_opt(curve, targets[0])
-    default = operators.evaluate(DEFAULT_BETA)
-    e_c, _ = _errors(default, reference, targets, mode)
-    d_opt = dict(next(d for b, d in curve if b == b_opt))
+    by_beta = dict(curve)
+    d_default = by_beta.get(DEFAULT_BETA)
+    if d_default is None:                # the default weight is off the grid
+        (_, d_default), = beta_curve(operators, (DEFAULT_BETA,),
+                                     reference.effective, targets, points)
+    e_c = {t: abs(d) for t, d in d_default.items()}
+    d_opt = dict(by_beta[b_opt])
     # a reference read from the cache carries no solver counters
+    key = beta_key(DEFAULT_BETA)
     solver = {"reference": reference.solver_stats or {"cached": True},
-              beta_key(DEFAULT_BETA): default.solver_stats}
+              key: points[key]}
     return FractionRow(
         fraction_target=float(frac), fraction_achieved=float(achieved),
         n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,

@@ -231,32 +231,6 @@ class TestSolve:
                           - u_b[new * 4:(new + 1) * 4]).max() < 1e-11 * scale
 
 
-class TestScalingAndDump:
-    def test_scaling_is_exactly_undone(self):
-        # same solve with scaling forced to identity must agree closely
-        points, tets = two_tet_points_tets()
-        G = random_modulus(4, RNG)
-        elems = [TetElem(t, points[t], G, 4) for t in tets]
-        dm = pa.DofMap(5, [0, 1, 2, 4], "electroMech")
-        ub = RNG.normal(size=len(dm.boundary_dofs))
-
-        scaled = pa.assemble(elems, dm)
-        u_scaled = scaled.solve_dirichlet(ub)
-        plain = pa.assemble(elems, dm)
-        plain.scaling = np.ones(dm.n_dofs)
-        u_plain = plain.solve_dirichlet(ub)
-        assert np.allclose(u_scaled, u_plain, rtol=1e-9,
-                           atol=1e-12 * np.abs(u_plain).max())
-
-    def test_scaling_report_fields(self):
-        mesh = voronoi_mesh(2)
-        G = random_modulus(5, RNG)
-        system = ph.VemOperators(mesh, [G] * 2).system(0.1)
-        assert set(system.scaling_report) == {f"field{f}" for f in range(5)}
-        for rec in system.scaling_report.values():
-            assert rec["diag_max"] >= rec["diag_mean"] >= rec["diag_min"]
-
-
 class TestFieldSplit:
     """Split factorization with batched Schur complement CG against the
     whole-block LU."""
@@ -452,7 +426,7 @@ class TestFieldSplit:
         default = sum(spla.splu(block, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True}).nnz
-                      for block in split_blocks(system._scaled_block(), 5))
+                      for block in split_blocks(system._interior_block(), 5))
         assert sum(system.solver_stats["lu_nnz"]) < default
 
 
@@ -776,21 +750,14 @@ def quasi_definite_triplets(rng):
     return rows, cols, X[rows, cols], pa.DofMap(n_nodes, [0, 5], "electroMech")
 
 
-def scaled_oracle(system):
-    """(scaling, K_ii, K_ib) of the scaled matrix S K S, sliced from the
-    CSC of system.K by sparse products and fancy indexing."""
+def sliced_oracle(system):
+    """(K_ii, K_ib) sliced from the CSC of system.K by fancy indexing,
+    with the exact zeros of its node blocks dropped."""
     dm = system.dof_map
-    nf = dm.n_fields
     K = system.K.tocsc()
-    diag = K.diagonal()
-    s = np.ones(dm.n_dofs)
-    for f in range(nf):
-        mean = np.abs(diag[f::nf]).mean()
-        if mean > 0.0:
-            s[f::nf] = 1.0 / np.sqrt(mean)
-    S = sp.diags(s)
-    rows = (S @ K @ S).tocsc()[dm.interior_dofs]
-    return s, rows[:, dm.interior_dofs], rows[:, dm.boundary_dofs]
+    K.eliminate_zeros()
+    rows = K[dm.interior_dofs]
+    return rows[:, dm.interior_dofs], rows[:, dm.boundary_dofs]
 
 
 def assert_same_bits(A, B):
@@ -802,8 +769,8 @@ def assert_same_bits(A, B):
 
 
 class TestScaledBlocks:
-    """The scaled interior and interior-boundary blocks cut from the node
-    pairs, bit for bit against S K S sliced from the assembled matrix."""
+    """The interior and interior-boundary blocks cut from the node pairs,
+    bit for bit against K sliced by dofs, with no scaling in between."""
 
     @staticmethod
     def system(case):
@@ -823,30 +790,29 @@ class TestScaledBlocks:
     @pytest.mark.parametrize("case", CASES)
     def test_scaling_and_blocks_match_sparse_products(self, case):
         system = self.system(case).factorize()
-        s, Kii, Kib = scaled_oracle(system)
-        assert system.scaling.tobytes() == s.tobytes()
-        assert_same_bits(system._Kib_s, Kib)
+        Kii, Kib = sliced_oracle(system)
+        assert_same_bits(system._Kib, Kib)
         if case == "all-boundary":
             assert Kii.shape == (0, 0)
         else:
-            assert_same_bits(system._scaled_block(), Kii)
+            assert_same_bits(system._interior_block(), Kii)
 
     def test_fully_coupled_blocks_hold_exact_zeros(self):
         # the zero sub-blocks are stored in the node pairs but not in the
-        # scaled block, whose pattern SuperLU orders
+        # interior block, whose pattern SuperLU orders
         system = self.system("vem-fullyCoupled").factorize()
         assert (system.K.data == 0.0).any()
-        assert (system._scaled_block().data != 0.0).all()
+        assert (system._interior_block().data != 0.0).all()
 
     @pytest.mark.parametrize("case", CASES[:-1])
     def test_split_stores_as_from_the_sliced_block(self, monkeypatch, case):
         # the factors of K_uu and -K_pp cut from the node pairs store as
-        # many entries as those of the blocks sliced from S K S
+        # many entries as those of the blocks sliced from K
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         system = self.system(case).factorize()
         assert system.solver_stats["path"] == "split"
         nf = system.dof_map.n_fields
-        Kuu, Kpp = split_blocks(scaled_oracle(system)[1], nf)
+        Kuu, Kpp = split_blocks(sliced_oracle(system)[0], nf)
         lu_p = pa._symmetric_lu(Kpp)
         factor = node_cholesky(Kuu, 3, pa._node_order(lu_p.perm_c, nf - 3))
         assert system.solver_stats["lu_nnz"] == [factor.nnz, lu_p.nnz]

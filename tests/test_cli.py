@@ -14,10 +14,11 @@ import pytest
 
 import polyvem.assembly as pa
 import polyvem.cholesky as pc
+import polyvem.homogenization as ph
 import polyvem.study as study
 from polyvem.cli import _SCHEMA, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
-                                    result_from_json)
+                                    result_from_json, result_to_json)
 from polyvem.materials import builtin_library
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
@@ -143,6 +144,31 @@ reference_levels = 9
                      "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section", [
+        ("homogenize", "[homogenize]\nmode = electroMech\n"
+         "method = FEM-O1-refined(30)\n"),
+        ("study", "[study]\nkind = comparison\nreference_levels = 1\n"
+         "methods = VEM-VO,FEM-O1-refined(30)\n"),
+    ], ids=["homogenize", "comparison"])
+    def test_refined_method_is_guarded(self, tmp_path, capsys, monkeypatch,
+                                       command, section):
+        # the guard stops the run before any refinement; without it, this
+        # level would refine until the memory runs out
+        refine = ph.refine_tet_mesh
+
+        def refine_below_the_guard(tmesh, levels):
+            assert levels < 30, "refined past the memory guard"
+            return refine(tmesh, levels)
+
+        monkeypatch.setattr(ph, "refine_tet_mesh", refine_below_the_guard)
+        p = write_config(tmp_path / "c.ini",
+                         "[mesh]\nn_grains = 3\nmesh_seed = 11\n" + section)
+        assert main([command, "--config", p,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "lower the refinement level" in err
+
     def test_factor_beyond_physical_memory_exits_3(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
@@ -199,6 +225,8 @@ reference_levels = 9
         ("homogenize", "method", "VEM-XX", "unknown method 'VEM-XX'"),
         ("study", "methods", "VEM-VO,VEM-XX", "unknown method 'VEM-XX'"),
         ("study", "methods", "FEM-O1-refined(x)", "bad refinement level"),
+        ("homogenize", "method", "FEM-O1-refined(²)",
+         "bad refinement level"),
     ])
     def test_bad_beta_or_method_exits_2(self, tmp_path, capsys, command,
                                         key, value, message):
@@ -601,9 +629,27 @@ def documented_schema() -> dict:
             for m in re.finditer(r"\[(\w+)\]([^[]*)", "".join(plain))}
 
 
+def documented_result_keys() -> list:
+    """Keys of the `result.json` block of docs/formats.md: the first word
+    of each line."""
+    with open(os.path.join(REPO, "docs", "formats.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Result JSON", 1)[1].split("```\n", 2)[1]
+    return [line.split()[0] for line in block.splitlines()]
+
+
 class TestDocumentedConfig:
     def test_formats_doc_lists_the_schema(self):
         assert documented_schema() == _SCHEMA
+
+    def test_formats_doc_lists_the_result_keys(self):
+        mesh = generate_voronoi(random_seeds(2, 1.0, 11).seeds, 1.0)
+        lib = builtin_library()
+        layout = GrainLayout.random(lib, "BaTiO3", 2, 12)
+        result = homogenize_vem(mesh, layout.moduli(lib, "electroMech"),
+                                beta=0.1, mode="electroMech")
+        assert documented_result_keys() == list(
+            json.loads(result_to_json(result)))
 
     def test_demo_configs_load(self):
         paths = sorted(glob.glob(os.path.join(REPO, "demos", "configs",

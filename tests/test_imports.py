@@ -1,5 +1,6 @@
 """Static checks of the package sources: no unused module-level import,
-and every function and method the benchmark tracer wraps exists."""
+no unreferenced private module-level name, and every function and method
+the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -40,6 +41,48 @@ def test_no_unused_module_imports():
     found = [f"{path.name}:{line} {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path)]
+    assert found == []
+
+
+def private_definitions(tree):
+    """(line, name) of the private module-level functions, classes and
+    constants of a module: `_`-prefixed, not dunder."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def referenced_names(tree):
+    """Names a module reads: loaded names, attributes and imported
+    names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(referenced_names, trees.values()))
+    found = [f"{name}:{line} {private}" for name, tree in trees.items()
+             for line, private in private_definitions(tree)
+             if private not in used]
     assert found == []
 
 

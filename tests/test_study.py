@@ -1,6 +1,7 @@
 """Tests for error metrics, sweeps, references, and study CSV tables."""
 
 import concurrent.futures
+import json
 import os
 import pickle
 
@@ -308,6 +309,29 @@ class TestBuildReference:
                            rtol=1e-15, atol=0.0)
         assert second.method == first.method
 
+    def test_entry_with_a_scaling_report_is_a_hit(self, tmp_path,
+                                                  monkeypatch):
+        # earlier builds wrote a per-field scaling report into every
+        # result; the digest is unchanged, so their entries stay hits
+        mesh = voronoi_mesh(3)
+        moduli, _ = _hex_moduli(mesh, seed=5)
+        first = ps.build_reference(mesh, moduli, "electroMech", 1,
+                                   str(tmp_path))
+        entry, = tmp_path.glob("reference-*.json")
+        doc = json.loads(entry.read_text())
+        doc["scaling_report"] = {
+            f"field{f}": {"diag_mean": 1.0, "diag_min": 0.5, "diag_max": 2.0}
+            for f in range(4)}
+        entry.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+        def boom(*a, **k):
+            raise AssertionError("cache miss: recomputed the reference")
+
+        monkeypatch.setattr(ps, "homogenize_fem", boom)
+        second = ps.build_reference(mesh, moduli, "electroMech", 1,
+                                    str(tmp_path))
+        assert second.effective.tobytes() == first.effective.tobytes()
+
     def test_cache_entry_of_another_release_is_a_miss(self, tmp_path,
                                                       monkeypatch):
         mesh = voronoi_mesh(3)
@@ -600,6 +624,34 @@ class TestFractionSweep:
         csv1 = ps.fraction_csv(rows1, ("G",))
         csv2 = ps.fraction_csv(rows2, ("G",))
         assert csv1 == csv2
+
+    def test_default_weight_on_the_grid_is_evaluated_once(self, tmp_path,
+                                                          monkeypatch):
+        mesh = voronoi_mesh(8, seed=17)
+        weights = []
+        evaluate = ph.VemOperators.evaluate
+
+        def counting(self, beta, *args, **kwargs):
+            weights.append(beta)
+            return evaluate(self, beta, *args, **kwargs)
+
+        monkeypatch.setattr(ph.VemOperators, "evaluate", counting)
+
+        def row(grid):
+            weights.clear()
+            row, = ps.fraction_sweep(
+                mesh, LIB, (0.5,), 5, grid, targets=("G",),
+                reference_levels=1, cache_dir=str(tmp_path))
+            return row
+
+        on_grid = row(ps.beta_grid(0.05))
+        assert len(weights) == 20 and weights.count(ps.DEFAULT_BETA) == 1
+        # off the grid, the default weight is evaluated apart, to the bit
+        off_grid = row((0.05, 0.5))
+        assert weights == [0.05, 0.5, ps.DEFAULT_BETA]
+        assert off_grid.e_c == on_grid.e_c
+        key = ps.beta_key(ps.DEFAULT_BETA)
+        assert off_grid.solver_stats[key] == on_grid.solver_stats[key]
 
 
 # ---------------------------------------------------------------------------
