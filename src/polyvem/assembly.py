@@ -180,12 +180,16 @@ def assemble_parts(parts, moduli, n_nodes: int, n_fields: int):
     return pattern, sums
 
 
+SYMMETRY_AUDIT = 1e-12       # relative asymmetry of an assembled matrix
+
+
 def _audit_symmetry(asymmetry: float, scale: float):
-    """The assembled matrix must already be symmetric to 1e-12 relative."""
-    if scale and asymmetry > 1e-12 * scale:
+    """The assembled matrix must already be symmetric to SYMMETRY_AUDIT
+    relative."""
+    if scale and asymmetry > SYMMETRY_AUDIT * scale:
         raise AssemblyError(
             f"assembled matrix asymmetry {asymmetry:.3e} exceeds audit "
-            f"tolerance ({1e-12 * scale:.3e})")
+            f"tolerance ({SYMMETRY_AUDIT * scale:.3e})")
 
 
 def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,

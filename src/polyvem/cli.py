@@ -1,11 +1,12 @@
 """Batch front-end: mesh generation, homogenization runs, studies,
 and material listing, driven by a sectioned key-value config file.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or
-input-data error. Outputs are deterministic for identical configs and
-seeds: numeric tables carry no timestamps or timings; wall times go to
-a separate diagnostics file. Every run writes a provenance file with
-package/library versions, input hashes, and solver tolerances.
+Exit codes: 0 success, 2 config error, 3 numerical failure or
+exhausted memory, 4 I/O or input-data error. Outputs are deterministic
+for identical configs and seeds: numeric tables carry no timestamps or
+timings; wall times go to a separate diagnostics file. Every run writes
+a provenance file with package/library versions, input hashes, and
+solver tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, assembly, mesh as meshing
 from .assembly import AssemblyError
 from .homogenization import (GrainLayout, HomogenizationError,
                              config_digest, result_to_csv, result_to_json)
@@ -41,14 +42,6 @@ from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
 from .study import _beta_point  # noqa: F401
 
 __all__ = ["main", "ConfigError", "InputDataError"]
-
-# tolerances enforced by the numerical core, recorded in provenance
-TOLERANCES = {
-    "stiffness_symmetry_audit_rel": 1e-12,
-    "interior_solve_residual_rel": 1e-10,
-    "boundary_vertex_snap_rel": 1e-9,
-}
-
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content (exit code 2)."""
@@ -136,6 +129,12 @@ def _check_seeds(cfg: dict) -> None:
         if seed < 0:
             raise ConfigError(
                 f"[{section}] {key} must be non-negative, got {seed}")
+
+
+def _check_workers(cfg: dict) -> None:
+    workers = _get(cfg, "run", "workers", 1, int)
+    if workers < 1:
+        raise ConfigError(f"[run] workers must be at least 1, got {workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,12 @@ def write_provenance(outdir: str, command: str, cfg: dict, outputs,
         "scipy_version": scipy.__version__,
         "command": command,
         "config_digest": config_digest(_scientific(cfg)),
-        "tolerances": TOLERANCES,
+        # the tolerances the numerical core enforces, as it reads them
+        "tolerances": {
+            "stiffness_symmetry_audit_rel": assembly.SYMMETRY_AUDIT,
+            "interior_solve_residual_rel": assembly.RESIDUAL_GATE,
+            "boundary_vertex_snap_rel": meshing.TAU_BOX,
+        },
         "outputs": sorted(outputs),
     }
     if mesh_digest is not None:
@@ -385,6 +389,8 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     methods = tuple(_method("study", s.strip()) for s in
                     _get(cfg, "study", "methods",
                          "VEM-VO,FEM-O1-coarse").split(",") if s.strip())
+    if not methods:
+        raise ConfigError("[study] methods must name at least one method")
     levels = _get(cfg, "study", "reference_levels", 2, int)
     if levels < 1:
         raise ConfigError(
@@ -502,6 +508,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         _check_seeds(cfg)
+        _check_workers(cfg)
         return _COMMANDS[args.command](cfg, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -515,6 +522,9 @@ def main(argv=None) -> int:
     except (AssemblyError, HomogenizationError, StudyError, MeshError,
             MaterialError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
         return 3
 
 

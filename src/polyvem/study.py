@@ -378,32 +378,35 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     """Deviation curve over the stabilization-weight grid.
 
     Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
-    grid order; the companion coarse linear-tet row shares the
-    reference, and a grid point beta = 1 coincides with it by
-    construction. The grid is cut into up to `workers` contiguous
-    chunks, one pool task each, `workers` capped at the CPUs this
-    process may run on. A dict `solver` receives the solver counters of
-    each point under its `beta_key` and of the coarse row under
-    "FEM-O1-coarse".
+    grid order; the coarse linear-tet row is the beta = 1 blend, which
+    the chunks evaluate even when it is off the grid. The weights are cut
+    into up to `workers` contiguous chunks, one pool task each, `workers`
+    capped at the CPUs this process may run on. A dict `solver` receives
+    the counters of each grid point under its `beta_key` and of the
+    coarse row under "FEM-O1-coarse".
     """
-    grid = tuple(beta_grid)
+    weights = _with_weight(beta_grid, 1.0)
     # built here, so every payload's mesh carries them
     mesh_hash(mesh)
-    if any(b > 0.0 for b in grid):
-        mesh.tets
-    n = max(1, min(usable_workers(workers), len(grid)))
-    chunks = [(mesh, moduli, mode, grid[k * len(grid) // n:(k + 1) * len(grid) // n],
+    mesh.tets
+    n = max(1, min(usable_workers(workers), len(weights)))
+    chunks = [(mesh, moduli, mode,
+               weights[k * len(weights) // n:(k + 1) * len(weights) // n],
                reference.effective, targets) for k in range(n)]
     # _beta_point is read when called, so a wrapper bound in its place runs
-    curve = []
+    curve, points = [], {}
     for part, stats in _pool_map(_beta_point, chunks, workers):
         curve += part
-        if solver is not None:
-            solver.update(stats)
-    fem = homogenize_fem(mesh, moduli, order=1, mode=mode)
+        points.update(stats)
     if solver is not None:
-        solver["FEM-O1-coarse"] = fem.solver_stats
-    return curve, _deviations(fem.effective, reference.effective, targets, mode)
+        solver.update({beta_key(b): points[beta_key(b)] for b in beta_grid})
+        solver["FEM-O1-coarse"] = points[beta_key(1.0)]
+    return curve[:len(beta_grid)], dict(curve)[1.0]
+
+
+def _with_weight(grid, beta: float) -> tuple:
+    """`grid` and `beta` when off it: the weights of a curve read at `beta`."""
+    return tuple(grid) if beta in grid else (*grid, beta)
 
 
 def beta_opt(curve, target: str = "G") -> float:
@@ -443,15 +446,11 @@ def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
                                 cache_dir)
     operators = VemOperators(mesh, moduli, mode)
     points = {}
-    curve = beta_curve(operators, beta_grid, reference.effective, targets,
-                       points)
-    b_opt = beta_opt(curve, targets[0])
+    curve = beta_curve(operators, _with_weight(beta_grid, DEFAULT_BETA),
+                       reference.effective, targets, points)
+    b_opt = beta_opt(curve[:len(beta_grid)], targets[0])
     by_beta = dict(curve)
-    d_default = by_beta.get(DEFAULT_BETA)
-    if d_default is None:                # the default weight is off the grid
-        (_, d_default), = beta_curve(operators, (DEFAULT_BETA,),
-                                     reference.effective, targets, points)
-    e_c = {t: abs(d) for t, d in d_default.items()}
+    e_c = {t: abs(d) for t, d in by_beta[DEFAULT_BETA].items()}
     d_opt = dict(by_beta[b_opt])
     # a reference read from the cache carries no solver counters
     key = beta_key(DEFAULT_BETA)

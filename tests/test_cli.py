@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polyvem.assembly as pa
 import polyvem.cholesky as pc
@@ -169,6 +171,20 @@ reference_levels = 9
         assert "numerical failure" in err
         assert "lower the refinement level" in err
 
+    def test_failed_allocation_exits_3(self, tmp_path, capsys,
+                                       monkeypatch):
+        import polyvem.cli as cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB for an array")
+        monkeypatch.setattr(cli, "random_seeds", no_memory)
+        p = write_config(tmp_path / "c.ini", BASE.format(n=3, names="BaTiO3"))
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: out of memory (Unable to "
+                       "allocate 2.18 TiB for an array)\n")
+
     def test_factor_beyond_physical_memory_exits_3(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
@@ -199,6 +215,12 @@ reference_levels = 9
          "[materials] orientation_seed must be non-negative"),
         ("study", [], "[study]\nkind = fraction-sweep\nfraction_seed = -2\n",
          "[study] fraction_seed must be non-negative"),
+        ("homogenize", [], "[run]\nworkers = 0\n",
+         "[run] workers must be at least 1, got 0"),
+        ("study", [], "[run]\nworkers = -3\n",
+         "[run] workers must be at least 1, got -3"),
+        ("mesh", ["--workers", "0"], "",
+         "[run] workers must be at least 1, got 0"),
     ])
     def test_negative_seed_exits_2_before_mesh(self, tmp_path, capsys,
                                                monkeypatch, command, argv,
@@ -250,6 +272,8 @@ reference_levels = 9
          "targets = mu\n", "target 'mu' undefined"),
         ("study", "[study]\nkind = beta-sweep\nreference_levels = 0\n",
          "reference_levels must be at least 1"),
+        ("study", "[study]\nkind = comparison\nmethods = ,\n",
+         "methods must name at least one method"),
     ])
     def test_bad_mode_target_or_levels_exits_2_before_mesh(
             self, tmp_path, capsys, monkeypatch, command, body, message):
@@ -306,6 +330,22 @@ class TestMeshCommand:
         assert prov["mesh_digest"] == stats["mesh_digest"]
         assert "config_digest" in prov and "tolerances" in prov
         assert "time" not in json.dumps(prov).lower()
+
+    def test_provenance_states_the_enforced_tolerances(self, tmp_path,
+                                                       monkeypatch):
+        p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="BaTiO3"))
+
+        def tolerances(out):
+            assert main(["mesh", "--config", p, "--out", str(out)]) == 0
+            return json.loads((out / "provenance.json").read_text())[
+                "tolerances"]
+
+        assert tolerances(tmp_path / "m") == {
+            "stiffness_symmetry_audit_rel": 1e-12,
+            "interior_solve_residual_rel": 1e-10,
+            "boundary_vertex_snap_rel": 1e-9}
+        monkeypatch.setattr(pa, "RESIDUAL_GATE", 1e-9)
+        assert tolerances(tmp_path / "g")["interior_solve_residual_rel"] == 1e-9
 
     def test_mesh_file_roundtrip(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=4, names="BaTiO3"))
@@ -447,6 +487,10 @@ class TestStudyCommand:
         rows = list(csv.reader((out / "beta_sweep.csv").read_text()
                                .strip().splitlines()))
         assert [r[0] for r in rows[1:]] == ["0.35", "0.7", "FEM-O1-coarse"]
+        # the coarse row is the beta = 1 blend, evaluated off the grid
+        solver = json.loads((out / "run_diagnostics.json").read_text())[
+            "solver"]
+        assert sorted(solver) == ["0.35", "0.7", "FEM-O1-coarse", "reference"]
 
     @pytest.mark.parametrize("kind,beta_step,extra,message", [
         ("beta-sweep", 1.5, "", "beta_step must be in"),
@@ -608,6 +652,65 @@ class TestEntryPoint:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         assert proc.returncode == 0
         assert "BaTiO3" in proc.stdout
+
+
+# one valid config per command: every key of the schema but `out`, at
+# values that keep each run to a 2-grain mesh, one refinement level and
+# one process
+_FUZZ_COMMON = {
+    "run": {"seed": "3", "workers": "1"},
+    "mesh": {"source": "generate", "path": "mesh.poly.txt", "n_grains": "2",
+             "mesh_seed": "11", "edge_length": "1.0", "lloyd": "0"},
+    "materials": {"library": "builtin", "names": "BaTiO3,CoFe2O4",
+                  "orientation_seed": "12"},
+}
+_FUZZ_CONFIGS = [("homogenize", {**_FUZZ_COMMON, "homogenize": {
+    "mode": "electroMech", "method": "VEM-VO", "beta": "0.1"}})] + [
+    ("study", {**_FUZZ_COMMON, "study": {
+        "kind": kind, "mode": "electroMech", "methods": "VEM-VO",
+        "targets": "G,C", "beta": "0.1", "beta_step": "0.5",
+        "fraction_step": "0.9", "fraction_seed": "4",
+        "reference_levels": "1", "cache": "cache"}})
+    for kind in ("comparison", "beta-sweep", "fraction-sweep")]
+_FUZZ_TOKENS = ("", "nan", "inf", "-1", "0", "x", "²", "1e999", "0x10")
+
+
+@st.composite
+def damaged_configs(draw):
+    """(command, config text): a valid config with one value replaced by
+    a bad token, one key other than n_grains dropped, or one unknown key
+    added."""
+    command, sections = draw(st.sampled_from(_FUZZ_CONFIGS))
+    sections = {name: dict(body) for name, body in sections.items()}
+    keys = [(name, key) for name, body in sections.items() for key in body]
+    action = draw(st.sampled_from(("replace", "drop", "add")))
+    if action == "replace":
+        name, key = draw(st.sampled_from(keys))
+        sections[name][key] = draw(st.sampled_from(_FUZZ_TOKENS))
+    elif action == "drop":
+        name, key = draw(st.sampled_from(
+            [(name, key) for name, key in keys if key != "n_grains"]))
+        del sections[name][key]
+    else:
+        sections[draw(st.sampled_from(sorted(sections)))]["colour"] = "1"
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                          for key, value in body.items())
+                   for name, body in sections.items())
+    return command, text
+
+
+class TestDamagedConfigs:
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(damaged_configs())
+    def test_damaged_config_ends_in_an_exit_code(self, tmp_path, monkeypatch,
+                                                 case):
+        # `out` and `cache` values become paths: keep them in tmp_path
+        monkeypatch.chdir(tmp_path)
+        command, text = case
+        p = write_config(tmp_path / "c.ini", text)
+        assert main([command, "--config", p,
+                     "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
 
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -16,6 +16,8 @@ import polyvem.materials as pmat
 import polyvem.mesh as pm
 import polyvem.study as ps
 
+from test_element_vem import l_prism_mesh
+
 LIB = pmat.builtin_library()
 RNG = np.random.default_rng(20260818)
 
@@ -415,15 +417,48 @@ def _hex_moduli(mesh, seed):
 
 class TestBetaSweep:
     def test_endpoint_matches_coarse_fem(self):
+        # the coarse row is the beta = 1 blend; an independent coarse
+        # linear-tet run gives the same numbers, to the bit on a convex
+        # mesh and to round-off where a fallback centroid is condensed
+        targets = ("G", "C")
+        for mesh, rel in ((voronoi_mesh(6, seed=31), 0.0),
+                          (l_prism_mesh(), 1e-12)):
+            moduli, _ = _hex_moduli(mesh, seed=13)
+            ref = ps.build_reference(mesh, moduli, "electroMech", 1, None)
+            curve, fem_d = ps.beta_sweep(mesh, moduli, "electroMech",
+                                         (0.5, 1.0), ref, targets)
+            fem = ph.homogenize_fem(mesh, moduli, order=1,
+                                    mode="electroMech")
+            expected = ps._deviations(fem.effective, ref.effective, targets,
+                                      "electroMech")
+            assert fem_d == pytest.approx(expected, rel=rel, abs=0.0)
+            assert curve[-1] == (1.0, fem_d)
+
+    def test_coarse_row_makes_no_fem_run(self, monkeypatch):
         mesh = voronoi_mesh(6, seed=31)
         moduli, _ = _hex_moduli(mesh, seed=13)
         ref = ps.build_reference(mesh, moduli, "electroMech", 1, None)
+        calls = []
+        homogenize_fem = ps.homogenize_fem
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return homogenize_fem(*args, **kwargs)
+
+        monkeypatch.setattr(ps, "homogenize_fem", counting)
+        on_grid = ps.beta_sweep(mesh, moduli, "electroMech", (0.35, 1.0),
+                                ref, ("G",))
+        # off the grid, beta = 1 is evaluated with it and trimmed away
+        solver = {}
         curve, fem_d = ps.beta_sweep(mesh, moduli, "electroMech",
-                                     (0.5, 1.0), ref, ("G", "C"))
-        b, d = curve[-1]
-        assert b == 1.0
-        for t in ("G", "C"):
-            assert d[t] == pytest.approx(fem_d[t], abs=1e-10)
+                                     ps.beta_grid(0.35), ref, ("G",),
+                                     solver=solver)
+        assert calls == []
+        assert fem_d == on_grid[1] and curve[0] == on_grid[0][0]
+        rows = ps.beta_sweep_csv(curve, fem_d, ("G",)).splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == [
+            "0.35", "0.7", "FEM-O1-coarse"]
+        assert list(solver) == ["0.35", "0.7", "FEM-O1-coarse"]
 
     def test_homogeneous_curve_is_zero(self):
         mesh = voronoi_mesh(5, seed=8)
@@ -469,8 +504,7 @@ class TestBetaSweep:
 
     def test_sweep_hashes_the_mesh_once(self, monkeypatch):
         # the digest is kept with the mesh before the payloads are
-        # pickled, so the chunks, the coarse FEM row and the caller all
-        # read that one
+        # pickled, so the chunks and the caller all read that one
         moduli, _ = _hex_moduli(voronoi_mesh(6, seed=31), seed=13)
         ref = ps.build_reference(voronoi_mesh(6, seed=31), moduli,
                                  "electroMech", 1, None)
@@ -508,7 +542,7 @@ class TestBetaSweep:
             return triangulate(mesh, cell_id, *args, **kwargs)
 
         monkeypatch.setattr(pm, "triangulate_cell", counting)
-        # the β chunks and the coarse FEM row share the mesh's tets
+        # every β chunk reads the tets built once before the chunks
         ps.beta_sweep(mesh, moduli, "electroMech", (0.0, 0.5, 1.0), ref,
                       ("G",), workers=1)
         assert sorted(calls) == list(range(len(mesh.cells)))
