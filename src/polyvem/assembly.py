@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cholesky import NodeCholesky
-from .element_fem import FIELD_COUNT, gauss_stiffness
+from .element_fem import FIELD_COUNT, gauss_stiffness, state_size
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
            "assemble", "assemble_parts", "add_blocks", "node_dofs",
@@ -156,7 +156,7 @@ def assemble_parts(parts, moduli, n_nodes: int, n_fields: int):
     part sums its element matrices sum_g w_g B_g^T G B_g into node-pair
     blocks and its weighted operators into intP = int P, intL = int G P.
     """
-    nf, n_dofs, nP = n_fields, n_nodes * n_fields, 6 + 3 * (n_fields - 3)
+    nf, n_dofs, nP = n_fields, n_nodes * n_fields, state_size(n_fields)
     if any(np.shape(G) != (nP, nP) for G in moduli):
         raise AssemblyError(f"every modulus must be {nP}x{nP} for {nf} fields")
     pattern, positions = BlockPattern.of_elements(

@@ -137,6 +137,12 @@ def _check_workers(cfg: dict) -> None:
         raise ConfigError(f"[run] workers must be at least 1, got {workers}")
 
 
+def _check_paths(cfg: dict) -> None:
+    for section, key in (("run", "out"), ("study", "cache")):
+        if cfg[section].get(key) == "":
+            raise ConfigError(f"[{section}] {key} must name a directory")
+
+
 # ---------------------------------------------------------------------------
 # Shared builders
 # ---------------------------------------------------------------------------
@@ -509,6 +515,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         _check_seeds(cfg)
         _check_workers(cfg)
+        _check_paths(cfg)
         return _COMMANDS[args.command](cfg, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,16 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .materials import MODE_POTENTIALS
 from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides, edge_midpoints
 
 __all__ = [
-    "FIELD_COUNT", "tet_gradient", "field_operator", "kernel_dimension",
+    "FIELD_COUNT", "state_size", "tet_gradient", "field_operator",
+    "kernel_dimension",
     "TetMeshO2", "promote_to_quadratic", "GAUSS4_BARY", "GAUSS4_WEIGHTS",
     "quadratic_state_operators", "batch_o1_operators", "gauss_stiffness",
 ]
 
 # active scalar fields per coupling mode (3 displacements + potentials)
-FIELD_COUNT = {"electroMech": 4, "magnetoMech": 4, "fullyCoupled": 5}
+FIELD_COUNT = {mode: 3 + len(potentials)
+               for mode, potentials in MODE_POTENTIALS.items()}
 
 # 4-point Gauss rule on the reference tet (degree-2 exact), barycentric
 _GA = 0.5854101966249685      # (5 + 3 sqrt(5)) / 20
@@ -33,6 +36,12 @@ GAUSS4_BARY = np.array([
     [_GB, _GB, _GB, _GA],
 ])
 GAUSS4_WEIGHTS = np.array([0.25, 0.25, 0.25, 0.25])
+
+
+def state_size(n_fields: int) -> int:
+    """Length of the state P: 6 strains, then 3 field components for
+    each of the n_fields - 3 potentials."""
+    return 3 * (n_fields - 1)
 
 
 def kernel_dimension(n_fields: int) -> int:
@@ -79,18 +88,18 @@ def field_operator(grads: np.ndarray, n_fields: int) -> np.ndarray:
 
     grads is (..., n_nodes, 3) of scalar shape-function gradients, with
     any leading batch axes; the result B is
-    (..., 6 + 3*(n_fields-3), n_nodes*n_fields) and maps node-major dofs
+    (..., state_size(n_fields), n_nodes*n_fields) and maps node-major dofs
     to [strain Voigt (engineering shears), -grad(potentials)...].
     """
     grads = np.asarray(grads, dtype=float)
     *batch, n_nodes, _ = grads.shape
-    n_rows = 6 + 3 * (n_fields - 3)
+    n_rows = state_size(n_fields)
     B = np.zeros((*batch, n_rows, n_nodes, n_fields))
     for row, comp, axis in _STRAIN_ENTRIES:
         B[..., row, :, comp] = grads[..., axis]
     for f in range(3, n_fields):              # E = -grad(phi), H = -grad(psi)
-        row = 6 + 3 * (f - 3)
-        B[..., row:row + 3, :, f] = -np.swapaxes(grads, -1, -2)
+        B[..., state_size(f):state_size(f + 1), :, f] = \
+            -np.swapaxes(grads, -1, -2)
     return B.reshape(*batch, n_rows, n_nodes * n_fields)
 
 

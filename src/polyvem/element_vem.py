@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import assemble_parts, node_dofs
 from .element_fem import (batch_o1_operators, field_operator, gauss_stiffness,
-                          kernel_dimension)
+                          kernel_dimension, state_size)
 from .mesh import MeshError, PolyMesh
 
 __all__ = [
@@ -69,8 +69,8 @@ def stabilization_required(n_vertices: int, n_fields: int) -> bool:
     """True when the consistency term alone cannot control all dofs:
     its rank is at most the state size, so cells with more non-kernel
     dofs than that need beta > 0."""
-    state_size = 6 + 3 * (n_fields - 3)
-    return n_vertices * n_fields - kernel_dimension(n_fields) > state_size
+    return (n_vertices * n_fields - kernel_dimension(n_fields)
+            > state_size(n_fields))
 
 
 def consistency_part(mesh: PolyMesh, cell_ids, n_fields: int):

@@ -26,8 +26,9 @@ from .element_vem import (consistency_part, stabilization_part,
                           stabilization_required)
 # re-exported: the benchmark's tracing test reads VemElement here
 from .element_vem import VemElement  # noqa: F401
-from .materials import (MODE_PINDEX, GeneralizedModulus, build_modulus,
-                        datasheet_matrix, rotate_modulus)
+from .materials import (MODE_PINDEX, MODE_POTENTIALS, GeneralizedModulus,
+                        build_modulus, datasheet_matrix, rotate_modulus,
+                        voigt_to_strain)
 from .mesh import PolyMesh, mesh_hash, refine_tet_mesh
 
 __all__ = [
@@ -41,24 +42,15 @@ __all__ = [
 # the "format" tag of a result document
 RESULT_FORMAT = "polyvem-result"
 
-STATE_LABELS = {
-    "fullyCoupled": ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12",
-                     "E1", "E2", "E3", "H1", "H2", "H3"),
-    "electroMech": ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12",
-                    "E1", "E2", "E3"),
-    "magnetoMech": ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12",
-                    "H1", "H2", "H3"),
-}
-FLUX_LABELS = {
-    "fullyCoupled": ("sig11", "sig22", "sig33", "sig23", "sig13", "sig12",
-                     "negD1", "negD2", "negD3", "negB1", "negB2", "negB3"),
-    "electroMech": ("sig11", "sig22", "sig33", "sig23", "sig13", "sig12",
-                    "negD1", "negD2", "negD3"),
-    "magnetoMech": ("sig11", "sig22", "sig33", "sig23", "sig13", "sig12",
-                    "negB1", "negB2", "negB3"),
-}
-
-_VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+# labels of the 12-vector P and of its flux L, read at MODE_PINDEX
+_STATE_NAMES = ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12",
+                "E1", "E2", "E3", "H1", "H2", "H3")
+_FLUX_NAMES = ("sig11", "sig22", "sig33", "sig23", "sig13", "sig12",
+               "negD1", "negD2", "negD3", "negB1", "negB2", "negB3")
+STATE_LABELS = {mode: tuple(_STATE_NAMES[i] for i in index)
+                for mode, index in MODE_PINDEX.items()}
+FLUX_LABELS = {mode: tuple(_FLUX_NAMES[i] for i in index)
+               for mode, index in MODE_PINDEX.items()}
 
 
 class HomogenizationError(RuntimeError):
@@ -66,9 +58,9 @@ class HomogenizationError(RuntimeError):
 
 
 def case_count(mode: str) -> int:
-    if mode not in FIELD_COUNT:
+    if mode not in MODE_PINDEX:
         raise HomogenizationError(f"unknown mode {mode!r}")
-    return 6 + 3 * (FIELD_COUNT[mode] - 3)
+    return len(MODE_PINDEX[mode])
 
 
 def case_kind(case: int, mode: str):
@@ -80,18 +72,13 @@ def case_kind(case: int, mode: str):
             f"case {case} invalid for mode {mode!r} (1..{n})")
     if case <= 6:
         return "strain", case - 1
-    axis = (case - 7) % 3
-    if mode == "magnetoMech" or (mode == "fullyCoupled" and case > 9):
-        return "magnetic", axis
-    return "electric", axis
+    return MODE_POTENTIALS[mode][(case - 7) // 3], (case - 7) % 3
 
 
 def unit_macro_state(case: int, mode: str) -> np.ndarray:
     """Exact volume-averaged generalized gradient of load case `case`."""
-    e = np.zeros(6 + 3 * (FIELD_COUNT[mode] - 3))
     case_kind(case, mode)                 # validates
-    e[case - 1] = 1.0
-    return e
+    return np.eye(case_count(mode))[case - 1]
 
 
 def boundary_values(case: int, coords: np.ndarray, mode: str) -> np.ndarray:
@@ -103,22 +90,11 @@ def boundary_values(case: int, coords: np.ndarray, mode: str) -> np.ndarray:
     """
     kind, index = case_kind(case, mode)
     coords = np.asarray(coords, dtype=float)
-    nf = FIELD_COUNT[mode]
-    values = np.zeros((len(coords), nf))
+    values = np.zeros((len(coords), FIELD_COUNT[mode]))
     if kind == "strain":
-        i, j = _VOIGT_PAIRS[index]
-        eps = np.zeros((3, 3))
-        if i == j:
-            eps[i, i] = 1.0
-        else:
-            eps[i, j] = eps[j, i] = 0.5
-        values[:, 0:3] = coords @ eps
+        values[:, 0:3] = coords @ voigt_to_strain(np.eye(6)[index])
     else:
-        if mode == "fullyCoupled":
-            col = 3 if kind == "electric" else 4
-        else:
-            col = 3
-        values[:, col] = -coords[:, index]
+        values[:, 3 + MODE_POTENTIALS[mode].index(kind)] = -coords[:, index]
     return values
 
 

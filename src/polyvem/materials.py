@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "VOIGT_PAIRS", "LATTICE_CLASSES", "MODES", "MODE_PINDEX",
+    "VOIGT_PAIRS", "LATTICE_CLASSES", "MODE_POTENTIALS", "STATE_ROWS",
+    "MODES", "MODE_PINDEX",
     "PERMITTIVITY_SCALE", "PERMEABILITY_SCALE", "MAGNETOELECTRIC_SCALE",
     "MaterialError", "StabilityWarning",
     "GeneralizedModulus", "MaterialRecord", "TransverseIsoCoefficients",
@@ -37,14 +38,20 @@ __all__ = [
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 LATTICE_CLASSES = ("hex6mm", "hexBar6m2", "trigonal3m", "orth222", "transIso")
-MODES = ("electroMech", "magnetoMech", "fullyCoupled")
 
+# the scalar potentials a node carries besides its displacements; every
+# per-mode layout (fields, state rows, cases, labels, blocks) follows
+MODE_POTENTIALS = {"electroMech": ("electric",), "magnetoMech": ("magnetic",),
+                   "fullyCoupled": ("electric", "magnetic")}
+# rows of each state kind in the 12-vector P
+STATE_ROWS = {"strain": slice(0, 6), "electric": slice(6, 9),
+              "magnetic": slice(9, 12)}
+
+MODES = tuple(MODE_POTENTIALS)
 # active rows/columns of the 12-vector P for each coupling mode
-MODE_PINDEX = {
-    "fullyCoupled": tuple(range(12)),
-    "electroMech": tuple(range(9)),
-    "magnetoMech": tuple(range(6)) + (9, 10, 11),
-}
+MODE_PINDEX = {mode: tuple(i for kind in ("strain", *potentials)
+                           for i in range(12)[STATE_ROWS[kind]])
+               for mode, potentials in MODE_POTENTIALS.items()}
 
 # Library files carry permittivity, permeability, and magneto-electric
 # entries in data-sheet units (mC/kVm, N/kA^2, s/m). The assembled
@@ -199,13 +206,12 @@ def datasheet_matrix(M, mode: str = "fullyCoupled") -> np.ndarray:
     n = len(idx)
     if M.shape != (n, n):
         raise MaterialError(f"mode {mode!r} expects a {n}x{n} matrix, got {M.shape}")
-    kinds = np.array([0 if i < 6 else (1 if i < 9 else 2) for i in idx])
-    div = np.ones((n, n))
-    div[np.ix_(kinds == 1, kinds == 1)] = PERMITTIVITY_SCALE
-    div[np.ix_(kinds == 2, kinds == 2)] = PERMEABILITY_SCALE
-    div[np.ix_(kinds == 1, kinds == 2)] = MAGNETOELECTRIC_SCALE
-    div[np.ix_(kinds == 2, kinds == 1)] = MAGNETOELECTRIC_SCALE
-    return M / div
+    e, m = STATE_ROWS["electric"], STATE_ROWS["magnetic"]
+    div = np.ones((12, 12))
+    div[e, e] = PERMITTIVITY_SCALE
+    div[m, m] = PERMEABILITY_SCALE
+    div[e, m] = div[m, e] = MAGNETOELECTRIC_SCALE
+    return M / div[np.ix_(idx, idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from .homogenization import (RESULT_FORMAT, GrainLayout, HomogenizationError,
                              HomogenizationResult, VemOperators,
                              homogenize_fem, homogenize_vem,
                              result_from_json, result_to_json)
-from .materials import datasheet_matrix
+from .materials import (MODE_PINDEX, MODE_POTENTIALS, STATE_ROWS,
+                        datasheet_matrix)
 from .mesh import PolyMesh, mesh_hash
 
 __all__ = [
@@ -98,6 +99,14 @@ def computational_error(M, M_ref) -> float:
     return abs(relative_deviation(M, M_ref))
 
 
+# named blocks of the effective matrix by (row kind, column kind) of P;
+# every block but C is stored negated (docs/conventions.md)
+_TARGET_KINDS = {"C": ("strain", "strain"), "e": ("electric", "strain"),
+                 "q": ("magnetic", "strain"), "eps": ("electric", "electric"),
+                 "mu": ("magnetic", "magnetic"),
+                 "alpha": ("electric", "magnetic")}
+
+
 def target_block(effective: np.ndarray, mode: str, target: str) -> np.ndarray:
     """Extract a named modulus block from an effective matrix.
 
@@ -109,35 +118,21 @@ def target_block(effective: np.ndarray, mode: str, target: str) -> np.ndarray:
     unaffected by the conversion.
     """
     M = datasheet_matrix(np.asarray(effective, dtype=float), mode)
-    has_e = mode in ("fullyCoupled", "electroMech")
-    has_m = mode in ("fullyCoupled", "magnetoMech")
-    erow = slice(6, 9)
-    mrow = slice(9, 12) if mode == "fullyCoupled" else slice(6, 9)
     if target == "G":
         return M
-    if target == "C":
-        return M[:6, :6]
-    if target == "e":
-        if not has_e:
-            raise StudyError(f"target 'e' undefined for mode {mode!r}")
-        return -M[erow, :6]
-    if target == "q":
-        if not has_m:
-            raise StudyError(f"target 'q' undefined for mode {mode!r}")
-        return -M[mrow, :6]
-    if target == "eps":
-        if not has_e:
-            raise StudyError(f"target 'eps' undefined for mode {mode!r}")
-        return -M[erow, erow]
-    if target == "mu":
-        if not has_m:
-            raise StudyError(f"target 'mu' undefined for mode {mode!r}")
-        return -M[mrow, mrow]
-    if target == "alpha":
-        if mode != "fullyCoupled":
-            raise StudyError("target 'alpha' requires the fully coupled mode")
-        return -M[erow, mrow]
-    raise StudyError(f"unknown target {target!r}")
+    if target not in _TARGET_KINDS:
+        raise StudyError(f"unknown target {target!r}")
+    row, col = _TARGET_KINDS[target]
+    potentials = {row, col} - {"strain"}
+    if not potentials <= set(MODE_POTENTIALS[mode]):
+        raise StudyError(f"target {target!r} undefined for mode {mode!r}"
+                         if len(potentials) == 1 else
+                         f"target {target!r} requires the fully coupled mode")
+    index = MODE_PINDEX[mode]             # rows of P kept in M, in order
+    rows, cols = (slice(index.index(STATE_ROWS[k].start),
+                        index.index(STATE_ROWS[k].stop - 1) + 1)
+                  for k in (row, col))
+    return M[rows, cols] if row == col == "strain" else -M[rows, cols]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from polyvem.homogenization import (GrainLayout, homogenize_vem,
 from polyvem.materials import builtin_library
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
-from test_mesh import broken_native_texts
+from test_mesh import broken_native_texts, six_grain_texts
 
 
 def write_config(path, text):
@@ -234,6 +234,27 @@ reference_levels = 9
         assert main([command, "--config", p, "--out", str(tmp_path / "o"),
                      *argv]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,argv,message", [
+        ("study", "[study]\ncache =\n", ["--out", "o"],
+         "[study] cache must name a directory"),
+        ("homogenize", "[run]\nout =\n", [],
+         "[run] out must name a directory"),
+        ("mesh", "", ["--out", ""], "[run] out must name a directory"),
+    ])
+    def test_empty_path_exits_2_before_mesh(self, tmp_path, capsys,
+                                            monkeypatch, command, body, argv,
+                                            message):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the paths were checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        monkeypatch.chdir(tmp_path)
+        p = write_config(tmp_path / "c.ini", body)
+        assert main([command, "--config", p, *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.ini"]
 
     def test_unknown_study_kind_exits_2(self, tmp_path):
         p = write_config(tmp_path / "c.ini",
@@ -677,26 +698,56 @@ _FUZZ_TOKENS = ("", "nan", "inf", "-1", "0", "x", "²", "1e999", "0x10")
 
 @st.composite
 def damaged_configs(draw):
-    """(command, config text): a valid config with one value replaced by
-    a bad token, one key other than n_grains dropped, or one unknown key
-    added."""
+    """(command, config text): a valid config with one or two edits, each
+    a value replaced by a bad token, a key other than n_grains dropped,
+    an unknown key added, a section other than [mesh] emptied, or a
+    section written twice (which configparser rejects)."""
     command, sections = draw(st.sampled_from(_FUZZ_CONFIGS))
-    sections = {name: dict(body) for name, body in sections.items()}
-    keys = [(name, key) for name, body in sections.items() for key in body]
-    action = draw(st.sampled_from(("replace", "drop", "add")))
-    if action == "replace":
-        name, key = draw(st.sampled_from(keys))
-        sections[name][key] = draw(st.sampled_from(_FUZZ_TOKENS))
-    elif action == "drop":
-        name, key = draw(st.sampled_from(
-            [(name, key) for name, key in keys if key != "n_grains"]))
-        del sections[name][key]
-    else:
-        sections[draw(st.sampled_from(sorted(sections)))]["colour"] = "1"
+    sections = [(name, dict(body)) for name, body in sections.items()]
+    for action in draw(st.lists(st.sampled_from(
+            ("replace", "drop", "add", "empty", "repeat")),
+            min_size=1, max_size=2)):
+        keys = [(body, key) for _, body in sections for key in body]
+        if action == "replace":
+            body, key = draw(st.sampled_from(keys))
+            body[key] = draw(st.sampled_from(_FUZZ_TOKENS))
+        elif action == "drop":
+            body, key = draw(st.sampled_from(
+                [(body, key) for body, key in keys if key != "n_grains"]))
+            del body[key]
+        elif action == "add":
+            draw(st.sampled_from(sections))[1]["colour"] = "1"
+        elif action == "empty":
+            draw(st.sampled_from([body for name, body in sections
+                                  if name != "mesh"])).clear()
+        else:
+            name, body = draw(st.sampled_from(sections))
+            sections.append((name, dict(body)))
     text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
-                                          for key, value in body.items())
-                   for name, body in sections.items())
+                                           for key, value in body.items())
+                   for name, body in sections)
     return command, text
+
+
+@st.composite
+def damaged_mesh_texts(draw):
+    """The six-grain native mesh text without its CHECKSUM line, with one
+    or two lines dropped, repeated, or with one token replaced by a bad
+    token."""
+    lines = six_grain_texts()["native-no-checksum"][0].splitlines()
+    for action in draw(st.lists(st.sampled_from(("drop", "repeat", "token")),
+                                min_size=1, max_size=2)):
+        k = draw(st.integers(0, len(lines) - 1))
+        if action == "drop":
+            del lines[k]
+        elif action == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(_FUZZ_TOKENS))
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
 
 
 class TestDamagedConfigs:
@@ -711,6 +762,24 @@ class TestDamagedConfigs:
         p = write_config(tmp_path / "c.ini", text)
         assert main([command, "--config", p,
                      "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(damaged_mesh_texts())
+    def test_damaged_mesh_file_ends_in_an_exit_code(self, tmp_path, text):
+        mesh_file = tmp_path / "m.poly"
+        mesh_file.write_text(text, encoding="utf-8")
+        p = write_config(tmp_path / "c.ini",
+                         f"[mesh]\nsource = file\npath = {mesh_file}\n"
+                         "[homogenize]\nmode = electroMech\n")
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
+
+    def test_repeated_section_exits_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini",
+                         "[run]\nseed = 3\n[mesh]\n[run]\nseed = 4\n")
+        assert main(["mesh", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        assert "section 'run' already exists" in capsys.readouterr().err
 
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ import polyvem.mesh as pm
 
 from test_element_vem import l_prism_mesh
 
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 RNG = np.random.default_rng(20260817)
 LIB = pmat.builtin_library()
 
@@ -85,6 +87,39 @@ class TestLoadCases:
         assert np.allclose(v[0], [0.0, 0.0, 0.0, -0.3, 0.0])
         v = ph.boundary_values(9, coords, "fullyCoupled")
         assert v[0, 3] == -0.9
+
+    def test_labels_of_each_mode(self):
+        strains = ("eps11", "eps22", "eps33", "eps23", "eps13", "eps12")
+        stresses = ("sig11", "sig22", "sig33", "sig23", "sig13", "sig12")
+        assert ph.STATE_LABELS["electroMech"] == strains + ("E1", "E2", "E3")
+        assert ph.STATE_LABELS["magnetoMech"] == strains + ("H1", "H2", "H3")
+        assert ph.STATE_LABELS["fullyCoupled"] == strains + (
+            "E1", "E2", "E3", "H1", "H2", "H3")
+        assert ph.FLUX_LABELS["electroMech"] == stresses + (
+            "negD1", "negD2", "negD3")
+        assert ph.FLUX_LABELS["magnetoMech"] == stresses + (
+            "negB1", "negB2", "negB3")
+        assert ph.FLUX_LABELS["fullyCoupled"] == stresses + (
+            "negD1", "negD2", "negD3", "negB1", "negB2", "negB3")
+
+    def test_conventions_doc_table_matches_the_modes(self):
+        # docs/conventions.md, "Coupling modes": one row per mode
+        with open(os.path.join(REPO, "docs", "conventions.md"),
+                  encoding="utf-8") as fh:
+            section = fh.read().split("## Coupling modes", 1)[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.split("\n## ", 1)[0].splitlines()
+                if line.startswith("| ") and not line.startswith("| mode")]
+        potentials = {"phi": "electric", "psi": "magnetic"}
+        assert sorted(row[0] for row in rows) == sorted(pmat.MODES)
+        for mode, fields, state_length, cases in rows:
+            names, count = fields.rsplit(" (", 1)
+            assert names.split(", ")[0] == "u1 u2 u3"
+            assert tuple(potentials[p] for p in names.split(", ")[1:]) == \
+                pmat.MODE_POTENTIALS[mode]
+            assert int(count.rstrip(")")) == fem.FIELD_COUNT[mode]
+            assert int(state_length) == len(pmat.MODE_PINDEX[mode])
+            assert int(cases) == ph.case_count(mode)
 
     def test_magnetic_case_targets_last_field(self):
         coords = np.array([[0.3, 0.6, 0.9]])
