@@ -5,24 +5,39 @@ seed 101). `electroMech` uses hex_high_anisotropy grains with
 orientation seed 202; `fullyCoupled` uses the two-phase layout of a
 fraction sweep at target 0.45 with fraction seed 7. The script prints
 one JSON line: the reference's wall time, the process's max RSS, the
-dofs and the solver counters. With a third argument it also writes the
-effective matrix there, to compare two versions of the solver.
+dofs and the solver counters. `--write FILE` writes the effective
+matrix there; `--compare FILE` reads one written by another run (say,
+of another version of the solver) and adds the relative Frobenius
+difference of the two matrices to the line.
 
-Run:  python demos/05_reference_timing.py electroMech 3 [effective.json]
-      (level 3: about 40 s and 2 GB electroMech, twice that fully coupled)
+Run:  python demos/05_reference_timing.py electroMech 3 --write new.json
+      python demos/05_reference_timing.py electroMech 3 --compare new.json
+      (level 3 on 2 cores: about 30 s and 1.6 GiB electroMech, 45 s and
+      2.1 GiB fully coupled)
 """
 
+import argparse
 import json
 import resource
-import sys
 import time
+
+import numpy as np
 
 from polyvem.homogenization import GrainLayout, homogenize_fem
 from polyvem.materials import builtin_library
 from polyvem.mesh import generate_voronoi, random_seeds
 from polyvem.study import assign_volume_fraction
 
-mode, levels = sys.argv[1], int(sys.argv[2])
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("mode", choices=["electroMech", "magnetoMech",
+                                     "fullyCoupled"])
+parser.add_argument("levels", type=int)
+parser.add_argument("--write", metavar="FILE",
+                    help="write the effective matrix here as JSON")
+parser.add_argument("--compare", metavar="FILE",
+                    help="effective matrix of another run to compare with")
+args = parser.parse_args()
+mode, levels = args.mode, args.levels
 mesh = generate_voronoi(random_seeds(20, 1.0, 101).seeds, 1.0)
 lib = builtin_library()
 if mode == "fullyCoupled":
@@ -34,11 +49,17 @@ moduli = layout.moduli(lib, mode)
 t0 = time.perf_counter()
 result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
 wall = time.perf_counter() - t0
-print(json.dumps({
+line = {
     "mode": mode, "levels": levels, "wall_s": round(wall, 2),
     "max_rss_mib": round(resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    "n_dofs": result.n_dofs, "solver": result.solver_stats}))
-if len(sys.argv) > 3:
-    with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    "n_dofs": result.n_dofs, "solver": result.solver_stats}
+if args.compare:
+    with open(args.compare, encoding="utf-8") as fh:
+        other = np.array(json.load(fh), dtype=float)
+    line["rel_diff"] = float(np.linalg.norm(result.effective - other)
+                             / np.linalg.norm(other))
+print(json.dumps(line))
+if args.write:
+    with open(args.write, "w", encoding="utf-8") as fh:
         json.dump(result.effective.tolist(), fh)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cholesky import NodeCholesky
+from .cholesky import NodeCholesky, NodeSymbolic
 from .element_fem import FIELD_COUNT, gauss_stiffness, state_size
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
@@ -291,6 +291,16 @@ def _symmetric_lu(block):
                      relax=1, options={"SymmetricMode": True})
 
 
+def _min_degree_order(block) -> np.ndarray:
+    """The column order `_symmetric_lu` gives a block, read from an
+    incomplete factor that drops almost every entry: SuperLU chooses the
+    order before any numeric work, so this costs a fraction of the
+    complete factor."""
+    return spla.spilu(block, drop_tol=0.99, fill_factor=1,
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      relax=1, options={"SymmetricMode": True}).perm_c
+
+
 def _node_order(perm_c, per_node: int) -> np.ndarray:
     """Nodes in the order a SuperLU column permutation eliminates their
     first dof (node-major dofs, `per_node` per node)."""
@@ -334,6 +344,8 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
     p are None when a column is still open after CG_MAXITER iterations,
     when rᵀ C⁻¹ r or gᵀ C⁻¹ g turns negative or non-finite, or when
     dᵀ S d is not positive: that is how an indefinite C or S shows.
+    When B stores no entry (a decoupled mode), S = C, and every column
+    closes at once with p = C⁻¹ r and no iteration.
     """
     u = solve_a(f)
     start = np.einsum("ij,ij->j", f, u) + np.einsum("ij,ij->j", g, solve_c(g))
@@ -345,6 +357,8 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
     if not (np.isfinite(start + rz).all() and (start >= 0.0).all()
             and (rz >= 0.0).all()):
         return None, None, 0
+    if not B.nnz:
+        return u, z, 0
     stop = CG_RTOL ** 2 * start
     cols = np.flatnonzero(rz > stop)
     r, d, rz, stop = r[:, cols], z[:, cols], rz[cols], stop[cols]
@@ -502,26 +516,33 @@ class SparseSystem:
         coupling block K_up for the Schur complement CG.
 
         The block is symmetric quasi-definite, so both are positive
-        definite. C takes the symmetric SuperLU factor; its column
-        order, read as nodes by first appearance, is the elimination
-        order of the supernodal Cholesky factor of K_uu, whose dofs come
-        in blocks of 3 per node over the same interior nodes. All see
-        the pattern of the interior block with its exact zeros dropped:
-        C and K_up as CSC, K_uu as the node blocks that hold a nonzero.
+        definite, and both come in node blocks over the same interior
+        nodes: 3 dofs per node for K_uu, n_fields - 3 for C. One symbolic
+        step on the interior node pairs that hold a nonzero of either
+        serves both supernodal Cholesky factors. Its node order is C's
+        minimum-degree order, read as nodes by first appearance. C and
+        K_up are kept as CSC with exact zeros dropped. The sub-block
+        copies are cut and the pair blocks freed before either store is
+        allocated, and K_uu's blocks are freed before C's factor is made.
         """
         nf = self.dof_map.n_fields
         n = len(self._ii) // nf
         rows, cols, blocks = self._pair_blocks(self._inner_pairs)
-        C = _csc_of_blocks(rows, cols, -blocks[:, 3:, 3:], n, n)
-        lu_p = _symmetric_lu(C)
+        pp = -blocks[:, 3:, 3:]
+        C = _csc_of_blocks(rows, cols, pp, n, n)
         B = _csc_of_blocks(rows, cols, blocks[:, 3:, :3], n, n)
-        uu = blocks[:, :3, :3]
-        nonzero = uu.any(axis=(1, 2))
-        uu, rows, cols = uu[nonzero], rows[nonzero], cols[nonzero]
-        del blocks, nonzero
-        chol = NodeCholesky(uu, rows, cols, _node_order(lu_p.perm_c, nf - 3))
-        self._split = (chol, lu_p, B, C)
-        self.solver_stats["lu_nnz"] = [int(chol.nnz), int(lu_p.nnz)]
+        keep = blocks[:, :3, :3].any(axis=(1, 2)) | pp.any(axis=(1, 2))
+        uu, pp, rows, cols = blocks[keep, :3, :3], pp[keep], rows[keep], \
+            cols[keep]
+        del blocks, keep
+        symbolic = NodeSymbolic(rows, cols,
+                                _node_order(_min_degree_order(C), nf - 3))
+        symbolic.check_memory(3, nf - 3)
+        chol_u = NodeCholesky(uu, rows, cols, symbolic)
+        del uu
+        chol_p = NodeCholesky(pp, rows, cols, symbolic)
+        self._split = (chol_u, chol_p, B, C)
+        self.solver_stats["lu_nnz"] = [chol_u.nnz, chol_p.nnz]
 
     def _interior_block(self):
         """The interior block as sorted CSC, built from the node pairs
@@ -541,12 +562,12 @@ class SparseSystem:
         if self._rung != self.SPLIT:
             ui = self._lu.solve(rhs)
             return ui, self._worst_residual(ui, rhs)
-        chol, lu_p, B, C = self._split
+        chol_u, chol_p, B, C = self._split
         nf, m = self.dof_map.n_fields, rhs.shape[1]
         # the mechanical and potential dofs of each node, node-major
         by_node = rhs.reshape(-1, nf, m)
         u, p, iterations = _schur_cg(
-            chol.solve, lu_p.solve, B, C, by_node[:, :3].reshape(-1, m),
+            chol_u.solve, chol_p.solve, B, C, by_node[:, :3].reshape(-1, m),
             by_node[:, 3:].reshape(-1, m))
         self.solver_stats["cg_iterations"] += iterations
         if u is None:

@@ -4,12 +4,14 @@ A symmetric positive definite matrix whose dofs come in blocks of `b`
 per node (node-major) is factored as P A Pᵀ = L Lᵀ. The symbolic step
 works on the node graph only: elimination tree, postorder, column
 structures, fundamental supernodes and their relaxed amalgamation (Liu,
-SIAM Rev. 34 (1992) 82; Ashcraft & Grimes, ACM TOMS 15 (1989) 291). The
-numeric step is right-looking: each supernode is factored in place by
-LAPACK, and its update is formed by matrix products in column chunks
-and subtracted straight from the blocks of the ancestors that own those
-columns, so there is no update stack and no scratch larger than one
-chunk.
+SIAM Rev. 34 (1992) 82; Ashcraft & Grimes, ACM TOMS 15 (1989) 291), so
+one `NodeSymbolic` serves the factors of every matrix on the same node
+graph, whatever its b. The numeric step is right-looking: each
+supernode is factored in place by LAPACK, its diagonal block in
+rectangular full packed form (no unused upper triangle), and its update
+is formed by matrix products in column chunks and subtracted straight
+from the blocks of the ancestors that own those columns, so there is no
+update stack and no scratch larger than one chunk.
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpftrf, dtfsm
 
-__all__ = ["NodeCholesky", "physical_memory"]
+__all__ = ["NodeCholesky", "NodeSymbolic", "physical_memory"]
 
 # A child supernode merges into its parent when the merged supernode has
 # at most AMALGAMATE_NODES nodes or at most AMALGAMATE_ZEROS of its
 # node-block entries are zeros (docs/fem.md).
-AMALGAMATE_NODES = 4
+AMALGAMATE_NODES = 16
 AMALGAMATE_ZEROS = 0.10
 # dof columns of one update product
 UPDATE_CHUNK = 192
@@ -139,73 +140,49 @@ def _amalgamate(ncols, nrows, sparent):
     return np.array(into, dtype=np.int64)
 
 
+def _packed_columns(n, j):
+    """(lead, shift) of columns j of the lower triangle of an n x n
+    matrix in LAPACK's rectangular full packed form (TRANSR = 'N', UPLO
+    = 'L', n (n + 1) / 2 entries): entry (i, j), i >= j, sits at
+    i * lead + shift. The first n - n // 2 columns stand as they are,
+    the others transposed beside them."""
+    even = 1 - n % 2
+    lda, c0 = n + even, n - n // 2
+    right = j >= c0
+    return (np.where(right, lda, 1),
+            np.where(right, j - c0 + (1 - even - c0) * lda, even + j * lda))
+
+
 def physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-class NodeCholesky:
-    """Cholesky factor of the SPD matrix A whose node block (rows[k],
-    cols[k]) is blocks[k] transposed (b x b), with no other nonzero
-    block (the block arrays of Aᵀ, as node-pair assembly holds them),
-    node-major, eliminated in the node order `order` (order[k] is the
-    node eliminated k-th) up to a postorder of its elimination tree and
-    the amalgamation of supernodes.
+class NodeSymbolic:
+    """Symbolic step of a node-block Cholesky factor, shared by every
+    factor on the same node graph whatever its dofs per node: the nodes
+    of the pairs (rows[k], cols[k]), eliminated in the node order
+    `order` (order[k] is the node eliminated k-th) up to a postorder of
+    the elimination tree and the amalgamation of supernodes.
 
-    Only the lower triangle in the final order is read. A nonpositive
-    pivot raises RuntimeError, a store beyond physical memory
-    MemoryError before it is allocated. `nnz` counts the stored entries
-    of L: the lower triangle of each supernode's diagonal block and its
-    rows below, merge zeros included.
-
-    Supernode t has kd[t] dof columns and md[t] dof rows below them.
-    The store holds, per supernode, L11 (kd x kd, column-major, its
-    upper triangle unused) and then L21ᵀ (kd x md, row-major, which is
-    L21 column-major).
+    `order` is the final node order, supernode t owns the nodes
+    first[t]:first[t + 1] of it, `owner` maps a node to its supernode,
+    and below[t] holds the sorted nodes in the rows below supernode t.
     """
 
-    def __init__(self, blocks, rows, cols, order):
-        b = blocks.shape[1]
+    def __init__(self, rows, cols, order):
         order = np.asarray(order, dtype=np.int64)
         n_nodes = len(order)
         if not np.array_equal(np.sort(order), np.arange(n_nodes)):
             raise ValueError("order must be a permutation of the nodes")
-        self.b, self.n = b, n_nodes * b
-        row = np.asarray(rows, dtype=np.int64)
-        col = np.asarray(cols, dtype=np.int64)
-        self._symbolic(order, row, col)
-        size, bound = 8 * int(self.offset[-1]), physical_memory()
-        if size > bound:
-            raise MemoryError(
-                f"supernodal Cholesky: the factor would store "
-                f"{size / 2**30:.3g} GiB, more than the {bound / 2**30:.3g} "
-                f"GiB of physical memory")
-        # keep the blocks of the lower triangle in the final order only;
-        # this step's other arrays are freed before the store is allocated
-        new = np.empty(n_nodes, dtype=np.int64)
-        new[self.order] = np.arange(n_nodes)
-        row, col = new[row], new[col]
-        keep = np.flatnonzero(row >= col)
-        index = self._positions(row[keep], col[keep])
-        blocks = blocks[keep]
-        del row, col, keep
-        self._store = np.zeros(int(self.offset[-1]))
-        self._store[index] = blocks
-        del index, blocks
-        self._factor()
-
-    # -- symbolic step --------------------------------------------------
-
-    def _symbolic(self, order, row, col):
-        """Final node order, supernode partition and row structures, all
-        from the node pattern."""
-        n_nodes = len(order)
         position = np.empty(n_nodes, dtype=np.int64)
         position[order] = np.arange(n_nodes)
-        r, c = position[row], position[col]
+        r = position[np.asarray(rows, dtype=np.int64)]
+        c = position[np.asarray(cols, dtype=np.int64)]
         off = r != c
         hi, lo = np.divmod(np.unique(np.maximum(r[off], c[off]) * n_nodes
                                      + np.minimum(r[off], c[off])), n_nodes)
+        del r, c, off
         parent = _etree(n_nodes, lo, hi)
 
         # relabel by a postorder: node post[i] becomes i
@@ -243,29 +220,89 @@ class NodeCholesky:
         new[final] = np.arange(n_nodes)
 
         self.order = order[final]
-        self._dofs = (self.b * self.order[:, None] + np.arange(self.b)).ravel()
         counts = np.bincount(node_rank, minlength=len(tops))
         self.first = np.concatenate([[0], np.cumsum(counts)])
         self.owner = np.repeat(np.arange(len(tops)), counts)
         self.below = [np.sort(new[below[t]]) for t in tops[tpost].tolist()]
-        b = self.b
-        self.kd = np.diff(self.first) * b
-        self.md = np.array([len(x) for x in self.below], dtype=np.int64) * b
-        self.offset = np.concatenate(
-            [[0], np.cumsum(self.kd * self.kd + self.kd * self.md)])
-        self.nnz = int(np.sum(self.kd * (self.kd + 1) // 2
-                              + self.kd * self.md))
+
+    def dof_sizes(self, b):
+        """(dof columns, dof rows below them) of each supernode of a
+        factor with b dofs per node."""
+        return (np.diff(self.first) * b,
+                np.array([len(x) for x in self.below], dtype=np.int64) * b)
+
+    def check_memory(self, *bs):
+        """MemoryError when the stores of factors with bs[0], bs[1], ...
+        dofs per node would together exceed physical memory."""
+        size = 0
+        for b in bs:
+            kd, md = self.dof_sizes(b)
+            size += 8 * int(np.sum(kd * (kd + 1) // 2 + kd * md))
+        bound = physical_memory()
+        if size > bound:
+            raise MemoryError(
+                f"supernodal Cholesky: the factor stores would take "
+                f"{size / 2**30:.3g} GiB, more than the {bound / 2**30:.3g} "
+                f"GiB of physical memory")
+
+
+class NodeCholesky:
+    """Cholesky factor of the SPD matrix A whose node block (rows[k],
+    cols[k]) is blocks[k] transposed (b x b), with no other nonzero
+    block (the block arrays of Aᵀ, as node-pair assembly holds them),
+    node-major, on the supernodes of `symbolic`, a `NodeSymbolic` of a
+    node graph that holds every pair (rows[k], cols[k]).
+
+    Only the lower triangle in the final order is read. A nonpositive
+    pivot raises RuntimeError, a store beyond physical memory
+    MemoryError before it is allocated. `nnz` counts the stored entries
+    of L: the lower triangle of each supernode's diagonal block and its
+    rows below, merge zeros included.
+
+    Supernode t has kd[t] dof columns and md[t] dof rows below them.
+    The store holds, per supernode, L11 (its lower triangle in
+    rectangular full packed form, kd (kd + 1) / 2 entries) and then L21
+    (md x kd, column-major), and after the last supernode one spill
+    entry that takes what would land in upper triangles.
+    """
+
+    def __init__(self, blocks, rows, cols, symbolic: NodeSymbolic):
+        b = blocks.shape[1]
+        symbolic.check_memory(b)
+        self.b, self.n = b, len(symbolic.order) * b
+        self.order, self.first = symbolic.order, symbolic.first
+        self.owner, self.below = symbolic.owner, symbolic.below
+        self._dofs = (b * self.order[:, None] + np.arange(b)).ravel()
+        self.kd, self.md = symbolic.dof_sizes(b)
+        self.offset = np.concatenate([[0], np.cumsum(
+            self.kd * (self.kd + 1) // 2 + self.kd * self.md)])
+        self.nnz = int(self.offset[-1])
+        # keep the blocks of the lower triangle in the final order only;
+        # this step's other arrays are freed before the store is allocated
+        new = np.empty(len(self.order), dtype=np.int64)
+        new[self.order] = np.arange(len(self.order))
+        row = new[np.asarray(rows, dtype=np.int64)]
+        col = new[np.asarray(cols, dtype=np.int64)]
+        keep = np.flatnonzero(row >= col)
+        index = self._positions(row[keep], col[keep])
+        blocks = blocks[keep]
+        del row, col, keep, new
+        self._store = np.zeros(self.nnz + 1)
+        self._store[index] = blocks
+        del index, blocks
+        self._factor()
 
     # -- numeric step ---------------------------------------------------
 
     def _positions(self, r, c):
         """Store index (k, j, i) of dof (row i, column j) of node block
         (r[k], c[k]), r >= c in the final order: the owner of column c
-        holds it in L11 when r is one of its columns, else in L21."""
+        holds it in L11 when r is one of its columns (the spill entry
+        when i < j there), else in L21."""
         b, first, owner, below = self.b, self.first, self.owner, self.below
         kd, md, offset = self.kd, self.md, self.offset
         t = owner[c]
-        in_diag = r < first[t + 1]
+        in_diag = (r < first[t + 1])[:, None, None]
         # position of each row below its owner's columns in that owner's
         # rows, by one search over (owner, row) keys
         n_nodes = len(owner)
@@ -274,13 +311,15 @@ class NodeCholesky:
             + np.concatenate(below)
         start = np.concatenate([[0], np.cumsum(sizes)])
         q = np.searchsorted(keys, t * n_nodes + r) - start[t]
-        base = np.where(in_diag, offset[t] + b * (r - first[t]),
-                        offset[t] + kd[t] * kd[t] + b * q)
-        lead = np.where(in_diag, kd[t], md[t])
         d = np.arange(b)
-        return (base[:, None, None] + d
-                + (b * (c - first[t])[:, None, None] + d[:, None])
-                * lead[:, None, None])
+        i = np.where(in_diag, b * (r - first[t])[:, None, None],
+                     b * q[:, None, None]) + d
+        j = b * (c - first[t])[:, None, None] + d[:, None]
+        kt, o = kd[t][:, None, None], offset[t][:, None, None]
+        lead, shift = _packed_columns(kt, j)
+        return np.where(in_diag,
+                        np.where(i >= j, o + i * lead + shift, self.nnz),
+                        o + kt * (kt + 1) // 2 + i + j * md[t][:, None, None])
 
     def _pieces(self, rows, width):
         """Column pieces of a supernode's update: (start, end, owner end)
@@ -298,15 +337,23 @@ class NodeCholesky:
         store, offset, kd, md = self._store, self.offset, self.kd, self.md
         d = np.arange(b)
         width = max(1, UPDATE_CHUNK // b)
-        # per supernode, what a solve reads: its panels L11 and L21 as
-        # column-major views of the store, its first dof column, the end
-        # of its columns and the dof rows below them
+        # per dof column: its packed entry in row i of its owner's L11
+        # sits i * lead + shift after the owner's offset
+        lead, shift = _packed_columns(np.repeat(kd, kd), np.arange(self.n)
+                                      - np.repeat(b * first[:-1], kd))
+        # what of a piece's leading square lies above the target's
+        # diagonal: column x, row y < x
+        above = np.greater.outer(np.arange(b * width), np.arange(b * width))
+        # per supernode, what a solve reads: its panels L11 (packed) and
+        # L21 (column-major) as views of the store, its first dof column,
+        # the end of its columns and the dof rows below them
         self._plan = []
         for t, rows in enumerate(below):
             o, k, m = int(offset[t]), int(kd[t]), int(md[t])
-            L11 = store[o:o + k * k].reshape(k, k, order="F")
-            L21 = store[o + k * k:o + k * (k + m)].reshape(m, k, order="F")
-            _, info = dpotrf(L11, lower=1, overwrite_a=1, clean=0)
+            h = k * (k + 1) // 2
+            L11 = store[o:o + h]
+            L21 = store[o + h:o + h + k * m].reshape(m, k, order="F")
+            _, info = dpftrf(k, L11, uplo="L", overwrite_a=1)
             if info != 0:
                 raise RuntimeError(f"supernodal Cholesky: pivot {info} of "
                                    f"supernode {t} is not positive")
@@ -315,7 +362,7 @@ class NodeCholesky:
                                (b * rows[:, None] + d).ravel()))
             if not len(rows):
                 continue
-            dtrsm(1.0, L11, L21, side=1, lower=1, trans_a=1, overwrite_b=1)
+            dtfsm(1.0, L11, L21, side="R", uplo="L", trans="T", overwrite_b=1)
             pieces = self._pieces(rows, width)
             i = 0
             while i < len(pieces):
@@ -330,16 +377,23 @@ class NodeCholesky:
                 for p, e, end in pieces[i:i1]:
                     u = int(owner[rows[p]])
                     ku, mu, o = int(kd[u]), int(md[u]), int(offset[u])
-                    cols = (b * (rows[p:e] - first[u])[:, None] + d).ravel()
+                    dofs = (b * rows[p:e, None] + d).ravel()
+                    cols = dofs - b * int(first[u])
                     # rows[p:end] land in the owner's L11, the rest in its
-                    # L21, column by column of the owner
+                    # L21, column by column of the owner; cols are the
+                    # first rows of diag, so what falls above the
+                    # diagonal is in the leading square, and goes to the
+                    # spill entry
                     diag = (b * (rows[p:end] - first[u])[:, None] + d).ravel()
                     pos = np.searchsorted(below[u], rows[end:])
-                    off = ku * ku + (b * pos[:, None] + d).ravel()
+                    off = ku * (ku + 1) // 2 + (b * pos[:, None] + d).ravel()
                     flat = np.empty((len(cols), len(diag) + len(off)),
                                     dtype=np.intp)
-                    np.add(diag, (o + cols * ku)[:, None],
-                           out=flat[:, :len(diag)])
+                    packed = flat[:, :len(diag)]
+                    np.multiply(diag, lead[dofs, None], out=packed)
+                    packed += o + shift[dofs, None]
+                    nc = len(cols)
+                    packed[:, :nc][above[:nc, :nc]] = self.nnz
                     np.add(off, (o + cols * mu)[:, None],
                            out=flat[:, len(diag):])
                     x = b * (p - j0)
@@ -357,14 +411,14 @@ class NodeCholesky:
         # transpose is a column-major right-hand side
         for L11, L21, lo, hi, rows in self._plan:
             xs = x[lo:hi]
-            dtrsm(1.0, L11, xs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            dtfsm(1.0, L11, xs.T, side="R", uplo="L", trans="T", overwrite_b=1)
             if len(rows):
                 x[rows] -= L21 @ xs
         for L11, L21, lo, hi, rows in reversed(self._plan):
             xs = x[lo:hi]
             if len(rows):
                 xs -= L21.T @ x[rows]
-            dtrsm(1.0, L11, xs.T, side=1, lower=1, trans_a=0, overwrite_b=1)
+            dtfsm(1.0, L11, xs.T, side="R", uplo="L", trans="N", overwrite_b=1)
         out = np.empty_like(x)
         out[self._dofs] = x
         return out.reshape(rhs.shape)

@@ -35,9 +35,10 @@ from .mesh import (EDGE_LENGTH_RULE, MeshError, MeshParseError, PolyMesh,
                    write_tess)
 from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
                     beta_grid, beta_opt, beta_sweep, beta_sweep_csv,
-                    build_reference, comparison_csv, fraction_csv,
-                    fraction_grid, fraction_sweep, method_comparison,
-                    parse_method, run_method, target_block)
+                    build_reference, check_targets, comparison_csv,
+                    fraction_csv, fraction_grid, fraction_sweep,
+                    method_comparison, parse_method, run_method,
+                    target_block)
 # re-exported: benchmarks/tracing.py wraps cli._beta_point as the pool task
 from .study import _beta_point  # noqa: F401
 
@@ -430,6 +431,7 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     else:
         layout = build_layout(cfg, library, len(mesh.cells))
         moduli = layout.moduli(library, mode)
+        _checked("study", check_targets, moduli, mode, targets)
         reference = build_reference(mesh, moduli, mode, levels, cache)
         if kind == "comparison":
             rows = method_comparison(mesh, moduli, mode, methods, reference,

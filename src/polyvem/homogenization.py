@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import DofMap, assemble_parts, system_from_blocks
-from .element_fem import (FIELD_COUNT, batch_o1_operators, field_operator,
+from .element_fem import (FIELD_COUNT, batch_o1_operators,
                           promote_to_quadratic, quadratic_state_operators)
 from .element_vem import (consistency_part, stabilization_part,
                           stabilization_required)
@@ -35,7 +35,7 @@ __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
     "case_count", "case_kind", "unit_macro_state", "boundary_values",
     "reduce_modulus", "grain_moduli",
-    "VemOperators", "homogenize_vem", "homogenize_fem", "surface_average_state",
+    "VemOperators", "homogenize_vem", "homogenize_fem",
     "config_digest", "result_to_json", "result_from_json", "result_to_csv",
 ]
 
@@ -252,20 +252,6 @@ def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
                    material_names=()) -> HomogenizationResult:
     """Effective modulus on the polyhedral mesh, one element per grain."""
     return VemOperators(mesh, moduli, mode).evaluate(beta, material_names)
-
-
-def surface_average_state(mesh: PolyMesh, nodal_values: np.ndarray) -> np.ndarray:
-    """Volume-averaged generalized gradient evaluated purely from surface
-    integrals of the nodal data over the box boundary (divergence form)."""
-    values = np.asarray(nodal_values, dtype=float)
-    t = mesh.faces
-    # an on-box face has one owner, which winds it as stored (outward)
-    integrals = np.add.reduceat(t.weights[:, None] * values[t.loops],
-                                t.offsets[:-1])
-    acc = t.normal[t.on_box].T @ integrals[t.on_box] / mesh.edge_length ** 3
-    # acc[j, f] = <d field_f / dx_j>: the rows act as nodes whose shape
-    # gradients are the unit vectors
-    return field_operator(np.eye(3), values.shape[1]) @ acc.ravel()
 
 
 # ---------------------------------------------------------------------------

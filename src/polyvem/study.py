@@ -35,7 +35,8 @@ from .mesh import PolyMesh, mesh_hash
 __all__ = [
     "StudyError", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
-    "target_block", "assign_volume_fraction", "parse_method", "run_method",
+    "target_block", "check_targets", "assign_volume_fraction",
+    "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve", "beta_sweep",
     "beta_opt", "beta_grid", "beta_key", "fraction_grid", "fraction_sweep",
     "usable_workers", "comparison_csv", "beta_sweep_csv", "fraction_csv",
@@ -133,6 +134,18 @@ def target_block(effective: np.ndarray, mode: str, target: str) -> np.ndarray:
                         index.index(STATE_ROWS[k].stop - 1) + 1)
                   for k in (row, col))
     return M[rows, cols] if row == col == "strain" else -M[rows, cols]
+
+
+def check_targets(moduli, mode: str, targets) -> None:
+    """StudyError for a target whose block is zero in every grain
+    modulus: its reference block is zero too, and no error can be
+    measured against it. alpha is a product property, which a composite
+    of grains without it can have, so it is not checked."""
+    for target in targets:
+        if target != "alpha" and not any(
+                target_block(G, mode, target).any() for G in moduli):
+            raise StudyError(f"target {target!r} is zero in every grain "
+                             f"modulus of mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

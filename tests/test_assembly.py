@@ -317,12 +317,10 @@ class TestFieldSplit:
         assert 0 < result.solver_stats["cg_iterations"] <= 17 // 2
 
     def test_indefinite_potential_block_leaves_split(self, monkeypatch):
-        # -K_pp = diag(1, -1) factors without a zero pivot, but its
-        # curvature r^T C^-1 r is negative for these columns: CG gives up
-        # the split rung itself (the residual gate, opened wide here,
-        # would not) and the whole block is solved instead
+        # -K_pp = diag(1, -1): its Cholesky factor meets the negative
+        # pivot, so the split rung refuses the block while factoring and
+        # the symmetric LU of the whole block solves it
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
-        monkeypatch.setattr(pa, "RESIDUAL_GATE", 1e300)
         rng = np.random.default_rng(8)
         M = np.zeros((12, 12))
         ii = np.r_[0:8]                 # nodes 0 and 1; node 2 on the box
@@ -338,14 +336,89 @@ class TestFieldSplit:
         rows, cols = np.nonzero(M)
         dm = pa.DofMap(3, [2], "electroMech")
         system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
-        assert system.factorize()._rung == system.SPLIT
-        ub = rng.normal(size=(4, 3))
-        got = system.solve_dirichlet(ub)
+        assert system.factorize()._rung == system.SYMMETRIC
         assert system.solver_stats["path"] == "fallback"
         assert len(system.solver_stats["lu_nnz"]) == 1
+        ub = rng.normal(size=(4, 3))
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["cg_iterations"] == 0
         lu = spla.splu(sp.csc_matrix(M[np.ix_(ii, ii)]))
         expected = lu.solve(-M[ii, 8:] @ ub)
         assert np.abs(got[ii] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_cg_refuses_an_indefinite_preconditioner(self):
+        # C = diag(1, -1) solves without a zero pivot: a column whose
+        # gᵀ C⁻¹ g, or whose first rᵀ C⁻¹ r, is negative ends the CG
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(6, 6))
+        A = X @ X.T + 6 * np.eye(6)
+        C = np.diag([1.0, -1.0])
+        B = np.zeros((6, 2))
+        B[:, 1] = rng.normal(size=6)
+        solve_a = lambda r: np.linalg.solve(A, r)
+        solve_c = lambda r: np.linalg.solve(C, r)
+        f = rng.normal(size=(6, 1))
+        for g in (np.array([[0.0], [10.0]]), np.zeros((2, 1))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u, p, iterations = pa._schur_cg(
+                    solve_a, solve_c, sp.csc_matrix(B), sp.csc_matrix(C), f, g)
+            assert u is None and p is None and iterations == 0
+
+    def test_decoupled_system_closes_without_iterations(self):
+        # B stores no entry: S = C, so p = C⁻¹ r closes every column at
+        # once, and the solution is exact
+        rng = np.random.default_rng(9)
+        X, Y = rng.normal(size=(6, 6)), rng.normal(size=(3, 3))
+        A, C = X @ X.T + 6 * np.eye(6), Y @ Y.T + 3 * np.eye(3)
+        f, g = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        g[:, 0] = 0.0
+        u, p, iterations = pa._schur_cg(
+            lambda r: np.linalg.solve(A, r), lambda r: np.linalg.solve(C, r),
+            sp.csc_matrix((6, 3)), sp.csc_matrix(C), f, g)
+        assert iterations == 0
+        assert np.abs(u - np.linalg.solve(A, f)).max() \
+            <= 1e-14 * np.abs(u).max()
+        assert np.abs(p + np.linalg.solve(C, g)).max() \
+            <= 1e-14 * np.abs(p).max()
+        assert not p[:, 0].any()
+
+    def test_decoupled_mode_takes_no_cg_iteration(self, monkeypatch):
+        # magnetoMech on grains without piezomagnetic constants
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3"], seed=7, mode="magnetoMech")
+        whole = ph.homogenize_vem(mesh, moduli, beta=0.1, mode="magnetoMech")
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        split = ph.homogenize_vem(mesh, moduli, beta=0.1, mode="magnetoMech")
+        assert split.solver_stats["path"] == "split"
+        assert split.solver_stats["cg_iterations"] == 0
+        assert np.linalg.norm(split.effective - whole.effective) \
+            <= 1e-12 * np.linalg.norm(whole.effective)
+
+    def test_split_rung_makes_no_superlu_call(self, monkeypatch):
+        operators = self.vem_operators("fullyCoupled")
+        ub = RNG.normal(size=(len(operators.dof_map.boundary_dofs), 3))
+        expected = operators.system(0.1).solve_dirichlet(ub)
+
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("splu called on the split rung")
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        monkeypatch.setattr(spla, "splu", no_superlu)
+        system = operators.system(0.1)
+        got = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == "split"
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
+                                      "magnetoMech"])
+    def test_incomplete_factor_orders_as_the_complete_one(self, monkeypatch,
+                                                          mode):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        system = self.vem_operators(mode).system(0.1).factorize()
+        nf = system.dof_map.n_fields
+        for block in split_blocks(sliced_oracle(system)[0], nf):
+            assert np.array_equal(pa._min_degree_order(block),
+                                  pa._symmetric_lu(block).perm_c)
 
     def test_batched_cg_equals_single_columns_without_warnings(self):
         # a zero column, a column that starts solved, one whose Schur
@@ -467,7 +540,8 @@ def node_cholesky(A, b, order):
     M = sp.csr_matrix((A.data, A.indices, A.indptr),
                       shape=(n, n)).tobsr((b, b))
     col = np.repeat(np.arange(n // b), np.diff(M.indptr))
-    return pc.NodeCholesky(M.data, M.indices, col, order)
+    symbolic = pc.NodeSymbolic(M.indices, col, order)
+    return pc.NodeCholesky(M.data, M.indices, col, symbolic)
 
 
 class TestNodeCholesky:
@@ -511,6 +585,8 @@ class TestNodeCholesky:
         A = node_block_spd(14, 3, [np.arange(14)], rng)
         factor = self.assert_solves(A, 3, rng.permutation(14))
         assert len(factor.below) == 1 and factor.nnz == 42 * 43 // 2
+        # the packed diagonal block, and the spill entry
+        assert factor._store.size == factor.nnz + 1
 
     def test_single_node(self):
         A = node_block_spd(1, 3, [np.array([0])], np.random.default_rng(13))
@@ -522,6 +598,26 @@ class TestNodeCholesky:
         A[4, 4] = -1.0
         with pytest.raises(RuntimeError, match="not positive"):
             node_cholesky(A.tocsc(), 3, np.arange(6))
+
+    def test_shared_symbolic_step_is_bit_identical(self):
+        # one symbolic step, made from the b = 1 matrix, serves the
+        # factors of b = 1, 2 and 3 on the same node graph; each equals
+        # the factor made on a symbolic step of its own
+        rng = np.random.default_rng(20)
+        elements = [rng.choice(50, 4, replace=False) for _ in range(60)]
+        order = rng.permutation(50)
+        shared = None
+        for b in (1, 2, 3):
+            A = node_block_spd(50, b, elements, rng)
+            M = sp.csr_matrix((A.data, A.indices, A.indptr),
+                              shape=A.shape).tobsr((b, b))
+            col = np.repeat(np.arange(50), np.diff(M.indptr))
+            if shared is None:
+                shared = pc.NodeSymbolic(M.indices, col, order)
+            together = pc.NodeCholesky(M.data, M.indices, col, shared)
+            alone = node_cholesky(A, b, order)
+            assert together._store.tobytes() == alone._store.tobytes()
+            assert together.nnz == alone.nnz
 
     def test_matrix_not_square_in_blocks_raises(self):
         A = node_block_spd(5, 2, [np.arange(5)], np.random.default_rng(16))
@@ -584,7 +680,7 @@ class TestNodeCholesky:
         mech = ii % dm.n_fields < 3
         K = system.K.tocsr()[ii][:, ii]
         Kuu, Kpp = K[mech][:, mech].tocsc(), K[~mech][:, ~mech].tocsc()
-        order = pa._node_order(pa._symmetric_lu(-Kpp).perm_c, 1)
+        order = pa._node_order(pa._min_degree_order(-Kpp), 1)
         tracemalloc.start()
         try:
             factor = node_cholesky(Kuu, 3, order)
@@ -806,13 +902,19 @@ class TestScaledBlocks:
 
     @pytest.mark.parametrize("case", CASES[:-1])
     def test_split_stores_as_from_the_sliced_block(self, monkeypatch, case):
-        # the factors of K_uu and -K_pp cut from the node pairs store as
-        # many entries as those of the blocks sliced from K
+        # the factors of K_uu and -K_pp cut from the node pairs, on one
+        # symbolic step, are those of the blocks sliced from K, each
+        # factored on its own
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         system = self.system(case).factorize()
         assert system.solver_stats["path"] == "split"
         nf = system.dof_map.n_fields
         Kuu, Kpp = split_blocks(sliced_oracle(system)[0], nf)
-        lu_p = pa._symmetric_lu(Kpp)
-        factor = node_cholesky(Kuu, 3, pa._node_order(lu_p.perm_c, nf - 3))
-        assert system.solver_stats["lu_nnz"] == [factor.nnz, lu_p.nnz]
+        order = pa._node_order(pa._min_degree_order(Kpp), nf - 3)
+        factors = [node_cholesky(Kuu, 3, order),
+                   node_cholesky(Kpp, nf - 3, order)]
+        assert system.solver_stats["lu_nnz"] == [f.nnz for f in factors]
+        # equal entries; the split's store may hold -0.0 where the
+        # negated blocks of -K_pp had zeros
+        for split, factor in zip(system._split[:2], factors):
+            assert np.array_equal(split._store, factor._store)

@@ -195,6 +195,29 @@ reference_levels = 9
         err = capsys.readouterr().err
         assert "numerical failure" in err and "physical memory" in err
 
+    def test_both_factor_stores_count_against_physical_memory(
+            self, tmp_path, capsys, monkeypatch):
+        # each store alone fits under the bound, the two together do not
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        stores = []
+
+        class Recorded(pc.NodeCholesky):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self._store.nbytes)
+        monkeypatch.setattr(pa, "NodeCholesky", Recorded)
+        p = write_config(tmp_path / "c.ini", BASE.format(n=8, names="BaTiO3"))
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 0
+        small, large = sorted(stores)
+        assert small > 0
+        monkeypatch.setattr(pc, "physical_memory",
+                            lambda: large + small // 2)
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o2")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "physical memory" in err
+
     def test_unknown_material_exits_2(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="unobtainium"))
         assert main(["homogenize", "--config", p,
@@ -308,6 +331,44 @@ reference_levels = 9
         assert main([command, "--config", p,
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["comparison", "beta-sweep"])
+    def test_target_zero_in_every_grain_exits_2_before_reference(
+            self, tmp_path, capsys, monkeypatch, kind):
+        # hex_high_anisotropy has no piezomagnetic constants, so the
+        # reference's q block would be zero
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference built for a zero target")
+        monkeypatch.setattr("polyvem.cli.build_reference", no_reference)
+        cache = tmp_path / "cache"
+        p = write_config(tmp_path / "c.ini", f"""
+[mesh]
+n_grains = 6
+mesh_seed = 11
+[materials]
+names = hex_high_anisotropy
+[study]
+kind = {kind}
+mode = magnetoMech
+targets = G,q
+reference_levels = 1
+cache = {cache}
+""")
+        assert main(["study", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "target 'q' is zero in every grain modulus" in \
+            capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_product_target_is_not_checked_against_grains(self):
+        # neither phase has an electromagnetic block; the composite has one
+        mesh = generate_voronoi(random_seeds(4, 1.0, 11).seeds, 1.0)
+        layout, _, _ = study.assign_volume_fraction(mesh, 0.5, 3)
+        moduli = layout.moduli(builtin_library(), "fullyCoupled")
+        assert not any(study.target_block(G, "fullyCoupled", "alpha").any()
+                       for G in moduli)
+        study.check_targets(moduli, "fullyCoupled", ("G", "C", "e", "q",
+                                                     "alpha"))
 
     BAD_EDGE = "edge_length must be positive with a finite cube"
 

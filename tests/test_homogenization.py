@@ -37,6 +37,20 @@ def table_moduli(mesh, names, seed=3, mode="fullyCoupled"):
     return layout.moduli(LIB, mode), layout
 
 
+def surface_average_state(mesh, nodal_values):
+    """Volume-averaged generalized gradient evaluated purely from surface
+    integrals of the nodal data over the box boundary (divergence form)."""
+    values = np.asarray(nodal_values, dtype=float)
+    t = mesh.faces
+    # an on-box face has one owner, which winds it as stored (outward)
+    integrals = np.add.reduceat(t.weights[:, None] * values[t.loops],
+                                t.offsets[:-1])
+    acc = t.normal[t.on_box].T @ integrals[t.on_box] / mesh.edge_length ** 3
+    # acc[j, f] = <d field_f / dx_j>: the rows act as nodes whose shape
+    # gradients are the unit vectors
+    return fem.field_operator(np.eye(3), values.shape[1]) @ acc.ravel()
+
+
 class TestLoadCases:
     def test_case_counts(self):
         assert ph.case_count("fullyCoupled") == 12
@@ -153,13 +167,13 @@ class TestAverageTheorem:
         # divergence form of its average reads that data alone
         for case in range(1, 13):
             data = ph.boundary_values(case, mesh.vertices, "fullyCoupled")
-            surface = ph.surface_average_state(mesh, data)
+            surface = surface_average_state(mesh, data)
             assert np.abs(surface - res.average_states[case - 1]).max() < 1e-10
 
     def test_surface_average_of_zero_data(self):
         mesh = voronoi_mesh(3)
         vals = np.zeros((mesh.n_vertices, 5))
-        assert np.allclose(ph.surface_average_state(mesh, vals), 0.0)
+        assert np.allclose(surface_average_state(mesh, vals), 0.0)
 
 
 class TestEffectiveModulus:
