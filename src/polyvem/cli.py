@@ -35,10 +35,10 @@ from .mesh import (EDGE_LENGTH_RULE, MeshError, MeshParseError, PolyMesh,
                    write_tess)
 from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
                     beta_grid, beta_opt, beta_sweep, beta_sweep_csv,
-                    build_reference, check_targets, comparison_csv,
-                    fraction_csv, fraction_grid, fraction_sweep,
-                    method_comparison, parse_method, run_method,
-                    target_block)
+                    build_reference, check_fraction_phases, check_targets,
+                    comparison_csv, fraction_csv, fraction_grid,
+                    fraction_sweep, method_comparison, parse_method,
+                    run_method, target_block)
 # re-exported: benchmarks/tracing.py wraps cli._beta_point as the pool task
 from .study import _beta_point  # noqa: F401
 
@@ -412,8 +412,10 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     cache = cfg["study"].get("cache")
     workers = _get(cfg, "run", "workers", 1, int)
     t0 = time.perf_counter()
-    mesh = build_mesh(cfg)
     library = load_library(cfg)
+    if kind == "fraction-sweep":
+        _checked("study", check_fraction_phases, library, run_mode, targets)
+    mesh = build_mesh(cfg)
     outputs = []
     wall = {}
     solver = None

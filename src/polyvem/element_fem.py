@@ -8,17 +8,15 @@ P = [strain(6, engineering), E(3)[, H(3)]] with E = -grad(potential).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .materials import MODE_POTENTIALS
-from .mesh import MeshError, TetMesh, _EDGE_LOCAL, box_sides, edge_midpoints
+from .mesh import MeshError, TetMesh, _EDGE_LOCAL, edge_midpoints
 
 __all__ = [
     "FIELD_COUNT", "state_size", "tet_gradient", "field_operator",
     "kernel_dimension",
-    "TetMeshO2", "promote_to_quadratic", "GAUSS4_BARY", "GAUSS4_WEIGHTS",
+    "promote_to_quadratic", "GAUSS4_BARY", "GAUSS4_WEIGHTS",
     "quadratic_state_operators", "batch_o1_operators", "gauss_stiffness",
 ]
 
@@ -147,30 +145,11 @@ def gauss_stiffness(B: np.ndarray, w: np.ndarray, G: np.ndarray) -> np.ndarray:
 # Quadratic (10-node) mesh promotion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TetMeshO2:
-    """Conforming 10-node tet mesh (corners first, then unique midpoints)."""
-    points: np.ndarray          # (n_points, 3)
-    tets: np.ndarray            # (n_tets, 10) corner ids then edge midpoints
-    cell_of_tet: np.ndarray
-    edge_length: float
-
-    @property
-    def n_points(self):
-        return len(self.points)
-
-    @property
-    def boundary_node_ids(self) -> np.ndarray:
-        return np.nonzero(box_sides(self.points, self.edge_length).any(axis=1))[0]
-
-
-def promote_to_quadratic(tmesh: TetMesh) -> TetMeshO2:
-    """Insert unique shared mid-edge nodes into a conforming tet mesh.
-
-    Midpoints are numbered after the corners in order of first
-    appearance, tet by tet and edge by edge in _EDGE_LOCAL order.
-    """
+def promote_to_quadratic(tmesh: TetMesh) -> TetMesh:
+    """The 10-node tet mesh of a conforming tet mesh: the corners first,
+    then one shared midpoint per edge, numbered in order of first
+    appearance, tet by tet and edge by edge in _EDGE_LOCAL order. Each
+    tet lists its 4 corners, then its 6 midpoints in that edge order."""
     points, mids = edge_midpoints(tmesh.vertices, tmesh.tets)
-    tets10 = np.hstack([tmesh.tets, mids])
-    return TetMeshO2(points, tets10, tmesh.cell_of_tet.copy(),
-                     tmesh.edge_length)
+    return TetMesh(points, np.hstack([tmesh.tets, mids]),
+                   tmesh.cell_of_tet.copy(), tmesh.edge_length)

@@ -29,7 +29,7 @@ from .element_vem import VemElement  # noqa: F401
 from .materials import (MODE_PINDEX, MODE_POTENTIALS, GeneralizedModulus,
                         build_modulus, datasheet_matrix, rotate_modulus,
                         voigt_to_strain)
-from .mesh import PolyMesh, mesh_hash, refine_tet_mesh
+from .mesh import PolyMesh, TetMesh, mesh_hash, refine_tet_mesh
 
 __all__ = [
     "HomogenizationError", "HomogenizationResult", "GrainLayout",
@@ -153,8 +153,13 @@ class HomogenizationResult:
         return datasheet_matrix(self.effective, self.mode)
 
 
-def _battery(system, dof_map, coords, mode, volume, averager,
-             method, beta, mesh_digest, material_names):
+def _battery(system, intP, intL, coords, mesh, mode, method, beta,
+             material_names):
+    """Every load case on `system`, its nodes at `coords`: the volume
+    averages of a solution `full` are intP @ full and intL @ full over
+    the volume of `mesh`, whose digest the result carries."""
+    dof_map = system.dof_map
+    volume = mesh.edge_length ** 3
     n_cases = case_count(mode)            # one case per state component
     states = np.zeros((n_cases, n_cases))
     fluxes = np.zeros((n_cases, n_cases))
@@ -166,10 +171,9 @@ def _battery(system, dof_map, coords, mode, volume, averager,
     fulls = np.ascontiguousarray(system.solve_dirichlet(values).T)
     micro = 2.0 * system.energy(fulls.T) / volume
     for case, full in enumerate(fulls):
-        avgP, avgL = averager(full)
-        states[case] = avgP
-        fluxes[case] = avgL
-        macro = float(avgP @ avgL)
+        states[case] = intP @ full / volume
+        fluxes[case] = intL @ full / volume
+        macro = float(states[case] @ fluxes[case])
         hills[case] = abs(micro[case] - macro) / max(abs(macro), 1e-300)
     effective = fluxes.T.copy()
     scale = np.abs(effective).max()
@@ -177,7 +181,7 @@ def _battery(system, dof_map, coords, mode, volume, averager,
     return HomogenizationResult(
         mode=mode, method=method, beta=beta, effective=effective,
         average_states=states, average_fluxes=fluxes, hill_residuals=hills,
-        asymmetry=float(asym), mesh_digest=mesh_digest,
+        asymmetry=float(asym), mesh_digest=mesh_hash(mesh),
         material_names=tuple(material_names), n_dofs=dof_map.n_dofs,
         n_factorizations=system.n_factorizations, n_solves=system.n_solves,
         solver_stats=dict(system.solver_stats))
@@ -206,7 +210,6 @@ class VemOperators:
         self.moduli = moduli
         self.mode = mode
         self.dof_map = DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
-        self.mesh_digest = mesh_hash(mesh)
         # cells whose consistency part alone is singular (hint at beta = 0)
         self.deficient_cells = tuple(
             c for c, cell in enumerate(mesh.cells)
@@ -240,11 +243,8 @@ class VemOperators:
         """Effective modulus at stabilization weight `beta`."""
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        volume = self.mesh.edge_length ** 3
-        system, *pair = self._blended(beta)
-        return _battery(system, self.dof_map, self.mesh.vertices, self.mode,
-                        volume, _averager(*pair, volume), "VEM-VO",
-                        float(beta), self.mesh_digest, material_names)
+        return _battery(*self._blended(beta), self.mesh.vertices, self.mesh,
+                        self.mode, "VEM-VO", float(beta), material_names)
 
 
 def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
@@ -258,46 +258,23 @@ def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
 # Tetrahedral finite-element paths
 # ---------------------------------------------------------------------------
 
-def _tet_system(nodes, owners, operators, moduli, dof_map):
-    """(system, intP, intL) of a tet mesh, one `assemble_parts` part:
-    nodes (m, k) are the node ids of each tet, owners its grain and
-    operators(idx) the Gauss-point operators and weights of tets idx."""
-    order = np.argsort(owners, kind="stable")
-    grains = np.split(order, np.searchsorted(owners[order],
-                                             np.arange(1, len(moduli))))
-    pattern, ((blocks, intP, intL),) = assemble_parts(
-        [([nodes[idx] for idx in grains], lambda c: operators(grains[c]))],
-        moduli, dof_map.n_nodes, dof_map.n_fields)
-    return system_from_blocks(pattern, blocks, dof_map), intP, intL
+def _tet_system(tmesh: TetMesh, moduli, dof_map):
+    """(system, intP, intL) of a linear (4-node) or quadratic (10-node)
+    tet mesh, one `assemble_parts` part. A grain's tets are contiguous,
+    in grain order, in every coarse, refined and promoted mesh."""
+    points, tets, nf = tmesh.vertices, tmesh.tets, dof_map.n_fields
+    bounds = np.searchsorted(tmesh.cell_of_tet, np.arange(len(moduli) + 1))
+    grains = [tets[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-
-def _averager(intP, intL, volume):
-    """Battery averager of an integrated-state pair: the volume averages
-    (<P>, <L>) of a full solution vector."""
-    def averager(full):
-        return intP @ full / volume, intL @ full / volume
-    return averager
-
-
-def _fem_o1_system(points, tets, owners, moduli, dof_map):
-    """Linear-tet system and its integrated-state pair (intP, intL)."""
-    def operators(idx):
-        B, vols = batch_o1_operators(points, tets[idx], dof_map.n_fields)
+    def operators(c):
+        if tets.shape[1] == 10:         # the corners carry the geometry
+            return quadratic_state_operators(points, grains[c][:, :4], nf)
+        B, vols = batch_o1_operators(points, grains[c], nf)
         return B[:, None], vols[:, None]
 
-    system, *pair = _tet_system(tets, owners, operators, moduli, dof_map)
-    return system, pair
-
-
-def _fem_o2_system(tmesh, o2, moduli, dof_map):
-    """Quadratic-tet system and its integrated-state pair (intP, intL)."""
-    def operators(idx):
-        return quadratic_state_operators(tmesh.vertices, tmesh.tets[idx],
-                                         dof_map.n_fields)
-
-    system, *pair = _tet_system(o2.tets, o2.cell_of_tet, operators, moduli,
-                                dof_map)
-    return system, pair
+    pattern, ((blocks, intP, intL),) = assemble_parts(
+        [(grains, operators)], moduli, dof_map.n_nodes, nf)
+    return system_from_blocks(pattern, blocks, dof_map), intP, intL
 
 
 def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
@@ -306,8 +283,8 @@ def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
     """Effective modulus on the tetrahedralized grains.
 
     order 1 with levels 0 is the coarse linear baseline (`mesh.tets`);
-    levels > 0 red-refines every grain conformingly; order 2 promotes
-    the coarse mesh to 10-node quadratic tets (levels must be 0).
+    levels > 0 red-refines every grain conformingly; order 2 then
+    promotes the tets to 10-node quadratic tets (levels must be 0).
     """
     if len(moduli) != len(mesh.cells):
         raise HomogenizationError(
@@ -316,26 +293,14 @@ def homogenize_fem(mesh: PolyMesh, moduli, order: int = 1, levels: int = 0,
         raise HomogenizationError(f"order must be 1 or 2, got {order}")
     if order == 2 and levels:
         raise HomogenizationError("quadratic path supports levels=0 only")
-    tmesh = mesh.tets
-    if levels:
-        tmesh = refine_tet_mesh(tmesh, levels)
-
-    if order == 1:
-        dof_map = DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, mode)
-        system, pair = _fem_o1_system(
-            tmesh.vertices, tmesh.tets, tmesh.cell_of_tet, moduli, dof_map)
-        coords = tmesh.vertices
-        method = f"FEM-O1-refined({levels})" if levels else "FEM-O1-coarse"
-    else:
-        o2 = promote_to_quadratic(tmesh)
-        dof_map = DofMap(o2.n_points, o2.boundary_node_ids, mode)
-        system, pair = _fem_o2_system(tmesh, o2, moduli, dof_map)
-        coords = o2.points
-        method = "FEM-O2-coarse"
-    volume = mesh.edge_length ** 3
-    return _battery(system, dof_map, coords, mode, volume,
-                    _averager(*pair, volume), method, None, mesh_hash(mesh),
-                    material_names)
+    tmesh = refine_tet_mesh(mesh.tets, levels) if levels else mesh.tets
+    if order == 2:
+        tmesh = promote_to_quadratic(tmesh)
+    dof_map = DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, mode)
+    method = (f"FEM-O{order}-refined({levels})" if levels
+              else f"FEM-O{order}-coarse")
+    return _battery(*_tet_system(tmesh, moduli, dof_map), tmesh.vertices,
+                    mesh, mode, method, None, material_names)
 
 
 # ---------------------------------------------------------------------------

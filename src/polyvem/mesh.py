@@ -193,7 +193,7 @@ class TetMesh:
     """Conforming tetrahedral mesh (union of cell submeshes, or refined)."""
 
     vertices: np.ndarray                   # (n, 3)
-    tets: np.ndarray                       # (m, 4)
+    tets: np.ndarray                       # (m, 4), or (m, 10) if quadratic
     cell_of_tet: np.ndarray                # (m,) owning polyhedral cell id
     edge_length: float
 

@@ -26,16 +26,17 @@ from . import __version__
 from .element_fem import FIELD_COUNT
 from .homogenization import (RESULT_FORMAT, GrainLayout, HomogenizationError,
                              HomogenizationResult, VemOperators,
-                             homogenize_fem, homogenize_vem,
+                             homogenize_fem, homogenize_vem, reduce_modulus,
                              result_from_json, result_to_json)
 from .materials import (MODE_PINDEX, MODE_POTENTIALS, STATE_ROWS,
-                        datasheet_matrix)
+                        build_modulus, datasheet_matrix)
 from .mesh import PolyMesh, mesh_hash
 
 __all__ = [
     "StudyError", "ComparisonRow", "FractionRow",
     "frobenius", "computational_error", "relative_deviation",
-    "target_block", "check_targets", "assign_volume_fraction",
+    "target_block", "check_targets", "check_fraction_phases",
+    "assign_volume_fraction",
     "parse_method", "run_method",
     "build_reference", "method_comparison", "beta_curve", "beta_sweep",
     "beta_opt", "beta_grid", "beta_key", "fraction_grid", "fraction_sweep",
@@ -48,6 +49,9 @@ FRACTION_STEP = 0.1
 MEMORY_GUARD_TETS = 2_000_000
 
 METHODS = ("VEM-VO", "FEM-O1-coarse", "FEM-O2-coarse", "FEM-O1-refined")
+
+# the (active, passive) phases of a volume-fraction sweep
+FRACTION_PHASES = ("CoFe2O4", "BaTiO3")
 
 
 class StudyError(RuntimeError):
@@ -182,11 +186,24 @@ class FractionRow:
 # Grain assignment for hybrid sweeps
 # ---------------------------------------------------------------------------
 
+def check_fraction_phases(library: dict, mode: str, targets) -> None:
+    """StudyError unless both FRACTION_PHASES are in the library and
+    every target passes `check_targets` on their unrotated moduli (a
+    rotation cannot make a zero block nonzero)."""
+    for name in FRACTION_PHASES:
+        if name not in library:
+            raise StudyError(f"material {name!r} not in library")
+    check_targets([reduce_modulus(build_modulus(library[name]), mode)
+                   for name in FRACTION_PHASES], mode, targets)
+
+
 def assign_volume_fraction(mesh: PolyMesh, fraction: float, rng_seed: int,
-                           active: str = "CoFe2O4", passive: str = "BaTiO3"):
+                           active: str = FRACTION_PHASES[0],
+                           passive: str = FRACTION_PHASES[1]):
     """Greedy seeded assignment of grains to the `active` phase until its
     cumulative volume reaches fraction * L^3; independent random
-    orientations for every grain. Returns (layout, achieved fraction)."""
+    orientations for every grain. Returns (layout, achieved fraction,
+    number of active grains)."""
     if not 0.0 <= fraction <= 1.0:
         raise StudyError(f"volume fraction must be in [0, 1], got {fraction}")
     rng = np.random.default_rng(rng_seed)

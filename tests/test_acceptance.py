@@ -13,8 +13,7 @@ import pytest
 
 from polyvem.assembly import DofMap
 from polyvem.element_vem import cell_operators, kernel_dimension
-from polyvem.homogenization import (GrainLayout, VemOperators,
-                                    _fem_o1_system, _fem_o2_system,
+from polyvem.homogenization import (GrainLayout, VemOperators, _tet_system,
                                     boundary_values, homogenize_fem,
                                     homogenize_vem, promote_to_quadratic,
                                     reduce_modulus, result_to_csv)
@@ -150,8 +149,7 @@ def test_criterion_02_patch_tests(library, report):
     subs = [triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
     tmesh = union_submeshes(mesh, subs)
     dm1 = DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, "fullyCoupled")
-    sys1, _ = _fem_o1_system(tmesh.vertices, tmesh.tets, tmesh.cell_of_tet,
-                             moduli, dm1)
+    sys1, *_ = _tet_system(tmesh, moduli, dm1)
     exact1 = (tmesh.vertices @ A.T).ravel()
     u1 = sys1.solve_dirichlet(exact1[dm1.boundary_dofs])
     worst = max(worst, np.abs(u1 - exact1).max() / scale)
@@ -166,9 +164,9 @@ def test_criterion_02_patch_tests(library, report):
         1.0, np.abs(states[0]).max())
 
     o2 = promote_to_quadratic(tmesh)
-    dm2 = DofMap(o2.n_points, o2.boundary_node_ids, "fullyCoupled")
-    sys2, _ = _fem_o2_system(tmesh, o2, moduli, dm2)
-    exact2 = (o2.points @ A.T).ravel()
+    dm2 = DofMap(o2.n_vertices, o2.boundary_node_ids, "fullyCoupled")
+    sys2, *_ = _tet_system(o2, moduli, dm2)
+    exact2 = (o2.vertices @ A.T).ravel()
     u2 = sys2.solve_dirichlet(exact2[dm2.boundary_dofs])
     worst = max(worst, np.abs(u2 - exact2).max() / scale)
 
@@ -197,8 +195,7 @@ def test_criterion_03_full_stabilization_degenerates(library, report):
     operators = VemOperators(mesh, moduli, "fullyCoupled")
     dm = operators.dof_map
     sys_vem = operators.system(1.0)
-    sys_fem, _ = _fem_o1_system(tmesh.vertices, tmesh.tets,
-                                tmesh.cell_of_tet, moduli, dm)
+    sys_fem, *_ = _tet_system(tmesh, moduli, dm)
 
     worst = 0.0
     for case in (1, 4, 7, 10, 12):

@@ -674,8 +674,7 @@ class TestNodeCholesky:
         # most twice the bytes of the factor's store
         tmesh, moduli = TestBlockPattern.level1_reference()
         dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, "electroMech")
-        system, _ = ph._fem_o1_system(tmesh.vertices, tmesh.tets,
-                                      tmesh.cell_of_tet, moduli, dm)
+        system, _, _ = ph._tet_system(tmesh, moduli, dm)
         ii = dm.interior_dofs
         mech = ii % dm.n_fields < 3
         K = system.K.tocsr()[ii][:, ii]
@@ -732,17 +731,14 @@ class TestBlockPattern:
         nf = pf.FIELD_COUNT[self.MODE]
         if order == 1:
             tmesh = pm.refine_tet_mesh(tmesh, levels) if levels else tmesh
-            dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
             B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets, nf)
-            B, w, nodes, owners = B[:, None], vols[:, None], tmesh.tets, \
-                tmesh.cell_of_tet
+            B, w = B[:, None], vols[:, None]
         else:
-            o2 = pf.promote_to_quadratic(tmesh)
-            dm = pa.DofMap(o2.n_points, o2.boundary_node_ids, self.MODE)
             B, w = pf.quadratic_state_operators(tmesh.vertices, tmesh.tets, nf)
-            nodes, owners = o2.tets, o2.cell_of_tet
-        system, _, _ = ph._tet_system(nodes, owners,
-                                      lambda idx: (B[idx], w[idx]), moduli, dm)
+            tmesh = pf.promote_to_quadratic(tmesh)
+        dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
+        system, _, _ = ph._tet_system(tmesh, moduli, dm)
+        nodes, owners = tmesh.tets, tmesh.cell_of_tet
         chunks = []
         for c in np.unique(owners):
             idx = np.nonzero(owners == c)[0]
@@ -812,16 +808,9 @@ class TestBlockPattern:
         # may hold at most 8 times the bytes of K
         tmesh, moduli = self.level1_reference()
         dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
-
-        def operators(idx):
-            B, vols = pf.batch_o1_operators(tmesh.vertices, tmesh.tets[idx],
-                                            dm.n_fields)
-            return B[:, None], vols[:, None]
-
         tracemalloc.start()
         try:
-            system, _, _ = ph._tet_system(tmesh.tets, tmesh.cell_of_tet,
-                                          operators, moduli, dm)
+            system, _, _ = ph._tet_system(tmesh, moduli, dm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,7 +21,7 @@ import polyvem.study as study
 from polyvem.cli import _SCHEMA, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
                                     result_from_json, result_to_json)
-from polyvem.materials import builtin_library
+from polyvem.materials import builtin_library, format_library
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
 from test_mesh import broken_native_texts, six_grain_texts
@@ -278,6 +278,32 @@ reference_levels = 9
         assert main([command, "--config", p, *argv]) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.ini"]
+
+    @pytest.mark.parametrize("records,targets,message", [
+        ({"BaTiO3": "BaTiO3", "hex_high_anisotropy": "hex_high_anisotropy"},
+         "G", "[study] material 'CoFe2O4' not in library"),
+        # both phases without piezomagnetic coupling
+        ({"BaTiO3": "BaTiO3", "CoFe2O4": "hex_high_anisotropy"},
+         "q", "[study] target 'q' is zero in every grain modulus"),
+    ])
+    def test_fraction_sweep_phases_exit_2_before_mesh(
+            self, tmp_path, capsys, monkeypatch, records, targets, message):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the phases were checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        builtin = builtin_library()
+        lib = tmp_path / "two.lib"
+        lib.write_text(format_library(
+            {name: builtin[record] for name, record in records.items()}))
+        p = write_config(tmp_path / "c.ini", (
+            f"[materials]\nlibrary = {lib}\n"
+            f"[study]\nkind = fraction-sweep\ntargets = {targets}\n"))
+        assert main(["study", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_study_kind_exits_2(self, tmp_path):
         p = write_config(tmp_path / "c.ini",

@@ -121,9 +121,10 @@ class TestQuadraticElement:
     def test_linear_patch_through_quadratic_element(self):
         mesh10 = fem.promote_to_quadratic(
             pm.TetMesh(REF_TET, np.array([[0, 1, 2, 3]]), np.zeros(1, int), 1.0))
-        values, state = coupled_linear_field(mesh10.points, 5, RNG)
+        values, state = coupled_linear_field(mesh10.vertices, 5, RNG)
         G = random_modulus(5, RNG)
-        K = tet_stiffness(mesh10.points[mesh10.tets[0]], G, order=2, n_fields=5)
+        K = tet_stiffness(mesh10.vertices[mesh10.tets[0]], G, order=2,
+                          n_fields=5)
         p = values.ravel()
         U = 0.5 * p @ K @ p
         assert U == pytest.approx((1.0 / 6.0) * mat.energy_quadratic(G, state),
@@ -139,7 +140,7 @@ class TestQuadraticElement:
         G = mat.build_modulus(rec).matrix
         mesh10 = fem.promote_to_quadratic(
             pm.TetMesh(REF_TET, np.array([[0, 1, 2, 3]]), np.zeros(1, int), 1.0))
-        pts = mesh10.points[mesh10.tets[0]]
+        pts = mesh10.vertices[mesh10.tets[0]]
         values = np.zeros((10, 5))
         values[:, 0] = pts[:, 0] ** 2
         values[:, 1] = pts[:, 1] ** 2
@@ -157,7 +158,7 @@ class TestQuadraticElement:
         G = mat.build_modulus(rec).matrix
         mesh10 = fem.promote_to_quadratic(
             pm.TetMesh(REF_TET, np.array([[0, 1, 2, 3]]), np.zeros(1, int), 1.0))
-        pts = mesh10.points[mesh10.tets[0]]
+        pts = mesh10.vertices[mesh10.tets[0]]
         values = np.zeros((10, 5))
         values[:, 3] = pts[:, 0] ** 2
         K = tet_stiffness(pts, G, order=2, n_fields=5)
@@ -169,7 +170,7 @@ class TestPromotion:
     def test_single_tet_ten_nodes(self):
         t = pm.TetMesh(REF_TET, np.array([[0, 1, 2, 3]]), np.zeros(1, int), 1.0)
         m10 = fem.promote_to_quadratic(t)
-        assert m10.n_points == 10
+        assert m10.n_vertices == 10
         assert m10.tets.shape == (1, 10)
 
     def test_two_tets_share_face_midpoints(self):
@@ -179,7 +180,7 @@ class TestPromotion:
         fem.tet_gradient(pts[tets[1]])      # orientation sanity
         m10 = fem.promote_to_quadratic(
             pm.TetMesh(pts, tets, np.zeros(2, int), 1.0))
-        assert m10.n_points == 14
+        assert m10.n_vertices == 14
         shared = set(m10.tets[0, 4:]) & set(m10.tets[1, 4:])
         assert len(shared) == 3             # midpoints of the shared face
 
@@ -190,12 +191,12 @@ class TestPromotion:
         m10 = fem.promote_to_quadratic(tmesh)
         boundary = set(m10.boundary_node_ids.tolist())
         tol = 1e-12
-        for nid in range(m10.n_points):
-            x = m10.points[nid]
+        for nid in range(m10.n_vertices):
+            x = m10.vertices[nid]
             on_surface = np.any(np.abs(x) < tol) or np.any(np.abs(x - 1.0) < tol)
             assert (nid in boundary) == on_surface
         # the main diagonal midpoint sits at the cube center: interior
-        center = np.nonzero(np.all(np.isclose(m10.points, 0.5), axis=1))[0]
+        center = np.nonzero(np.all(np.isclose(m10.vertices, 0.5), axis=1))[0]
         assert len(center) == 1 and center[0] not in boundary
 
 

@@ -423,24 +423,20 @@ def direct_element(mesh, cell_id, G, beta, nf):
 
 
 def direct_homogenize(mesh, moduli, beta, mode):
-    """Battery over direct_element blocks with a per-element averager."""
+    """Battery over direct_element blocks, its integrated-state pair
+    scattered element by element."""
     nf = fem.FIELD_COUNT[mode]
     elems = [direct_element(mesh, c, moduli[c], beta, nf)
              for c in range(len(mesh.cells))]
     dof_map = pa.DofMap(mesh.n_vertices, mesh.boundary_node_ids, mode)
-    volume = mesh.edge_length ** 3
-
-    def averager(full):
-        avgP = avgL = 0.0
-        for e in elems:
-            intP = e.average_op @ full[(e.node_ids[:, None] * nf
-                                        + np.arange(nf)).ravel()]
-            avgP = avgP + intP
-            avgL = avgL + e.modulus @ intP
-        return avgP / volume, avgL / volume
-
-    return ph._battery(pa.assemble(elems, dof_map), dof_map, mesh.vertices,
-                       mode, volume, averager, "VEM-VO", beta, "", ())
+    intP = np.zeros((fem.state_size(nf), dof_map.n_dofs))
+    intL = np.zeros_like(intP)
+    for e in elems:
+        dofs = (e.node_ids[:, None] * nf + np.arange(nf)).ravel()
+        intP[:, dofs] += e.average_op
+        intL[:, dofs] += e.modulus @ e.average_op
+    return ph._battery(pa.assemble(elems, dof_map), intP, intL,
+                       mesh.vertices, mesh, mode, "VEM-VO", beta, ())
 
 
 class TestSharedOperators:
@@ -487,9 +483,7 @@ class TestSharedOperators:
         pattern, (_, (blocks, intP, intL)) = operators._parts
         tmesh = mesh.tets
         assert tmesh.n_vertices == mesh.n_vertices     # no fallback cell
-        system, (tet_P, tet_L) = ph._fem_o1_system(
-            tmesh.vertices, tmesh.tets, tmesh.cell_of_tet, moduli,
-            operators.dof_map)
+        system, tet_P, tet_L = ph._tet_system(tmesh, moduli, operators.dof_map)
         tets = system.pattern
         tet_blocks = system.K.data[tets.mirror]
         n = mesh.n_vertices
@@ -544,8 +538,8 @@ def quadratic_gauss_gradients(corner_grads):
 
 def direct_tet_homogenize(mesh, moduli, order, mode):
     """Battery over per-tet stiffness blocks, each summed over its Gauss
-    points, with an averager that integrates every tet's Gauss-point
-    states for each load case."""
+    points, with an integrated-state pair that integrates every tet's
+    Gauss-point operators."""
     nf = fem.FIELD_COUNT[mode]
     subs = [pm.triangulate_cell(mesh, c) for c in range(len(mesh.cells))]
     tmesh = pm.union_submeshes(mesh, subs)
@@ -553,7 +547,7 @@ def direct_tet_homogenize(mesh, moduli, order, mode):
                                tmesh.boundary_node_ids)
     if order == 2:
         o2 = fem.promote_to_quadratic(tmesh)
-        nodes, points, boundary = o2.tets, o2.points, o2.boundary_node_ids
+        nodes, points, boundary = o2.tets, o2.vertices, o2.boundary_node_ids
     elems = []
     for t, ids in enumerate(nodes):
         G = moduli[tmesh.cell_of_tet[t]]
@@ -569,18 +563,14 @@ def direct_tet_homogenize(mesh, moduli, order, mode):
             node_ids=ids, modulus=G, gauss=gauss, stiffness=(K + K.T) / 2.0,
             dofs=(ids[:, None] * nf + np.arange(nf)).ravel()))
     dof_map = pa.DofMap(len(points), boundary, mode)
-    volume = mesh.edge_length ** 3
-
-    def averager(full):
-        avgP = avgL = 0.0
-        for e in elems:
-            intP = sum(w * (B @ full[e.dofs]) for B, w in e.gauss)
-            avgP = avgP + intP
-            avgL = avgL + e.modulus @ intP
-        return avgP / volume, avgL / volume
-
-    return ph._battery(pa.assemble(elems, dof_map), dof_map, points, mode,
-                       volume, averager, "direct", None, "", ())
+    intP = np.zeros((fem.state_size(nf), dof_map.n_dofs))
+    intL = np.zeros_like(intP)
+    for e in elems:
+        op = sum(w * B for B, w in e.gauss)
+        intP[:, e.dofs] += op
+        intL[:, e.dofs] += e.modulus @ op
+    return ph._battery(pa.assemble(elems, dof_map), intP, intL, points,
+                       mesh, mode, "direct", None, ())
 
 
 class TestTetPaths:

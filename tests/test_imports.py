@@ -1,6 +1,7 @@
 """Static checks of the package sources: no unused module-level import,
-no unreferenced private module-level name, and every function and method
-the benchmark tracer wraps exists."""
+no unreferenced private module-level name, every name in a module's
+__all__ defined, and every function and method the benchmark tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -104,4 +105,15 @@ def test_every_tracer_target_resolves():
         cls = getattr(importlib.import_module(mod), cls_name, None)
         if cls is None or attr not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{attr}")
+    assert missing == []
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails `from polyvem.<module> import *`
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "polyvem" if path.stem == "__init__" else f"polyvem.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
     assert missing == []

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvem import mesh as pm
-from polyvem.element_fem import TetMeshO2
 
 
 def grid_mesh_oracle(L):
@@ -473,7 +472,7 @@ class TestBoundary:
                         [0.5, L - 2.0 * tol, 0.5], [1.0, 1.0, 1.0]])
         meshes = [pm.PolyMesh(pts, [], L),
                   pm.TetMesh(pts, np.zeros((0, 4), int), np.zeros(0, int), L),
-                  TetMeshO2(pts, np.zeros((0, 10), int), np.zeros(0, int), L)]
+                  pm.TetMesh(pts, np.zeros((0, 10), int), np.zeros(0, int), L)]
         for m in meshes:
             assert m.boundary_node_ids.tolist() == [0]
 

@@ -243,7 +243,7 @@ def test_refinement_and_promotion_match_the_per_tet_loop(n, seed):
     # promotion numbers the same midpoints as the first refinement
     points, tets = frozen_refine_once(tmesh.vertices, tmesh.tets)
     promoted = promote_to_quadratic(tmesh)
-    assert promoted.points.tobytes() == points.tobytes()
+    assert promoted.vertices.tobytes() == points.tobytes()
     a, b = np.array(pm._EDGE_LOCAL).T
     mids = (tmesh.vertices[tmesh.tets[:, a]] + tmesh.vertices[tmesh.tets[:, b]]) / 2.0
-    assert promoted.points[promoted.tets[:, 4:]].tobytes() == mids.tobytes()
+    assert promoted.vertices[promoted.tets[:, 4:]].tobytes() == mids.tobytes()
