@@ -3,7 +3,8 @@
 The sample is that of the comparison study and of the benchmark (mesh
 seed 101). `electroMech` uses hex_high_anisotropy grains with
 orientation seed 202; `fullyCoupled` uses the two-phase layout of a
-fraction sweep at target 0.45 with fraction seed 7. The script prints
+fraction sweep at target 0.45 with fraction seed 7. `--grains N` takes N
+grains with the same seeds instead of 20. The script prints
 one JSON line: the reference's wall time, the process's max RSS, the
 dofs and the solver counters. `--write FILE` writes the effective
 matrix there; `--compare FILE` reads one written by another run (say,
@@ -12,8 +13,9 @@ difference of the two matrices to the line.
 
 Run:  python demos/05_reference_timing.py electroMech 3 --write new.json
       python demos/05_reference_timing.py electroMech 3 --compare new.json
-      (level 3 on 2 cores: about 30 s and 1.6 GiB electroMech, 45 s and
-      2.1 GiB fully coupled)
+      python demos/05_reference_timing.py electroMech 3 --grains 50
+      (level 3 on 2 cores, one BLAS thread: about 22 s and 1.0 GiB
+      electroMech, 38-42 s and 1.4 GiB fully coupled)
 """
 
 import argparse
@@ -36,21 +38,23 @@ parser.add_argument("--write", metavar="FILE",
                     help="write the effective matrix here as JSON")
 parser.add_argument("--compare", metavar="FILE",
                     help="effective matrix of another run to compare with")
+parser.add_argument("--grains", type=int, default=20,
+                    help="number of grains (default 20)")
 args = parser.parse_args()
-mode, levels = args.mode, args.levels
-mesh = generate_voronoi(random_seeds(20, 1.0, 101).seeds, 1.0)
+mode, levels, grains = args.mode, args.levels, args.grains
+mesh = generate_voronoi(random_seeds(grains, 1.0, 101).seeds, 1.0)
 lib = builtin_library()
 if mode == "fullyCoupled":
     layout, _, _ = assign_volume_fraction(mesh, 0.45, 7)
 else:
-    layout = GrainLayout.random(lib, "hex_high_anisotropy", 20, 202)
+    layout = GrainLayout.random(lib, "hex_high_anisotropy", grains, 202)
 moduli = layout.moduli(lib, mode)
 
 t0 = time.perf_counter()
 result = homogenize_fem(mesh, moduli, order=1, levels=levels, mode=mode)
 wall = time.perf_counter() - t0
 line = {
-    "mode": mode, "levels": levels, "wall_s": round(wall, 2),
+    "mode": mode, "levels": levels, "grains": grains, "wall_s": round(wall, 2),
     "max_rss_mib": round(resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "n_dofs": result.n_dofs, "solver": result.solver_stats}

@@ -4,8 +4,9 @@ Dofs are node-major: global index = node * n_fields + field. Boundary
 dofs are eliminated (not penalized); the interior block is factorized
 once per configuration and the factorization is reused for every load
 case, all cases in one solve. Large blocks factor their mechanical and
-potential diagonal blocks apart and couple them by conjugate gradients
-on the potential's Schur complement.
+potential diagonal blocks apart, in single precision refined in
+float64, and couple them by conjugate gradients on the potential's
+Schur complement.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cholesky import NodeCholesky, NodeSymbolic
+from .cholesky import NodeCholesky, NodeSymbolic, worst_residual
 from .element_fem import FIELD_COUNT, gauss_stiffness, state_size
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
@@ -332,7 +333,15 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
     [u; p] = [f; g], every column of f and g, by CG on the potential's
     Schur complement S = C + Bᵀ A⁻¹ B preconditioned by C (Benzi, Golub
     & Liesen, Acta Numerica 14 (2005) 1, §5), with A⁻¹ and C⁻¹ given by
-    `solve_a` and `solve_c`.
+    `solve_a` and `solve_c`. Each takes a right-hand side and a bound
+    per column on the A⁻¹- (or C⁻¹-) norm of the residual its answer
+    may leave: 0 asks for round-off, inf for any answer (one pass of an
+    approximate factor). u₀ is solved to round-off; A⁻¹ B d in an
+    iteration to CG_RTOL √(start), the stop bound, whose share of a
+    shrinking B d grows as the iteration closes (the relaxed inner
+    accuracy of inexact Krylov methods; Simoncini & Szyld, SISC 25
+    (2003) 454). C⁻¹ only preconditions and measures, so one pass
+    serves, but for a decoupled system, where p = C⁻¹ r is the answer.
 
     u₀ = A⁻¹ f, then S p = Bᵀ u₀ - g, then u = u₀ - A⁻¹ B p. Each
     iteration makes one solve with A and one with C on the columns still
@@ -347,12 +356,13 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
     When B stores no entry (a decoupled mode), S = C, and every column
     closes at once with p = C⁻¹ r and no iteration.
     """
-    u = solve_a(f)
-    start = np.einsum("ij,ij->j", f, u) + np.einsum("ij,ij->j", g, solve_c(g))
+    u = solve_a(f, 0.0)
+    start = np.einsum("ij,ij->j", f, u) \
+        + np.einsum("ij,ij->j", g, solve_c(g, np.inf))
     r = B.T @ u
     r -= g
     p, w = np.zeros_like(r), np.zeros_like(u)
-    z = solve_c(r)
+    z = solve_c(r, 0.0 if not B.nnz else np.inf)
     rz = np.einsum("ij,ij->j", r, z)
     if not (np.isfinite(start + rz).all() and (start >= 0.0).all()
             and (rz >= 0.0).all()):
@@ -368,7 +378,7 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
         if iterations == CG_MAXITER:
             return None, None, iterations
         iterations += 1
-        ad = solve_a(B @ d)
+        ad = solve_a(B @ d, np.sqrt(stop))
         q = C @ d
         q += B.T @ ad
         dq = np.einsum("ij,ij->j", d, q)
@@ -381,7 +391,7 @@ def _schur_cg(solve_a, solve_c, B, C, f, g):
         r -= q
         np.multiply(d, alpha, out=q)
         pc += q
-        z = solve_c(r)
+        z = solve_c(r, np.inf)
         rz_next = np.einsum("ij,ij->j", r, z)
         if not (np.isfinite(rz_next).all() and (rz_next >= 0.0).all()):
             return None, None, iterations
@@ -407,8 +417,10 @@ class SparseSystem:
     holds K's block (cols[k], rows[k]) in `row_blocks[k]`.
 
     `solver_stats` records how the interior block was solved: the path
-    ("split", "small" or "fallback"), the CG iterations, the stored
-    entries of each factor and the worst interior residual.
+    ("split", "small" or "fallback"), the CG iterations, the refinement
+    corrections of the split's single-precision factors, the stored
+    entries of each factor and the bytes of their values, and the worst
+    interior residual.
     """
 
     # rungs of the solve, tried in this order: the field split (large
@@ -479,7 +491,8 @@ class SparseSystem:
         self._lu = self._split = None
         large = len(self._ii) >= SPLIT_MIN_DOFS
         self.solver_stats = {"path": "split" if large else "small",
-                             "cg_iterations": 0, "lu_nnz": [],
+                             "cg_iterations": 0, "refinement_steps": 0,
+                             "lu_nnz": [], "factor_bytes": [],
                              "max_interior_residual": 0.0}
         if len(self._ii) == 0:
             self._lu, self._rung = _EmptyFactor(), self.PIVOTED
@@ -500,6 +513,7 @@ class SparseSystem:
                     self._lu = (_symmetric_lu(block) if rung == self.SYMMETRIC
                                 else spla.splu(block))
                     self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
+                    self.solver_stats["factor_bytes"] = [8 * int(self._lu.nnz)]
             except RuntimeError as exc:
                 self.solver_stats["path"] = "fallback"
                 failure = exc
@@ -512,37 +526,39 @@ class SparseSystem:
 
     def _factor_split(self):
         """Factor K_uu and C = -K_pp of the interior block, each from the
-        sub-blocks of the interior node pairs, and keep C and the
-        coupling block K_up for the Schur complement CG.
+        sub-blocks of the interior node pairs, and keep the coupling
+        block K_up for the Schur complement CG.
 
         The block is symmetric quasi-definite, so both are positive
         definite, and both come in node blocks over the same interior
         nodes: 3 dofs per node for K_uu, n_fields - 3 for C. One symbolic
         step on the interior node pairs that hold a nonzero of either
         serves both supernodal Cholesky factors. Its node order is C's
-        minimum-degree order, read as nodes by first appearance. C and
-        K_up are kept as CSC with exact zeros dropped. The sub-block
-        copies are cut and the pair blocks freed before either store is
-        allocated, and K_uu's blocks are freed before C's factor is made.
+        minimum-degree order, read as nodes by first appearance. Each
+        factor keeps its float64 sub-blocks as its `matrix`, which its
+        refinement and the CG's products with C read; K_up is kept as
+        CSC with exact zeros dropped. The sub-block copies are cut and
+        the pair blocks freed before either store is allocated.
         """
         nf = self.dof_map.n_fields
         n = len(self._ii) // nf
         rows, cols, blocks = self._pair_blocks(self._inner_pairs)
         pp = -blocks[:, 3:, 3:]
-        C = _csc_of_blocks(rows, cols, pp, n, n)
         B = _csc_of_blocks(rows, cols, blocks[:, 3:, :3], n, n)
         keep = blocks[:, :3, :3].any(axis=(1, 2)) | pp.any(axis=(1, 2))
         uu, pp, rows, cols = blocks[keep, :3, :3], pp[keep], rows[keep], \
             cols[keep]
         del blocks, keep
-        symbolic = NodeSymbolic(rows, cols,
-                                _node_order(_min_degree_order(C), nf - 3))
+        # C as CSC for its ordering only; the pairs dropped above hold
+        # zeros of C, which the CSC drops anyway
+        order = _min_degree_order(_csc_of_blocks(rows, cols, pp, n, n))
+        symbolic = NodeSymbolic(rows, cols, _node_order(order, nf - 3))
         symbolic.check_memory(3, nf - 3)
         chol_u = NodeCholesky(uu, rows, cols, symbolic)
-        del uu
         chol_p = NodeCholesky(pp, rows, cols, symbolic)
-        self._split = (chol_u, chol_p, B, C)
+        self._split = (chol_u, chol_p, B)
         self.solver_stats["lu_nnz"] = [chol_u.nnz, chol_p.nnz]
+        self.solver_stats["factor_bytes"] = [chol_u.nbytes, chol_p.nbytes]
 
     def _interior_block(self):
         """The interior block as sorted CSC, built from the node pairs
@@ -562,14 +578,16 @@ class SparseSystem:
         if self._rung != self.SPLIT:
             ui = self._lu.solve(rhs)
             return ui, self._worst_residual(ui, rhs)
-        chol_u, chol_p, B, C = self._split
+        chol_u, chol_p, B = self._split
         nf, m = self.dof_map.n_fields, rhs.shape[1]
         # the mechanical and potential dofs of each node, node-major
         by_node = rhs.reshape(-1, nf, m)
         u, p, iterations = _schur_cg(
-            chol_u.solve, chol_p.solve, B, C, by_node[:, :3].reshape(-1, m),
-            by_node[:, 3:].reshape(-1, m))
+            chol_u.solve, chol_p.solve, B, chol_p.matrix,
+            by_node[:, :3].reshape(-1, m), by_node[:, 3:].reshape(-1, m))
         self.solver_stats["cg_iterations"] += iterations
+        self.solver_stats["refinement_steps"] = \
+            chol_u.corrections + chol_p.corrections
         if u is None:
             return None, np.inf
         ui = np.concatenate([u.reshape(-1, 3, m), p.reshape(-1, nf - 3, m)],
@@ -580,12 +598,9 @@ class SparseSystem:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
         over the columns with a nonzero right-hand side (NaN if any is):
         K_ii u_i through K, K_ib u_b the negated right-hand side."""
-        denom = np.linalg.norm(rhs, axis=0)
         z = np.zeros((self.dof_map.n_dofs, ui.shape[1]))
         z[self._ii] = ui
-        res = np.linalg.norm((self._rows @ z)[self._ii] - rhs, axis=0)
-        live = denom > 0.0
-        return float(np.max(res[live] / denom[live], initial=0.0))
+        return worst_residual((self._rows @ z)[self._ii] - rhs, rhs)
 
     def solve_dirichlet(self, boundary_values: np.ndarray) -> np.ndarray:
         """Full solution for prescribed boundary-dof values: (n_boundary,)

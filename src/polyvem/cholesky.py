@@ -11,7 +11,10 @@ supernode is factored in place by LAPACK, its diagonal block in
 rectangular full packed form (no unused upper triangle), and its update
 is formed by matrix products in column chunks and subtracted straight
 from the blocks of the ancestors that own those columns, so there is no
-update stack and no scratch larger than one chunk.
+update stack and no scratch larger than one chunk. The store is single
+precision (Buttari et al., ACM TOMS 34 (2008) art. 17): the matrix is
+read in float64 and rounded once as it is scattered, and `solve` refines
+single-precision passes to float64 solutions.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.linalg.lapack import dpftrf, dtfsm
+import scipy.sparse as sp
+from scipy.linalg.lapack import spftrf, stfsm
 
-__all__ = ["NodeCholesky", "NodeSymbolic", "physical_memory"]
+__all__ = ["NodeCholesky", "NodeSymbolic", "physical_memory",
+           "worst_residual"]
 
 # A child supernode merges into its parent when the merged supernode has
 # at most AMALGAMATE_NODES nodes or at most AMALGAMATE_ZEROS of its
@@ -30,6 +35,21 @@ AMALGAMATE_NODES = 16
 AMALGAMATE_ZEROS = 0.10
 # dof columns of one update product
 UPDATE_CHUNK = 192
+# the numeric step's scratch is bounded by the store: an update product
+# holds at most nnz / UPDATE_SHARE entries, and one chunk of the scatter
+# at most nnz / SCATTER_SHARE, or SCATTER_MIN_PAIRS node pairs when that
+# is more (a small store's chunks would cost a Python step per pair)
+UPDATE_SHARE = 64
+SCATTER_SHARE = 128
+SCATTER_MIN_PAIRS = 128
+# bytes per stored entry (float32)
+ENTRY_BYTES = 4
+# refinement goes on while each correction lowers the worst column
+# residual at least tenfold
+REFINE_FALL = 0.1
+# a pass alone serves when this many times its expected error meets the
+# bound
+PASS_MARGIN = 10.0
 
 
 def _postorder(parent: np.ndarray) -> np.ndarray:
@@ -153,9 +173,48 @@ def _packed_columns(n, j):
             np.where(right, j - c0 + (1 - even - c0) * lda, even + j * lda))
 
 
+# where the process's cgroup is named, and where cgroups are mounted
+SELF_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_limits():
+    """Memory limits in bytes of the process's own cgroup: `memory.max`
+    of its cgroup v2 entry and `memory.limit_in_bytes` of its cgroup v1
+    memory controller, where readable; "max" sets none."""
+    try:
+        with open(SELF_CGROUP, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    limits = []
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3:
+            continue
+        controllers, path = parts[1], parts[2].lstrip("/")
+        if not controllers:
+            name = os.path.join(CGROUP_ROOT, path, "memory.max")
+        elif "memory" in controllers.split(","):
+            name = os.path.join(CGROUP_ROOT, "memory", path,
+                                "memory.limit_in_bytes")
+        else:
+            continue
+        try:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append(int(text))
+    return limits
+
+
 def physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory the process may use: the machine's, or
+    its cgroup's memory limit when that is lower."""
+    machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return min([machine] + _cgroup_limits())
 
 
 class NodeSymbolic:
@@ -167,12 +226,13 @@ class NodeSymbolic:
 
     `order` is the final node order, supernode t owns the nodes
     first[t]:first[t + 1] of it, `owner` maps a node to its supernode,
-    and below[t] holds the sorted nodes in the rows below supernode t.
+    and below[t] holds the sorted nodes in the rows below supernode t;
+    `n_pairs` counts the pairs given.
     """
 
     def __init__(self, rows, cols, order):
         order = np.asarray(order, dtype=np.int64)
-        n_nodes = len(order)
+        n_nodes, self.n_pairs = len(order), len(rows)
         if not np.array_equal(np.sort(order), np.arange(n_nodes)):
             raise ValueError("order must be a permutation of the nodes")
         position = np.empty(n_nodes, dtype=np.int64)
@@ -232,16 +292,20 @@ class NodeSymbolic:
                 np.array([len(x) for x in self.below], dtype=np.int64) * b)
 
     def check_memory(self, *bs):
-        """MemoryError when the stores of factors with bs[0], bs[1], ...
-        dofs per node would together exceed physical memory."""
+        """MemoryError when factors with bs[0], bs[1], ... dofs per node
+        would together exceed physical memory: each its store, at
+        ENTRY_BYTES per entry, and the float64 node blocks of its matrix,
+        one per pair of the node graph, which it keeps to refine
+        against."""
         size = 0
         for b in bs:
             kd, md = self.dof_sizes(b)
-            size += 8 * int(np.sum(kd * (kd + 1) // 2 + kd * md))
+            size += ENTRY_BYTES * int(np.sum(kd * (kd + 1) // 2 + kd * md)) \
+                + 8 * b * b * self.n_pairs
         bound = physical_memory()
         if size > bound:
             raise MemoryError(
-                f"supernodal Cholesky: the factor stores would take "
+                f"supernodal Cholesky: the factors would take "
                 f"{size / 2**30:.3g} GiB, more than the {bound / 2**30:.3g} "
                 f"GiB of physical memory")
 
@@ -253,17 +317,23 @@ class NodeCholesky:
     node-major, on the supernodes of `symbolic`, a `NodeSymbolic` of a
     node graph that holds every pair (rows[k], cols[k]).
 
-    Only the lower triangle in the final order is read. A nonpositive
-    pivot raises RuntimeError, a store beyond physical memory
-    MemoryError before it is allocated. `nnz` counts the stored entries
-    of L: the lower triangle of each supernode's diagonal block and its
-    rows below, merge zeros included.
+    Only the lower triangle in the final order is read, and rounded to
+    float32 as it is scattered into the store. A nonpositive pivot
+    raises RuntimeError, a store beyond physical memory MemoryError
+    before it is allocated. `nnz` counts the stored entries of L: the
+    lower triangle of each supernode's diagonal block and its rows
+    below, merge zeros included; `nbytes` is the store's size.
 
     Supernode t has kd[t] dof columns and md[t] dof rows below them.
     The store holds, per supernode, L11 (its lower triangle in
     rectangular full packed form, kd (kd + 1) / 2 entries) and then L21
     (md x kd, column-major), and after the last supernode one spill
     entry that takes what would land in upper triangles.
+
+    The pairs come grouped by column node (cols nondecreasing), and
+    `matrix` is A as a float64 BSR matrix over the blocks as given (not
+    copied), for `solve`, which refines single-precision passes against
+    it.
     """
 
     def __init__(self, blocks, rows, cols, symbolic: NodeSymbolic):
@@ -272,45 +342,54 @@ class NodeCholesky:
         self.b, self.n = b, len(symbolic.order) * b
         self.order, self.first = symbolic.order, symbolic.first
         self.owner, self.below = symbolic.owner, symbolic.below
-        self._dofs = (b * self.order[:, None] + np.arange(b)).ravel()
         self.kd, self.md = symbolic.dof_sizes(b)
         self.offset = np.concatenate([[0], np.cumsum(
             self.kd * (self.kd + 1) // 2 + self.kd * self.md)])
         self.nnz = int(self.offset[-1])
-        # keep the blocks of the lower triangle in the final order only;
-        # this step's other arrays are freed before the store is allocated
-        new = np.empty(len(self.order), dtype=np.int64)
-        new[self.order] = np.arange(len(self.order))
-        row = new[np.asarray(rows, dtype=np.int64)]
-        col = new[np.asarray(cols, dtype=np.int64)]
-        keep = np.flatnonzero(row >= col)
-        index = self._positions(row[keep], col[keep])
-        blocks = blocks[keep]
-        del row, col, keep, new
-        self._store = np.zeros(self.nnz + 1)
-        self._store[index] = blocks
-        del index, blocks
+        starts = np.searchsorted(cols, np.arange(len(self.order) + 1))
+        self.matrix = sp.bsr_matrix((blocks, rows, starts),
+                                    shape=(self.n, self.n))
+        # refinement corrections made so far, and the largest relative
+        # error of one pass seen (NaN until a first correction is made)
+        self.corrections, self.pass_error = 0, np.nan
+        self._store = np.zeros(self.nnz + 1, dtype=np.float32)
+        self.nbytes = self._store.nbytes
+        self._scatter(blocks, rows, cols)
         self._factor()
 
     # -- numeric step ---------------------------------------------------
 
-    def _positions(self, r, c):
+    def _scatter(self, blocks, rows, cols):
+        """Put the blocks of the lower triangle in the final order into
+        the store, in chunks of node pairs (SCATTER_SHARE), so that no
+        index array larger than one chunk's is held beside it."""
+        new = np.empty(len(self.order), dtype=np.int64)
+        new[self.order] = np.arange(len(self.order))
+        # (owner, row) keys of the rows below each supernode, sorted
+        n_nodes, sizes = len(self.owner), [len(x) for x in self.below]
+        keys = np.repeat(np.arange(len(sizes)), sizes) * n_nodes \
+            + np.concatenate(self.below)
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        chunk = max(SCATTER_MIN_PAIRS,
+                    self.nnz // (SCATTER_SHARE * self.b ** 2))
+        for a in range(0, len(rows), chunk):
+            r, c = new[rows[a:a + chunk]], new[cols[a:a + chunk]]
+            keep = np.flatnonzero(r >= c)
+            self._store[self._positions(r[keep], c[keep], keys, start)] = \
+                blocks[a + keep]
+
+    def _positions(self, r, c, keys, start):
         """Store index (k, j, i) of dof (row i, column j) of node block
         (r[k], c[k]), r >= c in the final order: the owner of column c
         holds it in L11 when r is one of its columns (the spill entry
-        when i < j there), else in L21."""
-        b, first, owner, below = self.b, self.first, self.owner, self.below
+        when i < j there), else in L21, at the position of r among the
+        owner's rows below, found by one search over the sorted (owner,
+        row) `keys`, whose owner t starts at start[t]."""
+        b, first, owner = self.b, self.first, self.owner
         kd, md, offset = self.kd, self.md, self.offset
         t = owner[c]
         in_diag = (r < first[t + 1])[:, None, None]
-        # position of each row below its owner's columns in that owner's
-        # rows, by one search over (owner, row) keys
-        n_nodes = len(owner)
-        sizes = [len(x) for x in below]
-        keys = np.repeat(np.arange(len(below)), sizes) * n_nodes \
-            + np.concatenate(below)
-        start = np.concatenate([[0], np.cumsum(sizes)])
-        q = np.searchsorted(keys, t * n_nodes + r) - start[t]
+        q = np.searchsorted(keys, t * len(owner) + r) - start[t]
         d = np.arange(b)
         i = np.where(in_diag, b * (r - first[t])[:, None, None],
                      b * q[:, None, None]) + d
@@ -333,36 +412,38 @@ class NodeCholesky:
         return pieces
 
     def _factor(self):
-        b, first, owner, below = self.b, self.first, self.owner, self.below
+        b, first, below = self.b, self.first, self.below
         store, offset, kd, md = self._store, self.offset, self.kd, self.md
-        d = np.arange(b)
-        width = max(1, UPDATE_CHUNK // b)
-        # per dof column: its packed entry in row i of its owner's L11
-        # sits i * lead + shift after the owner's offset
-        lead, shift = _packed_columns(np.repeat(kd, kd), np.arange(self.n)
-                                      - np.repeat(b * first[:-1], kd))
+        # nodes per update product: at most UPDATE_CHUNK dof columns, and
+        # a product of at most nnz / UPDATE_SHARE entries
+        cap = self.nnz // (UPDATE_SHARE * b * b)
+        widths = [max(1, min(UPDATE_CHUNK // b, cap // max(1, len(rows))))
+                  for rows in below]
         # what of a piece's leading square lies above the target's
-        # diagonal: column x, row y < x
-        above = np.greater.outer(np.arange(b * width), np.arange(b * width))
+        # diagonal: column x, row y < x (row by row: a 2-D comparison
+        # would allocate ufunc buffers larger than the mask)
+        square = np.arange(b * max(widths, default=1))
+        above = np.empty((len(square), len(square)), dtype=bool)
+        for x, row in enumerate(above):
+            np.greater(x, square, out=row)
         # per supernode, what a solve reads: its panels L11 (packed) and
         # L21 (column-major) as views of the store, its first dof column,
-        # the end of its columns and the dof rows below them
+        # the end of its columns and the nodes below them
         self._plan = []
-        for t, rows in enumerate(below):
+        for t, (rows, width) in enumerate(zip(below, widths)):
             o, k, m = int(offset[t]), int(kd[t]), int(md[t])
             h = k * (k + 1) // 2
             L11 = store[o:o + h]
             L21 = store[o + h:o + h + k * m].reshape(m, k, order="F")
-            _, info = dpftrf(k, L11, uplo="L", overwrite_a=1)
+            _, info = spftrf(k, L11, uplo="L", overwrite_a=1)
             if info != 0:
                 raise RuntimeError(f"supernodal Cholesky: pivot {info} of "
                                    f"supernode {t} is not positive")
             lo = b * int(first[t])
-            self._plan.append((L11, L21, lo, lo + k,
-                               (b * rows[:, None] + d).ravel()))
+            self._plan.append((L11, L21, lo, lo + k, rows))
             if not len(rows):
                 continue
-            dtfsm(1.0, L11, L21, side="R", uplo="L", trans="T", overwrite_b=1)
+            stfsm(1.0, L11, L21, side="R", uplo="L", trans="T", overwrite_b=1)
             pieces = self._pieces(rows, width)
             i = 0
             while i < len(pieces):
@@ -375,50 +456,124 @@ class NodeCholesky:
                     i1 += 1
                 C = L21[b * j0:b * pieces[i1 - 1][1]] @ L21[b * j0:].T
                 for p, e, end in pieces[i:i1]:
-                    u = int(owner[rows[p]])
-                    ku, mu, o = int(kd[u]), int(md[u]), int(offset[u])
-                    dofs = (b * rows[p:e, None] + d).ravel()
-                    cols = dofs - b * int(first[u])
-                    # rows[p:end] land in the owner's L11, the rest in its
-                    # L21, column by column of the owner; cols are the
-                    # first rows of diag, so what falls above the
-                    # diagonal is in the leading square, and goes to the
-                    # spill entry
-                    diag = (b * (rows[p:end] - first[u])[:, None] + d).ravel()
-                    pos = np.searchsorted(below[u], rows[end:])
-                    off = ku * (ku + 1) // 2 + (b * pos[:, None] + d).ravel()
-                    flat = np.empty((len(cols), len(diag) + len(off)),
-                                    dtype=np.intp)
-                    packed = flat[:, :len(diag)]
-                    np.multiply(diag, lead[dofs, None], out=packed)
-                    packed += o + shift[dofs, None]
-                    nc = len(cols)
-                    packed[:, :nc][above[:nc, :nc]] = self.nnz
-                    np.add(off, (o + cols * mu)[:, None],
-                           out=flat[:, len(diag):])
                     x = b * (p - j0)
-                    np.subtract.at(store, flat.ravel(), np.ascontiguousarray(
-                        C[x:x + len(cols), x:]).ravel())
+                    self._subtract(C[x:x + b * (e - p), x:], rows[p:],
+                                   e - p, end - p, above)
+                del C                 # before the next product is made
                 i = i1
+
+    def _subtract(self, C, rows, n_cols, n_diag, above):
+        """Subtract one piece of a supernode's update from the ancestor u
+        that owns the nodes rows[:n_cols]: C[x, y] is the entry in the
+        piece's dof column x and dof row y of rows. rows[:n_diag] land
+        in u's L11, the rest in its L21, column by column of u; the
+        piece's columns are the first rows of its L11 part, so what falls
+        above the diagonal is in C's leading square, and goes to the
+        spill entry."""
+        b, d = self.b, np.arange(self.b)
+        u = int(self.owner[rows[0]])
+        ku, mu, o = int(self.kd[u]), int(self.md[u]), int(self.offset[u])
+        top = int(self.first[u])
+        cols = (b * (rows[:n_cols] - top)[:, None] + d).ravel()
+        diag = (b * (rows[:n_diag] - top)[:, None] + d).ravel()
+        nc, nd = len(cols), len(diag)
+        # entry (i, j) of u's packed L11 sits at o + i * lead[j] + shift[j]
+        lead, shift = _packed_columns(ku, cols)
+        index = np.multiply.outer(lead, diag)
+        index += (o + shift)[:, None]
+        np.copyto(index[:, :nc], self.nnz, where=above[:nc, :nc])
+        # ufunc.at takes its fast path on flat contiguous operands
+        np.subtract.at(self._store, index.ravel(),
+                       np.ascontiguousarray(C[:, :nd]).ravel())
+        del index
+        pos = np.searchsorted(self.below[u], rows[n_diag:])
+        index = np.add.outer(o + ku * (ku + 1) // 2 + cols * mu,
+                             (b * pos[:, None] + d).ravel())
+        np.subtract.at(self._store, index.ravel(),
+                       np.ascontiguousarray(C[:, nd:]).ravel())
 
     # -- solve ----------------------------------------------------------
 
-    def solve(self, rhs):
-        """Solution of A x = rhs for a vector or the columns of a matrix."""
-        rhs = np.asarray(rhs, dtype=float)
-        x = np.ascontiguousarray(rhs.reshape(self.n, -1)[self._dofs])
-        # L y = rhs, then L^T x = y; x[lo:hi] is C-contiguous, so its
-        # transpose is a column-major right-hand side
+    def _pass(self, rhs):
+        """One single-precision pass of A x = rhs, for the columns of a
+        matrix (n, m); x is float64, accurate to about κ(A) times the
+        float32 unit round-off."""
+        b, m = self.b, rhs.shape[1]
+        by_node = rhs.reshape(-1, b, m)
+        nodes = np.ascontiguousarray(by_node[self.order], dtype=np.float32)
+        # L y = rhs, then L^T x = y; x is a view of `nodes` by dof rows,
+        # and x[lo:hi] is C-contiguous, so its transpose is a column-major
+        # right-hand side
+        x = nodes.reshape(self.n, m)
         for L11, L21, lo, hi, rows in self._plan:
             xs = x[lo:hi]
-            dtfsm(1.0, L11, xs.T, side="R", uplo="L", trans="T", overwrite_b=1)
+            stfsm(1.0, L11, xs.T, side="R", uplo="L", trans="T", overwrite_b=1)
             if len(rows):
-                x[rows] -= L21 @ xs
+                nodes[rows] -= (L21 @ xs).reshape(-1, b, m)
         for L11, L21, lo, hi, rows in reversed(self._plan):
             xs = x[lo:hi]
             if len(rows):
-                xs -= L21.T @ x[rows]
-            dtfsm(1.0, L11, xs.T, side="R", uplo="L", trans="N", overwrite_b=1)
-        out = np.empty_like(x)
-        out[self._dofs] = x
+                xs -= L21.T @ nodes[rows].reshape(-1, m)
+            stfsm(1.0, L11, xs.T, side="R", uplo="L", trans="N", overwrite_b=1)
+        out = np.empty(by_node.shape)
+        out[self.order] = nodes
         return out.reshape(rhs.shape)
+
+    def solve(self, rhs, bound=0.0):
+        """Solution of A x = rhs for a vector or the columns of a matrix:
+        single-precision passes refined in float64 against `matrix`
+        (Wilkinson's iterative refinement; Carson & Higham, SISC 40 (2018)
+        A817), x = pass(rhs), then x += pass(r) with r = rhs - A x.
+
+        A column is done when its residual's A⁻¹-norm √(rᵀ A⁻¹ r) is at most
+        `bound` (a scalar or one per column), read as rᵀ dx from the next
+        correction dx, which is applied. The refinement also stops at the
+        first correction that fails to lower the worst column residual
+        |r| / |rhs| by the factor REFINE_FALL, which is kept if it
+        lowered it at all. So an infinite bound takes one pass, and a
+        zero bound refines to round-off. The first pass alone also
+        serves when the largest error of one pass seen so far (relative
+        to √(rhsᵀ x) in the A⁻¹-norm, at a first correction),
+        `pass_error`, times PASS_MARGIN meets the bound in every
+        column. `corrections` counts the corrections applied."""
+        shape = np.shape(rhs)
+        rhs = np.asarray(rhs, dtype=float).reshape(self.n, -1)
+        bound = np.broadcast_to(np.asarray(bound, dtype=float), rhs.shape[1:])
+        x = self._pass(rhs)
+        energy = np.einsum("ij,ij->j", rhs, x)
+        expected = PASS_MARGIN * self.pass_error \
+            * np.sqrt(np.maximum(energy, 0.0))
+        if np.isinf(bound).all() or (expected <= bound).all():
+            return x.reshape(shape)
+        r = rhs - self.matrix @ x
+        now, made = worst_residual(r, rhs), 0
+        while now > 0.0:
+            dx = self._pass(r)
+            size = np.einsum("ij,ij->j", r, dx)
+            if not made:
+                live = energy > 0.0
+                self.pass_error = float(np.fmax(self.pass_error, np.sqrt(
+                    np.max(size[live] / energy[live], initial=0.0))))
+            dx += x
+            if (size <= bound ** 2).all():
+                x, made = dx, made + 1
+                break
+            r_next = rhs - self.matrix @ dx
+            after = worst_residual(r_next, rhs)
+            if not after < now:
+                break
+            x, r, made = dx, r_next, made + 1
+            if not after <= REFINE_FALL * now:
+                break
+            now = after
+        self.corrections += made
+        return x.reshape(shape)
+
+
+def worst_residual(r, rhs) -> float:
+    """Largest column residual |r| / |rhs| over the columns with a
+    nonzero rhs (NaN if any is)."""
+    denom = np.linalg.norm(rhs, axis=0)
+    live = denom > 0.0
+    return float(np.max(np.linalg.norm(r, axis=0)[live] / denom[live],
+                        initial=0.0))

@@ -46,6 +46,15 @@ __all__ = [
 DEFAULT_BETA = 0.1
 BETA_STEP = 0.05
 FRACTION_STEP = 0.1
+# Refined meshes above this many tets are refused before any work. It
+# admits 50 grains at level 3 (600,576 tets): its electro-mechanical
+# reference stores 635.0M + 70.6M factor entries, 2.8 GB at the 4 bytes
+# of the single-precision stores (5.6 GB in float64), and ran in 3.8 GiB
+# on a 7.8 GiB host. 20 grains at level 4 and 100 grains at level 3 are
+# admitted too, though by the n^(4/3) growth of 3-D fill their stores
+# alone would need 2-3 times that; the factors' own check
+# (`cholesky.NodeSymbolic.check_memory`) counts their exact entries
+# against the memory the process may use before allocating them.
 MEMORY_GUARD_TETS = 2_000_000
 
 METHODS = ("VEM-VO", "FEM-O1-coarse", "FEM-O2-coarse", "FEM-O1-refined")

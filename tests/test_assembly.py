@@ -1,5 +1,6 @@
 """Tests for global assembly and the shared-factorization Dirichlet solver."""
 
+import os
 import tracemalloc
 import warnings
 
@@ -355,8 +356,8 @@ class TestFieldSplit:
         C = np.diag([1.0, -1.0])
         B = np.zeros((6, 2))
         B[:, 1] = rng.normal(size=6)
-        solve_a = lambda r: np.linalg.solve(A, r)
-        solve_c = lambda r: np.linalg.solve(C, r)
+        solve_a = lambda r, bound: np.linalg.solve(A, r)
+        solve_c = lambda r, bound: np.linalg.solve(C, r)
         f = rng.normal(size=(6, 1))
         for g in (np.array([[0.0], [10.0]]), np.zeros((2, 1))):
             with warnings.catch_warnings():
@@ -374,7 +375,8 @@ class TestFieldSplit:
         f, g = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
         g[:, 0] = 0.0
         u, p, iterations = pa._schur_cg(
-            lambda r: np.linalg.solve(A, r), lambda r: np.linalg.solve(C, r),
+            lambda r, bound: np.linalg.solve(A, r),
+            lambda r, bound: np.linalg.solve(C, r),
             sp.csc_matrix((6, 3)), sp.csc_matrix(C), f, g)
         assert iterations == 0
         assert np.abs(u - np.linalg.solve(A, f)).max() \
@@ -436,8 +438,8 @@ class TestFieldSplit:
         f[:, 1], g[:, 1] = A @ f[:, 1], B.T @ f[:, 1]      # p = 0 solves it
         _, V = sl.eigh(C + B.T @ np.linalg.solve(A, B), C)
         g[:, 2] = B.T @ np.linalg.solve(A, f[:, 2]) - C @ V[:, 0]
-        solve_a = lambda r: np.linalg.solve(A, r)
-        solve_c = lambda r: np.linalg.solve(C, r)
+        solve_a = lambda r, bound: np.linalg.solve(A, r)
+        solve_c = lambda r, bound: np.linalg.solve(C, r)
         Bs, Cs = sp.csc_matrix(B), sp.csc_matrix(C)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -491,6 +493,70 @@ class TestFieldSplit:
         K = system.K.tocsr()
         expected = spla.spsolve(K[ii][:, ii].tocsc(), -(K[ii][:, ib] @ ub))
         assert np.abs(got[ii] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
+                                      "magnetoMech"])
+    def test_split_matches_dense_solves(self, monkeypatch, mode):
+        # the refined single-precision split against float64 dense solves
+        # of the same interior block
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=mode)
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        split = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
+
+        def dense(self, rhs):
+            ii = self._ii
+            return np.linalg.solve(self.K.toarray()[np.ix_(ii, ii)], rhs), 0.0
+        monkeypatch.setattr(pa.SparseSystem, "_solve_interior", dense)
+        exact = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
+        assert split.solver_stats["path"] == "split"
+        assert np.linalg.norm(split.effective - exact.effective) \
+            <= 1e-12 * np.linalg.norm(exact.effective)
+
+    @pytest.mark.parametrize("kappa", [1e5, 1e9])
+    def test_ill_conditioned_block_is_refined_or_handed_on(self, monkeypatch,
+                                                           kappa):
+        # a mechanical block of condition number kappa; 1e9 is beyond
+        # float32 (1 / u = 1.7e7). The split refines its single-precision
+        # passes to the gate, or another rung solves the block: either
+        # way every column passes the gate, checked here on the dense
+        # matrix, and a rung change shows as the fallback path
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        rng = np.random.default_rng(17)
+        n_inner, nf = 6, 4                      # nodes 6 and 7 on the box
+        mech = np.arange(n_inner * nf) % nf < 3
+        Q, _ = np.linalg.qr(rng.normal(size=(18, 18)))
+        A = (Q * np.logspace(0, np.log10(kappa), 18)) @ Q.T
+        Y = rng.normal(size=(6, 6))
+        u, p = np.flatnonzero(mech), np.flatnonzero(~mech)
+        M = np.zeros((8 * nf, 8 * nf))
+        M[np.ix_(u, u)] = A
+        M[np.ix_(p, p)] = -(Y @ Y.T + np.eye(6))
+        M[np.ix_(p, u)] = 0.1 * rng.normal(size=(6, 18))
+        M[np.ix_(u, p)] = M[np.ix_(p, u)].T
+        M = np.tril(M) + np.tril(M, -1).T
+        # boundary coupling K_ib = K_ii W, so u_i = -W u_b: the solution
+        # is well scaled, and a float64 rung meets the gate
+        ni = n_inner * nf
+        M[:ni, ni:] = M[:ni, :ni] @ rng.normal(size=(ni, 8))
+        M[ni:, :ni] = M[:ni, ni:].T
+        M[ni:, ni:] = np.diag([9.0, 9, 9, -9] * 2)
+        rows, cols = np.nonzero(M)
+        dm = pa.DofMap(8, [6, 7], "electroMech")
+        system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
+        ub = rng.normal(size=(8, 3))
+        got = system.solve_dirichlet(ub)
+        stats = system.solver_stats
+        ii, ib = dm.interior_dofs, dm.boundary_dofs
+        rhs = -M[np.ix_(ii, ib)] @ ub
+        residual = np.linalg.norm(M[np.ix_(ii, ii)] @ got[ii] - rhs, axis=0)
+        assert (residual <= 1e-10 * np.linalg.norm(rhs, axis=0)).all()
+        assert stats["max_interior_residual"] <= 1e-10
+        if kappa < 1e7:
+            assert stats["path"] == "split" and stats["refinement_steps"] > 0
+        else:
+            assert stats["path"] in ("split", "fallback")
 
     def test_split_factors_store_less_than_default_relaxation(self,
                                                               monkeypatch):
@@ -636,6 +702,32 @@ class TestNodeCholesky:
             system.factorize()
         assert system.solver_stats["path"] == "split"
         assert system._lu is None and system._split is None
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_physical_memory_reads_the_cgroup_limit(self, tmp_path,
+                                                    monkeypatch, version):
+        # a temporary directory stands for the cgroup mount; the limit of
+        # the process's own cgroup lowers the bound, "max" or a limit at
+        # or above the machine's memory leaves it
+        machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        root = tmp_path / "cgroup"
+        if version == 2:
+            line, limit = "0::/job/step", root / "job/step/memory.max"
+        else:
+            line = "4:memory:/job"
+            limit = root / "memory/job/memory.limit_in_bytes"
+        limit.parent.mkdir(parents=True)
+        (tmp_path / "self").write_text(f"9:pids:/\n{line}\n")
+        monkeypatch.setattr(pc, "SELF_CGROUP", str(tmp_path / "self"))
+        monkeypatch.setattr(pc, "CGROUP_ROOT", str(root))
+        for text, expected in (("4096\n", 4096), ("max\n", machine),
+                               (f"{2 * machine}\n", machine)):
+            limit.write_text(text)
+            assert pc.physical_memory() == expected
+        limit.unlink()
+        assert pc.physical_memory() == machine
+        monkeypatch.setattr(pc, "SELF_CGROUP", str(tmp_path / "absent"))
+        assert pc.physical_memory() == machine
 
     def test_split_with_nonpositive_pivot_falls_back(self, monkeypatch):
         # an indefinite but nonsingular mechanical block: the split's

@@ -195,6 +195,21 @@ reference_levels = 9
         err = capsys.readouterr().err
         assert "numerical failure" in err and "physical memory" in err
 
+    def test_cgroup_limit_below_the_stores_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        root = tmp_path / "cgroup"
+        (root / "job").mkdir(parents=True)
+        (root / "job" / "memory.max").write_text("1000\n")
+        (tmp_path / "self").write_text("0::/job\n")
+        monkeypatch.setattr(pc, "SELF_CGROUP", str(tmp_path / "self"))
+        monkeypatch.setattr(pc, "CGROUP_ROOT", str(root))
+        p = write_config(tmp_path / "c.ini", BASE.format(n=8, names="BaTiO3"))
+        assert main(["homogenize", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "physical memory" in err
+
     def test_both_factor_stores_count_against_physical_memory(
             self, tmp_path, capsys, monkeypatch):
         # each store alone fits under the bound, the two together do not
@@ -510,6 +525,24 @@ class TestHomogenizeCommand:
         # --out and --workers cannot change a number, so the digest omits them
         assert digests[0] == config_digest(load_config(p))
 
+    def test_split_costs_stay_in_diagnostics(self, tmp_path, monkeypatch):
+        # the stores' bytes and the refinement's corrections are written
+        # next to the other solver counters, and nowhere else
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        p = write_config(tmp_path / "c.ini", BASE.format(n=8, names="BaTiO3"))
+        out = tmp_path / "h"
+        assert main(["homogenize", "--config", p, "--out", str(out)]) == 0
+        solver = json.loads((out / "run_diagnostics.json").read_text())[
+            "solver"]
+        assert solver["path"] == "split"
+        assert solver["factor_bytes"] == [4 * (n + 1)
+                                          for n in solver["lu_nnz"]]
+        assert solver["refinement_steps"] > 0
+        for name in ("result.json", "effective.csv", "provenance.json"):
+            text = (out / name).read_text()
+            assert "factor_bytes" not in text, name
+            assert "refinement_steps" not in text, name
+
     def test_reruns_are_byte_identical(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=3, names="BaTiO3"))
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -582,6 +615,7 @@ class TestStudyCommand:
                                         + ["reference"])
         for stats in solver.values():
             assert set(stats) == {"path", "cg_iterations", "lu_nnz",
+                                  "refinement_steps", "factor_bytes",
                                   "max_interior_residual"}
             assert stats["path"] == "small"
             assert stats["max_interior_residual"] <= 1e-10
@@ -682,7 +716,8 @@ class TestStudyCommand:
         outs = tmp_path / "built", tmp_path / "cached"
         for out in outs:
             assert main(["study", "--config", p, "--out", str(out)]) == 0
-        keys = {"path", "cg_iterations", "lu_nnz", "max_interior_residual"}
+        keys = {"path", "cg_iterations", "lu_nnz", "refinement_steps",
+                "factor_bytes", "max_interior_residual"}
         for out, built in zip(outs, (True, False)):
             solver = json.loads((out / "run_diagnostics.json").read_text())[
                 "solver"]
