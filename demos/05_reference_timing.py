@@ -14,8 +14,9 @@ difference of the two matrices to the line.
 Run:  python demos/05_reference_timing.py electroMech 3 --write new.json
       python demos/05_reference_timing.py electroMech 3 --compare new.json
       python demos/05_reference_timing.py electroMech 3 --grains 50
-      (level 3 on 2 cores, one BLAS thread: about 22 s and 1.0 GiB
-      electroMech, 38-42 s and 1.4 GiB fully coupled)
+      (level 3 on 2 cores, one BLAS thread: about 21-23 s and 1.0 GiB
+      electroMech, 38-44 s and 1.4 GiB fully coupled; 50 grains
+      electroMech about 125 s and 3.8 GiB)
 """
 
 import argparse
