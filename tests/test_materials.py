@@ -5,6 +5,7 @@ checks use independent constructions (direct 3x3 tensor rotation, central
 finite differences, Voigt/Reuss assembly in the cubic closed form).
 """
 
+import hashlib
 import importlib.resources
 
 import numpy as np
@@ -252,6 +253,59 @@ class TestBuildModulus:
         rec = mat.isotropic_record("bad", -100.0, 1.0)
         with pytest.warns(mat.StabilityWarning):
             mat.build_modulus(rec)
+
+
+# The parameters of each lattice class, in the order a record is checked
+# for them (the first missing one is reported).
+PINNED_PARAMETERS = {
+    "hex6mm": ("C11", "C12", "C13", "C33", "C44", "e31", "e33", "e15",
+               "q31", "q33", "q15", "eps11", "eps33", "mu11", "mu33",
+               "alpha11", "alpha33"),
+    "transIso": ("C11", "C12", "C13", "C33", "C44", "e31", "e33", "e15",
+                 "q31", "q33", "q15", "eps11", "eps33", "mu11", "mu33",
+                 "alpha11", "alpha33"),
+    "hexBar6m2": ("C11", "C12", "C13", "C33", "C44", "e22", "q22",
+                  "eps11", "eps33", "mu11", "mu33", "alpha11", "alpha33"),
+    "trigonal3m": ("C11", "C12", "C13", "C33", "C44", "e31", "e33", "e15",
+                   "e22", "q31", "q33", "q15", "q22", "eps11", "eps33",
+                   "mu11", "mu33", "alpha11", "alpha33"),
+    "orth222": ("C11", "C12", "C13", "C22", "C23", "C33", "C44", "C55",
+                "C66", "e14", "e25", "e36", "q14", "q25", "q36", "eps11",
+                "eps22", "eps33", "mu11", "mu22", "mu33", "alpha11",
+                "alpha22", "alpha33"),
+}
+
+# sha256 of the bytes of the 12x12 modulus built from `pin_record`: every
+# entry, its sign bit (the -0.0 of a negated zero block) included
+PINNED_MODULI = {
+    "hex6mm": "411da9f8f418fe481b77b5d6d32a75f5abddcbfac7f124ed3ec66793a2d2fcae",
+    "hexBar6m2": "b7434b52d8d8721801f26b6084ff118a8ba81717ffb2cb403cd869b775153b68",
+    "trigonal3m": "f312bc3b4e8b0e0a244136a47fca54e4248a1cca0ccce25f7c2899dfabf4f4d2",
+    "orth222": "674648da02237ad8156875037cfca4fae5441b847281d24a0a4b18c926118dbf",
+    "transIso": "411da9f8f418fe481b77b5d6d32a75f5abddcbfac7f124ed3ec66793a2d2fcae",
+}
+
+
+def pin_record(lattice):
+    """A record of `lattice` whose k-th parameter is k/8: each value is
+    distinct and exact, so a parameter in a wrong place moves the bytes."""
+    return mat.MaterialRecord(lattice, "fullyCoupled", lattice, {
+        key: (k + 1) / 8 for k, key in enumerate(PINNED_PARAMETERS[lattice])})
+
+
+class TestLatticePins:
+    def test_lattice_classes_and_parameters(self):
+        assert mat.LATTICE_CLASSES == (
+            "hex6mm", "hexBar6m2", "trigonal3m", "orth222", "transIso")
+        assert mat.REQUIRED_PARAMETERS == PINNED_PARAMETERS
+
+    @pytest.mark.parametrize("lattice", sorted(PINNED_MODULI))
+    def test_every_entry_of_each_class(self, lattice):
+        # C12 > C11 in these records, so the stiffness is not definite
+        with pytest.warns(mat.StabilityWarning):
+            G = mat.build_modulus(pin_record(lattice))
+        digest = hashlib.sha256(G.matrix.tobytes()).hexdigest()
+        assert digest == PINNED_MODULI[lattice]
 
 
 class TestRotateModulus:
