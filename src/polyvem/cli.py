@@ -56,20 +56,99 @@ class InputDataError(RuntimeError):
 # Config schema
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "run": {"out", "seed", "workers"},
-    "mesh": {"source", "path", "n_grains", "mesh_seed", "edge_length",
-             "lloyd"},
-    "materials": {"library", "names", "orientation_seed"},
-    "homogenize": {"mode", "method", "beta"},
-    "study": {"kind", "mode", "methods", "targets", "beta", "beta_step",
-              "fraction_step", "fraction_seed", "reference_levels", "cache"},
+_STUDY_KINDS = ("comparison", "beta-sweep", "fraction-sweep")
+
+
+def _names(raw: str) -> tuple:
+    """The entries of a comma list, blanks dropped."""
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _must(ok, rule: str):
+    """Check that ok(value) holds, stating `rule` when it does not."""
+    def check(key, value):
+        if not ok(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+    return check
+
+
+def _naming(what: str):
+    """Check that a value is not empty: that it names `what`."""
+    def check(key, value):
+        if not value:
+            raise ValueError(f"{key} must name {what}")
+    return check
+
+
+def _methods(key, methods):
+    _naming("at least one method")(key, methods)
+    for method in methods:
+        parse_method(method)
+
+
+def _one_of(choices):
+    """Check that a value is one of `choices`."""
+    def check(key, value):
+        if value not in choices:
+            raise ValueError(f"unknown {key} {value!r}; expected one of "
+                             f"{', '.join(choices)}")
+    return check
+
+
+def _seed(offset: int):
+    """Default of a derived seed: [run] seed + offset."""
+    return lambda cfg: setting(cfg, "run", "seed") + offset
+
+
+# seeds feed NumPy's generators, which reject negative values
+_NON_NEGATIVE = _must(lambda v: v >= 0, "non-negative")
+_POSITIVE = _must(lambda v: v >= 1, "at least 1")
+_BETA = _must(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_MODE = _one_of(MODES)
+
+# section -> key -> (parse, default, check): `parse` turns the config's
+# text into the value (a ValueError there is a bad value); `check(key,
+# value)`, if any, raises ValueError or StudyError saying what is wrong
+# with a parsed value; a callable default derives the value from other
+# keys. Defaults are not checked.
+CONFIG = {
+    "run": {"out": (str, "polyvem-out", _naming("a directory")),
+            "seed": (int, 1, _NON_NEGATIVE),
+            "workers": (int, 1, _POSITIVE)},
+    "mesh": {"source": (str, "generate", _one_of(("generate", "file"))),
+             "path": (str, None, None),
+             "n_grains": (int, 20, _POSITIVE),
+             "mesh_seed": (int, _seed(0), _NON_NEGATIVE),
+             "edge_length": (float, 1.0,
+                             _must(valid_edge_length, EDGE_LENGTH_RULE)),
+             "lloyd": (int, 0, _NON_NEGATIVE)},
+    "materials": {"library": (str, "builtin", None),
+                  "names": (_names, ("hex_high_anisotropy",),
+                            _naming("at least one material")),
+                  "orientation_seed": (int, _seed(1), _NON_NEGATIVE)},
+    "homogenize": {"mode": (str, "fullyCoupled", _MODE),
+                   "method": (str, "VEM-VO",
+                              lambda key, method: parse_method(method)),
+                   "beta": (float, DEFAULT_BETA, _BETA)},
+    "study": {"kind": (str, "comparison", _one_of(_STUDY_KINDS)),
+              "mode": (str, "electroMech", _MODE),
+              "methods": (_names, ("VEM-VO", "FEM-O1-coarse"), _methods),
+              "targets": (_names, ("G", "C"), _naming("at least one block")),
+              "beta": (float, DEFAULT_BETA, _BETA),
+              "beta_step": (float, BETA_STEP,
+                            lambda key, step: beta_grid(step)),
+              "fraction_step": (float, FRACTION_STEP,
+                                lambda key, step: fraction_grid(step)),
+              "fraction_seed": (int, _seed(2), _NON_NEGATIVE),
+              "reference_levels": (int, 2, _POSITIVE),
+              "cache": (str, None, _naming("a directory"))},
 }
 
 
 def load_config(path: str | None) -> dict:
-    """Parse the sectioned key-value config; unknown keys are rejected."""
-    cfg = {section: {} for section in _SCHEMA}
+    """Parse the sectioned key-value config; unknown keys are rejected.
+    Values stay the config's text; `setting` reads them."""
+    cfg = {section: {} for section in CONFIG}
     if path is None:
         return cfg
     if not os.path.exists(path):
@@ -84,28 +163,42 @@ def load_config(path: str | None) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in CONFIG:
             raise ConfigError(
                 f"unknown config section [{section}]; "
-                f"expected one of {sorted(_SCHEMA)}")
+                f"expected one of {sorted(CONFIG)}")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in CONFIG[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]; "
-                    f"allowed: {sorted(_SCHEMA[section])}")
+                    f"allowed: {sorted(CONFIG[section])}")
             cfg[section][key] = value
     return cfg
 
 
-def _get(cfg, section, key, default, conv=str):
+def setting(cfg: dict, section: str, key: str):
+    """The value of `[section] key`: parsed and checked when the config
+    gives it, its default otherwise."""
+    parse, default, check = CONFIG[section][key]
     raw = cfg[section].get(key)
     if raw is None:
-        return default
+        return default(cfg) if callable(default) else default
     try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad value for [{section}] {key}: {raw!r}") from exc
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if check is not None:
+        _checked(section, check, key, value)
+    return value
+
+
+def _checked(section: str, check, *args):
+    """check(*args), with what it raises about the config (StudyError or
+    ValueError) raised as a config error."""
+    try:
+        return check(*args)
+    except (StudyError, ValueError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 # execution details that cannot change any computed number
@@ -119,42 +212,14 @@ def _scientific(cfg: dict) -> dict:
             for section, body in cfg.items()}
 
 
-# seeds feed NumPy's generators, which reject negative values
-_SEEDS = (("run", "seed"), ("mesh", "mesh_seed"),
-          ("materials", "orientation_seed"), ("study", "fraction_seed"))
-
-
-def _check_seeds(cfg: dict) -> None:
-    for section, key in _SEEDS:
-        seed = _get(cfg, section, key, 0, int)
-        if seed < 0:
-            raise ConfigError(
-                f"[{section}] {key} must be non-negative, got {seed}")
-
-
-def _check_workers(cfg: dict) -> None:
-    workers = _get(cfg, "run", "workers", 1, int)
-    if workers < 1:
-        raise ConfigError(f"[run] workers must be at least 1, got {workers}")
-
-
-def _check_paths(cfg: dict) -> None:
-    for section, key in (("run", "out"), ("study", "cache")):
-        if cfg[section].get(key) == "":
-            raise ConfigError(f"[{section}] {key} must name a directory")
-
-
 # ---------------------------------------------------------------------------
 # Shared builders
 # ---------------------------------------------------------------------------
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    if args.out is not None:
-        cfg["run"]["out"] = args.out
-    if args.seed is not None:
-        cfg["run"]["seed"] = str(args.seed)
-    if args.workers is not None:
-        cfg["run"]["workers"] = str(args.workers)
+    for key in ("out", "seed", "workers"):
+        if getattr(args, key) is not None:
+            cfg["run"][key] = str(getattr(args, key))
     return cfg
 
 
@@ -167,38 +232,26 @@ def _read_text(path: str, what: str) -> str:
 
 
 def build_mesh(cfg: dict) -> PolyMesh:
-    seed = _get(cfg, "run", "seed", 1, int)
-    source = _get(cfg, "mesh", "source", "generate")
-    if source == "generate":
-        n = _get(cfg, "mesh", "n_grains", 20, int)
-        mesh_seed = _get(cfg, "mesh", "mesh_seed", seed, int)
-        L = _get(cfg, "mesh", "edge_length", 1.0, float)
-        lloyd = _get(cfg, "mesh", "lloyd", 0, int)
-        if n < 1:
-            raise ConfigError(f"n_grains must be positive, got {n}")
-        if not valid_edge_length(L):
-            raise ConfigError(f"edge_length must be {EDGE_LENGTH_RULE}, got {L}")
-        if lloyd < 0:
-            raise ConfigError(f"lloyd must be non-negative, got {lloyd}")
-        seeds = random_seeds(n, L, mesh_seed)
-        return generate_voronoi(seeds.seeds, L, lloyd=lloyd)
-    if source == "file":
-        path = cfg["mesh"].get("path")
-        if not path:
-            raise ConfigError("mesh source 'file' requires [mesh] path")
-        text = _read_text(path, "mesh file")
-        try:
-            if path.endswith(".tess"):
-                return parse_tess(text)
-            return read_mesh(text)
-        except MeshParseError as exc:
-            raise InputDataError(f"malformed mesh file {path!r}: {exc}") from exc
-    raise ConfigError(f"unknown mesh source {source!r}; "
-                      "expected 'generate' or 'file'")
+    if setting(cfg, "mesh", "source") == "generate":
+        L = setting(cfg, "mesh", "edge_length")
+        seeds = random_seeds(setting(cfg, "mesh", "n_grains"), L,
+                             setting(cfg, "mesh", "mesh_seed"))
+        return generate_voronoi(seeds.seeds, L,
+                                lloyd=setting(cfg, "mesh", "lloyd"))
+    path = setting(cfg, "mesh", "path")
+    if not path:
+        raise ConfigError("mesh source 'file' requires [mesh] path")
+    text = _read_text(path, "mesh file")
+    try:
+        if path.endswith(".tess"):
+            return parse_tess(text)
+        return read_mesh(text)
+    except MeshParseError as exc:
+        raise InputDataError(f"malformed mesh file {path!r}: {exc}") from exc
 
 
 def load_library(cfg: dict) -> dict:
-    name = _get(cfg, "materials", "library", "builtin")
+    name = setting(cfg, "materials", "library")
     if name == "builtin":
         return builtin_library()
     text = _read_text(name, "material library")
@@ -208,20 +261,21 @@ def load_library(cfg: dict) -> dict:
         raise InputDataError(f"malformed material library {name!r}: {exc}") from exc
 
 
-def build_layout(cfg: dict, library: dict, n_cells: int) -> GrainLayout:
-    seed = _get(cfg, "run", "seed", 1, int)
-    orientation_seed = _get(cfg, "materials", "orientation_seed",
-                            seed + 1, int)
-    names = _get(cfg, "materials", "names", "hex_high_anisotropy")
-    name_list = [s.strip() for s in names.split(",") if s.strip()]
-    if not name_list:
-        raise ConfigError("[materials] names must list at least one material")
-    for nm in name_list:
-        if nm not in library:
-            raise ConfigError(f"material {nm!r} not in library "
+def material_names(cfg: dict, library: dict) -> tuple:
+    """The [materials] names, each checked against the library."""
+    names = setting(cfg, "materials", "names")
+    for name in names:
+        if name not in library:
+            raise ConfigError(f"material {name!r} not in library "
                               f"(available: {sorted(library)})")
-    override = [name_list[c % len(name_list)] for c in range(n_cells)]
-    return GrainLayout.random(library, None, n_cells, orientation_seed,
+    return names
+
+
+def build_layout(cfg: dict, library: dict, names, n_cells: int) -> GrainLayout:
+    """Grains take `names` in turn, at seeded random orientations."""
+    override = [names[c % len(names)] for c in range(n_cells)]
+    return GrainLayout.random(library, None, n_cells,
+                              setting(cfg, "materials", "orientation_seed"),
                               names_override=override)
 
 
@@ -277,7 +331,7 @@ def write_diagnostics(outdir: str, wall: dict, solver=None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_mesh(cfg: dict, verbose: bool) -> int:
-    outdir = _get(cfg, "run", "out", "polyvem-out")
+    outdir = setting(cfg, "run", "out")
     t0 = time.perf_counter()
     mesh = build_mesh(cfg)
     stats = {
@@ -308,59 +362,18 @@ def cmd_mesh(cfg: dict, verbose: bool) -> int:
     return 0
 
 
-def _beta(cfg, section: str) -> float:
-    beta = _get(cfg, section, "beta", DEFAULT_BETA, float)
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"[{section}] beta must be in [0, 1], got {beta}")
-    return beta
-
-
-def _checked(section: str, check, *args):
-    """check(*args), with a StudyError raised as a config error."""
-    try:
-        return check(*args)
-    except StudyError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-
-
-def _method(section: str, method: str) -> str:
-    _checked(section, parse_method, method)
-    return method
-
-
-def _mode(cfg, section: str, default: str) -> str:
-    mode = _get(cfg, section, "mode", default)
-    if mode not in MODES:
-        raise ConfigError(f"[{section}] unknown mode {mode!r}; expected one "
-                          f"of {', '.join(MODES)}")
-    return mode
-
-
-def _targets(cfg, mode: str) -> tuple:
-    """The [study] targets, each a modulus block that `mode` has."""
-    targets = tuple(s.strip() for s in
-                    _get(cfg, "study", "targets", "G,C").split(",")
-                    if s.strip())
-    if not targets:
-        raise ConfigError("[study] targets must name at least one block")
-    n = len(MODE_PINDEX[mode])
-    for target in targets:
-        _checked("study", target_block, np.zeros((n, n)), mode, target)
-    return targets
-
-
 def cmd_homogenize(cfg: dict, verbose: bool) -> int:
-    outdir = _get(cfg, "run", "out", "polyvem-out")
-    mode = _mode(cfg, "homogenize", "fullyCoupled")
-    method = _method("homogenize",
-                     _get(cfg, "homogenize", "method", "VEM-VO"))
-    beta = _beta(cfg, "homogenize")
+    outdir = setting(cfg, "run", "out")
+    mode = setting(cfg, "homogenize", "mode")
     t0 = time.perf_counter()
-    mesh = build_mesh(cfg)
     library = load_library(cfg)
-    layout = build_layout(cfg, library, len(mesh.cells))
+    names = material_names(cfg, library)
+    mesh = build_mesh(cfg)
+    layout = build_layout(cfg, library, names, len(mesh.cells))
     moduli = layout.moduli(library, mode)
-    result = run_method(mesh, moduli, mode, method, beta, layout.names)
+    result = run_method(mesh, moduli, mode,
+                        setting(cfg, "homogenize", "method"),
+                        setting(cfg, "homogenize", "beta"), layout.names)
     outputs = [
         _write(outdir, "result.json",
                result_to_json(result, config=_scientific(cfg))),
@@ -379,42 +392,27 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     return 0
 
 
-_STUDY_KINDS = ("comparison", "beta-sweep", "fraction-sweep")
-
-
 def cmd_study(cfg: dict, verbose: bool) -> int:
-    outdir = _get(cfg, "run", "out", "polyvem-out")
-    kind = _get(cfg, "study", "kind", "comparison")
-    if kind not in _STUDY_KINDS:
-        raise ConfigError(f"unknown study kind {kind!r}; expected "
-                          f"{', '.join(_STUDY_KINDS)}")
-    mode = _mode(cfg, "study", "electroMech")
+    outdir = setting(cfg, "run", "out")
+    kind = setting(cfg, "study", "kind")
+    mode = setting(cfg, "study", "mode")
     # a fraction sweep runs electroMech as fullyCoupled
     run_mode = ("fullyCoupled" if kind == "fraction-sweep"
                 and mode == "electroMech" else mode)
-    targets = _targets(cfg, run_mode)
-    methods = tuple(_method("study", s.strip()) for s in
-                    _get(cfg, "study", "methods",
-                         "VEM-VO,FEM-O1-coarse").split(",") if s.strip())
-    if not methods:
-        raise ConfigError("[study] methods must name at least one method")
-    levels = _get(cfg, "study", "reference_levels", 2, int)
-    if levels < 1:
-        raise ConfigError(
-            f"[study] reference_levels must be at least 1, got {levels}")
-    beta = _beta(cfg, "study")
-    betas = _checked("study", beta_grid,
-                     _get(cfg, "study", "beta_step", BETA_STEP, float))
-    fractions = _checked("study", fraction_grid, _get(
-        cfg, "study", "fraction_step", FRACTION_STEP, float))
-    seed = _get(cfg, "run", "seed", 1, int)
-    fraction_seed = _get(cfg, "study", "fraction_seed", seed + 2, int)
-    cache = cfg["study"].get("cache")
-    workers = _get(cfg, "run", "workers", 1, int)
+    targets = setting(cfg, "study", "targets")
+    n = len(MODE_PINDEX[run_mode])
+    for target in targets:                 # each a block that run_mode has
+        _checked("study", target_block, np.zeros((n, n)), run_mode, target)
+    levels = setting(cfg, "study", "reference_levels")
+    betas = beta_grid(setting(cfg, "study", "beta_step"))
+    cache = setting(cfg, "study", "cache")
+    workers = setting(cfg, "run", "workers")
     t0 = time.perf_counter()
     library = load_library(cfg)
     if kind == "fraction-sweep":
         _checked("study", check_fraction_phases, library, run_mode, targets)
+    else:
+        names = material_names(cfg, library)
     mesh = build_mesh(cfg)
     outputs = []
     wall = {}
@@ -422,7 +420,9 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
     extra = {"kind": kind, "mode": mode}
 
     if kind == "fraction-sweep":
-        rows = fraction_sweep(mesh, library, fractions, fraction_seed, betas,
+        fractions = fraction_grid(setting(cfg, "study", "fraction_step"))
+        rows = fraction_sweep(mesh, library, fractions,
+                              setting(cfg, "study", "fraction_seed"), betas,
                               mode=run_mode, targets=targets,
                               reference_levels=levels, cache_dir=cache,
                               workers=workers)
@@ -431,13 +431,15 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         wall["rows"] = [r.wall_seconds for r in rows]
         solver = {f"{r.fraction_target:.6g}": r.solver_stats for r in rows}
     else:
-        layout = build_layout(cfg, library, len(mesh.cells))
+        layout = build_layout(cfg, library, names, len(mesh.cells))
         moduli = layout.moduli(library, mode)
         _checked("study", check_targets, moduli, mode, targets)
         reference = build_reference(mesh, moduli, mode, levels, cache)
         if kind == "comparison":
-            rows = method_comparison(mesh, moduli, mode, methods, reference,
-                                     targets, beta=beta)
+            rows = method_comparison(mesh, moduli, mode,
+                                     setting(cfg, "study", "methods"),
+                                     reference, targets,
+                                     beta=setting(cfg, "study", "beta"))
             outputs.append(_write(outdir, "comparison.csv",
                                   comparison_csv(rows, targets)))
             wall["rows"] = [r.wall_seconds for r in rows]
@@ -470,8 +472,8 @@ def cmd_materials(cfg: dict, verbose: bool) -> int:
         lines.append(f"{name:24s} {rec.mode:14s} {rec.lattice:12s} {a_u:10.4f}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
-    outdir = cfg["run"].get("out")
-    if outdir:
+    if "out" in cfg["run"]:               # written only when asked for
+        outdir = setting(cfg, "run", "out")
         outputs = [_write(outdir, "materials.txt", table)]
         write_provenance(outdir, "materials", cfg, outputs)
     return 0
@@ -517,9 +519,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        _check_seeds(cfg)
-        _check_workers(cfg)
-        _check_paths(cfg)
+        for section, keys in CONFIG.items():    # every given value, first
+            for key in keys:
+                setting(cfg, section, key)
         return _COMMANDS[args.command](cfg, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

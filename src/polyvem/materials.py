@@ -15,13 +15,13 @@ import io
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
-    "VOIGT_PAIRS", "LATTICE_CLASSES", "MODE_POTENTIALS", "STATE_ROWS",
-    "MODES", "MODE_PINDEX",
+    "VOIGT_PAIRS", "Lattice", "LATTICES", "LATTICE_CLASSES",
+    "REQUIRED_PARAMETERS", "MODE_POTENTIALS", "STATE_ROWS", "MODES", "MODE_PINDEX",
     "PERMITTIVITY_SCALE", "PERMEABILITY_SCALE", "MAGNETOELECTRIC_SCALE",
     "MaterialError", "StabilityWarning",
     "GeneralizedModulus", "MaterialRecord", "TransverseIsoCoefficients",
@@ -36,8 +36,6 @@ __all__ = [
 
 # Voigt index pairs in the order (11, 22, 33, 23, 13, 12)
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-
-LATTICE_CLASSES = ("hex6mm", "hexBar6m2", "trigonal3m", "orth222", "transIso")
 
 # the scalar potentials a node carries besides its displacements; every
 # per-mode layout (fields, state rows, cases, labels, blocks) follows
@@ -215,25 +213,58 @@ def datasheet_matrix(M, mode: str = "fullyCoupled") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Material records and lattice templates
+# Lattice classes and material records
 # ---------------------------------------------------------------------------
 
-_HEX_C = ("C11", "C12", "C13", "C33", "C44")
-_ORTH_C = ("C11", "C12", "C13", "C22", "C23", "C33", "C44", "C55", "C66")
+class Lattice(NamedTuple):
+    """Where the parameters of a lattice class sit in its blocks."""
+    # stiffness parameter -> the Voigt (row, column) entries of C it sets,
+    # upper triangle (C is symmetric); without C66, C66 = (C11 - C12) / 2
+    stiffness: Mapping[str, tuple]
+    # (suffix, row, column, sign) of each entry of e and of q alike: the
+    # parameter e<suffix> (q<suffix>) times sign sits at (row, column)
+    coupling: tuple
+    # suffix of each diagonal entry of eps, mu and alpha alike
+    diagonal: tuple
 
-REQUIRED_PARAMETERS = {
-    "hex6mm": _HEX_C + ("e31", "e33", "e15", "q31", "q33", "q15",
-                        "eps11", "eps33", "mu11", "mu33", "alpha11", "alpha33"),
-    "transIso": _HEX_C + ("e31", "e33", "e15", "q31", "q33", "q15",
-                          "eps11", "eps33", "mu11", "mu33", "alpha11", "alpha33"),
-    "hexBar6m2": _HEX_C + ("e22", "q22",
-                           "eps11", "eps33", "mu11", "mu33", "alpha11", "alpha33"),
-    "trigonal3m": _HEX_C + ("e31", "e33", "e15", "e22", "q31", "q33", "q15", "q22",
-                            "eps11", "eps33", "mu11", "mu33", "alpha11", "alpha33"),
-    "orth222": _ORTH_C + ("e14", "e25", "e36", "q14", "q25", "q36",
-                          "eps11", "eps22", "eps33", "mu11", "mu22", "mu33",
-                          "alpha11", "alpha22", "alpha33"),
+
+_HEX_STIFFNESS = {"C11": ((0, 0), (1, 1)), "C12": ((0, 1),),
+                  "C13": ((0, 2), (1, 2)), "C33": ((2, 2),),
+                  "C44": ((3, 3), (4, 4))}
+_AXIAL = (("31", 2, 0, 1), ("31", 2, 1, 1), ("33", 2, 2, 1),
+          ("15", 0, 4, 1), ("15", 1, 3, 1))
+_BAR6M2 = (("22", 0, 5, -1), ("22", 1, 0, -1), ("22", 1, 1, 1))
+_HEX_DIAGONAL = ("11", "11", "33")
+
+LATTICES = {
+    "hex6mm": Lattice(_HEX_STIFFNESS, _AXIAL, _HEX_DIAGONAL),
+    "hexBar6m2": Lattice(_HEX_STIFFNESS, _BAR6M2, _HEX_DIAGONAL),
+    "trigonal3m": Lattice(_HEX_STIFFNESS, _AXIAL + _BAR6M2, _HEX_DIAGONAL),
+    "orth222": Lattice(
+        # each Cij at its own (i - 1, j - 1)
+        {f"C{i + 1}{j + 1}": ((i, j),) for i, j in ((0, 0), (0, 1), (0, 2),
+         (1, 1), (1, 2), (2, 2), (3, 3), (4, 4), (5, 5))},
+        (("14", 0, 3, 1), ("25", 1, 4, 1), ("36", 2, 5, 1)),
+        ("11", "22", "33")),
+    "transIso": Lattice(_HEX_STIFFNESS, _AXIAL, _HEX_DIAGONAL),
 }
+LATTICE_CLASSES = tuple(LATTICES)
+
+# the blocks a lattice's coupling and diagonal patterns fill; the
+# diagonal ones convert from data-sheet units by their scale
+_COUPLING_BLOCKS = ("e", "q")
+_DIAGONAL_SCALES = {"eps": PERMITTIVITY_SCALE, "mu": PERMEABILITY_SCALE,
+                    "alpha": MAGNETOELECTRIC_SCALE}
+
+# the parameters of each lattice class, stiffness first, in the order a
+# record is checked for them
+REQUIRED_PARAMETERS = {
+    name: (*row.stiffness,
+           *(block + suffix for block in _COUPLING_BLOCKS
+             for suffix in dict.fromkeys(s for s, *_ in row.coupling)),
+           *(block + suffix for block in _DIAGONAL_SCALES
+             for suffix in dict.fromkeys(row.diagonal)))
+    for name, row in LATTICES.items()}
 
 
 @dataclass(frozen=True)
@@ -267,111 +298,34 @@ class MaterialRecord:
             ) from None
 
 
-def _hex_stiffness(p) -> np.ndarray:
-    c11, c12, c13, c33, c44 = (p("C11"), p("C12"), p("C13"), p("C33"), p("C44"))
-    c66 = (c11 - c12) / 2.0
-    return np.array([
-        [c11, c12, c13, 0.0, 0.0, 0.0],
-        [c12, c11, c13, 0.0, 0.0, 0.0],
-        [c13, c13, c33, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, c44, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, c44, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, c66],
-    ])
-
-
-def _orth_stiffness(p) -> np.ndarray:
-    return np.array([
-        [p("C11"), p("C12"), p("C13"), 0.0, 0.0, 0.0],
-        [p("C12"), p("C22"), p("C23"), 0.0, 0.0, 0.0],
-        [p("C13"), p("C23"), p("C33"), 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, p("C44"), 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, p("C55"), 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, p("C66")],
-    ])
-
-
-def _coupling_axial(a31, a33, a15) -> np.ndarray:
-    """Axis-3 transversely isotropic 3x6 coupling pattern."""
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0, a15, 0.0],
-        [0.0, 0.0, 0.0, a15, 0.0, 0.0],
-        [a31, a31, a33, 0.0, 0.0, 0.0],
-    ])
-
-
-def _coupling_bar6m2(a22) -> np.ndarray:
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0, 0.0, -a22],
-        [-a22, a22, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ])
-
-
-def _coupling_trigonal(a31, a33, a15, a22) -> np.ndarray:
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0, a15, -a22],
-        [-a22, a22, 0.0, a15, 0.0, 0.0],
-        [a31, a31, a33, 0.0, 0.0, 0.0],
-    ])
-
-
-def _coupling_shear(a14, a25, a36) -> np.ndarray:
-    return np.array([
-        [0.0, 0.0, 0.0, a14, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, a25, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, a36],
-    ])
-
-
 def build_modulus(record: MaterialRecord) -> GeneralizedModulus:
     """Construct the grain-local 12x12 modulus from a material record.
 
     The zero/nonzero pattern follows the declared lattice class exactly;
     a non positive definite stiffness block triggers a StabilityWarning.
     """
-    for key in REQUIRED_PARAMETERS[record.lattice]:
-        record.require(key)
-    p = record.require
-    lat = record.lattice
-    if lat in ("hex6mm", "transIso"):
-        C = _hex_stiffness(p)
-        e = _coupling_axial(p("e31"), p("e33"), p("e15"))
-        q = _coupling_axial(p("q31"), p("q33"), p("q15"))
-        eps = np.diag([p("eps11"), p("eps11"), p("eps33")])
-        mu = np.diag([p("mu11"), p("mu11"), p("mu33")])
-        alpha = np.diag([p("alpha11"), p("alpha11"), p("alpha33")])
-    elif lat == "hexBar6m2":
-        C = _hex_stiffness(p)
-        e = _coupling_bar6m2(p("e22"))
-        q = _coupling_bar6m2(p("q22"))
-        eps = np.diag([p("eps11"), p("eps11"), p("eps33")])
-        mu = np.diag([p("mu11"), p("mu11"), p("mu33")])
-        alpha = np.diag([p("alpha11"), p("alpha11"), p("alpha33")])
-    elif lat == "trigonal3m":
-        C = _hex_stiffness(p)
-        e = _coupling_trigonal(p("e31"), p("e33"), p("e15"), p("e22"))
-        q = _coupling_trigonal(p("q31"), p("q33"), p("q15"), p("q22"))
-        eps = np.diag([p("eps11"), p("eps11"), p("eps33")])
-        mu = np.diag([p("mu11"), p("mu11"), p("mu33")])
-        alpha = np.diag([p("alpha11"), p("alpha11"), p("alpha33")])
-    else:  # orth222
-        C = _orth_stiffness(p)
-        e = _coupling_shear(p("e14"), p("e25"), p("e36"))
-        q = _coupling_shear(p("q14"), p("q25"), p("q36"))
-        eps = np.diag([p("eps11"), p("eps22"), p("eps33")])
-        mu = np.diag([p("mu11"), p("mu22"), p("mu33")])
-        alpha = np.diag([p("alpha11"), p("alpha22"), p("alpha33")])
-    eps = PERMITTIVITY_SCALE * eps
-    mu = PERMEABILITY_SCALE * mu
-    alpha = MAGNETOELECTRIC_SCALE * alpha
+    p = {key: record.require(key) for key in REQUIRED_PARAMETERS[record.lattice]}
+    row = LATTICES[record.lattice]
+    C = np.zeros((6, 6))
+    for key, entries in row.stiffness.items():
+        for i, j in entries:
+            C[i, j] = C[j, i] = p[key]
+    if "C66" not in row.stiffness:
+        C[5, 5] = (p["C11"] - p["C12"]) / 2.0
+    blocks = {}
+    for block in _COUPLING_BLOCKS:
+        blocks[block] = np.zeros((3, 6))
+        for suffix, i, j, sign in row.coupling:
+            blocks[block][i, j] = sign * p[block + suffix]
+    for block, scale in _DIAGONAL_SCALES.items():
+        blocks[block] = scale * np.diag([p[block + s] for s in row.diagonal])
     try:
         np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         warnings.warn(
             f"material {record.name!r}: stiffness block is not positive definite",
             StabilityWarning, stacklevel=2)
-    return GeneralizedModulus.from_blocks(C, e, q, eps, alpha, mu)
+    return GeneralizedModulus.from_blocks(C, **blocks)
 
 
 def isotropic_record(name: str, lam: float, shear: float, *,
@@ -383,15 +337,12 @@ def isotropic_record(name: str, lam: float, shear: float, *,
     their data-sheet equivalents so building the modulus returns them
     verbatim on the diagonal.
     """
-    return MaterialRecord(name, mode, "transIso", {
-        "C11": lam + 2 * shear, "C12": lam, "C13": lam,
-        "C33": lam + 2 * shear, "C44": shear,
-        "e31": 0.0, "e33": 0.0, "e15": 0.0,
-        "q31": 0.0, "q33": 0.0, "q15": 0.0,
-        "eps11": eps / PERMITTIVITY_SCALE, "eps33": eps / PERMITTIVITY_SCALE,
-        "mu11": mu / PERMEABILITY_SCALE, "mu33": mu / PERMEABILITY_SCALE,
-        "alpha11": 0.0, "alpha33": 0.0,
-    })
+    parameters = dict.fromkeys(REQUIRED_PARAMETERS["transIso"], 0.0)
+    parameters.update(
+        C11=lam + 2 * shear, C12=lam, C13=lam, C33=lam + 2 * shear, C44=shear,
+        eps11=eps / PERMITTIVITY_SCALE, eps33=eps / PERMITTIVITY_SCALE,
+        mu11=mu / PERMEABILITY_SCALE, mu33=mu / PERMEABILITY_SCALE)
+    return MaterialRecord(name, mode, "transIso", parameters)
 
 
 # ---------------------------------------------------------------------------

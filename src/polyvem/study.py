@@ -277,12 +277,14 @@ def build_reference(mesh: PolyMesh, moduli, mode: str, levels: int,
 
 def _guard_refinement(mesh: PolyMesh, levels: int) -> None:
     """StudyError when `levels` refinements of the coarse tets, each
-    into 8, would give more than MEMORY_GUARD_TETS tets."""
-    n_tets = len(mesh.tets.tets) * 8 ** levels
-    if n_tets > MEMORY_GUARD_TETS:
+    into 8, would give more than MEMORY_GUARD_TETS tets. The power is
+    capped where it alone passes the guard, so a level of any size is
+    decided without forming 8 ** levels."""
+    cap = MEMORY_GUARD_TETS.bit_length()        # 8 ** cap > 2 ** cap > guard
+    if len(mesh.tets.tets) * 8 ** min(levels, cap) > MEMORY_GUARD_TETS:
         raise StudyError(
-            f"refined mesh would have {n_tets} tets "
-            f"(guard {MEMORY_GUARD_TETS}); lower the refinement level")
+            f"refined mesh at level {levels} would have more than "
+            f"{MEMORY_GUARD_TETS} tets; lower the refinement level")
 
 
 def _read_cached(path: str) -> HomogenizationResult | None:

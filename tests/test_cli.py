@@ -18,10 +18,11 @@ import polyvem.assembly as pa
 import polyvem.cholesky as pc
 import polyvem.homogenization as ph
 import polyvem.study as study
-from polyvem.cli import _SCHEMA, ConfigError, config_digest, load_config, main
+from polyvem.cli import CONFIG, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
                                     result_from_json, result_to_json)
-from polyvem.materials import builtin_library, format_library
+from polyvem.materials import (LATTICE_CLASSES, REQUIRED_PARAMETERS,
+                               builtin_library, format_library)
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
 from test_mesh import broken_native_texts, six_grain_texts
@@ -77,6 +78,18 @@ class TestConfig:
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(
             {"run": {"seed": "4", "out": "x"}, "mesh": {}})
+
+
+# (command, config section) of each route to a refinement level
+REFINED_ROUTES = {
+    "homogenize": ("homogenize", "[homogenize]\nmode = electroMech\n"
+                   "method = FEM-O1-refined({})\n"),
+    "comparison": ("study", "[study]\nkind = comparison\n"
+                   "reference_levels = 1\n"
+                   "methods = VEM-VO,FEM-O1-refined({})\n"),
+    "reference": ("study", "[study]\nkind = comparison\n"
+                  "methods = VEM-VO\nreference_levels = {}\n"),
+}
 
 
 class TestExitCodes:
@@ -147,15 +160,17 @@ reference_levels = 9
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,section", [
-        ("homogenize", "[homogenize]\nmode = electroMech\n"
-         "method = FEM-O1-refined(30)\n"),
-        ("study", "[study]\nkind = comparison\nreference_levels = 1\n"
-         "methods = VEM-VO,FEM-O1-refined(30)\n"),
-    ], ids=["homogenize", "comparison"])
+        pytest.param(command, section.format(level),
+                     id=route if level == 30 else f"{route}-{level}")
+        for level in (30, 5000, 10 ** 8)
+        for route, (command, section) in REFINED_ROUTES.items()
+        if (route, level) != ("reference", 30)])
     def test_refined_method_is_guarded(self, tmp_path, capsys, monkeypatch,
                                        command, section):
-        # the guard stops the run before any refinement; without it, this
-        # level would refine until the memory runs out
+        # the guard stops the run before any refinement; without it, these
+        # levels would refine until the memory runs out. Levels of 5000
+        # and more must be refused without forming 8 ** level, whose
+        # digits alone would fail to print
         refine = ph.refine_tet_mesh
 
         def refine_below_the_guard(tmesh, levels):
@@ -233,10 +248,42 @@ reference_levels = 9
         err = capsys.readouterr().err
         assert "numerical failure" in err and "physical memory" in err
 
-    def test_unknown_material_exits_2(self, tmp_path):
-        p = write_config(tmp_path / "c.ini", BASE.format(n=2, names="unobtainium"))
-        assert main(["homogenize", "--config", p,
+    def test_unknown_material_exits_2(self, tmp_path, capsys, monkeypatch):
+        import polyvem.cli as cli
+
+        def no_mesh(cfg):
+            raise AssertionError("mesh built before the names were checked")
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        base = BASE.format(n=2, names="unobtainium")
+        for command, section in (
+                ("homogenize", ""),
+                ("study", "[study]\nkind = comparison\n"),
+                ("study", "[study]\nkind = beta-sweep\n")):
+            p = write_config(tmp_path / "c.ini", base + section)
+            assert main([command, "--config", p,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "material 'unobtainium' not in library" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,message", [
+        ("mesh", "[study]\nbeta_step = 5\n",
+         "[study] beta_step must be in [0.001, 1], got 5.0"),
+        ("materials", "[homogenize]\nmethod = BEM\n",
+         "[homogenize] unknown method 'BEM'"),
+        ("homogenize", "[study]\nkind = interpretive-dance\n",
+         "[study] unknown kind 'interpretive-dance'"),
+        ("study", "[mesh]\nlloyd = x\n", "bad value for [mesh] lloyd: 'x'"),
+    ], ids=["mesh-study", "materials-homogenize", "homogenize-study",
+            "study-mesh"])
+    def test_every_given_key_is_checked_before_any_command(
+            self, tmp_path, capsys, monkeypatch, command, body, message):
+        # a bad value exits 2 even in a section the command does not read
+        import polyvem.cli as cli
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        p = write_config(tmp_path / "c.ini", body)
+        assert main([command, "--config", p,
                      "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_surface_check_key_is_unknown(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini",
@@ -923,6 +970,22 @@ def documented_schema() -> dict:
             for m in re.finditer(r"\[(\w+)\]([^[]*)", "".join(plain))}
 
 
+def documented_lattices() -> dict:
+    """Lattice class -> its parameters, from the block of docs/formats.md
+    that lists them: a line that starts with a name starts a class, and
+    indented lines continue it."""
+    with open(os.path.join(REPO, "docs", "formats.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("```\nhex6mm", 1)[1].split("```", 1)[0]
+    lattices, name = {}, None
+    for line in ("hex6mm" + block).splitlines():
+        words = line.split()
+        if not line[:1].isspace():
+            name, words = words[0], words[1:]
+        lattices[name] = lattices.get(name, ()) + tuple(words)
+    return lattices
+
+
 def documented_result_keys() -> list:
     """Keys of the `result.json` block of docs/formats.md: the first word
     of each line."""
@@ -934,7 +997,13 @@ def documented_result_keys() -> list:
 
 class TestDocumentedConfig:
     def test_formats_doc_lists_the_schema(self):
-        assert documented_schema() == _SCHEMA
+        assert documented_schema() == {section: set(keys) for section, keys
+                                       in CONFIG.items()}
+
+    def test_formats_doc_lists_the_lattice_parameters(self):
+        documented = documented_lattices()
+        assert list(documented) == list(LATTICE_CLASSES)
+        assert documented == REQUIRED_PARAMETERS
 
     def test_formats_doc_lists_the_result_keys(self):
         mesh = generate_voronoi(random_seeds(2, 1.0, 11).seeds, 1.0)

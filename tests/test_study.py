@@ -188,7 +188,7 @@ class TestStudyConfig:
 
     def test_bad_mode(self):
         with pytest.raises(cli.ConfigError, match="mode"):
-            cli._mode({"study": {"mode": "thermal"}}, "study", "electroMech")
+            cli.setting({"study": {"mode": "thermal"}}, "study", "mode")
 
     def test_beta_grid_range(self):
         for step in (1.5, 0, -0.1, 1e-4, 1e-320, float("nan")):
