@@ -4,7 +4,7 @@ Shows the ordering that motivates the polyhedral method: against a
 refined reference, one stabilized element per grain beats the coarse
 linear-tet baseline, and a small weight beats the full weight.
 
-Run:  python demos/04_stabilization_study.py   (about half a minute)
+Run:  python demos/04_stabilization_study.py   (a few seconds)
 """
 
 import tempfile

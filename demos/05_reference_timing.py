@@ -14,9 +14,9 @@ difference of the two matrices to the line.
 Run:  python demos/05_reference_timing.py electroMech 3 --write new.json
       python demos/05_reference_timing.py electroMech 3 --compare new.json
       python demos/05_reference_timing.py electroMech 3 --grains 50
-      (level 3 on 2 cores, one BLAS thread: about 21-23 s and 1.0 GiB
-      electroMech, 38-44 s and 1.4 GiB fully coupled; 50 grains
-      electroMech about 125 s and 3.8 GiB)
+      (level 3 on 2 cores, one BLAS thread: about 19-21 s and 0.94 GiB
+      electroMech, 31-47 s and 1.25 GiB fully coupled; 50 grains
+      electroMech about 125 s and under 3.8 GiB)
 """
 
 import argparse

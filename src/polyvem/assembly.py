@@ -443,13 +443,6 @@ class SparseSystem:
         self._split = None
         self.solver_stats = {}
 
-    @cached_property
-    def _rows(self) -> sp.csr_matrix:
-        """K as CSR, for products: a row sums its entries in column order
-        from zero, as K's BSR and CSC products do, at a lower cost per
-        entry than BSR's."""
-        return self.K.tocsr()
-
     def _pair_blocks(self, pairs):
         """(row labels, column labels, blocks) of K at the node pairs
         `pairs`, each block transposed and gathered contiguously, each
@@ -601,7 +594,7 @@ class SparseSystem:
         K_ii u_i through K, K_ib u_b the negated right-hand side."""
         z = np.zeros((self.dof_map.n_dofs, ui.shape[1]))
         z[self._ii] = ui
-        return worst_residual((self._rows @ z)[self._ii] - rhs, rhs)
+        return worst_residual((self.K @ z)[self._ii] - rhs, rhs)
 
     def solve_dirichlet(self, boundary_values: np.ndarray) -> np.ndarray:
         """Full solution for prescribed boundary-dof values: (n_boundary,)
@@ -641,7 +634,7 @@ class SparseSystem:
         vector (n_dofs,), an array for the columns of (n_dofs, n_cases),
         all columns by one sparse product."""
         U = np.asarray(full_solution, dtype=float)
-        KU = self._rows @ U
+        KU = self.K @ U
         if U.ndim == 1:
             return 0.5 * float(U @ KU)
         # contiguous rows, so each dot sums as that of a single vector

@@ -327,11 +327,14 @@ def parse_method(method: str):
     if not paren:
         return base, int(refined)
     level = arg[:-1]
-    # str.isdigit also accepts digits such as "²" that int() rejects
-    if not (arg.endswith(")") and level.isascii() and level.isdigit()
-            and int(level) > 0):
+    try:
+        # int() also reads "+1", "1_0" and non-ASCII digits such as "١"
+        levels = int(level) if level.isascii() and level.isdigit() else 0
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        levels = 0
+    if not (arg.endswith(")") and levels > 0):
         raise StudyError(f"bad refinement level in method {method!r}")
-    return base, int(level)
+    return base, levels
 
 
 def run_method(mesh, moduli, mode, method, beta,

@@ -284,6 +284,38 @@ class TestFieldSplit:
         assert system.n_factorizations == 1
         assert system.n_solves == 10
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_products_read_k_without_a_csr_copy(self, monkeypatch, split):
+        # the residual gate and the energies multiply K's node-pair
+        # blocks: no CSR copy, and the bits of a CSR product
+        if split:
+            monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        mesh = voronoi_mesh(6, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7)
+        system = ph.VemOperators(mesh, moduli, "fullyCoupled").system(0.1)
+        K = system.K.tocsr()
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("K was copied to CSR")
+
+        monkeypatch.setattr(system.K, "tocsr", no_copy)
+        ub = np.random.default_rng(5).normal(
+            size=(len(system.dof_map.boundary_dofs), 3))
+        U = system.solve_dirichlet(ub)
+        assert system.solver_stats["path"] == ("split" if split else "small")
+        ii = system.dof_map.interior_dofs
+        z = np.zeros_like(U)
+        z[ii] = U[ii]
+        rhs = -(system._Kib @ ub)
+        assert system.solver_stats["max_interior_residual"] == \
+            pc.worst_residual((K @ z)[ii] - rhs, rhs)
+        KU = K @ U
+        assert np.array_equal(system.energy(U), 0.5 * np.array(
+            [u @ ku for u, ku in zip(np.ascontiguousarray(U.T),
+                                     np.ascontiguousarray(KU.T))]))
+        assert system.energy(U[:, 0]) == \
+            0.5 * float(U[:, 0] @ (K @ U[:, 0]))
+
     def test_singular_block_falls_back_and_names_cells(self, monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         dm = pa.DofMap(1, [], "electroMech")

@@ -381,6 +381,14 @@ reference_levels = 9
         ("study", "methods", "FEM-O1-refined(x)", "bad refinement level"),
         ("homogenize", "method", "FEM-O1-refined(²)",
          "bad refinement level"),
+        # more digits than int() converts by default (4300)
+        pytest.param("homogenize", "method", f"FEM-O1-refined({'9' * 5000})",
+                     "bad refinement level in method",
+                     id="homogenize-5000-digit-level"),
+        pytest.param("study", "methods",
+                     f"VEM-VO,FEM-O1-refined({'9' * 5000})",
+                     "bad refinement level in method",
+                     id="study-5000-digit-level"),
     ])
     def test_bad_beta_or_method_exits_2(self, tmp_path, capsys, command,
                                         key, value, message):
