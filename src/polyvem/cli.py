@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import os
+import platform
 import sys
 import time
 
@@ -516,6 +518,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, fixed: arrays from
+    # 4 MiB get mappings of their own ("Heap thresholds" in docs/fem.md)
+    if platform.libc_ver()[0] == "glibc":
+        for param, value in ((-3, 4 << 20), (-1, 8 << 20)):
+            ctypes.CDLL(None).mallopt(param, value)
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)

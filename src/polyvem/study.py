@@ -450,16 +450,11 @@ def _with_weight(grid, beta: float) -> tuple:
 
 def beta_opt(curve, target: str = "G") -> float:
     """Grid argmin of |D_rel| for one target; ties go to the smaller
-    stabilization weight (the curve is scanned in ascending order)."""
+    stabilization weight (min keeps the first of the ascending curve)."""
     if not curve:
         raise StudyError("empty sweep curve")
     ordered = sorted(curve, key=lambda item: item[0])
-    best_beta, best = None, None
-    for b, d_rel in ordered:
-        err = abs(d_rel[target])
-        if best is None or err < best:
-            best_beta, best = b, err
-    return float(best_beta)
+    return float(min(ordered, key=lambda item: abs(item[1][target]))[0])
 
 
 def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,

@@ -5,6 +5,7 @@ import csv
 import glob
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -850,6 +851,30 @@ class TestEntryPoint:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         assert proc.returncode == 0
         assert "BaTiO3" in proc.stdout
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's")
+    def test_large_arrays_stay_out_of_the_heap(self):
+        """After main, a 6 MiB array gets a mapping of its own, even once a
+        freed 20 MiB array has raised glibc's own threshold past it; a
+        fresh process, so that no earlier main has set the thresholds."""
+        code = "\n".join((
+            "import numpy as np",
+            "from polyvem.cli import main",
+            "assert main(['materials']) == 0",
+            "freed = np.ones(20 << 17)",
+            "del freed",
+            "a = np.ones(6 << 17)",
+            "heap = [[int(x, 16) for x in line.split()[0].split('-')]",
+            "        for line in open('/proc/self/maps')",
+            "        if line.rstrip().endswith('[heap]')]",
+            "print(any(lo <= a.ctypes.data < hi for lo, hi in heap))"))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 # one valid config per command: every key of the schema but `out`, at
