@@ -21,9 +21,9 @@ layout = GrainLayout.random(lib, "hex_high_anisotropy", 20, 202)
 moduli = layout.moduli(lib, "electroMech")
 
 # --- 1. a refined linear-tet reference (cached on disk) ----------------------
-cache = tempfile.mkdtemp(prefix="polyvem-ref-")
-reference = build_reference(mesh, moduli, "electroMech", levels=2,
-                            cache_dir=cache)
+with tempfile.TemporaryDirectory(prefix="polyvem-ref-") as cache:
+    reference = build_reference(mesh, moduli, "electroMech", levels=2,
+                                cache_dir=cache)
 print(f"reference: {reference.method}, {reference.n_dofs} dofs")
 
 # --- 2. per-method percent error against it -----------------------------------

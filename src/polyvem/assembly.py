@@ -264,13 +264,6 @@ def assemble(elements, dof_map: DofMap) -> "SparseSystem":
     return system_from_blocks(pattern, blocks, dof_map, deficient)
 
 
-class _EmptyFactor:
-    """Stand-in factorization when every dof is on the boundary."""
-
-    def solve(self, rhs):
-        return np.zeros_like(rhs)
-
-
 # Interior dofs from which `factorize` splits the block (docs/fem.md):
 # set when block MINRES coupled the split. Since its stores are single
 # precision the split loses to the whole block below about 5,000 dofs
@@ -279,18 +272,26 @@ SPLIT_MIN_DOFS = 10000
 CG_RTOL = 1e-14              # per column, preconditioned residual
 CG_MAXITER = 100
 RESIDUAL_GATE = 1e-10        # per column, interior residual
+PIVOT_THRESHOLD = 0.1        # SuperLU's diag_pivot_thresh (docs/fem.md)
+
+# The one SuperLU setting, of every whole-block factor and of the split's
+# ordering: minimum degree on the pattern of A + A^T, diagonal pivots
+# while they hold PIVOT_THRESHOLD of their column's largest entry, and
+# relax=1, which merges no elimination subtree into a relaxed supernode
+# (scipy's default relaxation stores half again as many entries on the
+# level-2 reference's whole block).
+_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=PIVOT_THRESHOLD,
+                relax=1, options={"SymmetricMode": True})
 
 
 def _symmetric_lu(block):
-    """SuperLU factors of a block that needs no pivoting: a definite or
-    quasi-definite one, which factors stably under any symmetric ordering
-    (Vanderbei 1995). The ordering is minimum degree on the pattern of
-    A + A^T. relax=1 merges no elimination subtree into a relaxed
-    supernode: scipy's default relaxation stores about a third more
-    entries on these meshes (docs/fem.md). A zero pivot raises
-    RuntimeError."""
-    return spla.splu(block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     relax=1, options={"SymmetricMode": True})
+    """SuperLU factors of a block by threshold pivoting in symmetric mode
+    (Demmel et al. 1999). A definite or quasi-definite block factors
+    stably on its diagonal under any symmetric ordering (Vanderbei 1995),
+    and on these meshes the factor keeps every diagonal pivot, bit for
+    bit the unpivoted one; another block pivots off the diagonal only
+    where it must. A singular block raises RuntimeError."""
+    return spla.splu(block, **_SUPERLU)
 
 
 def _min_degree_order(block) -> np.ndarray:
@@ -299,8 +300,7 @@ def _min_degree_order(block) -> np.ndarray:
     order before any numeric work, so this costs a fraction of the
     complete factor."""
     return spla.spilu(block, drop_tol=0.99, fill_factor=1,
-                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      relax=1, options={"SymmetricMode": True}).perm_c
+                      **_SUPERLU).perm_c
 
 
 def _node_order(perm_c, per_node: int) -> np.ndarray:
@@ -418,16 +418,11 @@ class SparseSystem:
     holds K's block (cols[k], rows[k]) in `row_blocks[k]`.
 
     `solver_stats` records how the interior block was solved: the path
-    ("split", "small" or "fallback"), the CG iterations, the refinement
-    corrections of the split's single-precision factors, the stored
-    entries of each factor and the bytes of their values, and the worst
-    interior residual.
+    ("split", "small", or "fallback" when the split handed the block to
+    the LU), the CG iterations, the refinement corrections of the
+    split's single-precision factors, the stored entries of each factor
+    and the bytes of their values, and the worst interior residual.
     """
-
-    # rungs of the solve, tried in this order: the field split (large
-    # blocks only), the symmetric LU of the whole block and the whole
-    # block's LU with COLAMD and partial pivoting
-    SPLIT, SYMMETRIC, PIVOTED = range(3)
 
     def __init__(self, pattern: BlockPattern, row_blocks: np.ndarray,
                  dof_map: DofMap, deficient_cells=()):
@@ -439,8 +434,9 @@ class SparseSystem:
         self.deficient_cells = tuple(deficient_cells)
         self.n_factorizations = 0
         self.n_solves = 0
-        self._lu = None
-        self._split = None
+        # the interior block's factors: the whole block's SuperLU factor,
+        # or the split's (K_uu factor, C factor, K_up)
+        self._factors = None
         self.solver_stats = {}
 
     def _pair_blocks(self, pairs):
@@ -464,9 +460,9 @@ class SparseSystem:
         The interior and interior-boundary blocks are cut out of the
         node pairs by node masks. From SPLIT_MIN_DOFS interior dofs on,
         the two sign-definite diagonal blocks are factored instead of
-        the whole block. A rung that fails to factor, or whose solve
-        fails, hands the block to the next rung: split, symmetric whole
-        block, pivoted whole block.
+        the whole block. A split that fails to factor, or whose solve
+        fails, hands the block to the LU of the whole block; a failure
+        of the LU is final.
         """
         dm = self.dof_map
         inner, bound = dm.interior_nodes, dm.boundary_nodes
@@ -482,41 +478,36 @@ class SparseSystem:
             *self._pair_blocks(np.flatnonzero(row_in & ~col_in)),
             len(inner), len(bound))
         self._ii, self._ib = dm.interior_dofs, dm.boundary_dofs
-        self._lu = self._split = None
-        large = len(self._ii) >= SPLIT_MIN_DOFS
+        self._factors = None
+        # an empty block takes the LU, whatever SPLIT_MIN_DOFS says
+        large = len(self._ii) >= max(SPLIT_MIN_DOFS, 1)
         self.solver_stats = {"path": "split" if large else "small",
                              "cg_iterations": 0, "refinement_steps": 0,
                              "lu_nnz": [], "factor_bytes": [],
                              "max_interior_residual": 0.0}
-        if len(self._ii) == 0:
-            self._lu, self._rung = _EmptyFactor(), self.PIVOTED
-        else:
-            self._factor(self.SPLIT if large else self.SYMMETRIC)
+        if large:
+            try:
+                self._factor_split()
+            except RuntimeError:
+                self.solver_stats["path"] = "fallback"
+            except MemoryError as exc:      # too large for the LU too
+                raise self._failure(f"factorization failed: {exc}") from exc
+        if self._factors is None:
+            self._factor_whole()
         self.n_factorizations += 1
         return self
 
-    def _factor(self, rung: int):
-        """Factor the interior block by the first rung from `rung` on that
-        meets no zero pivot; AssemblyError when even the pivoted LU does."""
-        for rung in range(rung, self.PIVOTED + 1):
-            try:
-                if rung == self.SPLIT:
-                    self._factor_split()
-                else:
-                    block = self._interior_block()
-                    self._lu = (_symmetric_lu(block) if rung == self.SYMMETRIC
-                                else spla.splu(block))
-                    self.solver_stats["lu_nnz"] = [int(self._lu.nnz)]
-                    self.solver_stats["factor_bytes"] = [8 * int(self._lu.nnz)]
-            except RuntimeError as exc:
-                self.solver_stats["path"] = "fallback"
-                failure = exc
-                continue
-            except MemoryError as exc:      # too large for any rung
-                raise self._failure(f"factorization failed: {exc}") from exc
-            self._rung = rung
-            return
-        raise self._failure(f"factorization failed: {failure}")
+    def _factor_whole(self):
+        """Factor the whole interior block by `_symmetric_lu`;
+        AssemblyError when that fails."""
+        block = self._interior_block()
+        try:
+            lu = _symmetric_lu(block)
+        except (RuntimeError, MemoryError) as exc:
+            raise self._failure(f"factorization failed: {exc}") from exc
+        self._factors = lu
+        self.solver_stats["lu_nnz"] = [int(lu.nnz)]
+        self.solver_stats["factor_bytes"] = [8 * int(lu.nnz)]
 
     def _factor_split(self):
         """Factor K_uu and C = -K_pp of the interior block, each from the
@@ -550,14 +541,14 @@ class SparseSystem:
         symbolic.check_memory(3, nf - 3)
         chol_u = NodeCholesky(uu, rows, cols, symbolic)
         chol_p = NodeCholesky(pp, rows, cols, symbolic)
-        self._split = (chol_u, chol_p, B)
+        self._factors = (chol_u, chol_p, B)
         self.solver_stats["lu_nnz"] = [chol_u.nnz, chol_p.nnz]
         self.solver_stats["factor_bytes"] = [chol_u.nbytes, chol_p.nbytes]
 
     def _interior_block(self):
         """The interior block as sorted CSC, built from the node pairs
-        (and the split freed), so every rung factors the same arrays."""
-        self._split = None
+        (and the split freed), so every factor reads the same arrays."""
+        self._factors = None
         n = len(self._ii) // self.dof_map.n_fields
         return _csc_of_blocks(*self._pair_blocks(self._inner_pairs), n, n)
 
@@ -567,12 +558,23 @@ class SparseSystem:
         return AssemblyError(f"{message}{hint}")
 
     def _solve_interior(self, rhs):
-        """(u_i, worst interior residual) by the current rung; u_i None and
-        the residual infinite when the split's CG fails."""
-        if self._rung != self.SPLIT:
-            ui = self._lu.solve(rhs)
-            return ui, self._worst_residual(ui, rhs)
-        chol_u, chol_p, B = self._split
+        """(u_i, worst interior residual), by the split when it factored
+        the block; a split whose CG fails, or whose answer fails the
+        residual gate, hands the block to the LU."""
+        if not isinstance(self._factors, spla.SuperLU):
+            ui = self._solve_split(rhs)
+            worst = np.inf if ui is None else self._worst_residual(ui, rhs)
+            if worst <= RESIDUAL_GATE:
+                return ui, worst
+            self.solver_stats["path"] = "fallback"
+            self._factor_whole()
+        ui = self._factors.solve(rhs)
+        return ui, self._worst_residual(ui, rhs)
+
+    def _solve_split(self, rhs):
+        """u_i by the split's Schur complement CG; None when the CG
+        fails."""
+        chol_u, chol_p, B = self._factors
         nf, m = self.dof_map.n_fields, rhs.shape[1]
         # the mechanical and potential dofs of each node, node-major
         by_node = rhs.reshape(-1, nf, m)
@@ -583,10 +585,9 @@ class SparseSystem:
         self.solver_stats["refinement_steps"] = \
             chol_u.corrections + chol_p.corrections
         if u is None:
-            return None, np.inf
-        ui = np.concatenate([u.reshape(-1, 3, m), p.reshape(-1, nf - 3, m)],
-                            axis=1).reshape(rhs.shape)
-        return ui, self._worst_residual(ui, rhs)
+            return None
+        return np.concatenate([u.reshape(-1, 3, m), p.reshape(-1, nf - 3, m)],
+                              axis=1).reshape(rhs.shape)
 
     def _worst_residual(self, ui, rhs) -> float:
         """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
@@ -600,8 +601,8 @@ class SparseSystem:
         """Full solution for prescribed boundary-dof values: (n_boundary,)
         gives (n_dofs,), and (n_boundary, n_cases) gives (n_dofs,
         n_cases), every load case in one solve. A column that fails the
-        residual gate sends every column down to the next rung."""
-        if self._lu is None and self._split is None:
+        residual gate on the LU is an AssemblyError."""
+        if self._factors is None:
             self.factorize()
         ub = np.asarray(boundary_values, dtype=float)
         if ub.ndim not in (1, 2) or len(ub) != len(self._ib):
@@ -613,13 +614,9 @@ class SparseSystem:
             ub = ub[:, None]
         rhs = -(self._Kib @ ub)
         ui, worst = self._solve_interior(rhs)
-        while not worst <= RESIDUAL_GATE:
-            if self._rung == self.PIVOTED:
-                raise self._failure(f"interior solve residual {worst:.3e} "
-                                    f"exceeds {RESIDUAL_GATE:g}")
-            self.solver_stats["path"] = "fallback"
-            self._factor(self._rung + 1)
-            ui, worst = self._solve_interior(rhs)
+        if not worst <= RESIDUAL_GATE:
+            raise self._failure(f"interior solve residual {worst:.3e} "
+                                f"exceeds {RESIDUAL_GATE:g}")
         stats = self.solver_stats
         stats["max_interior_residual"] = max(
             stats["max_interior_residual"], worst)

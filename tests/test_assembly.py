@@ -1,8 +1,10 @@
 """Tests for global assembly and the shared-factorization Dirichlet solver."""
 
+import gc
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -351,8 +353,8 @@ class TestFieldSplit:
 
     def test_indefinite_potential_block_leaves_split(self, monkeypatch):
         # -K_pp = diag(1, -1): its Cholesky factor meets the negative
-        # pivot, so the split rung refuses the block while factoring and
-        # the symmetric LU of the whole block solves it
+        # pivot, so the split refuses the block while factoring and the
+        # LU of the whole block solves it
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         rng = np.random.default_rng(8)
         M = np.zeros((12, 12))
@@ -369,7 +371,7 @@ class TestFieldSplit:
         rows, cols = np.nonzero(M)
         dm = pa.DofMap(3, [2], "electroMech")
         system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
-        assert system.factorize()._rung == system.SYMMETRIC
+        assert isinstance(system.factorize()._factors, spla.SuperLU)
         assert system.solver_stats["path"] == "fallback"
         assert len(system.solver_stats["lu_nnz"]) == 1
         ub = rng.normal(size=(4, 3))
@@ -435,7 +437,7 @@ class TestFieldSplit:
         expected = operators.system(0.1).solve_dirichlet(ub)
 
         def no_superlu(*args, **kwargs):
-            raise AssertionError("splu called on the split rung")
+            raise AssertionError("splu called on the split path")
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         monkeypatch.setattr(spla, "splu", no_superlu)
         system = operators.system(0.1)
@@ -490,10 +492,11 @@ class TestFieldSplit:
         assert np.abs(np.vstack([u, p]) - exact).max() \
             <= 1e-12 * np.abs(exact).max()
 
-    def test_indefinite_block_takes_pivoted_rung(self):
+    def test_indefinite_block_pivots_off_the_diagonal(self):
         # the mechanical 2x2 [[eps, 1], [1, eps]] is nonsingular but not
-        # quasi-definite: without pivoting its tiny pivot wrecks the
-        # solve, so the residual gate sends it to the pivoted LU
+        # quasi-definite: its tiny diagonal pivot falls below the
+        # threshold, so the LU pivots off the diagonal and the solve
+        # passes the gate on the small path
         rng = np.random.default_rng(5)
         M = np.zeros((8, 8))
         M[:4, :4] = [[1e-20, 1, 0, 0], [1, 1e-20, 0, 0], [0, 0, 2, 0],
@@ -506,11 +509,43 @@ class TestFieldSplit:
         system = pa.system_from_triplets(rows, cols, M[rows, cols], dm)
         ub = rng.normal(size=(4, 3))
         got = system.solve_dirichlet(ub)
-        assert system.solver_stats["path"] == "fallback"
+        assert system.solver_stats["path"] == "small"
+        lu = system._factors
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
         assert system.solver_stats["max_interior_residual"] <= 1e-10
         Kii = sp.csc_matrix(M[:4, :4])
         expected = spla.spsolve(Kii, -M[:4, 4:] @ ub)
         assert np.abs(got[:4] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_empty_interior_takes_the_lu(self, monkeypatch):
+        # every node on the box: the split has nothing to factor, and the
+        # empty LU leaves a pure boundary evaluation
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        system = TestScaledBlocks.system("all-boundary")
+        ub = RNG.normal(size=(system.dof_map.n_dofs, 2))
+        assert np.array_equal(system.solve_dirichlet(ub), ub)
+        assert system.solver_stats["path"] == "small"
+
+    @pytest.mark.parametrize("path", ["small", "split", "fallback"])
+    def test_solved_system_holds_no_reference_cycle(self, monkeypatch, path):
+        # with the cyclic collector off, the last reference to a solved
+        # system frees it: nothing it stores refers back to it
+        if path != "small":
+            monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        if path == "fallback":
+            monkeypatch.setattr(pa, "CG_MAXITER", 2)
+        operators = self.vem_operators("electroMech")
+        ub = RNG.normal(size=(len(operators.dof_map.boundary_dofs), 3))
+        gc.disable()
+        try:
+            system = operators.system(0.1)
+            system.solve_dirichlet(ub)
+            assert system.solver_stats["path"] == path
+            alive = weakref.ref(system)
+            del system
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_small_path_matches_direct_solve(self):
         # the electro-mechanical block is well conditioned, so the bound
@@ -551,9 +586,9 @@ class TestFieldSplit:
                                                            kappa):
         # a mechanical block of condition number kappa; 1e9 is beyond
         # float32 (1 / u = 1.7e7). The split refines its single-precision
-        # passes to the gate, or another rung solves the block: either
-        # way every column passes the gate, checked here on the dense
-        # matrix, and a rung change shows as the fallback path
+        # passes to the gate, or the LU solves the block: either way
+        # every column passes the gate, checked here on the dense
+        # matrix, and a hand-over shows as the fallback path
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         rng = np.random.default_rng(17)
         n_inner, nf = 6, 4                      # nodes 6 and 7 on the box
@@ -569,7 +604,7 @@ class TestFieldSplit:
         M[np.ix_(u, p)] = M[np.ix_(p, u)].T
         M = np.tril(M) + np.tril(M, -1).T
         # boundary coupling K_ib = K_ii W, so u_i = -W u_b: the solution
-        # is well scaled, and a float64 rung meets the gate
+        # is well scaled, and the float64 LU meets the gate
         ni = n_inner * nf
         M[:ni, ni:] = M[:ni, :ni] @ rng.normal(size=(ni, 8))
         M[ni:, :ni] = M[:ni, ni:].T
@@ -599,6 +634,44 @@ class TestFieldSplit:
                                 options={"SymmetricMode": True}).nnz
                       for block in split_blocks(system._interior_block(), 5))
         assert sum(system.solver_stats["lu_nnz"]) < default
+
+
+class TestWholeBlockLU:
+    """Every whole block takes one SuperLU setting, with threshold
+    pivoting; on quasi-definite blocks it keeps every diagonal pivot."""
+
+    @staticmethod
+    def systems(mode):
+        """The systems of one 6-grain sample: VEM at
+        three weights and the coarse, refined and quadratic tets."""
+        mesh = voronoi_mesh(6, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7,
+                                 mode=mode)
+        operators = ph.VemOperators(mesh, moduli, mode)
+        systems = {f"VEM-{b}": operators.system(b) for b in (0.0, 0.1, 1.0)}
+        for name, tmesh in (
+                ("FEM-O1-coarse", mesh.tets),
+                ("FEM-O1-refined(1)", pm.refine_tet_mesh(mesh.tets, 1)),
+                ("FEM-O2-coarse", pf.promote_to_quadratic(mesh.tets))):
+            dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, mode)
+            systems[name] = ph._tet_system(tmesh, moduli, dm)[0]
+        return systems
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
+                                      "magnetoMech"])
+    def test_threshold_pivoting_moves_no_number(self, mode):
+        for name, system in self.systems(mode).items():
+            block = system.factorize()._interior_block()
+            got = pa._symmetric_lu(block)
+            unpivoted = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0, relax=1,
+                                  options={"SymmetricMode": True})
+            for attr in ("perm_r", "perm_c"):
+                assert np.array_equal(getattr(got, attr),
+                                      getattr(unpivoted, attr)), name
+            for attr in ("L", "U"):
+                assert getattr(got, attr).data.tobytes() == \
+                    getattr(unpivoted, attr).data.tobytes(), name
 
 
 def split_blocks(K, n_fields):
@@ -722,18 +795,17 @@ class TestNodeCholesky:
         with pytest.raises(ValueError, match="not square in blocks of 3"):
             node_cholesky(A, 3, np.arange(5))
 
-    def test_store_beyond_physical_memory_leaves_the_ladder(self,
-                                                            monkeypatch):
+    def test_store_beyond_physical_memory_skips_the_lu(self, monkeypatch):
         # the factor's size is known before its store is allocated; a
-        # store the machine cannot hold is an AssemblyError, and no
-        # later rung tries to factor the block
+        # store the machine cannot hold is an AssemblyError, and the LU
+        # does not try to factor the block
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         monkeypatch.setattr(pc, "physical_memory", lambda: 1000)
         system = TestFieldSplit.vem_operators("fullyCoupled").system(0.1)
         with pytest.raises(pa.AssemblyError, match="physical memory"):
             system.factorize()
         assert system.solver_stats["path"] == "split"
-        assert system._lu is None and system._split is None
+        assert system._factors is None
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_physical_memory_reads_the_cgroup_limit(self, tmp_path,
@@ -1029,5 +1101,5 @@ class TestScaledBlocks:
         assert system.solver_stats["lu_nnz"] == [f.nnz for f in factors]
         # equal entries; the split's store may hold -0.0 where the
         # negated blocks of -K_pp had zeros
-        for split, factor in zip(system._split[:2], factors):
+        for split, factor in zip(system._factors[:2], factors):
             assert np.array_equal(split._store, factor._store)

@@ -23,7 +23,8 @@ from polyvem.cli import CONFIG, ConfigError, config_digest, load_config, main
 from polyvem.homogenization import (GrainLayout, homogenize_vem,
                                     result_from_json, result_to_json)
 from polyvem.materials import (LATTICE_CLASSES, REQUIRED_PARAMETERS,
-                               builtin_library, format_library)
+                               StabilityWarning, builtin_library,
+                               format_library, isotropic_record)
 from polyvem.mesh import generate_voronoi, random_seeds, read_mesh
 
 from test_mesh import broken_native_texts, six_grain_texts
@@ -580,6 +581,31 @@ class TestHomogenizeCommand:
         assert digests[0] == digests[1]
         # --out and --workers cannot change a number, so the digest omits them
         assert digests[0] == config_digest(load_config(p))
+
+    @pytest.mark.parametrize("method", ["VEM-VO", "FEM-O1-refined(1)"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_indefinite_stiffness_solves_on_the_lu(self, tmp_path,
+                                                  monkeypatch, method, split):
+        # an isotropic stiffness with lambda = -3, mu = 1 (eigenvalues -7
+        # and 2): the LU solves it; with the split forced, the split's
+        # Cholesky factor refuses K_uu and hands the block to the LU
+        if split:
+            monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        lib = tmp_path / "indefinite.lib"
+        lib.write_text(format_library(
+            {"indefinite": isotropic_record("indefinite", -3.0, 1.0)}))
+        p = write_config(tmp_path / "c.ini", BASE.format(
+            n=8, names=f"indefinite\nlibrary = {lib}").replace(
+                "VEM-VO", method))
+        out = tmp_path / "h"
+        with pytest.warns(StabilityWarning, match="not positive definite"):
+            assert main(["homogenize", "--config", p, "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert max(result["hill_residuals"]) <= 1e-10
+        solver = json.loads((out / "run_diagnostics.json").read_text())[
+            "solver"]
+        assert solver["path"] == ("fallback" if split else "small")
+        assert len(solver["lu_nnz"]) == 1
 
     def test_split_costs_stay_in_diagnostics(self, tmp_path, monkeypatch):
         # the stores' bytes and the refinement's corrections are written

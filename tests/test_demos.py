@@ -30,6 +30,8 @@ def run_demo(script, tmp_path, *args):
     p.name for p in DEMOS.glob("0[1-4]_*.py")))
 def test_demo_runs(tmp_path, script):
     assert run_demo(DEMOS / script, tmp_path)
+    # a reference cache lives only as long as the demo
+    assert not list(tmp_path.glob("polyvem-ref-*"))
 
 
 def test_reference_timing_writes_and_compares(tmp_path):
