@@ -492,7 +492,7 @@ class TestFieldSplit:
         assert np.abs(np.vstack([u, p]) - exact).max() \
             <= 1e-12 * np.abs(exact).max()
 
-    def test_indefinite_block_pivots_off_the_diagonal(self):
+    def test_indefinite_block_takes_pivoted_rung(self):
         # the mechanical 2x2 [[eps, 1], [1, eps]] is nonsingular but not
         # quasi-definite: its tiny diagonal pivot falls below the
         # threshold, so the LU pivots off the diagonal and the solve
@@ -795,7 +795,8 @@ class TestNodeCholesky:
         with pytest.raises(ValueError, match="not square in blocks of 3"):
             node_cholesky(A, 3, np.arange(5))
 
-    def test_store_beyond_physical_memory_skips_the_lu(self, monkeypatch):
+    def test_store_beyond_physical_memory_leaves_the_ladder(self,
+                                                            monkeypatch):
         # the factor's size is known before its store is allocated; a
         # store the machine cannot hold is an AssemblyError, and the LU
         # does not try to factor the block
