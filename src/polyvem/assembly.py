@@ -557,19 +557,20 @@ class SparseSystem:
                 if self.deficient_cells else "")
         return AssemblyError(f"{message}{hint}")
 
-    def _solve_interior(self, rhs):
-        """(u_i, worst interior residual), by the split when it factored
-        the block; a split whose CG fails, or whose answer fails the
+    def _solve_interior(self, rhs, ub):
+        """(full solution, K @ full, worst interior residual) for the
+        boundary values `ub`, u_i by the split when it factored the
+        block; a split whose CG fails, or whose answer fails the
         residual gate, hands the block to the LU."""
         if not isinstance(self._factors, spla.SuperLU):
             ui = self._solve_split(rhs)
-            worst = np.inf if ui is None else self._worst_residual(ui, rhs)
-            if worst <= RESIDUAL_GATE:
-                return ui, worst
+            if ui is not None:
+                full, product, worst = self._gated(ui, ub, rhs)
+                if worst <= RESIDUAL_GATE:
+                    return full, product, worst
             self.solver_stats["path"] = "fallback"
             self._factor_whole()
-        ui = self._factors.solve(rhs)
-        return ui, self._worst_residual(ui, rhs)
+        return self._gated(self._factors.solve(rhs), ub, rhs)
 
     def _solve_split(self, rhs):
         """u_i by the split's Schur complement CG; None when the CG
@@ -589,19 +590,26 @@ class SparseSystem:
         return np.concatenate([u.reshape(-1, 3, m), p.reshape(-1, nf - 3, m)],
                               axis=1).reshape(rhs.shape)
 
-    def _worst_residual(self, ui, rhs) -> float:
-        """Largest interior residual |K_ii u_i + K_ib u_b| / |K_ib u_b|
-        over the columns with a nonzero right-hand side (NaN if any is):
-        K_ii u_i through K, K_ib u_b the negated right-hand side."""
-        z = np.zeros((self.dof_map.n_dofs, ui.shape[1]))
-        z[self._ii] = ui
-        return worst_residual((self.K @ z)[self._ii] - rhs, rhs)
+    def _gated(self, ui, ub, rhs):
+        """(full, K @ full, worst interior residual) of the full solution
+        of u_i and u_b: the largest |K_ii u_i + K_ib u_b| / |K_ib u_b|
+        over the columns with a nonzero right-hand side (NaN if any is),
+        read off the product's interior rows, so that one product with
+        K serves the gate and the energies."""
+        full = np.empty((self.dof_map.n_dofs, ub.shape[1]))
+        full[self._ii] = ui
+        full[self._ib] = ub
+        product = self.K @ full
+        return full, product, worst_residual(product[self._ii], rhs)
 
-    def solve_dirichlet(self, boundary_values: np.ndarray) -> np.ndarray:
+    def solve_dirichlet(self, boundary_values: np.ndarray,
+                        product: bool = False):
         """Full solution for prescribed boundary-dof values: (n_boundary,)
         gives (n_dofs,), and (n_boundary, n_cases) gives (n_dofs,
-        n_cases), every load case in one solve. A column that fails the
-        residual gate on the LU is an AssemblyError."""
+        n_cases), every load case in one solve. With `product`, returns
+        (solution, K @ solution), the product the residual gate read,
+        which `energy` takes. A column that fails the residual gate on
+        the LU is an AssemblyError."""
         if self._factors is None:
             self.factorize()
         ub = np.asarray(boundary_values, dtype=float)
@@ -613,7 +621,7 @@ class SparseSystem:
         if single:
             ub = ub[:, None]
         rhs = -(self._Kib @ ub)
-        ui, worst = self._solve_interior(rhs)
+        full, KU, worst = self._solve_interior(rhs, ub)
         if not worst <= RESIDUAL_GATE:
             raise self._failure(f"interior solve residual {worst:.3e} "
                                 f"exceeds {RESIDUAL_GATE:g}")
@@ -621,17 +629,17 @@ class SparseSystem:
         stats["max_interior_residual"] = max(
             stats["max_interior_residual"], worst)
         self.n_solves += ub.shape[1]
-        full = np.empty((self.dof_map.n_dofs, ub.shape[1]))
-        full[self._ii] = ui
-        full[self._ib] = ub
-        return full[:, 0] if single else full
+        if single:
+            full, KU = full[:, 0], KU[:, 0]
+        return (full, KU) if product else full
 
-    def energy(self, full_solution: np.ndarray):
+    def energy(self, full_solution: np.ndarray, product=None):
         """Quadratic form 0.5 u.K.u of a full solution: a float for a
         vector (n_dofs,), an array for the columns of (n_dofs, n_cases),
-        all columns by one sparse product."""
+        all columns by one sparse product, or none when `product`, K @ u
+        as `solve_dirichlet` returns it, is given."""
         U = np.asarray(full_solution, dtype=float)
-        KU = self.K @ U
+        KU = self.K @ U if product is None else product
         if U.ndim == 1:
             return 0.5 * float(U @ KU)
         # contiguous rows, so each dot sums as that of a single vector

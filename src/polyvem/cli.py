@@ -504,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="global RNG seed (derived seeds offset from it)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sweep points")
+                       help="processes for sweep points, this one "
+                            "included")
         p.add_argument("--verbose", action="store_true")
     return parser
 

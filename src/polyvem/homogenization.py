@@ -168,8 +168,10 @@ def _battery(system, intP, intL, coords, mesh, mode, method, beta,
     bnodes = dof_map.boundary_nodes
     values = np.stack([boundary_values(case, coords[bnodes], mode).ravel()
                        for case in range(1, n_cases + 1)], axis=1)
-    fulls = np.ascontiguousarray(system.solve_dirichlet(values).T)
-    micro = 2.0 * system.energy(fulls.T) / volume
+    full, product = system.solve_dirichlet(values, product=True)
+    micro = 2.0 * system.energy(full, product) / volume
+    del product
+    fulls = np.ascontiguousarray(full.T)
     for case, full in enumerate(fulls):
         states[case] = intP @ full / volume
         fluxes[case] = intL @ full / volume
@@ -219,6 +221,8 @@ class VemOperators:
     def _blended(self, beta):
         """(system, intP, intL) at weight beta: both parts share one
         pattern, so a weight blends only the values of summed blocks."""
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {beta}")
         n_parts = 1 if beta == 0.0 else 2
         if self._parts is None or len(self._parts[1]) < n_parts:
             cells, nf = range(len(self.mesh.cells)), self.dof_map.n_fields
@@ -240,9 +244,8 @@ class VemOperators:
         return self._blended(beta)[0]
 
     def evaluate(self, beta: float, material_names=()) -> HomogenizationResult:
-        """Effective modulus at stabilization weight `beta`."""
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {beta}")
+        """Effective modulus at stabilization weight `beta`; the parts
+        are kept for the next weight."""
         return _battery(*self._blended(beta), self.mesh.vertices, self.mesh,
                         self.mode, "VEM-VO", float(beta), material_names)
 
@@ -250,8 +253,12 @@ class VemOperators:
 def homogenize_vem(mesh: PolyMesh, moduli, beta: float = 0.1,
                    mode: str = "fullyCoupled",
                    material_names=()) -> HomogenizationResult:
-    """Effective modulus on the polyhedral mesh, one element per grain."""
-    return VemOperators(mesh, moduli, mode).evaluate(beta, material_names)
+    """Effective modulus on the polyhedral mesh, one element per grain.
+    The parts' node-pair blocks are freed once blended, before the
+    factorization."""
+    blended = VemOperators(mesh, moduli, mode)._blended(beta)
+    return _battery(*blended, mesh.vertices, mesh, mode, "VEM-VO",
+                    float(beta), material_names)
 
 
 # ---------------------------------------------------------------------------

@@ -419,10 +419,10 @@ def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
     Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
     grid order; the coarse linear-tet row is the beta = 1 blend, which
     the chunks evaluate even when it is off the grid. The weights are cut
-    into up to `workers` contiguous chunks, one pool task each, `workers`
-    capped at the CPUs this process may run on. A dict `solver` receives
-    the counters of each grid point under its `beta_key` and of the
-    coarse row under "FEM-O1-coarse".
+    into up to `workers` contiguous chunks, one `_pool_map` task each,
+    the first in this process, `workers` capped at the CPUs this process
+    may run on. A dict `solver` receives the counters of each grid point
+    under its `beta_key` and of the coarse row under "FEM-O1-coarse".
     """
     weights = _with_weight(beta_grid, 1.0)
     # built here, so every payload's mesh carries them
@@ -502,14 +502,29 @@ def usable_workers(workers: int) -> int:
 
 
 def _pool_map(task, payloads, workers: int) -> list:
-    """task(*args) for each args tuple of payloads, in order: in a pool of
-    up to `workers` processes, or here when workers <= 1 or there is at
-    most one payload."""
-    if workers <= 1 or len(payloads) <= 1:
+    """task(*args) for each args tuple of payloads, in order, on up to
+    `workers` processes, this one included: it runs every n-th payload
+    from the first, n = min(workers, payloads), while a pool of n - 1
+    processes maps the rest. All run here when n <= 1. A task that
+    raises ends the call with its exception; no pool process outlives
+    the call."""
+    n = min(workers, len(payloads))
+    if n <= 1:
         return [task(*args) for args in payloads]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(task, *zip(*payloads)))
+    results = [None] * len(payloads)
+    theirs = [k for k in range(len(payloads)) if k % n]
+    with ProcessPoolExecutor(max_workers=n - 1) as pool:
+        try:
+            pending = pool.map(task, *zip(*(payloads[k] for k in theirs)))
+            results[::n] = [task(*args) for args in payloads[::n]]
+            for k, result in zip(theirs, pending):
+                results[k] = result
+        except BaseException:
+            # tasks not yet started are dropped, not waited for
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -306,17 +306,35 @@ class TestFieldSplit:
         U = system.solve_dirichlet(ub)
         assert system.solver_stats["path"] == ("split" if split else "small")
         ii = system.dof_map.interior_dofs
-        z = np.zeros_like(U)
-        z[ii] = U[ii]
         rhs = -(system._Kib @ ub)
-        assert system.solver_stats["max_interior_residual"] == \
-            pc.worst_residual((K @ z)[ii] - rhs, rhs)
         KU = K @ U
+        # the gate reads K_ii u_i + K_ib u_b off the product's interior rows
+        assert system.solver_stats["max_interior_residual"] == \
+            pc.worst_residual(KU[ii], rhs)
         assert np.array_equal(system.energy(U), 0.5 * np.array(
             [u @ ku for u, ku in zip(np.ascontiguousarray(U.T),
                                      np.ascontiguousarray(KU.T))]))
         assert system.energy(U[:, 0]) == \
             0.5 * float(U[:, 0] @ (K @ U[:, 0]))
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_battery_multiplies_k_once(self, monkeypatch, split):
+        # the residual gate's product with K also gives the energies
+        if split:
+            monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        products = []
+        multiply = sp.bsr_matrix._matmul_multivector
+
+        def counting(self, other):
+            products.append((self.shape, other.shape))
+            return multiply(self, other)
+
+        monkeypatch.setattr(sp.bsr_matrix, "_matmul_multivector", counting)
+        result = self.vem_operators("fullyCoupled").evaluate(0.1)
+        assert result.solver_stats["path"] == ("split" if split else "small")
+        # the split's CG multiplies its own, smaller blocks
+        n = result.n_dofs
+        assert [p for p in products if p[0] == (n, n)] == [((n, n), (n, 12))]
 
     def test_singular_block_falls_back_and_names_cells(self, monkeypatch):
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
@@ -572,9 +590,10 @@ class TestFieldSplit:
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         split = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
 
-        def dense(self, rhs):
+        def dense(self, rhs, ub):
             ii = self._ii
-            return np.linalg.solve(self.K.toarray()[np.ix_(ii, ii)], rhs), 0.0
+            ui = np.linalg.solve(self.K.toarray()[np.ix_(ii, ii)], rhs)
+            return *self._gated(ui, ub, rhs)[:2], 0.0
         monkeypatch.setattr(pa.SparseSystem, "_solve_interior", dense)
         exact = ph.homogenize_vem(mesh, moduli, beta=0.1, mode=mode)
         assert split.solver_stats["path"] == "split"

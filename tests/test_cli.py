@@ -4,6 +4,7 @@ determinism, and worker parallelism."""
 import csv
 import glob
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -701,6 +702,17 @@ class TestStudyCommand:
                                   "max_interior_residual"}
             assert stats["path"] == "small"
             assert stats["max_interior_residual"] <= 1e-10
+
+    def test_beta_sweep_leaves_no_worker_process(self, tmp_path,
+                                                 monkeypatch):
+        # two processes, this one included, whatever this host's CPU
+        # count: the pool's one process is joined before the study ends
+        monkeypatch.setattr(study, "usable_workers", lambda workers: workers)
+        p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
+            kind="beta-sweep", beta_step=0.25, cache=tmp_path / "cache"))
+        assert main(["study", "--config", p, "--out", str(tmp_path / "s"),
+                     "--workers", "2"]) == 0
+        assert multiprocessing.active_children() == []
 
     def test_beta_grid_stops_at_one(self, tmp_path):
         p = write_config(tmp_path / "c.ini", STUDY_BASE.format(

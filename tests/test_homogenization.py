@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -516,6 +517,31 @@ class TestSharedOperators:
             operators.evaluate(beta)
             counts.append(len(calls))
         assert counts == [0, len(mesh.cells), len(mesh.cells)]
+
+    def test_one_shot_frees_the_parts_before_factoring(self, monkeypatch):
+        # homogenize_vem holds no part's node-pair blocks through the
+        # factorization; VemOperators keeps them for the next weight
+        mesh = voronoi_mesh(8, seed=31)
+        moduli, _ = table_moduli(mesh, ["BaTiO3", "CoFe2O4"], seed=7)
+        parts, alive = [], []
+        assemble, factorize = ph.assemble_parts, pa.SparseSystem.factorize
+
+        def kept(*args):
+            pattern, sums = assemble(*args)
+            parts.extend(weakref.ref(blocks) for blocks, _, _ in sums)
+            return pattern, sums
+
+        def checked(self):
+            alive.append([ref() is not None for ref in parts])
+            return factorize(self)
+
+        monkeypatch.setattr(ph, "assemble_parts", kept)
+        monkeypatch.setattr(pa.SparseSystem, "factorize", checked)
+        one_shot = ph.homogenize_vem(mesh, moduli, beta=0.1)
+        operators = ph.VemOperators(mesh, moduli)
+        swept = operators.evaluate(0.1)
+        assert alive == [[False, False], [False, False, True, True]]
+        assert one_shot.effective.tobytes() == swept.effective.tobytes()
 
 
 

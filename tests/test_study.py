@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -548,8 +549,9 @@ class TestBetaSweep:
         assert sorted(calls) == list(range(len(mesh.cells)))
 
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
-        # 1000 workers on a 1000-point grid or 901 fractions start as many
-        # processes as this process may run on (3 here), no more
+        # 1000 workers on a 1000-point grid or 901 fractions run on as
+        # many processes as this process may run on (3 here), no more:
+        # a pool of 2, and this process as the third
         started = []
 
         class FakePool:
@@ -588,7 +590,7 @@ class TestBetaSweep:
         fractions = ps.fraction_grid(0.001)
         assert ps.fraction_sweep(mesh, LIB, fractions, 0, (0.5,),
                                  workers=1000) == list(fractions)
-        assert started == [3, 3]
+        assert started == [2, 2]
 
     def test_beta_opt_picks_minimum(self):
         curve = [(0.1, {"G": 3.0}), (0.2, {"G": -1.0}), (0.3, {"G": 2.0})]
@@ -601,6 +603,51 @@ class TestBetaSweep:
     def test_beta_opt_empty_curve(self):
         with pytest.raises(ps.StudyError, match="empty"):
             ps.beta_opt([])
+
+
+def _square_here(k):
+    """Pool task: k squared, and the process that computed it."""
+    return k * k, os.getpid()
+
+
+def _fail_at(k, bad):
+    """Pool task that raises for payload `bad`."""
+    if k == bad:
+        raise ValueError(f"task {k} failed")
+    return k
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_results_come_back_in_order(self, workers, n):
+        payloads = [(k,) for k in range(n)]
+        results = ps._pool_map(_square_here, payloads, workers)
+        assert [r for r, _ in results] == [k * k for k in range(n)]
+        # this process ran every n-th payload from the first, and only
+        # those: ceil(n / workers) of them
+        here = [k for k, (_, pid) in enumerate(results)
+                if pid == os.getpid()]
+        assert here == list(range(0, n, min(workers, n)))
+        assert len(here) == -(-n // workers)
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_or_one_payload_runs_here(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        assert ps._pool_map(_square_here, [(2,), (3,)], 1) == \
+            [(4, os.getpid()), (9, os.getpid())]
+        assert ps._pool_map(_square_here, [(2,)], 4) == [(4, os.getpid())]
+        assert ps._pool_map(_square_here, [], 4) == []
+
+    @pytest.mark.parametrize("bad", [0, 1, 3])  # here, a worker, here
+    def test_a_failing_task_propagates_and_leaves_no_process(self, bad):
+        with pytest.raises(ValueError, match=f"task {bad} failed"):
+            ps._pool_map(_fail_at, [(k, bad) for k in range(6)], 3)
+        assert multiprocessing.active_children() == []
 
 
 class TestMethodComparison:
