@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cholesky import NodeCholesky, NodeSymbolic, worst_residual
+from .cholesky import (NodeCholesky, NodeSymbolic, NotPositiveDefinite,
+                       worst_residual)
 from .element_fem import FIELD_COUNT, gauss_stiffness, state_size
 
 __all__ = ["AssemblyError", "DofMap", "SparseSystem", "BlockPattern",
@@ -100,6 +101,7 @@ class BlockPattern:
         self.n_nodes, self.n_fields = n_nodes, n_fields
         self._keys = keys                    # column node * n_nodes + row node
         self.cols, self.rows = np.divmod(keys, n_nodes)
+        self._interiors = {}
 
     @classmethod
     def of_elements(cls, groups, n_nodes: int, n_fields: int):
@@ -127,6 +129,15 @@ class BlockPattern:
     def indptr(self) -> np.ndarray:
         """Start of each column node's pairs (n_nodes + 1,)."""
         return np.searchsorted(self.cols, np.arange(self.n_nodes + 1))
+
+    def interior(self, boundary_nodes: np.ndarray) -> "_Interior":
+        """The interior of the pattern off the sorted, unique
+        `boundary_nodes` with its node order, made at the first call for
+        those nodes and kept for every system on the pattern."""
+        key = np.asarray(boundary_nodes, dtype=np.int64).tobytes()
+        if key not in self._interiors:
+            self._interiors[key] = _Interior(self, boundary_nodes)
+        return self._interiors[key]
 
 
 def add_blocks(blocks: np.ndarray, positions: np.ndarray,
@@ -265,22 +276,24 @@ def assemble(elements, dof_map: DofMap) -> "SparseSystem":
 
 
 # Interior dofs from which `factorize` splits the block (docs/fem.md):
-# set when block MINRES coupled the split. Since its stores are single
-# precision the split loses to the whole block below about 5,000 dofs
-# and wins at 15,468; the measured crossover lies between.
+# set when block MINRES coupled the split. Against the node-ordered
+# whole-block LU the single-precision split loses on every block
+# measured up to 6,765 dofs and wins at 15,468; the crossover lies
+# between.
 SPLIT_MIN_DOFS = 10000
 CG_RTOL = 1e-14              # per column, preconditioned residual
 CG_MAXITER = 100
 RESIDUAL_GATE = 1e-10        # per column, interior residual
 PIVOT_THRESHOLD = 0.1        # SuperLU's diag_pivot_thresh (docs/fem.md)
 
-# The one SuperLU setting, of every whole-block factor and of the split's
-# ordering: minimum degree on the pattern of A + A^T, diagonal pivots
-# while they hold PIVOT_THRESHOLD of their column's largest entry, and
+# The one SuperLU setting of every whole-block factor. The block comes
+# in the node order of its pattern (`_Interior`), which SuperLU keeps
+# (NATURAL, up to a postorder of the elimination tree); diagonal pivots
+# while they hold PIVOT_THRESHOLD of their column's largest entry; and
 # relax=1, which merges no elimination subtree into a relaxed supernode
 # (scipy's default relaxation stores half again as many entries on the
 # level-2 reference's whole block).
-_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=PIVOT_THRESHOLD,
+_SUPERLU = dict(permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
                 relax=1, options={"SymmetricMode": True})
 
 
@@ -295,20 +308,79 @@ def _symmetric_lu(block):
 
 
 def _min_degree_order(block) -> np.ndarray:
-    """The column order `_symmetric_lu` gives a block, read from an
-    incomplete factor that drops almost every entry: SuperLU chooses the
-    order before any numeric work, so this costs a fraction of the
+    """SuperLU's minimum-degree column order on the pattern of A + Aᵀ
+    (MMD_AT_PLUS_A, postordered by its elimination tree), read from an
+    incomplete factor that drops almost every entry: SuperLU chooses
+    the order before any numeric work, so this costs a fraction of the
     complete factor."""
     return spla.spilu(block, drop_tol=0.99, fill_factor=1,
-                      **_SUPERLU).perm_c
+                      **dict(_SUPERLU, permc_spec="MMD_AT_PLUS_A")).perm_c
 
 
 def _node_order(perm_c, per_node: int) -> np.ndarray:
     """Nodes in the order a SuperLU column permutation eliminates their
-    first dof (node-major dofs, `per_node` per node)."""
-    nodes = np.argsort(perm_c) // per_node
-    _, first = np.unique(nodes, return_index=True)
-    return nodes[np.sort(first)]
+    first dof (node-major dofs, `per_node` per node). perm_c[j] is the
+    step that eliminates dof j, so each node's first step is the least
+    of its dofs', and the nodes are ranked by it with no sort."""
+    first = np.asarray(perm_c).reshape(-1, per_node).min(axis=1)
+    at = np.full(len(perm_c), -1, dtype=np.int64)
+    at[first] = np.arange(len(first))
+    return at[at >= 0]
+
+
+class _Interior:
+    """The interior of a `BlockPattern` off one set of boundary nodes,
+    and the order in which every factor on the pattern eliminates its
+    nodes (`BlockPattern.interior` keeps one per set).
+
+    `label` ranks each node among the interior or the boundary nodes.
+    `order` lists the interior nodes (by rank) in elimination order: the
+    minimum-degree order of the interior node graph, one column per
+    node (Ashcraft, SISC 16 (1995) 1404, orders such compressed
+    graphs), and `position` is its inverse. `pairs` are the interior
+    node pairs by (column, row) in that order, from which the whole
+    block is built in node order; sorted, they run in the pattern's
+    order. `coupling` holds the pairs of an interior row node and a
+    boundary column node.
+    """
+
+    def __init__(self, pattern: BlockPattern, boundary_nodes):
+        is_inner = np.ones(pattern.n_nodes, dtype=bool)
+        is_inner[boundary_nodes] = False
+        inner = np.flatnonzero(is_inner)
+        n = len(inner)
+        self.label = np.empty(pattern.n_nodes, dtype=np.int64)
+        self.label[inner] = np.arange(n)
+        self.label[boundary_nodes] = np.arange(len(boundary_nodes))
+        row_in, col_in = is_inner[pattern.rows], is_inner[pattern.cols]
+        pairs = np.flatnonzero(row_in & col_in)
+        self.coupling = np.flatnonzero(row_in & ~col_in)
+        # the pattern's arrays, not the pattern, which keeps this
+        self._nodes = pattern.rows, pattern.cols
+        rows, cols = self.ranks(pairs)
+        self.order = np.arange(n)
+        if n:
+            # only the pattern counts; a diagonal on every node, also one
+            # that no pair couples, keeps the incomplete factor off zero
+            # pivots
+            off = rows != cols
+            r = np.concatenate([rows[off], self.order])
+            c = np.concatenate([cols[off], self.order])
+            by_col = np.argsort(c * n + r)
+            r, c = r[by_col], c[by_col]
+            graph = sp.csc_matrix(
+                (np.where(r == c, float(n), -1.0), r,
+                 np.searchsorted(c, np.arange(n + 1))), shape=(n, n))
+            self.order = _node_order(_min_degree_order(graph), 1)
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = np.arange(n)
+        self.pairs = pairs[np.argsort(self.position[cols] * n
+                                      + self.position[rows])]
+
+    def ranks(self, pairs):
+        """(row labels, column labels) of the node pairs `pairs`."""
+        rows, cols = self._nodes
+        return self.label[rows[pairs]], self.label[cols[pairs]]
 
 
 def _csc_of_blocks(rows, cols, blocks, n_rows: int,
@@ -440,43 +512,34 @@ class SparseSystem:
         self.solver_stats = {}
 
     def _pair_blocks(self, pairs):
-        """(row labels, column labels, blocks) of K at the node pairs
-        `pairs`, each block transposed and gathered contiguously, each
-        node labelled by its rank among the interior or the boundary
-        nodes."""
+        """K's blocks at the node pairs `pairs`, each transposed and
+        gathered contiguously."""
         nf = self.dof_map.n_fields
-        p = self.pattern
-        rows, cols = p.rows[pairs], p.cols[pairs]
         # K's block at pair k is its mirror pair's row block; mode "clip"
         # lets take write into `out` unbuffered (the indices are in range)
         blocks = np.empty((len(pairs), nf, nf))
-        np.take(self.K.data.transpose(0, 2, 1), p.mirror[pairs], axis=0,
-                out=blocks, mode="clip")
-        return self._label[rows], self._label[cols], blocks
+        np.take(self.K.data.transpose(0, 2, 1), self.pattern.mirror[pairs],
+                axis=0, out=blocks, mode="clip")
+        return blocks
 
     def factorize(self):
         """Factor the interior block once; reused by every solve.
 
         The interior and interior-boundary blocks are cut out of the
-        node pairs by node masks. From SPLIT_MIN_DOFS interior dofs on,
-        the two sign-definite diagonal blocks are factored instead of
-        the whole block. A split that fails to factor, or whose solve
-        fails, hands the block to the LU of the whole block; a failure
-        of the LU is final.
+        node pairs of the pattern's interior (`BlockPattern.interior`),
+        whose node order every factor takes. From SPLIT_MIN_DOFS
+        interior dofs on, the two sign-definite diagonal blocks are
+        factored instead of the whole block. A split that meets a
+        nonpositive pivot, or whose solve fails, hands the block to the
+        LU of the whole block; a failure of the LU is final.
         """
         dm = self.dof_map
-        inner, bound = dm.interior_nodes, dm.boundary_nodes
-        self._label = np.empty(dm.n_nodes, dtype=np.int64)
-        self._label[inner] = np.arange(len(inner))
-        self._label[bound] = np.arange(len(bound))
-        is_inner = np.zeros(dm.n_nodes, dtype=bool)
-        is_inner[inner] = True
-        row_in, col_in = (is_inner[self.pattern.rows],
-                          is_inner[self.pattern.cols])
-        self._inner_pairs = np.flatnonzero(row_in & col_in)
-        self._Kib = _csc_of_blocks(
-            *self._pair_blocks(np.flatnonzero(row_in & ~col_in)),
-            len(inner), len(bound))
+        self._interior = self.pattern.interior(dm.boundary_nodes)
+        coupling = self._interior.coupling
+        self._Kib = _csc_of_blocks(*self._interior.ranks(coupling),
+                                   self._pair_blocks(coupling),
+                                   len(dm.interior_nodes),
+                                   len(dm.boundary_nodes))
         self._ii, self._ib = dm.interior_dofs, dm.boundary_dofs
         self._factors = None
         # an empty block takes the LU, whatever SPLIT_MIN_DOFS says
@@ -488,7 +551,7 @@ class SparseSystem:
         if large:
             try:
                 self._factor_split()
-            except RuntimeError:
+            except NotPositiveDefinite:
                 self.solver_stats["path"] = "fallback"
             except MemoryError as exc:      # too large for the LU too
                 raise self._failure(f"factorization failed: {exc}") from exc
@@ -498,8 +561,8 @@ class SparseSystem:
         return self
 
     def _factor_whole(self):
-        """Factor the whole interior block by `_symmetric_lu`;
-        AssemblyError when that fails."""
+        """Factor the whole interior block, in node order, by
+        `_symmetric_lu`; AssemblyError when that fails."""
         block = self._interior_block()
         try:
             lu = _symmetric_lu(block)
@@ -517,27 +580,26 @@ class SparseSystem:
         The block is symmetric quasi-definite, so both are positive
         definite, and both come in node blocks over the same interior
         nodes: 3 dofs per node for K_uu, n_fields - 3 for C. One symbolic
-        step on the interior node pairs that hold a nonzero of either
-        serves both supernodal Cholesky factors. Its node order is C's
-        minimum-degree order, read as nodes by first appearance. Each
-        factor keeps its float64 sub-blocks as its `matrix`, which its
-        refinement and the CG's products with C read; K_up is kept as
-        CSC with exact zeros dropped. The sub-block copies are cut and
-        the pair blocks freed before either store is allocated.
+        step on the interior node pairs that hold a nonzero of either,
+        in the node order of the pattern's interior, serves both
+        supernodal Cholesky factors. Each factor keeps its float64
+        sub-blocks as its `matrix`, which its refinement and the CG's
+        products with C read; K_up is kept as CSC with exact zeros
+        dropped. The sub-block copies are cut and the pair blocks freed
+        before either store is allocated.
         """
         nf = self.dof_map.n_fields
         n = len(self._ii) // nf
-        rows, cols, blocks = self._pair_blocks(self._inner_pairs)
+        pairs = np.sort(self._interior.pairs)
+        rows, cols = self._interior.ranks(pairs)
+        blocks = self._pair_blocks(pairs)
         pp = -blocks[:, 3:, 3:]
         B = _csc_of_blocks(rows, cols, blocks[:, 3:, :3], n, n)
         keep = blocks[:, :3, :3].any(axis=(1, 2)) | pp.any(axis=(1, 2))
         uu, pp, rows, cols = blocks[keep, :3, :3], pp[keep], rows[keep], \
             cols[keep]
         del blocks, keep
-        # C as CSC for its ordering only; the pairs dropped above hold
-        # zeros of C, which the CSC drops anyway
-        order = _min_degree_order(_csc_of_blocks(rows, cols, pp, n, n))
-        symbolic = NodeSymbolic(rows, cols, _node_order(order, nf - 3))
+        symbolic = NodeSymbolic(rows, cols, self._interior.order)
         symbolic.check_memory(3, nf - 3)
         chol_u = NodeCholesky(uu, rows, cols, symbolic)
         chol_p = NodeCholesky(pp, rows, cols, symbolic)
@@ -546,11 +608,16 @@ class SparseSystem:
         self.solver_stats["factor_bytes"] = [chol_u.nbytes, chol_p.nbytes]
 
     def _interior_block(self):
-        """The interior block as sorted CSC, built from the node pairs
-        (and the split freed), so every factor reads the same arrays."""
+        """The interior block as sorted CSC in the node order of the
+        pattern's interior, built from its node pairs in that order (and
+        the split freed), so every factor reads the same arrays."""
         self._factors = None
-        n = len(self._ii) // self.dof_map.n_fields
-        return _csc_of_blocks(*self._pair_blocks(self._inner_pairs), n, n)
+        interior = self._interior
+        rows, cols = (interior.position[x]
+                      for x in interior.ranks(interior.pairs))
+        n = len(interior.order)
+        return _csc_of_blocks(rows, cols, self._pair_blocks(interior.pairs),
+                              n, n)
 
     def _failure(self, message: str) -> AssemblyError:
         hint = (f"; under-stabilized cells: {list(self.deficient_cells)}"
@@ -570,7 +637,17 @@ class SparseSystem:
                     return full, product, worst
             self.solver_stats["path"] = "fallback"
             self._factor_whole()
-        return self._gated(self._factors.solve(rhs), ub, rhs)
+        return self._gated(self._solve_whole(rhs), ub, rhs)
+
+    def _solve_whole(self, rhs):
+        """u_i by the whole block's LU, whose dofs come in node order."""
+        order, m = self._interior.order, rhs.shape[1]
+        nf = self.dof_map.n_fields
+        x = self._factors.solve(
+            rhs.reshape(-1, nf, m)[order].reshape(rhs.shape))
+        ui = np.empty((len(order), nf, m))
+        ui[order] = x.reshape(ui.shape)
+        return ui.reshape(rhs.shape)
 
     def _solve_split(self, rhs):
         """u_i by the split's Schur complement CG; None when the CG

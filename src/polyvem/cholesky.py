@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import spftrf, stfsm
 
-__all__ = ["NodeCholesky", "NodeSymbolic", "physical_memory",
-           "worst_residual"]
+__all__ = ["NodeCholesky", "NodeSymbolic", "NotPositiveDefinite",
+           "physical_memory", "worst_residual"]
 
 # A child supernode merges into its parent when the merged supernode has
 # at most AMALGAMATE_NODES nodes or at most AMALGAMATE_ZEROS of its
@@ -50,6 +50,10 @@ REFINE_FALL = 0.1
 # a pass alone serves when this many times its expected error meets the
 # bound
 PASS_MARGIN = 10.0
+
+
+class NotPositiveDefinite(RuntimeError):
+    """A Cholesky factor met a pivot that is not positive."""
 
 
 def _postorder(parent: np.ndarray) -> np.ndarray:
@@ -319,7 +323,7 @@ class NodeCholesky:
 
     Only the lower triangle in the final order is read, and rounded to
     float32 as it is scattered into the store. A nonpositive pivot
-    raises RuntimeError, a store beyond physical memory MemoryError
+    raises NotPositiveDefinite, a store beyond physical memory MemoryError
     before it is allocated. `nnz` counts the stored entries of L: the
     lower triangle of each supernode's diagonal block and its rows
     below, merge zeros included; `nbytes` is the store's size.
@@ -437,8 +441,9 @@ class NodeCholesky:
             L21 = store[o + h:o + h + k * m].reshape(m, k, order="F")
             _, info = spftrf(k, L11, uplo="L", overwrite_a=1)
             if info != 0:
-                raise RuntimeError(f"supernodal Cholesky: pivot {info} of "
-                                   f"supernode {t} is not positive")
+                raise NotPositiveDefinite(
+                    f"supernodal Cholesky: pivot {info} of supernode {t} is "
+                    f"not positive")
             lo = b * int(first[t])
             self._plan.append((L11, L21, lo, lo + k, rows))
             if not len(rows):

@@ -198,6 +198,19 @@ class TestSolve:
         with pytest.raises(pa.AssemblyError, match=r"\[3\]"):
             system.factorize()
 
+    def test_node_no_pair_couples_is_a_singular_block(self):
+        # interior node 1 has no entry, so the node graph has no pair
+        # there: the node order still takes it, and the LU names the
+        # singular block
+        dm = pa.DofMap(3, [2], "electroMech")
+        rows = np.r_[0:4, 8:12, 0:4, 8:12]
+        cols = np.r_[0:4, 8:12, 8:12, 0:4]
+        vals = np.r_[[4.0, 4, 4, -4], [4.0, 4, 4, -4], [1.0] * 8]
+        system = pa.system_from_triplets(rows, cols, vals, dm)
+        with pytest.raises(pa.AssemblyError, match="singular"):
+            system.factorize()
+        assert sorted(system._interior.order) == [0, 1]
+
     def test_wrong_boundary_value_count(self):
         mesh = voronoi_mesh(1)
         G = random_modulus(5, RNG)
@@ -467,12 +480,17 @@ class TestFieldSplit:
                                       "magnetoMech"])
     def test_incomplete_factor_orders_as_the_complete_one(self, monkeypatch,
                                                           mode):
+        # the order of the interior node graph, the one every factor on
+        # the pattern takes, is that of the complete factor of the graph
         monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
         system = self.vem_operators(mode).system(0.1).factorize()
-        nf = system.dof_map.n_fields
-        for block in split_blocks(sliced_oracle(system)[0], nf):
-            assert np.array_equal(pa._min_degree_order(block),
-                                  pa._symmetric_lu(block).perm_c)
+        graph = node_graph(system)
+        complete = spla.splu(graph, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=pa.PIVOT_THRESHOLD, relax=1,
+                             options={"SymmetricMode": True})
+        assert np.array_equal(pa._min_degree_order(graph), complete.perm_c)
+        assert np.array_equal(system._interior.order,
+                              pa._node_order(complete.perm_c, 1))
 
     def test_batched_cg_equals_single_columns_without_warnings(self):
         # a zero column, a column that starts solved, one whose Schur
@@ -656,8 +674,9 @@ class TestFieldSplit:
 
 
 class TestWholeBlockLU:
-    """Every whole block takes one SuperLU setting, with threshold
-    pivoting; on quasi-definite blocks it keeps every diagonal pivot."""
+    """Every whole block takes one SuperLU setting, in the node order of
+    its pattern, with threshold pivoting; on quasi-definite blocks it
+    keeps every diagonal pivot."""
 
     @staticmethod
     def systems(mode):
@@ -679,18 +698,79 @@ class TestWholeBlockLU:
     @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
                                       "magnetoMech"])
     def test_threshold_pivoting_moves_no_number(self, mode):
+        # the factor a system keeps, of its node-ordered block: each
+        # pivot on the diagonal, and the bits of the unpivoted factor
         for name, system in self.systems(mode).items():
-            block = system.factorize()._interior_block()
-            got = pa._symmetric_lu(block)
-            unpivoted = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
-                                  diag_pivot_thresh=0.0, relax=1,
-                                  options={"SymmetricMode": True})
+            got = system.factorize()._factors
+            assert system.solver_stats["path"] == "small", name
+            assert np.array_equal(got.perm_r, got.perm_c), name
+            unpivoted = spla.splu(system._interior_block(),
+                                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                  relax=1, options={"SymmetricMode": True})
             for attr in ("perm_r", "perm_c"):
                 assert np.array_equal(getattr(got, attr),
                                       getattr(unpivoted, attr)), name
             for attr in ("L", "U"):
                 assert getattr(got, attr).data.tobytes() == \
                     getattr(unpivoted, attr).data.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["fullyCoupled", "electroMech",
+                                      "magnetoMech"])
+    def test_solutions_match_spsolve(self, mode):
+        # norm-wise: on the fully coupled tet blocks spsolve itself is
+        # 1e-12 off a dense solve in its largest entry
+        rng = np.random.default_rng(3)
+        for name, system in self.systems(mode).items():
+            dm = system.dof_map
+            ub = rng.normal(size=(len(dm.boundary_dofs), 3))
+            got = system.solve_dirichlet(ub)[dm.interior_dofs]
+            Kii, Kib = sliced_oracle(system)
+            expected = spla.spsolve(Kii, -(Kib @ ub))
+            assert np.linalg.norm(got - expected) \
+                <= 1e-12 * np.linalg.norm(expected), name
+
+    def test_positive_weights_order_the_pattern_once(self, monkeypatch):
+        # the β > 0 systems of one VemOperators share one pattern, and
+        # with it the ordering pass
+        calls = []
+        order = pa._min_degree_order
+
+        def counting(block):
+            calls.append(block.shape)
+            return order(block)
+
+        monkeypatch.setattr(pa, "_min_degree_order", counting)
+        operators = TestFieldSplit.vem_operators("fullyCoupled")
+        for beta in (0.1, 0.5, 1.0):
+            operators.evaluate(beta)
+        assert len(calls) == 1
+
+    def test_split_and_whole_block_read_one_node_order(self, monkeypatch):
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+        orders = []
+        symbolic = pa.NodeSymbolic
+
+        def recording(rows, cols, order):
+            orders.append(order)
+            return symbolic(rows, cols, order)
+
+        monkeypatch.setattr(pa, "NodeSymbolic", recording)
+        system = TestFieldSplit.vem_operators("fullyCoupled").system(0.1)
+        system.factorize()
+        assert system.solver_stats["path"] == "split"
+        assert len(orders) == 1 and orders[0] is system._interior.order
+        perm = pa.node_dofs(orders[0], system.dof_map.n_fields)
+        Kii = sliced_oracle(system)[0]
+        assert_same_bits(system._interior_block(), Kii[perm][:, perm])
+
+
+def node_graph(system):
+    """The interior node graph of a factored system as a matrix, one
+    column per interior node (by rank), with a dominant diagonal."""
+    rows, cols = system._interior.ranks(system._interior.pairs)
+    n = len(system._interior.order)
+    graph = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return (graph + 2 * n * sp.identity(n, format="csc")).tocsc()
 
 
 def split_blocks(K, n_fields):
@@ -852,6 +932,27 @@ class TestNodeCholesky:
         assert pc.physical_memory() == machine
         monkeypatch.setattr(pc, "SELF_CGROUP", str(tmp_path / "absent"))
         assert pc.physical_memory() == machine
+
+    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError,
+                                       pc.NotPositiveDefinite])
+    def test_only_a_nonpositive_pivot_leaves_the_split(self, monkeypatch,
+                                                       error):
+        # a fault in the split's code is raised, not solved around by the
+        # whole-block LU; a factor that meets a nonpositive pivot hands
+        # the block on
+        monkeypatch.setattr(pa, "SPLIT_MIN_DOFS", 0)
+
+        def failing(*args):
+            raise error("in the split")
+
+        monkeypatch.setattr(pa, "NodeCholesky", failing)
+        system = TestFieldSplit.vem_operators("electroMech").system(0.1)
+        if error is pc.NotPositiveDefinite:
+            assert isinstance(system.factorize()._factors, spla.SuperLU)
+            assert system.solver_stats["path"] == "fallback"
+        else:
+            with pytest.raises(error, match="in the split"):
+                system.factorize()
 
     def test_split_with_nonpositive_pivot_falls_back(self, monkeypatch):
         # an indefinite but nonsingular mechanical block: the split's
@@ -1096,7 +1197,10 @@ class TestScaledBlocks:
         if case == "all-boundary":
             assert Kii.shape == (0, 0)
         else:
-            assert_same_bits(system._interior_block(), Kii)
+            # the whole block comes in the node order of its interior
+            perm = pa.node_dofs(system._interior.order,
+                                system.dof_map.n_fields)
+            assert_same_bits(system._interior_block(), Kii[perm][:, perm])
 
     def test_fully_coupled_blocks_hold_exact_zeros(self):
         # the zero sub-blocks are stored in the node pairs but not in the
