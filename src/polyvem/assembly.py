@@ -193,6 +193,7 @@ def assemble_parts(parts, moduli, n_nodes: int, n_fields: int):
 
 
 SYMMETRY_AUDIT = 1e-12       # relative asymmetry of an assembled matrix
+AUDIT_PAIRS = 4096           # node pairs per chunk of the symmetry audit
 
 
 def _audit_symmetry(asymmetry: float, scale: float):
@@ -219,10 +220,13 @@ def system_from_blocks(pattern: BlockPattern, blocks: np.ndarray,
     # which is its mirror pair's block
     row_blocks = blocks[pattern.mirror]
     if blocks.size:
-        diff = row_blocks.transpose(0, 2, 1) - blocks
-        _audit_symmetry(max(diff.max(), -diff.min()),
-                        max(blocks.max(), -blocks.min()))
-        del diff
+        # a chunk of pairs at a time: no difference array of K's size
+        peaks = []
+        for lo in range(0, len(blocks), AUDIT_PAIRS):
+            diff = (row_blocks[lo:lo + AUDIT_PAIRS].transpose(0, 2, 1)
+                    - blocks[lo:lo + AUDIT_PAIRS])
+            peaks.append(max(diff.max(), -diff.min()))
+        _audit_symmetry(np.max(peaks), max(blocks.max(), -blocks.min()))
     return SparseSystem(pattern, row_blocks, dof_map, deficient_cells)
 
 

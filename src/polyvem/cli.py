@@ -370,7 +370,9 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
     t0 = time.perf_counter()
     library = load_library(cfg)
     names = material_names(cfg, library)
+    t_mesh = time.perf_counter()
     mesh = build_mesh(cfg)
+    wall = {"mesh": time.perf_counter() - t_mesh}
     layout = build_layout(cfg, library, names, len(mesh.cells))
     moduli = layout.moduli(library, mode)
     result = run_method(mesh, moduli, mode,
@@ -385,8 +387,8 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
                      mesh_digest=result.mesh_digest,
                      extra={"method": result.method, "mode": result.mode,
                             "n_dofs": result.n_dofs})
-    write_diagnostics(outdir, {"homogenize": time.perf_counter() - t0},
-                      solver=result.solver_stats)
+    wall["homogenize"] = time.perf_counter() - t0
+    write_diagnostics(outdir, wall, solver=result.solver_stats)
     if verbose:
         print(f"homogenize: {result.method} on {len(mesh.cells)} cells, "
               f"{result.n_dofs} dofs, max Hill residual "
@@ -415,9 +417,10 @@ def cmd_study(cfg: dict, verbose: bool) -> int:
         _checked("study", check_fraction_phases, library, run_mode, targets)
     else:
         names = material_names(cfg, library)
+    t_mesh = time.perf_counter()
     mesh = build_mesh(cfg)
+    wall = {"mesh": time.perf_counter() - t_mesh}
     outputs = []
-    wall = {}
     solver = None
     extra = {"kind": kind, "mode": mode}
 

@@ -365,7 +365,8 @@ def _wind_consistently(cell: PolyCell):
 
 
 # ---------------------------------------------------------------------------
-# Convex polyhedron clipping (working representation: local verts + loops)
+# Convex polyhedron clipping (working representation: per cell, local
+# verts, the face loops' ids end to end and the loops' sizes)
 # ---------------------------------------------------------------------------
 
 def _cube_poly(L: float):
@@ -380,71 +381,153 @@ def _cube_poly(L: float):
     return verts, faces
 
 
-def _clip_halfspace(verts, faces, normal, offset, eps):
-    """Clip convex polyhedron to {x : normal.x <= offset}.
+def _cyclic_next(sizes):
+    """Index of the next entry of each entry's loop, the last entry of a
+    loop wrapping to its first; `sizes` are the loops' lengths, in
+    order."""
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, sizes.sum() + 1)
+    full = sizes > 0
+    nxt[ends[full] - 1] = (ends - sizes)[full]
+    return nxt
 
-    Returns (verts, faces) or None when empty; the same objects when
-    nothing is cut. Watertight by keying edge intersections on the
-    original edge, so both adjacent faces receive the identical cut
-    point. Faces are lists of local vertex ids.
-    """
-    d = (verts @ normal - offset).tolist()
-    side = [1 if x > eps else -1 if x < -eps else 0 for x in d]
-    if 1 not in side:
-        return verts, faces
-    if -1 not in side:
+
+def _close_cap(pairs):
+    """Cap of the (b, a) pairs chained b -> a in a dict, each b taking
+    its last a: None for fewer than 3 keys, else the loop from the
+    first key."""
+    succ = dict(pairs)
+    if len(succ) < 3:
         return None
+    start = next(iter(succ))
+    cap = [start]
+    cur = succ[start]
+    while cur != start:
+        cap.append(cur)
+        if len(cap) > len(succ) or cur not in succ:
+            raise MeshError("open cap loop while clipping")
+        cur = succ[cur]
+    return cap
 
-    n_old = len(verts)
-    cut_cache = {}
-    cuts = []                              # (a, b, t) of each new point
 
-    def cut_point(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in cut_cache:
-            cut_cache[key] = n_old + len(cuts)
-            cuts.append((a, b, d[a] / (d[a] - d[b])))
-        return cut_cache[key]
+def _clip_cells(verts, n_verts, loops, sizes, n_faces, d, side):
+    """Clip k convex cells, each to its own half-space {x : d(x) <= 0}.
 
-    new_faces = []
-    for loop in faces:
-        out = []
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            if side[a] <= 0:
-                out.append(a)
-            if side[a] * side[b] < 0:
-                out.append(cut_point(a, b))
-        # drop consecutive duplicates
-        dedup = [v for j, v in enumerate(out) if v != out[j - 1]]
-        if len(dedup) >= 3:
-            new_faces.append(dedup)
+    Cell c has n_verts[c] of the rows of verts and n_faces[c] of the
+    faces, in cell order; a face is sizes[f] local vertex ids of loops.
+    d is each vertex's signed distance to its cell's plane and side its
+    sign, 0 within the tolerance. Every cell has vertices on both
+    sides. Returns the clipped cells in the same layout (verts,
+    n_verts, loops, sizes, n_faces) and a {cell: MeshError} of the
+    cells whose cap did not close.
 
-    # cap face: chain the on-plane edges of the clipped faces, reversed;
-    # on the plane are the cut points and the old vertices of side 0
-    succ = {}
-    for loop in new_faces:
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            if ((a >= n_old or side[a] == 0)
-                    and (b >= n_old or side[b] == 0)):
-                succ[b] = a
-    if len(succ) >= 3:
-        start = next(iter(succ))
-        cap = [start]
-        cur = succ[start]
-        while cur != start:
-            cap.append(cur)
-            if len(cap) > len(succ):
-                raise MeshError("open cap loop while clipping")
-            cur = succ[cur]
-        new_faces.append(cap)
+    Per cell this is the clip of one polyhedron. A face keeps, in order,
+    each vertex a of side <= 0 and then, if the edge from a to the next
+    vertex b crosses the plane, its cut point; an id equal to the one
+    before it (cyclically) is dropped, and so is a face left with fewer
+    than 3. Cut points follow the cell's old vertices, numbered in the
+    order the faces first cross their edges, each at a + t (b - a) with
+    t = d[a] / (d[a] - d[b]) in that first crossing's direction. The cap
+    chains the on-plane edges (a, b) of the kept faces as b -> a, from
+    the first such b and each b's last-seen a. Unused vertices go,
+    keeping the order of the rest.
+    """
+    k, n_old = len(n_verts), len(verts)
+    vcell = np.repeat(np.arange(k), n_verts)
+    vend = np.cumsum(n_verts)
+    fcell = np.repeat(np.arange(k), n_faces)
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    a = loops + (vend - n_verts)[fcell[face]]
+    b = a[_cyclic_next(sizes)]
+    cross = np.flatnonzero(side[a] * side[b] < 0)
+    lo, hi = np.minimum(a[cross], b[cross]), np.maximum(a[cross], b[cross])
+    _, first, inverse = np.unique(lo * n_old + hi, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    pa, pb = a[cross[np.sort(first)]], b[cross[np.sort(first)]]
+    n_cuts = np.bincount(vcell[pa], minlength=k)
+    # each cell's old vertices, then its cut points in rank order
+    old_at = np.arange(n_old) + (np.cumsum(n_cuts) - n_cuts)[vcell]
+    cut_at = np.arange(len(pa)) + vend[vcell[pa]]
+    new_verts = np.empty((n_old + len(pa), 3))
+    new_verts[old_at] = verts
+    t = d[pa] / (d[pa] - d[pb])
+    new_verts[cut_at] = verts[pa] + t[:, None] * (verts[pb] - verts[pa])
+    on_plane = np.ones(len(new_verts), dtype=bool)
+    on_plane[old_at] = side == 0
 
-    if cuts:
-        a, b, t = (np.array(col) for col in zip(*cuts))
-        verts = np.vstack([verts, verts[a] + t[:, None] * (verts[b] - verts[a])])
-    # compact unused vertices
-    used = sorted({v for loop in new_faces for v in loop})
-    remap = {v: i for i, v in enumerate(used)}
-    return verts[used], [[remap[v] for v in loop] for loop in new_faces]
+    # each face entry emits its vertex if kept, then its edge's cut point
+    slot = np.stack([old_at[a], np.zeros_like(a)], axis=1)
+    slot[cross, 1] = cut_at[rank[inverse]]
+    emit = np.stack([side[a] <= 0, np.zeros(len(a), dtype=bool)], axis=1)
+    emit[cross, 1] = True
+    out, out_face = slot[emit], np.repeat(face, emit.sum(axis=1))
+    count = np.bincount(out_face, minlength=len(sizes))
+    prev = np.empty(len(out), dtype=int)
+    prev[_cyclic_next(count)] = np.arange(len(out))
+    fresh = out != out[prev]
+    out, out_face = out[fresh], out_face[fresh]
+    count = np.bincount(out_face, minlength=len(sizes))
+    big = count[out_face] >= 3
+    out, out_face = out[big], out_face[big]
+    kept = np.flatnonzero(count >= 3)
+
+    # cap: the on-plane edges (a, b) of the kept faces chained b -> a; a
+    # cell whose pairs are one permutation is followed here, in numpy
+    nxt = out[_cyclic_next(count[kept])]
+    on = on_plane[out] & on_plane[nxt]
+    key, val, pair_cell = nxt[on], out[on], fcell[out_face[on]]
+    n_key = np.bincount(key, minlength=len(new_verts))
+    n_val = np.bincount(val, minlength=len(new_verts))
+    n_pairs = np.bincount(pair_cell, minlength=k)
+    odd = np.zeros(k, dtype=bool)
+    odd[pair_cell[(n_key[key] != 1) | (n_val[val] != 1)
+                  | (n_key[val] != 1)]] = True
+    capped = np.flatnonzero((n_pairs >= 3) & ~odd)
+    succ = np.zeros(len(new_verts), dtype=int)
+    succ[key] = val
+    chain = np.empty((len(capped), n_pairs[capped].max(initial=1)), dtype=int)
+    chain[:, 0] = key[(np.cumsum(n_pairs) - n_pairs)[capped]]
+    for s in range(1, chain.shape[1]):
+        chain[:, s] = succ[chain[:, s - 1]]
+    whole = np.arange(chain.shape[1]) < n_pairs[capped][:, None]
+    # back at its start early: more than one cycle
+    short = (whole & (chain == chain[:, :1]))[:, 1:].any(axis=1)
+    odd[capped[short]] = True
+    capped, chain, whole = capped[~short], chain[~short], whole[~short]
+    # the other cells take the dict chain of one cell at a time
+    cap_cell, cap_size, cap_ids = [capped], [n_pairs[capped]], [chain[whole]]
+    errors = {}
+    for c in np.flatnonzero(odd).tolist():
+        mine = pair_cell == c
+        try:
+            cap = _close_cap(zip(key[mine].tolist(), val[mine].tolist()))
+        except MeshError as exc:
+            errors[c] = exc
+            continue
+        if cap is not None:
+            cap_cell.append([c])
+            cap_size.append([len(cap)])
+            cap_ids.append(cap)
+
+    # every cell's kept faces, then its cap
+    face_cell = np.concatenate([fcell[kept], *cap_cell])
+    size = np.concatenate([count[kept], *cap_size])
+    ids = np.concatenate([out, *cap_ids])
+    order = np.argsort(face_cell, kind="stable")
+    start = (np.cumsum(size) - size)[order]
+    face_cell, size = face_cell[order], size[order]
+    ids = ids[np.repeat(start - (np.cumsum(size) - size), size)
+              + np.arange(size.sum())]
+    used = np.zeros(len(new_verts), dtype=bool)
+    used[ids] = True
+    n_used = np.bincount(np.repeat(np.arange(k), n_verts + n_cuts)[used],
+                         minlength=k)
+    at = (np.cumsum(used) - 1)[ids]
+    loops = at - (np.cumsum(n_used) - n_used)[np.repeat(face_cell, size)]
+    return (new_verts[used], n_used, loops, size,
+            np.bincount(face_cell, minlength=k), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -484,45 +567,97 @@ class _PointMerger:
         return np.array(self.points) if self.points else np.zeros((0, 3))
 
 
+def _pieces(array, counts):
+    """Consecutive slices of `array`, counts[i] long each."""
+    ends = np.cumsum(counts).tolist()
+    return [array[e - n:e] for e, n in zip(ends, counts.tolist())]
+
+
 def _voronoi_cells(seeds: np.ndarray, L: float):
-    """Clip the cube per seed by nearest-first bisector planes."""
+    """Clip the cube per seed by nearest-first bisector planes, every
+    cell in lockstep (docs/fem.md, "Voronoi clipping"): round r tests
+    the r-th nearest plane of each cell that its security radius has not
+    ruled out. Returns (verts, faces) per cell, faces as lists of local
+    vertex ids."""
     n = len(seeds)
     eps = TAU_MERGE * L
+    cube, cube_faces = _cube_poly(L)
+    if n == 1:
+        return [(cube, cube_faces)]
+    verts = [cube] * n
+    loops = [np.concatenate(cube_faces)] * n
+    sizes = [np.array([len(f) for f in cube_faces])] * n
+    dist = np.array([np.linalg.norm(seeds - s, axis=1) for s in seeds])
+    order = np.argsort(dist, axis=1)
+    order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    half = dist / 2.0
+    # security radius: farther bisectors cannot cut
+    radius = np.linalg.norm(cube - seeds[:, None, :], axis=2).max(axis=1)
+    errors = {}
+    active = np.arange(n)
+    for step in range(n - 1):
+        plane = order[active, step]
+        near = ~(half[active, plane] > radius[active])
+        active, plane = active[near], plane[near]
+        if not active.size:
+            break
+        normal = (seeds[plane] - seeds[active]) / dist[active, plane][:, None]
+        offset = (normal[:, None, :]
+                  @ (seeds[active] + seeds[plane])[:, :, None])[:, 0, 0] / 2.0
+        # one dgemv per cell on its own rows: its bits do not depend on
+        # the other cells (a stacked product rounds differently)
+        d = [verts[c] @ nrm - off for c, nrm, off
+             in zip(active.tolist(), normal, offset.tolist())]
+        n_verts = np.array([len(x) for x in d])
+        d = np.concatenate(d)
+        side = (d > eps).astype(np.int8) - (d < -eps)
+        start = np.cumsum(n_verts) - n_verts
+        above = np.maximum.reduceat(side, start) > 0
+        below = np.minimum.reduceat(side, start) < 0
+        for c in active[above & ~below].tolist():
+            errors[c] = MeshError(f"seed {c} produced an empty Voronoi cell")
+        cut = above & below
+        if cut.any():
+            cut_cells = active[cut].tolist()
+            mask = np.repeat(cut, n_verts)
+            new, n_new, new_loops, new_sizes, n_faces, failed = _clip_cells(
+                np.concatenate([verts[c] for c in cut_cells]), n_verts[cut],
+                np.concatenate([loops[c] for c in cut_cells]),
+                np.concatenate([sizes[c] for c in cut_cells]),
+                np.array([len(sizes[c]) for c in cut_cells]),
+                d[mask], side[mask])
+            norms = np.linalg.norm(new - seeds[np.repeat(cut_cells, n_new)],
+                                   axis=1)
+            radius[cut_cells] = np.maximum.reduceat(norms,
+                                                    np.cumsum(n_new) - n_new)
+            n_entries = np.add.reduceat(new_sizes, np.cumsum(n_faces) - n_faces)
+            for c, v, lp, sz in zip(cut_cells, _pieces(new, n_new),
+                                    _pieces(new_loops, n_entries),
+                                    _pieces(new_sizes, n_faces)):
+                verts[c], loops[c], sizes[c] = v, lp, sz
+            errors.update((cut_cells[c], exc) for c, exc in failed.items())
+        if errors:
+            active = active[~np.isin(active, list(errors))]
+    if errors:
+        raise errors[min(errors)]
     cells = []
-    for i in range(n):
-        verts, faces = _cube_poly(L)
-        if n > 1:
-            dist = np.linalg.norm(seeds - seeds[i], axis=1)
-            with np.errstate(invalid="ignore"):      # row i, never read
-                normals = (seeds - seeds[i]) / dist[:, None]
-            offsets = (normals[:, None, :]
-                       @ (seeds[i] + seeds)[:, :, None])[:, 0, 0] / 2.0
-            half = (dist / 2.0).tolist()
-            # security radius: farther bisectors cannot cut
-            radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
-            for j in np.argsort(dist).tolist():
-                if j == i:
-                    continue
-                if half[j] > radius:
-                    break
-                clipped = _clip_halfspace(verts, faces, normals[j], offsets[j], eps)
-                if clipped is None:
-                    raise MeshError(f"seed {i} produced an empty Voronoi cell")
-                if clipped[0] is not verts:
-                    verts, faces = clipped
-                    radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
-        cells.append((verts, faces))
+    for v, lp, sz in zip(verts, loops, sizes):
+        ids, ends = lp.tolist(), np.cumsum(sz).tolist()
+        cells.append((v, [ids[e - s:e] for e, s in zip(ends, sz.tolist())]))
     return cells
 
 
 def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
     """Voronoi tessellation of [0, L]^3, one convex cell per seed.
 
-    Cells are the cube clipped by seed-pair bisector half-spaces (pruned
-    by a nearest-first security-radius bound); shared faces conform and
-    vertices are merged within TAU_MERGE*L. lloyd > 0 applies that many
-    Lloyd relaxation steps (seeds moved to cell centroids) before the
-    final tessellation.
+    Cells are the cube clipped by seed-pair bisector half-spaces, each
+    cell's nearest first and pruned by its security radius, all cells in
+    lockstep: one plane per cell per round, the signed distances one
+    dgemv per cell and the cuts flat over the round's cells, bit for bit
+    the cell-by-cell clip (docs/fem.md, "Voronoi clipping"). Shared
+    faces conform and vertices are merged within TAU_MERGE*L. lloyd > 0
+    applies that many Lloyd relaxation steps (seeds moved to cell
+    centroids) before the final tessellation.
     """
     ss = seeds if isinstance(seeds, SeedSet) else SeedSet(np.asarray(seeds, dtype=float))
     pts = ss.seeds

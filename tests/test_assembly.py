@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -1080,7 +1081,8 @@ class TestBlockPattern:
         self.assert_same_matrix(ops.system(beta).K,
                                 coo_reference(chunks, ops.dof_map.n_dofs))
 
-    def test_asymmetric_block_fails_audit(self):
+    def tet_blocks(self):
+        """(pattern, blocks, dof map) of the sample's linear tets."""
         mesh, moduli, tmesh = self.sample()
         nf = pf.FIELD_COUNT[self.MODE]
         dm = pa.DofMap(tmesh.n_vertices, tmesh.boundary_node_ids, self.MODE)
@@ -1092,11 +1094,38 @@ class TestBlockPattern:
             idx = np.nonzero(tmesh.cell_of_tet == c)[0]
             pa.add_blocks(blocks, positions[idx], pf.gauss_stiffness(
                 B[idx, None], vols[idx, None], moduli[c]))
+        return pattern, blocks, dm
+
+    def test_asymmetric_block_fails_audit(self):
+        pattern, blocks, dm = self.tet_blocks()
         pa.system_from_blocks(pattern, blocks, dm)      # symmetric: passes
         off = np.nonzero(pattern.rows != pattern.cols)[0][0]
         blocks[off, 0, 1] += 1e-9 * np.abs(blocks).max()
         with pytest.raises(pa.AssemblyError, match="asymmetry"):
             pa.system_from_blocks(pattern, blocks, dm)
+
+    @pytest.mark.parametrize("factor", [2.0, 0.99])
+    def test_chunked_audit_reads_the_last_chunk(self, monkeypatch, factor):
+        pattern, blocks, dm = self.tet_blocks()
+        monkeypatch.setattr(pa, "AUDIT_PAIRS", 7)
+        assert pattern.n_pairs > 10 * pa.AUDIT_PAIRS
+        # the last pair is a diagonal one, its own mirror: the only
+        # asymmetric pair, alone in the last chunk
+        last = pattern.n_pairs - 1
+        assert pattern.rows[last] == pattern.cols[last]
+        scale = np.abs(blocks).max()
+        blocks[last, 0, 1] += factor * pa.SYMMETRY_AUDIT * scale
+        # the message of the audit over one whole difference array
+        diff = blocks[pattern.mirror].transpose(0, 2, 1) - blocks
+        assert np.abs(diff[:last]).max() < 1e-3 * pa.SYMMETRY_AUDIT * scale
+        message = (f"assembled matrix asymmetry "
+                   f"{max(diff.max(), -diff.min()):.3e} exceeds audit "
+                   f"tolerance ({pa.SYMMETRY_AUDIT * np.abs(blocks).max():.3e})")
+        if factor < 1.0:
+            pa.system_from_blocks(pattern, blocks, dm)
+        else:
+            with pytest.raises(pa.AssemblyError, match=re.escape(message)):
+                pa.system_from_blocks(pattern, blocks, dm)
 
     def test_repeated_node_is_summed(self):
         # entries of one element that meet in one node pair add up, as

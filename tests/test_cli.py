@@ -10,6 +10,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import polyvem.assembly as pa
 import polyvem.cholesky as pc
+import polyvem.cli as cli
 import polyvem.homogenization as ph
 import polyvem.study as study
 from polyvem.cli import CONFIG, ConfigError, config_digest, load_config, main
@@ -626,6 +628,38 @@ class TestHomogenizeCommand:
             assert "factor_bytes" not in text, name
             assert "refinement_steps" not in text, name
 
+    @pytest.mark.parametrize("kind", ["homogenize", "comparison"])
+    def test_diagnostics_time_the_mesh_front_end(self, tmp_path, monkeypatch,
+                                                kind):
+        if kind == "homogenize":
+            text = BASE.format(n=3, names="BaTiO3")
+        else:
+            text = STUDY_BASE.format(kind="comparison", beta_step=0.05,
+                                     cache=tmp_path / "cache")
+        p = write_config(tmp_path / "c.ini", text)
+        command = "homogenize" if kind == "homogenize" else "study"
+        build_mesh = cli.build_mesh
+
+        def slow_build_mesh(cfg):
+            time.sleep(0.1)
+            return build_mesh(cfg)
+
+        walls = []
+        for name in ("a", "b"):
+            assert main([command, "--config", p, "--out",
+                         str(tmp_path / name)]) == 0
+            walls.append(json.loads((tmp_path / name / "run_diagnostics.json")
+                                    .read_text())["wall_seconds"])
+            monkeypatch.setattr(cli, "build_mesh", slow_build_mesh)
+        for wall in walls:
+            assert 0.0 < wall["mesh"] <= wall[command]
+        assert walls[1]["mesh"] >= 0.1
+        outputs = json.loads((tmp_path / "a" / "provenance.json").read_text())[
+            "outputs"]
+        for name in outputs:              # result.json and the CSVs
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
     def test_reruns_are_byte_identical(self, tmp_path):
         p = write_config(tmp_path / "c.ini", BASE.format(n=3, names="BaTiO3"))
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -674,7 +708,7 @@ class TestStudyCommand:
         # the diagnostics hold timings only; beta_opt is a result
         wall = json.loads((out / "run_diagnostics.json").read_text())[
             "wall_seconds"]
-        assert list(wall) == ["study"]
+        assert list(wall) == ["mesh", "study"]
         assert isinstance(wall["study"], float)
         prov = json.loads((out / "provenance.json").read_text())
         curve = [(float(b), float(d)) for b, d in rows[1:21]]

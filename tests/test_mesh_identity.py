@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvem import mesh as pm
 from polyvem.element_fem import promote_to_quadratic
@@ -247,3 +249,198 @@ def test_refinement_and_promotion_match_the_per_tet_loop(n, seed):
     a, b = np.array(pm._EDGE_LOCAL).T
     mids = (tmesh.vertices[tmesh.tets[:, a]] + tmesh.vertices[tmesh.tets[:, b]]) / 2.0
     assert promoted.vertices[promoted.tets[:, 4:]].tobytes() == mids.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Frozen copy of the per-cell clipper that the lockstep one replaced
+# ---------------------------------------------------------------------------
+
+def frozen_clip_halfspace(verts, faces, normal, offset, eps):
+    d = (verts @ normal - offset).tolist()
+    side = [1 if x > eps else -1 if x < -eps else 0 for x in d]
+    if 1 not in side:
+        return verts, faces
+    if -1 not in side:
+        return None
+    n_old = len(verts)
+    cut_cache = {}
+    cuts = []
+
+    def cut_point(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in cut_cache:
+            cut_cache[key] = n_old + len(cuts)
+            cuts.append((a, b, d[a] / (d[a] - d[b])))
+        return cut_cache[key]
+
+    new_faces = []
+    for loop in faces:
+        out = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            if side[a] <= 0:
+                out.append(a)
+            if side[a] * side[b] < 0:
+                out.append(cut_point(a, b))
+        dedup = [v for j, v in enumerate(out) if v != out[j - 1]]
+        if len(dedup) >= 3:
+            new_faces.append(dedup)
+    succ = {}
+    for loop in new_faces:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            if ((a >= n_old or side[a] == 0)
+                    and (b >= n_old or side[b] == 0)):
+                succ[b] = a
+    if len(succ) >= 3:
+        start = next(iter(succ))
+        cap = [start]
+        cur = succ[start]
+        while cur != start:
+            cap.append(cur)
+            if len(cap) > len(succ):
+                raise pm.MeshError("open cap loop while clipping")
+            cur = succ[cur]
+        new_faces.append(cap)
+    if cuts:
+        a, b, t = (np.array(col) for col in zip(*cuts))
+        verts = np.vstack([verts, verts[a] + t[:, None] * (verts[b] - verts[a])])
+    used = sorted({v for loop in new_faces for v in loop})
+    remap = {v: i for i, v in enumerate(used)}
+    return verts[used], [[remap[v] for v in loop] for loop in new_faces]
+
+
+def frozen_voronoi_cells(seeds, L):
+    n = len(seeds)
+    eps = pm.TAU_MERGE * L
+    cells = []
+    for i in range(n):
+        verts, faces = pm._cube_poly(L)
+        if n > 1:
+            dist = np.linalg.norm(seeds - seeds[i], axis=1)
+            with np.errstate(invalid="ignore"):
+                normals = (seeds - seeds[i]) / dist[:, None]
+            offsets = (normals[:, None, :]
+                       @ (seeds[i] + seeds)[:, :, None])[:, 0, 0] / 2.0
+            half = (dist / 2.0).tolist()
+            radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
+            for j in np.argsort(dist).tolist():
+                if j == i:
+                    continue
+                if half[j] > radius:
+                    break
+                clipped = frozen_clip_halfspace(verts, faces, normals[j],
+                                                offsets[j], eps)
+                if clipped is None:
+                    raise pm.MeshError(f"seed {i} produced an empty Voronoi cell")
+                if clipped[0] is not verts:
+                    verts, faces = clipped
+                    radius = np.max(np.linalg.norm(verts - seeds[i], axis=1))
+        cells.append((verts, faces))
+    return cells
+
+
+def outcome(cells_of, seeds):
+    try:
+        return cells_of(seeds, 1.0)
+    except pm.MeshError as exc:
+        return repr(exc)
+    except KeyError:
+        # the per-cell cap chain stepped off its dict; the lockstep
+        # clipper reports that as the open cap it is
+        return repr(pm.MeshError("open cap loop while clipping"))
+
+
+def assert_same_cells(seeds):
+    got, want = outcome(pm._voronoi_cells, seeds), outcome(frozen_voronoi_cells, seeds)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for (gv, gf), (wv, wf) in zip(got, want):
+        assert gv.shape == wv.shape and np.array_equal(gv, wv)
+        assert gf == wf
+
+
+@pytest.mark.parametrize("n,seed,lloyd", sorted(PINS))
+def test_lockstep_clipper_matches_the_per_cell_one_on_the_pins(
+        n, seed, lloyd, monkeypatch):
+    calls = []
+
+    def recording(seeds, L):
+        calls.append(seeds.copy())
+        return cells_of(seeds, L)
+
+    cells_of = pm._voronoi_cells
+    monkeypatch.setattr(pm, "_voronoi_cells", recording)
+    pm.generate_voronoi(pm.random_seeds(n, 1.0, seed).seeds, 1.0, lloyd)
+    monkeypatch.undo()
+    assert len(calls) == lloyd + 1
+    for seeds in calls:
+        assert_same_cells(seeds)
+
+
+RANDOM_CASES = [(int(n), 1000 + i) for i, n in enumerate(
+    np.random.default_rng(30).integers(2, 151, size=20))]
+
+
+@pytest.mark.parametrize("n,seed", RANDOM_CASES)
+def test_lockstep_clipper_matches_the_per_cell_one_on_random_seeds(n, seed):
+    assert_same_cells(pm.random_seeds(n, 1.0, seed).seeds)
+
+
+def lattice(m):
+    ticks = (np.arange(m) + 0.5) / m
+    return np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+def jittered_lattice(m, jitter):
+    rng = np.random.default_rng(m)
+    return lattice(m) + jitter * rng.uniform(-1.0, 1.0, (m ** 3, 3))
+
+
+# at 1e-9 and 2e-9 the jitter is of the order of the side tolerance:
+# some cells' on-plane edges are not one cycle, and some caps do not close
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("jitter", [0.0, 1e-12, 1e-9, 2e-9])
+def test_lockstep_clipper_matches_the_per_cell_one_on_lattices(m, jitter):
+    assert_same_cells(jittered_lattice(m, jitter))
+
+
+def test_cells_off_one_cap_cycle_take_the_dict_chain(monkeypatch):
+    chains = []
+
+    def counting(pairs):
+        chains.append(1)
+        return close_cap(pairs)
+
+    close_cap = pm._close_cap
+    monkeypatch.setattr(pm, "_close_cap", counting)
+    seeds = jittered_lattice(3, 1e-9)
+    assert not isinstance(outcome(pm._voronoi_cells, seeds), str)
+    assert chains
+    assert_same_cells(seeds)
+
+
+@pytest.mark.parametrize("n", [3, 8, 15])
+def test_lockstep_clipper_matches_the_per_cell_one_on_coplanar_seeds(n):
+    rng = np.random.default_rng(n)
+    seeds = np.column_stack([rng.uniform(0.05, 0.95, (n, 2)), np.full(n, 0.5)])
+    assert_same_cells(seeds)
+    # a regular polygon: every cell's bisectors meet on the axis
+    angle = 2.0 * np.pi * np.arange(n) / n
+    assert_same_cells(np.column_stack([0.5 + 0.3 * np.cos(angle),
+                                       0.5 + 0.3 * np.sin(angle),
+                                       np.full(n, 0.5)]))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(points=st.lists(st.tuples(*[st.floats(0.01, 0.99)] * 3),
+                       min_size=2, max_size=30),
+       grid=st.sampled_from([0.0, 0.125, 0.25]))
+def test_lockstep_clipper_matches_the_per_cell_one_property(points, grid):
+    seeds = np.array(points)
+    if grid:                               # snapped: ties and on-plane vertices
+        seeds = np.clip(np.round(seeds / grid) * grid, grid / 2, 1 - grid / 2)
+    seeds = np.unique(seeds, axis=0)
+    if len(seeds) >= 2:
+        assert_same_cells(seeds)
