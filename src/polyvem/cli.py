@@ -36,11 +36,10 @@ from .mesh import (EDGE_LENGTH_RULE, MeshError, MeshParseError, PolyMesh,
                    random_seeds, read_mesh, valid_edge_length, write_mesh,
                    write_tess)
 from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
-                    beta_grid, beta_opt, beta_sweep, beta_sweep_csv,
-                    build_reference, check_fraction_phases, check_targets,
-                    comparison_csv, fraction_csv, fraction_grid,
-                    fraction_sweep, method_comparison, parse_method,
-                    run_method, target_block)
+                    beta_grid, beta_sweep_csv, check_fraction_phases,
+                    check_targets, comparison_csv, fraction_csv,
+                    fraction_grid, fraction_setups, parse_method,
+                    run_method, run_study, target_block)
 # re-exported: benchmarks/tracing.py wraps cli._beta_point as the pool task
 from .study import _beta_point  # noqa: F401
 
@@ -58,7 +57,10 @@ class InputDataError(RuntimeError):
 # Config schema
 # ---------------------------------------------------------------------------
 
-_STUDY_KINDS = ("comparison", "beta-sweep", "fraction-sweep")
+# study kind -> (CSV name, writer of the table `run_study` returns)
+_STUDY_CSV = {"comparison": ("comparison.csv", comparison_csv),
+              "beta-sweep": ("beta_sweep.csv", beta_sweep_csv),
+              "fraction-sweep": ("fraction_sweep.csv", fraction_csv)}
 
 
 def _names(raw: str) -> tuple:
@@ -132,7 +134,7 @@ CONFIG = {
                    "method": (str, "VEM-VO",
                               lambda key, method: parse_method(method)),
                    "beta": (float, DEFAULT_BETA, _BETA)},
-    "study": {"kind": (str, "comparison", _one_of(_STUDY_KINDS)),
+    "study": {"kind": (str, "comparison", _one_of(tuple(_STUDY_CSV))),
               "mode": (str, "electroMech", _MODE),
               "methods": (_names, ("VEM-VO", "FEM-O1-coarse"), _methods),
               "targets": (_names, ("G", "C"), _naming("at least one block")),
@@ -398,73 +400,46 @@ def cmd_homogenize(cfg: dict, verbose: bool) -> int:
 
 def cmd_study(cfg: dict, verbose: bool) -> int:
     outdir = setting(cfg, "run", "out")
-    kind = setting(cfg, "study", "kind")
-    mode = setting(cfg, "study", "mode")
-    # a fraction sweep runs electroMech as fullyCoupled
-    run_mode = ("fullyCoupled" if kind == "fraction-sweep"
-                and mode == "electroMech" else mode)
-    targets = setting(cfg, "study", "targets")
-    n = len(MODE_PINDEX[run_mode])
-    for target in targets:                 # each a block that run_mode has
-        _checked("study", target_block, np.zeros((n, n)), run_mode, target)
-    levels = setting(cfg, "study", "reference_levels")
-    betas = beta_grid(setting(cfg, "study", "beta_step"))
-    cache = setting(cfg, "study", "cache")
-    workers = setting(cfg, "run", "workers")
+    study = {key: setting(cfg, "study", key) for key in CONFIG["study"]}
+    kind, mode, targets = study["kind"], study["mode"], study["targets"]
+    fractions = kind == "fraction-sweep"
+    if fractions and mode == "electroMech":
+        mode = "fullyCoupled"       # a fraction sweep runs it fully coupled
+    n = len(MODE_PINDEX[mode])
+    for target in targets:                 # each a block that mode has
+        _checked("study", target_block, np.zeros((n, n)), mode, target)
     t0 = time.perf_counter()
     library = load_library(cfg)
-    if kind == "fraction-sweep":
-        _checked("study", check_fraction_phases, library, run_mode, targets)
+    if fractions:
+        _checked("study", check_fraction_phases, library, mode, targets)
     else:
         names = material_names(cfg, library)
     t_mesh = time.perf_counter()
     mesh = build_mesh(cfg)
     wall = {"mesh": time.perf_counter() - t_mesh}
-    outputs = []
-    solver = None
-    extra = {"kind": kind, "mode": mode}
-
-    if kind == "fraction-sweep":
-        fractions = fraction_grid(setting(cfg, "study", "fraction_step"))
-        rows = fraction_sweep(mesh, library, fractions,
-                              setting(cfg, "study", "fraction_seed"), betas,
-                              mode=run_mode, targets=targets,
-                              reference_levels=levels, cache_dir=cache,
-                              workers=workers)
-        outputs.append(_write(outdir, "fraction_sweep.csv",
-                              fraction_csv(rows, targets)))
-        wall["rows"] = [r.wall_seconds for r in rows]
-        solver = {f"{r.fraction_target:.6g}": r.solver_stats for r in rows}
+    if fractions:
+        setups, points = fraction_setups(
+            mesh, library, fraction_grid(study["fraction_step"]),
+            study["fraction_seed"], mode)
     else:
         layout = build_layout(cfg, library, names, len(mesh.cells))
-        moduli = layout.moduli(library, mode)
-        _checked("study", check_targets, moduli, mode, targets)
-        reference = build_reference(mesh, moduli, mode, levels, cache)
-        if kind == "comparison":
-            rows = method_comparison(mesh, moduli, mode,
-                                     setting(cfg, "study", "methods"),
-                                     reference, targets,
-                                     beta=setting(cfg, "study", "beta"))
-            outputs.append(_write(outdir, "comparison.csv",
-                                  comparison_csv(rows, targets)))
-            wall["rows"] = [r.wall_seconds for r in rows]
-            solver = {r.method: r.solver_stats for r in rows}
-        else:                                # beta-sweep
-            solver = {}
-            curve, fem_d = beta_sweep(mesh, moduli, mode, betas, reference,
-                                      targets, workers, solver)
-            outputs.append(_write(outdir, "beta_sweep.csv",
-                                  beta_sweep_csv(curve, fem_d, targets)))
-            extra["beta_opt"] = beta_opt(curve, targets[0])
-        # a reference read from the cache carries no solver counters
-        solver["reference"] = reference.solver_stats or {"cached": True}
-
+        setups, points = [layout.moduli(library, mode)], ()
+        _checked("study", check_targets, setups[0], mode, targets)
+    table, solver, walls, extra = run_study(
+        kind, mesh, setups, mode, targets,
+        (study["reference_levels"], study["cache"]), study["methods"],
+        beta_grid(study["beta_step"]), study["beta"], points,
+        setting(cfg, "run", "workers"))
+    name, writer = _STUDY_CSV[kind]
+    outputs = [_write(outdir, name, writer(*table, targets))]
     write_provenance(outdir, "study", cfg, outputs,
-                     mesh_digest=mesh_hash(mesh), extra=extra)
+                     mesh_digest=mesh_hash(mesh),
+                     extra={"kind": kind, "mode": mode, **extra})
+    wall.update(walls)
     wall["study"] = time.perf_counter() - t0
     write_diagnostics(outdir, wall, solver=solver)
     if verbose:
-        print(f"study[{kind}]: {', '.join(sorted(outputs))} -> {outdir}")
+        print(f"study[{kind}]: {name} -> {outdir}")
     return 0
 
 

@@ -1,14 +1,13 @@
-"""Method-comparison studies: error metrics, stabilization-weight sweeps,
-volume-fraction sweeps, and refined-reference management.
+"""Method-comparison studies: error metrics, refined references, and one
+study grid for comparisons, stabilization-weight sweeps and
+volume-fraction sweeps.
 
-This module alone knows how a study runs: it owns the beta and
-volume-fraction grids and the worker pool of the sweeps.
-
-Errors are percent deviations of Frobenius norms of target modulus
-blocks against a refined linear-tet reference. Sweep outputs are
-plot-ready CSV tables with fixed-format floats and no timing columns,
-so reruns with identical configurations are byte-identical; wall times
-live only in the run-diagnostics sidecar.
+A study is a list of setups (grain moduli) times one tuple of tasks
+(method names or weights), run by `_grid` through one worker pool and
+reduced per kind by `run_study`. Errors are percent deviations of
+Frobenius norms of target modulus blocks against a refined linear-tet
+reference. The CSV tables carry fixed-format floats and no timings, so
+reruns are byte-identical; wall times live in the diagnostics sidecar.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ __all__ = [
     "frobenius", "computational_error", "relative_deviation",
     "target_block", "check_targets", "check_fraction_phases",
     "assign_volume_fraction",
-    "parse_method", "run_method",
-    "build_reference", "method_comparison", "beta_curve", "beta_sweep",
-    "beta_opt", "beta_grid", "beta_key", "fraction_grid", "fraction_sweep",
-    "usable_workers", "comparison_csv", "beta_sweep_csv", "fraction_csv",
+    "parse_method", "run_method", "build_reference", "fraction_setups",
+    "run_study", "method_comparison", "beta_sweep", "beta_opt", "beta_grid",
+    "beta_key", "fraction_grid", "fraction_sweep", "usable_workers",
+    "comparison_csv", "beta_sweep_csv", "fraction_csv",
 ]
 
 DEFAULT_BETA = 0.1
@@ -357,95 +356,18 @@ def _deviations(effective, reference_effective, targets, mode) -> dict:
             for t in targets}
 
 
-def _errors(result, reference, targets, mode):
-    d_rel = _deviations(result.effective, reference.effective, targets, mode)
-    return {t: abs(d) for t, d in d_rel.items()}, d_rel
-
-
-def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
-                      reference: HomogenizationResult, targets,
-                      beta: float = DEFAULT_BETA):
-    """One ComparisonRow per method against a shared reference."""
-    rows = []
-    nf = FIELD_COUNT[mode]
-    for method in methods:
-        t0 = time.perf_counter()
-        result = run_method(mesh, moduli, mode, method, beta)
-        wall = time.perf_counter() - t0
-        e_c, d_rel = _errors(result, reference, targets, mode)
-        rows.append(ComparisonRow(
-            method=result.method, n_nodes=result.n_dofs // nf,
-            n_dofs=result.n_dofs, e_c=e_c, d_rel=d_rel,
-            wall_seconds=wall,
-            solver_stats=result.solver_stats))
-    return rows
+def _row(since, result, reference_effective, targets) -> ComparisonRow:
+    """The row of a run that started at perf_counter `since`."""
+    mode, wall = result.mode, time.perf_counter() - since
+    d_rel = _deviations(result.effective, reference_effective, targets, mode)
+    return ComparisonRow(result.method, result.n_dofs // FIELD_COUNT[mode],
+                         result.n_dofs, {t: abs(d) for t, d in d_rel.items()},
+                         d_rel, wall, result.solver_stats)
 
 
 def beta_key(beta: float) -> str:
     """A weight as the beta column of the sweep's CSV prints it."""
     return f"{beta:.6g}"
-
-
-def beta_curve(operators: VemOperators, beta_grid, reference_effective,
-               targets, solver=None):
-    """(beta, d_rel dict) for each grid value, in grid order: the VEM
-    operators blended at every weight. A dict `solver` receives each
-    point's solver counters under its `beta_key`."""
-    curve = []
-    for b in beta_grid:
-        result = operators.evaluate(float(b))
-        if solver is not None:
-            solver[beta_key(b)] = result.solver_stats
-        curve.append((float(b), _deviations(result.effective,
-                                            reference_effective, targets,
-                                            operators.mode)))
-    return curve
-
-
-def _beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
-    """Pool task: the curve of one contiguous chunk of the beta grid and
-    its points' solver counters; the VEM operators are built once per
-    chunk."""
-    operators = VemOperators(mesh, moduli, mode)
-    solver = {}
-    return beta_curve(operators, chunk, ref_effective, targets, solver), solver
-
-
-def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
-               reference: HomogenizationResult, targets, workers: int = 1,
-               solver=None):
-    """Deviation curve over the stabilization-weight grid.
-
-    Returns (curve, fem_row): curve is a list of (beta, d_rel dict) in
-    grid order; the coarse linear-tet row is the beta = 1 blend, which
-    the chunks evaluate even when it is off the grid. The weights are cut
-    into up to `workers` contiguous chunks, one `_pool_map` task each,
-    the first in this process, `workers` capped at the CPUs this process
-    may run on. A dict `solver` receives the counters of each grid point
-    under its `beta_key` and of the coarse row under "FEM-O1-coarse".
-    """
-    weights = _with_weight(beta_grid, 1.0)
-    # built here, so every payload's mesh carries them
-    mesh_hash(mesh)
-    mesh.tets
-    n = max(1, min(usable_workers(workers), len(weights)))
-    chunks = [(mesh, moduli, mode,
-               weights[k * len(weights) // n:(k + 1) * len(weights) // n],
-               reference.effective, targets) for k in range(n)]
-    # _beta_point is read when called, so a wrapper bound in its place runs
-    curve, points = [], {}
-    for part, stats in _pool_map(_beta_point, chunks, workers):
-        curve += part
-        points.update(stats)
-    if solver is not None:
-        solver.update({beta_key(b): points[beta_key(b)] for b in beta_grid})
-        solver["FEM-O1-coarse"] = points[beta_key(1.0)]
-    return curve[:len(beta_grid)], dict(curve)[1.0]
-
-
-def _with_weight(grid, beta: float) -> tuple:
-    """`grid` and `beta` when off it: the weights of a curve read at `beta`."""
-    return tuple(grid) if beta in grid else (*grid, beta)
 
 
 def beta_opt(curve, target: str = "G") -> float:
@@ -457,43 +379,151 @@ def beta_opt(curve, target: str = "G") -> float:
     return float(min(ordered, key=lambda item: abs(item[1][target]))[0])
 
 
+def fraction_setups(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
+                    mode: str):
+    """(setups, points) of a fraction sweep: per fraction, the moduli of
+    `assign_volume_fraction` and (fraction, achieved, active grains)."""
+    drawn = [(f, *assign_volume_fraction(mesh, f, rng_seed))
+             for f in fractions]
+    return ([layout.moduli(library, mode) for _, layout, _, _ in drawn],
+            [(f, achieved, taken) for f, _, achieved, taken in drawn])
+
+
+def run_study(kind: str, mesh: PolyMesh, setups, mode: str, targets,
+              reference, methods=(), betas=DEFAULT_BETA_GRID,
+              beta: float = DEFAULT_BETA, points=(), workers: int = 1):
+    """A study of `kind`, one reduction of `_grid`: (its CSV writer's
+    arguments before the targets, the solver counters of
+    run_diagnostics.json, what it adds to that file's wall_seconds and
+    to provenance.json). A comparison's tasks are `methods`, VEM-VO at
+    weight `beta`; a sweep's are the weights `betas` and, when off them,
+    the one its coarse FEM row (1, the coarse linear-tet system) or its
+    fraction rows (DEFAULT_BETA, `points`: see `fraction_setups`) read."""
+    read = 1.0 if kind == "beta-sweep" else DEFAULT_BETA
+    tasks = (tuple(methods) if kind == "comparison"
+             else tuple(dict.fromkeys((*betas, read))))
+    grid = _grid(mesh, setups, mode, tasks, targets, reference, workers, beta)
+    if kind == "comparison":
+        rows, ref, _ = grid[0]
+        rows = [rows[m] for m in methods]
+        solver = {r.method: r.solver_stats for r in rows}
+        return ((rows,), {**solver, "reference": ref},
+                {"rows": [r.wall_seconds for r in rows]}, {})
+    if kind == "beta-sweep":
+        rows, ref, _ = grid[0]
+        curve = [(float(b), rows[b].d_rel) for b in betas]
+        solver = {beta_key(b): rows[b].solver_stats for b in betas}
+        solver.update({"FEM-O1-coarse": rows[1.0].solver_stats,
+                       "reference": ref})
+        return ((curve, rows[1.0].d_rel), solver, {},
+                {"beta_opt": beta_opt(curve, targets[0])})
+    table, solver = [], {}
+    for (fraction, achieved, taken), (rows, ref, seconds) in zip(points, grid):
+        b_opt = beta_opt([(float(b), rows[b].d_rel) for b in betas],
+                         targets[0])
+        at = rows[DEFAULT_BETA]
+        stats = solver[beta_key(fraction)] = {
+            "reference": ref, beta_key(DEFAULT_BETA): at.solver_stats}
+        table.append(FractionRow(float(fraction), float(achieved), taken,
+                                 b_opt, at.e_c, rows[b_opt].d_rel, seconds,
+                                 stats))
+    return (table,), solver, {"rows": [seconds for *_, seconds in grid]}, {}
+
+
+def _grid(mesh, setups, mode, tasks, targets, reference, workers, beta):
+    """Per setup, ({task: ComparisonRow}, its reference's solver counters,
+    seconds); setups whose references share a digest run once.
+    `reference` is a single setup's, or the (levels, cache_dir) of each
+    setup's. A single setup has its reference here and its tasks cut into
+    up to `workers` contiguous chunks; several go one payload each."""
+    mesh_hash(mesh)                 # built here, so every payload's mesh
+    mesh.tets                       # carries them
+    levels = reference[0] if isinstance(reference, tuple) else None
+    first = {}                      # reference digest -> its first setup
+    owner = [first.setdefault(_reference_digest(mesh, m, mode, levels), s)
+             for s, m in enumerate(setups)]
+    runs, chunks = list(first.values()), [tasks] * len(first)
+    workers, t0 = usable_workers(workers), time.perf_counter()
+    if len(runs) == 1:
+        reference = _reference(mesh, setups[runs[0]], mode, reference)
+        n = max(1, min(workers, len(tasks)))
+        chunks = [tasks[k * len(tasks) // n:(k + 1) * len(tasks) // n]
+                  for k in range(n)]
+        runs *= n
+    done = _pool_map(_run_setup, [(mesh, setups[s], mode, chunk, reference,
+                                   targets, beta)
+                                  for s, chunk in zip(runs, chunks)], workers)
+    seconds, grid = time.perf_counter() - t0, {}
+    for s, (rows, stats, wall) in zip(runs, done):
+        # a single setup's run is the whole grid
+        grid.setdefault(s, ({}, stats, wall if len(first) > 1 else seconds)
+                        )[0].update(rows)
+    return [grid[s] for s in owner]
+
+
+def _reference(mesh, moduli, mode, reference) -> HomogenizationResult:
+    """`reference`, or the one its (levels, cache_dir) builds or reads."""
+    return (reference if isinstance(reference, HomogenizationResult)
+            else build_reference(mesh, moduli, mode, *reference))
+
+
+def _run_setup(mesh, moduli, mode, tasks, reference, targets, beta):
+    """Pool task: ({task: ComparisonRow}, reference counters, seconds) of
+    one setup, method names through `run_method`, weights `_beta_point`."""
+    t0 = time.perf_counter()
+    reference = _reference(mesh, moduli, mode, reference)
+    if all(isinstance(task, str) for task in tasks):
+        rows = {m: _row(time.perf_counter(),
+                        run_method(mesh, moduli, mode, m, beta),
+                        reference.effective, targets) for m in tasks}
+    else:   # read when called, so a wrapper bound in its place runs here
+        rows = dict(zip(tasks, _beta_point(mesh, moduli, mode, tasks,
+                                           reference.effective, targets)))
+    # a reference read from the cache carries no solver counters
+    return (rows, reference.solver_stats or {"cached": True},
+            time.perf_counter() - t0)
+
+
+def _beta_point(mesh, moduli, mode, weights, ref_effective, targets):
+    """The row of each weight, from one build of the VEM operators."""
+    operators = VemOperators(mesh, moduli, mode)
+    return [_row(time.perf_counter(), operators.evaluate(float(b)),
+                 ref_effective, targets) for b in weights]
+
+
+def method_comparison(mesh: PolyMesh, moduli, mode: str, methods,
+                      reference: HomogenizationResult, targets,
+                      beta: float = DEFAULT_BETA):
+    """One ComparisonRow per method against a shared reference."""
+    return run_study("comparison", mesh, [moduli], mode, targets, reference,
+                     methods, beta=beta)[0][0]
+
+
+def beta_sweep(mesh: PolyMesh, moduli, mode: str, beta_grid,
+               reference: HomogenizationResult, targets, workers: int = 1,
+               solver=None):
+    """((beta, d_rel dict) in grid order, the coarse FEM row: the beta = 1
+    blend); a dict `solver` gets each point's counters under its
+    `beta_key` and the coarse row's under "FEM-O1-coarse"."""
+    sweep, counters, _, _ = run_study("beta-sweep", mesh, [moduli], mode,
+                                      targets, reference, betas=beta_grid,
+                                      workers=workers)
+    if solver is not None:
+        solver.update((k, v) for k, v in counters.items() if k != "reference")
+    return sweep
+
+
 def fraction_sweep(mesh: PolyMesh, library: dict, fractions, rng_seed: int,
                    beta_grid, mode: str = "fullyCoupled",
                    targets=("G",), reference_levels: int = 2,
                    cache_dir: str | None = None, workers: int = 1):
-    """Hybrid volume-fraction sweep, one pool task per fraction: assign
-    phases, build the refined reference, sweep beta, and report beta_opt
-    plus the error at the default stabilization weight. `workers` is
-    capped at the CPUs this process may run on."""
-    return _pool_map(_fraction_row, [
-        (mesh, library, f, rng_seed, beta_grid, mode, targets,
-         reference_levels, cache_dir) for f in fractions],
-        usable_workers(workers))
-
-
-def _fraction_row(mesh, library, frac, rng_seed, beta_grid, mode, targets,
-                  reference_levels, cache_dir) -> FractionRow:
-    t0 = time.perf_counter()
-    layout, achieved, taken = assign_volume_fraction(mesh, frac, rng_seed)
-    moduli = layout.moduli(library, mode)
-    reference = build_reference(mesh, moduli, mode, reference_levels,
-                                cache_dir)
-    operators = VemOperators(mesh, moduli, mode)
-    points = {}
-    curve = beta_curve(operators, _with_weight(beta_grid, DEFAULT_BETA),
-                       reference.effective, targets, points)
-    b_opt = beta_opt(curve[:len(beta_grid)], targets[0])
-    by_beta = dict(curve)
-    e_c = {t: abs(d) for t, d in by_beta[DEFAULT_BETA].items()}
-    d_opt = dict(by_beta[b_opt])
-    # a reference read from the cache carries no solver counters
-    key = beta_key(DEFAULT_BETA)
-    solver = {"reference": reference.solver_stats or {"cached": True},
-              key: points[key]}
-    return FractionRow(
-        fraction_target=float(frac), fraction_achieved=float(achieved),
-        n_active_grains=taken, beta_opt=b_opt, e_c=e_c, d_rel_opt=d_opt,
-        wall_seconds=time.perf_counter() - t0, solver_stats=solver)
+    """Hybrid volume-fraction sweep: per fraction, the refined reference,
+    the beta curve, beta_opt and the error at the default weight."""
+    setups, points = fraction_setups(mesh, library, fractions, rng_seed,
+                                     mode)
+    return run_study("fraction-sweep", mesh, setups, mode, targets,
+                     (reference_levels, cache_dir), betas=beta_grid,
+                     points=points, workers=workers)[0][0]
 
 
 def usable_workers(workers: int) -> int:
@@ -535,40 +565,33 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def comparison_csv(rows, targets) -> str:
+def _csv(head, rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    head = ["method", "n_nodes", "n_dofs"]
-    head += [f"E_C_{t}_pct" for t in targets]
-    head += [f"D_rel_{t}_pct" for t in targets]
-    w.writerow(head)
-    for r in rows:
-        w.writerow([r.method, r.n_nodes, r.n_dofs]
-                   + [_fmt(r.e_c[t]) for t in targets]
-                   + [_fmt(r.d_rel[t]) for t in targets])
+    csv.writer(buf, lineterminator="\n").writerows([head, *rows])
     return buf.getvalue()
+
+
+def comparison_csv(rows, targets) -> str:
+    return _csv(["method", "n_nodes", "n_dofs"]
+                + [f"{k}_{t}_pct" for k in ("E_C", "D_rel") for t in targets],
+                ([r.method, r.n_nodes, r.n_dofs]
+                 + [_fmt(v[t]) for v in (r.e_c, r.d_rel) for t in targets]
+                 for r in rows))
 
 
 def beta_sweep_csv(curve, fem_d, targets) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["beta"] + [f"D_rel_{t}_pct" for t in targets])
-    for b, d in sorted(curve, key=lambda item: item[0]):
-        w.writerow([beta_key(b)] + [_fmt(d[t]) for t in targets])
-    w.writerow(["FEM-O1-coarse"] + [_fmt(fem_d[t]) for t in targets])
-    return buf.getvalue()
+    points = [(beta_key(b), d) for b, d in sorted(curve, key=lambda p: p[0])]
+    return _csv(["beta"] + [f"D_rel_{t}_pct" for t in targets],
+                ([key] + [_fmt(d[t]) for t in targets]
+                 for key, d in points + [("FEM-O1-coarse", fem_d)]))
 
 
 def fraction_csv(rows, targets) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["fraction_target", "fraction_achieved", "n_active_grains",
-                "beta_opt"]
-               + [f"E_C_{t}_pct_beta_default" for t in targets]
-               + [f"D_rel_{t}_pct_beta_opt" for t in targets])
-    for r in rows:
-        w.writerow([f"{r.fraction_target:.6g}", _fmt(r.fraction_achieved),
-                    r.n_active_grains, f"{r.beta_opt:.6g}"]
-                   + [_fmt(r.e_c[t]) for t in targets]
-                   + [_fmt(r.d_rel_opt[t]) for t in targets])
-    return buf.getvalue()
+    return _csv(["fraction_target", "fraction_achieved", "n_active_grains",
+                 "beta_opt"]
+                + [f"E_C_{t}_pct_beta_default" for t in targets]
+                + [f"D_rel_{t}_pct_beta_opt" for t in targets],
+                ([beta_key(r.fraction_target), _fmt(r.fraction_achieved),
+                  r.n_active_grains, beta_key(r.beta_opt)]
+                 + [_fmt(v[t]) for v in (r.e_c, r.d_rel_opt) for t in targets]
+                 for r in rows))

@@ -6,6 +6,7 @@ import glob
 import json
 import multiprocessing
 import os
+import pickle
 import platform
 import re
 import subprocess
@@ -440,7 +441,7 @@ reference_levels = 9
         # reference's q block would be zero
         def no_reference(*args, **kwargs):
             raise AssertionError("reference built for a zero target")
-        monkeypatch.setattr("polyvem.cli.build_reference", no_reference)
+        monkeypatch.setattr("polyvem.study.build_reference", no_reference)
         cache = tmp_path / "cache"
         p = write_config(tmp_path / "c.ini", f"""
 [mesh]
@@ -691,6 +692,26 @@ cache = {cache}
 """
 
 
+def shipped(task, payloads, workers):
+    """In-process stand-in for `study._pool_map` that pickles every
+    payload, as a pool process would receive it."""
+    return [task(*pickle.loads(pickle.dumps(args))) for args in payloads]
+
+
+def reference_builds(monkeypatch):
+    """The levels of every refined `homogenize_fem` run from now on."""
+    builds = []
+    homogenize_fem = study.homogenize_fem
+
+    def counting(*args, **kwargs):
+        if kwargs.get("levels"):
+            builds.append(kwargs["levels"])
+        return homogenize_fem(*args, **kwargs)
+
+    monkeypatch.setattr(study, "homogenize_fem", counting)
+    return builds
+
+
 class TestStudyCommand:
     def test_beta_sweep_default_grid_has_twenty_points(self, tmp_path):
         p = write_config(tmp_path / "c.ini", STUDY_BASE.format(
@@ -787,7 +808,8 @@ class TestStudyCommand:
         monkeypatch.setattr(study, "usable_workers", lambda workers: workers)
         for kind, csv_name, all_workers in (
                 ("beta-sweep", "beta_sweep.csv", ("2", "3")),  # 3: uneven chunks
-                ("fraction-sweep", "fraction_sweep.csv", ("2",))):
+                ("comparison", "comparison.csv", ("2", "3")),  # 2 methods
+                ("fraction-sweep", "fraction_sweep.csv", ("2", "3"))):
             cfg = STUDY_BASE.format(kind=kind, beta_step=0.25,
                                     cache=tmp_path / "cache")
             if kind == "fraction-sweep":
@@ -801,6 +823,73 @@ class TestStudyCommand:
                              "--workers", workers]) == 0
                 assert (o1 / csv_name).read_bytes() == \
                     (o2 / csv_name).read_bytes(), (kind, workers)
+
+    @pytest.mark.parametrize("kind,references", [
+        ("comparison", 1), ("beta-sweep", 1),
+        ("fraction-sweep", 3)])       # 0.05, 0.5, 0.95: three layouts
+    def test_one_reference_per_distinct_setup(self, tmp_path, monkeypatch,
+                                             kind, references):
+        # no cache: every reference a study reads is one it builds
+        monkeypatch.setattr(study, "usable_workers", lambda workers: workers)
+        monkeypatch.setattr(study, "_pool_map", shipped)
+        builds = reference_builds(monkeypatch)
+        cfg = STUDY_BASE.format(kind=kind, beta_step=0.5, cache="")
+        cfg = cfg.replace("cache = \n", "fraction_step = 0.45\n")
+        p = write_config(tmp_path / "c.ini", cfg)
+        outs = []
+        for workers in ("1", "2", "3"):
+            builds.clear()
+            outs.append(tmp_path / f"w{workers}")
+            assert main(["study", "--config", p, "--out", str(outs[-1]),
+                         "--workers", workers]) == 0
+            assert builds == [1] * references, workers
+        name, = (n for n in os.listdir(outs[0]) if n.endswith(".csv"))
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+
+    def test_repeated_layouts_share_one_setup(self, tmp_path, monkeypatch):
+        # fraction seed 9 gives this sample 7 layouts over the 10 points of
+        # step 0.1; each is run once, and its rows are that run's
+        monkeypatch.setattr(study, "usable_workers", lambda workers: workers)
+        monkeypatch.setattr(study, "_pool_map", shipped)
+        builds = reference_builds(monkeypatch)
+        cfg = STUDY_BASE.format(kind="fraction-sweep", beta_step=0.5,
+                                cache="")
+        cfg = cfg.replace("cache = \n", "fraction_step = 0.1\n"
+                                         "fraction_seed = 9\n")
+        p = write_config(tmp_path / "c.ini", cfg)
+        tables = []
+        for workers in ("1", "2", "3"):
+            builds.clear()
+            out = tmp_path / f"w{workers}"
+            assert main(["study", "--config", p, "--out", str(out),
+                         "--workers", workers]) == 0
+            assert len(builds) == 7, workers
+            tables.append((out / "fraction_sweep.csv").read_bytes())
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        rows = list(csv.reader(tables[0].decode().splitlines()[1:]))
+        assert len(rows) == 10
+        # the greedy draw takes grains in one order, so a layout is its
+        # number of active grains; twins differ in their target alone
+        twins = {}
+        for row in rows:
+            twins.setdefault(row[2], []).append(row[1:])
+        assert len(twins) == 7
+        for rest in twins.values():
+            assert all(other == rest[0] for other in rest)
+        # and each layout its own numbers
+        assert len({tuple(rest[0][3:]) for rest in twins.values()}) == 7
+
+    def test_fraction_sweep_records_the_mode_it_ran_in(self, tmp_path):
+        cfg = STUDY_BASE.format(kind="fraction-sweep", beta_step=0.5,
+                                cache=tmp_path / "cache")
+        p = write_config(tmp_path / "c.ini", cfg + "fraction_step = 0.45\n")
+        out = tmp_path / "s"
+        assert main(["study", "--config", p, "--out", str(out)]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        # STUDY_BASE asks for electroMech, which a fraction sweep runs as
+        # fullyCoupled (docs/formats.md)
+        assert (prov["kind"], prov["mode"]) == ("fraction-sweep",
+                                                "fullyCoupled")
 
     def test_truncated_cache_entry_is_recomputed(self, tmp_path):
         cache = tmp_path / "cache"
@@ -1125,3 +1214,24 @@ class TestDocumentedConfig:
         assert paths
         for path in paths:
             load_config(path)
+
+    def test_demo_configs_pass_every_setting_check(self, monkeypatch):
+        # each config through `main` up to its command, with no mesh work:
+        # a renamed key or study kind fails here before it fails a user
+        ran = []
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: lambda cfg, verbose, name=name: ran.append(name) or 0
+            for name in cli._COMMANDS})
+        paths = sorted(glob.glob(os.path.join(REPO, "demos", "configs",
+                                              "*.ini")))
+        commands = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                commands.append(re.search(r"polyvem (\w+) --config",
+                                          fh.readline()).group(1))
+            assert main([commands[-1], "--config", path]) == 0, path
+        assert ran == commands
+        kinds = {setting for path in paths
+                 for setting in [load_config(path)["study"].get("kind")]
+                 if setting}
+        assert kinds == set(cli._STUDY_CSV)     # an example of every kind

@@ -576,13 +576,20 @@ class TestBetaSweep:
 
         def beta_point(mesh, moduli, mode, chunk, ref_effective, targets):
             chunks.append(len(chunk))
-            return [(b, {"G": 0.0}) for b in chunk], {}
+            return [ps.ComparisonRow("VEM-VO", 1, 1, {"G": 0.0}, {"G": 0.0},
+                                     0.0) for b in chunk]
 
         monkeypatch.setattr(ps, "_beta_point", beta_point)
-        monkeypatch.setattr(ps, "_fraction_row", lambda *args: args[2])
         mesh = voronoi_mesh(2, seed=3)
         moduli, _ = _hex_moduli(mesh, seed=13)
         ref = ph.homogenize_fem(mesh, moduli, mode="electroMech")
+        # every fraction point a setup of its own, with a stand-in
+        # reference, and each row its fraction
+        monkeypatch.setattr(ps, "_reference_digest",
+                            lambda mesh, moduli, mode, levels: id(moduli))
+        monkeypatch.setattr(ps, "build_reference", lambda *args: ref)
+        monkeypatch.setattr(ps, "FractionRow",
+                            lambda fraction, *fields: fraction)
         curve, _ = ps.beta_sweep(mesh, moduli, "electroMech",
                                  ps.beta_grid(0.001), ref, ("G",),
                                  workers=1000)
