@@ -31,10 +31,9 @@ from .materials import (MODE_PINDEX, MODES, MaterialError,
                         anisotropy_index, build_modulus, builtin_library,
                         parse_library)
 from .mesh import (EDGE_LENGTH_RULE, MeshError, MeshParseError, PolyMesh,
-                   cell_watertight, generate_voronoi,
-                   interior_face_conformity, mesh_hash, parse_tess,
-                   random_seeds, read_mesh, valid_edge_length, write_mesh,
-                   write_tess)
+                   generate_voronoi, interior_face_conformity, mesh_hash,
+                   parse_tess, random_seeds, read_mesh, valid_edge_length,
+                   watertight_cells, write_mesh, write_tess)
 from .study import (BETA_STEP, DEFAULT_BETA, FRACTION_STEP, StudyError,
                     beta_grid, beta_sweep_csv, check_fraction_phases,
                     check_targets, comparison_csv, fraction_csv,
@@ -348,8 +347,7 @@ def cmd_mesh(cfg: dict, verbose: bool) -> int:
         "volume_closure_rel": float(
             abs(sum(c.volume for c in mesh.cells) - mesh.edge_length ** 3)
             / mesh.edge_length ** 3),
-        "all_cells_watertight": bool(all(
-            cell_watertight(c) for c in mesh.cells)),
+        "all_cells_watertight": bool(watertight_cells(mesh.cells).all()),
         "interior_faces_conforming": bool(interior_face_conformity(mesh)),
     }
     outputs = [

@@ -108,12 +108,19 @@ def reduce_modulus(G, mode: str) -> np.ndarray:
 
 
 def grain_moduli(records, angles, mode: str):
-    """Per-cell reduced moduli from material records and Euler angles."""
+    """Per-cell reduced moduli from material records and Euler angles;
+    each distinct record object's modulus is built once."""
     if len(records) != len(angles):
         raise HomogenizationError("records and angles must pair up per cell")
+    built = {}
     out = []
     for rec, ang in zip(records, angles):
-        G = rec if isinstance(rec, GeneralizedModulus) else build_modulus(rec)
+        if isinstance(rec, GeneralizedModulus):
+            G = rec
+        else:
+            G = built.get(id(rec))
+            if G is None:
+                G = built[id(rec)] = build_modulus(rec)
         out.append(reduce_modulus(rotate_modulus(G, ang), mode))
     return out
 

@@ -218,9 +218,30 @@ def box_sides(points, edge_length: float) -> np.ndarray:
     return np.hstack([np.abs(p) <= tol, np.abs(p - edge_length) <= tol])
 
 
+def _flat_loops(cells):
+    """(ids, sizes, n_faces): the cells' face loops end to end, in cell
+    then face order, with each loop's length and each cell's loop
+    count."""
+    loops = [lp for cell in cells for lp in cell.faces]
+    ids = (np.concatenate(loops).astype(int, copy=False) if loops
+           else np.zeros(0, dtype=int))
+    return (ids, np.array([len(lp) for lp in loops], dtype=int),
+            np.array([len(cell.faces) for cell in cells], dtype=int))
+
+
+def _distinct(keys):
+    """The distinct values of non-negative integer keys, sorted, by one
+    sort (faster here than np.unique)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def face_table(mesh: PolyMesh) -> FaceTable:
     """Unique faces of the mesh's cells with their geometry.
 
+    A face is keyed by its distinct vertex ids, sorted and padded into
+    one row per cell face; one stable sort of the rows numbers the keys
+    in order of first appearance (docs/fem.md, "After clipping").
     Area, normal and centroid come from a fan from the vertex mean, exact
     for planar polygons of any (mild) non-convexity. A face's weights w
     make sum_i w[i] s[loop[i]] the exact integral of the first-order face
@@ -228,26 +249,50 @@ def face_table(mesh: PolyMesh) -> FaceTable:
     gradient . (centroid - vertex mean position)), the gradient from edge
     trapezoids; they do not depend on the winding.
     """
-    index, face_loops, owners, refs, signs = {}, [], [], [], []
-    for ci, cell in enumerate(mesh.cells):
-        for loop in cell.faces:
-            lp = [int(v) for v in loop]
-            if len(lp) < 3:
-                raise MeshError(f"face with {len(lp)} vertices", ci)
-            f = index.setdefault(frozenset(lp), len(index))
-            if f == len(face_loops):
-                face_loops.append(lp)
-                owners.append([ci, -1])
-            elif owners[f][1] < 0:
-                owners[f][1] = ci
-            first = face_loops[f]
-            refs.append(f)
-            signs.append(1 if lp[(lp.index(first[0]) + 1) % len(lp)] == first[1]
-                         else -1)
-    sizes = np.array([len(lp) for lp in face_loops], dtype=int)
+    ids, ref_size, n_faces = _flat_loops(mesh.cells)
+    ref_cell = np.repeat(np.arange(len(n_faces)), n_faces)
+    short = np.flatnonzero(ref_size < 3)
+    if short.size:
+        raise MeshError(f"face with {ref_size[short[0]]} vertices",
+                        int(ref_cell[short[0]]))
+    n_refs = len(ref_size)
+    ref_start = np.cumsum(ref_size) - ref_size
+    entry_ref = np.repeat(np.arange(n_refs), ref_size)
+    nv = max(len(mesh.vertices), int(ids.max(initial=0)) + 1)
+    key = _distinct(entry_ref * nv + ids)
+    ref = key // nv
+    width = np.bincount(ref, minlength=n_refs)
+    rows = np.full((n_refs, max(width.max(initial=0), 1)), -1)
+    rows[ref, np.arange(len(key)) - (np.cumsum(width) - width)[ref]] = key % nv
+    order = np.lexsort(rows.T[::-1])
+    head = np.ones(n_refs, dtype=bool)
+    head[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    first = order[head]                    # each key's first cell face
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    refs = np.empty(n_refs, dtype=int)
+    refs[order] = rank[np.cumsum(head) - 1]
+    first = np.sort(first)
+
+    # owners: the cells of a face's first two references
+    n_own = np.bincount(refs, minlength=len(first))
+    later = np.argsort(refs, kind="stable")[
+        np.minimum(np.cumsum(n_own) - n_own + 1, n_refs - 1)]
+    owners = np.column_stack(
+        [ref_cell[first], np.where(n_own > 1, ref_cell[later], -1)])
+    sizes = ref_size[first]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
-    loops = np.array([v for lp in face_loops for v in lp], dtype=int)
+    loops = ids[np.repeat(ref_start[first] - starts, sizes)
+                + np.arange(offsets[-1])]
+    # a reference keeps the stored winding where the id after its first
+    # copy of the stored loop's first id is the stored loop's second
+    local = np.arange(len(ids)) - ref_start[entry_ref]
+    pos = np.minimum.reduceat(
+        np.where(ids == loops[starts[refs[entry_ref]]], local, len(ids)),
+        ref_start)
+    signs = np.where(ids[ref_start + (pos + 1) % ref_size]
+                     == loops[starts[refs] + 1], 1, -1)
     face = np.repeat(np.arange(len(sizes)), sizes)
     nxt = np.arange(1, len(loops) + 1)
     nxt[offsets[1:] - 1] = starts
@@ -259,7 +304,7 @@ def face_table(mesh: PolyMesh) -> FaceTable:
     area = np.linalg.norm(area_vec, axis=1)
     if np.any(area <= 0.0):
         raise MeshError("zero-area face (collinear loop)",
-                        owners[np.argmin(area)][0])
+                        int(owners[np.argmin(area), 0]))
     normal = area_vec / area[:, None]
     tri_area = 0.5 * np.einsum("ij,ij->i", cross, normal[face])     # signed
     tri_cent = (pts + pts[nxt] + c0[face]) / 3.0
@@ -274,27 +319,22 @@ def face_table(mesh: PolyMesh) -> FaceTable:
 
     on_box = np.logical_and.reduceat(
         box_sides(pts, mesh.edge_length), starts).any(axis=1)
-    cell_offsets = np.concatenate(
-        [[0], np.cumsum([len(cell.faces) for cell in mesh.cells])])
     return FaceTable(loops, offsets, area, normal, centroid, weights,
-                     np.array(owners, dtype=int).reshape(-1, 2), on_box,
-                     cell_offsets, np.array(refs, dtype=int),
-                     np.array(signs, dtype=int), face, nxt)
+                     owners, on_box, np.concatenate([[0], np.cumsum(n_faces)]),
+                     refs, signs, face, nxt)
 
 
-def _volume_moments(vertices, cell_loops):
-    """(volumes, first moments) of cells given as lists of face loops.
+def _volume_moments(vertices, ids, sizes, n_faces):
+    """(volumes, first moments) of cells given as flat loops
+    (`_flat_loops`).
 
     Sums signed tets against the origin over each loop's fan from its
     first vertex, all tets in one pass. Each cell's sums run tet by tet
     in face order from 0.0, so a cell's numbers do not depend on the
     cells batched with it.
     """
-    loops = [np.asarray(lp, dtype=int) for cl in cell_loops for lp in cl]
-    k = np.array([len(lp) for lp in loops], dtype=int)
-    n_tri = np.maximum(k - 2, 0)
-    ids = np.concatenate(loops or [np.zeros(0, dtype=int)])
-    first = np.repeat(np.cumsum(k) - k, n_tri)
+    n_tri = np.maximum(sizes - 2, 0)
+    first = np.repeat(np.cumsum(sizes) - sizes, n_tri)
     second = (first + 1 + np.arange(n_tri.sum())
               - np.repeat(np.cumsum(n_tri) - n_tri, n_tri))
     p0, p1, p2 = (vertices[ids[i]] for i in (first, second, second + 1))
@@ -302,11 +342,11 @@ def _volume_moments(vertices, cell_loops):
     v = (p0[:, None, :] @ np.cross(p1, p2)[:, :, None])[:, 0, 0] / 6.0
     m = v[:, None] * (p0 + p1 + p2) / 4.0
     # one row per cell: 0.0, its tets in face order, then zero padding
-    row = np.repeat(np.repeat(np.arange(len(cell_loops)),
-                              [len(cl) for cl in cell_loops]), n_tri)
-    per_cell = np.bincount(row, minlength=len(cell_loops))
+    n_cells = len(n_faces)
+    row = np.repeat(np.repeat(np.arange(n_cells), n_faces), n_tri)
+    per_cell = np.bincount(row, minlength=n_cells)
     col = 1 + np.arange(len(row)) - (np.cumsum(per_cell) - per_cell)[row]
-    vol = np.zeros((len(cell_loops), per_cell.max(initial=0) + 1))
+    vol = np.zeros((n_cells, per_cell.max(initial=0) + 1))
     mom = np.zeros(vol.shape + (3,))
     vol[row, col] = v
     mom[row, col] = m
@@ -315,7 +355,7 @@ def _volume_moments(vertices, cell_loops):
 
 def cell_volume_centroid(cell: PolyCell, vertices):
     """Exact volume and centroid via signed tets against the origin."""
-    vol, mom = _volume_moments(vertices, [cell.faces])
+    vol, mom = _volume_moments(vertices, *_flat_loops([cell]))
     if vol[0] <= 0.0:
         raise MeshError("non-positive cell volume (orientation?)")
     return vol[0], mom[0] / vol[0]
@@ -324,11 +364,57 @@ def cell_volume_centroid(cell: PolyCell, vertices):
 def _turn_outward(cells, vertices) -> np.ndarray:
     """Reverse every loop of each consistently wound cell that encloses a
     negative signed volume; returns the cells' volumes."""
-    vols, _ = _volume_moments(vertices, [cell.faces for cell in cells])
+    vols, _ = _volume_moments(vertices, *_flat_loops(cells))
     for cell, vol in zip(cells, vols):
         if vol < 0.0:
             cell.faces[:] = [lp[::-1].copy() for lp in cell.faces]
     return np.abs(vols)
+
+
+def _by_cell(key, cell):
+    """The order that sorts entries by cell, then by key."""
+    order = np.argsort(key)
+    return order[np.argsort(cell[order], kind="stable")]
+
+
+def _edge_pairs(ids, sizes, n_faces):
+    """The directed-edge check of cells given as flat loops
+    (`_flat_loops`): (closed, faces). closed[c] is True where each
+    directed edge of cell c's loops appears once and so does its
+    reverse; faces is two arrays of loop ids, the loops of each edge of
+    a closed cell and of its reverse, every such pair in both orders."""
+    cell = np.repeat(np.repeat(np.arange(len(n_faces)), n_faces), sizes)
+    a, b = ids, ids[_cyclic_next(sizes)]
+    nv = int(ids.max(initial=0)) + 1
+    edge, reverse = a * nv + b, b * nv + a
+    # each cell's edges, then its reversed edges, sorted: both orders put
+    # the cell's edges on the same rows
+    fwd, back = _by_cell(edge, cell), _by_cell(reverse, cell)
+    edge = edge[fwd]
+    bad = edge != reverse[back]
+    bad[1:] |= (edge[1:] == edge[:-1]) & (cell[fwd[1:]] == cell[fwd[:-1]])
+    closed = np.ones(len(n_faces), dtype=bool)
+    closed[cell[fwd[bad]]] = False
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    keep = closed[cell[fwd]]
+    return closed, (face[fwd[keep]], face[back[keep]])
+
+
+def _joined(faces, n_faces) -> np.ndarray:
+    """Per cell: True where the (loop, loop) pairs `faces` join all its
+    loops into one surface (or it has none)."""
+    label = np.arange(n_faces.sum())
+    u, v = faces
+    # every label falls to the lowest loop id of its component
+    while not np.array_equal(label[u], label[v]):
+        np.minimum.at(label, u, np.minimum(label[u], label[v]))
+        label = label[label]
+    full = n_faces > 0
+    starts = (np.cumsum(n_faces) - n_faces)[full]
+    joined = np.ones(len(n_faces), dtype=bool)
+    joined[full] = (np.minimum.reduceat(label, starts)
+                    == np.maximum.reduceat(label, starts))
+    return joined
 
 
 def _wind_consistently(cell: PolyCell):
@@ -534,37 +620,58 @@ def _clip_cells(verts, n_verts, loops, sizes, n_faces, d, side):
 # Voronoi generation
 # ---------------------------------------------------------------------------
 
-class _PointMerger:
-    """Spatial-hash vertex dedup within a max-norm tolerance."""
+# the direction of the merge's sorted pass, in no box plane and no
+# low-index lattice plane: points on one such plane still spread along
+# it, so that a window holds the near points and few others
+_SWEEP = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.buckets = {}
-        self.points = []
 
-    def add(self, points: np.ndarray) -> list:
-        """Ids of the (n, 3) points, each the first earlier point within
-        tol in the scan of the neighbouring buckets, or a new id."""
-        keys = np.floor(points / self.tol).astype(np.int64).tolist()
-        return [self._find(p, *key) for p, key in zip(points.tolist(), keys)]
+def _merge_points(points, tol: float):
+    """(ids, kept): each point's id after merging within tol (max-norm)
+    and the points that keep their own id, in order.
 
-    def _find(self, p, kx, ky, kz) -> int:
-        x, y, z = p
-        tol = self.tol
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for idx in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        qx, qy, qz = self.points[idx]
-                        if abs(x - qx) <= tol and abs(y - qy) <= tol and abs(z - qz) <= tol:
-                            return idx
-        idx = len(self.points)
-        self.points.append(p)
-        self.buckets.setdefault((kx, ky, kz), []).append(idx)
-        return idx
-
-    def array(self) -> np.ndarray:
-        return np.array(self.points) if self.points else np.zeros((0, 3))
+    Points are taken in order. A point takes the id of an earlier kept
+    point within tol whose bucket floor(p / tol) is next to its own (no
+    coordinate apart by more than 1); of several, the first in the scan
+    of the 27 buckets around its own (offsets -1, 0, 1 in x, then y,
+    then z), and of several in one bucket the first kept. A point with
+    none keeps its own, the next id. Candidate pairs come from one
+    sorted pass along _SWEEP; whether a point is kept is settled in
+    rounds, each of which settles at least the first open point
+    (docs/fem.md, "After clipping").
+    """
+    n = len(points)
+    keys = np.floor(points / tol).astype(np.int64)
+    along = points @ _SWEEP
+    order = np.argsort(along)
+    ends = np.searchsorted(along[order], along[order] + 2.0 * tol * _SWEEP.sum(),
+                           side="right")
+    count = ends - np.arange(n) - 1
+    lo = np.repeat(np.arange(n), count)
+    hi = lo + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.minimum(order[lo], order[hi]), np.maximum(order[lo], order[hi])
+    near = ((np.abs(points[i] - points[j]) <= tol).all(axis=1)
+            & (np.abs(keys[i] - keys[j]) <= 1).all(axis=1))
+    i, j = i[near], j[near]
+    state = np.ones(n, dtype=np.int8)      # 1 kept, -1 merged, 0 open
+    state[j] = 0
+    while not state.all():
+        hit, wait = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        hit[j[state[i] == 1]] = True
+        wait[j[state[i] == 0]] = True
+        open_ = state == 0
+        state[open_ & hit] = -1
+        state[open_ & ~hit & ~wait] = 1
+    kept = state == 1
+    ids = np.cumsum(kept) - 1
+    take = kept[i] & ~kept[j]
+    i, j = i[take], j[take]
+    scan = (keys[i] - keys[j] + 1) @ np.array([9, 3, 1])
+    first = np.lexsort((i, scan, j))
+    lead = np.ones(len(first), dtype=bool)
+    lead[1:] = j[first[1:]] != j[first[:-1]]
+    ids[j[first[lead]]] = ids[i[first[lead]]]
+    return ids, points[kept]
 
 
 def _pieces(array, counts):
@@ -577,13 +684,16 @@ def _voronoi_cells(seeds: np.ndarray, L: float):
     """Clip the cube per seed by nearest-first bisector planes, every
     cell in lockstep (docs/fem.md, "Voronoi clipping"): round r tests
     the r-th nearest plane of each cell that its security radius has not
-    ruled out. Returns (verts, faces) per cell, faces as lists of local
-    vertex ids."""
+    ruled out. Returns (verts, n_verts, loops, sizes, n_faces): the
+    cells' vertices in cell order, each cell's vertex count, the face
+    loops' local vertex ids end to end, each loop's size and each cell's
+    loop count."""
     n = len(seeds)
     eps = TAU_MERGE * L
     cube, cube_faces = _cube_poly(L)
     if n == 1:
-        return [(cube, cube_faces)]
+        return (cube, np.array([8]), np.concatenate(cube_faces),
+                np.array([len(f) for f in cube_faces]), np.array([6]))
     verts = [cube] * n
     loops = [np.concatenate(cube_faces)] * n
     sizes = [np.array([len(f) for f in cube_faces])] * n
@@ -640,11 +750,9 @@ def _voronoi_cells(seeds: np.ndarray, L: float):
             active = active[~np.isin(active, list(errors))]
     if errors:
         raise errors[min(errors)]
-    cells = []
-    for v, lp, sz in zip(verts, loops, sizes):
-        ids, ends = lp.tolist(), np.cumsum(sz).tolist()
-        cells.append((v, [ids[e - s:e] for e, s in zip(ends, sz.tolist())]))
-    return cells
+    return (np.concatenate(verts), np.array([len(v) for v in verts]),
+            np.concatenate(loops), np.concatenate(sizes),
+            np.array([len(sz) for sz in sizes]))
 
 
 def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
@@ -673,40 +781,63 @@ def generate_voronoi(seeds, L: float, lloyd: int = 0) -> PolyMesh:
             raise MeshError("coincident seeds")
 
     for _ in range(int(lloyd)):
-        raw = _voronoi_cells(pts, L)
-        shift = np.cumsum([0] + [len(verts) for verts, _ in raw])
+        verts, n_verts, loops, sizes, n_faces = _voronoi_cells(pts, L)
         vols, moms = _volume_moments(
-            np.vstack([verts for verts, _ in raw]),
-            [[np.asarray(f) + s for f in faces] for (_, faces), s in zip(raw, shift)])
+            verts, _global_loops(n_verts, loops, sizes, n_faces), sizes, n_faces)
         if np.any(vols <= 0.0):
             raise MeshError("non-positive cell volume (orientation?)")
         pts = moms / vols[:, None]
 
-    raw = _voronoi_cells(pts, L)
-    merger = _PointMerger(TAU_MERGE * L)
-    cells = []
-    for ci, (verts, faces) in enumerate(raw):
-        gids = merger.add(verts)
-        loops = []
-        for loop in faces:
-            g = [gids[v] for v in loop]
-            # merging may collapse sliver edges
-            g = [v for k, v in enumerate(g) if v != g[k - 1]]
-            if len(set(g)) >= 3:
-                loops.append(np.array(g, dtype=int))
-        cell = PolyCell(np.unique(np.concatenate(loops)), loops, material_id=0)
-        cells.append(cell)
-
-    mesh = PolyMesh(merger.array(), cells, float(L))
+    mesh = PolyMesh(*_merged_cells(*_voronoi_cells(pts, L), TAU_MERGE * L),
+                    float(L))
     _finalize_cells(mesh)
     return mesh
 
 
+def _global_loops(n_verts, loops, sizes, n_faces):
+    """The loops of flat clipped cells over the rows of all their
+    vertices, not each cell's own."""
+    start = np.cumsum(n_verts) - n_verts
+    return loops + np.repeat(np.repeat(start, n_faces), sizes)
+
+
+def _merged_cells(verts, n_verts, loops, sizes, n_faces, tol: float):
+    """(vertices, cells) of flat clipped cells (`_voronoi_cells`) with
+    their vertices merged within tol (`_merge_points`). Merging may
+    collapse sliver edges: an id equal to the one before it (cyclically)
+    goes, and so does a face left with fewer than 3 distinct ids."""
+    n = len(n_verts)
+    gids, vertices = _merge_points(verts, tol)
+    ids = gids[_global_loops(n_verts, loops, sizes, n_faces)]
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    prev = np.empty_like(ids)
+    prev[_cyclic_next(sizes)] = ids
+    fresh = ids != prev
+    ids, face = ids[fresh], face[fresh]
+    nv = len(vertices)
+    distinct = np.bincount(_distinct(face * nv + ids) // nv, minlength=len(sizes))
+    keep = distinct >= 3
+    ids, face = ids[keep[face]], face[keep[face]]
+    face_cell = np.repeat(np.arange(n), n_faces)[keep]
+    sizes = np.bincount(face, minlength=len(keep))[keep]
+    # each cell's vertex ids, sorted
+    used = _distinct(np.repeat(face_cell, sizes) * nv + ids)
+    vertex_ids = _pieces(used % nv, np.bincount(used // nv, minlength=n))
+    loops = _pieces(ids, sizes)
+    count = np.bincount(face_cell, minlength=n).tolist()
+    return vertices, [PolyCell(vids, loops[e - k:e]) for vids, e, k
+                      in zip(vertex_ids, np.cumsum(count).tolist(), count)]
+
+
 def _finalize_cells(mesh: PolyMesh):
     """Orient faces outward, cache volumes, validate closure, and build
-    the face table."""
-    for cell in mesh.cells:
-        _wind_consistently(cell)
+    the face table. A cell whose directed edges pair up with their
+    reverses into one surface is wound consistently already; only the
+    others are rewound (or rejected) by the edge traversal."""
+    flat = _flat_loops(mesh.cells)
+    closed, faces = _edge_pairs(*flat)
+    for c in np.flatnonzero(~(closed & _joined(faces, flat[2]))).tolist():
+        _wind_consistently(mesh.cells[c])
     vols = _turn_outward(mesh.cells, mesh.vertices)
     total = 0.0
     for ci, (cell, vol) in enumerate(zip(mesh.cells, vols)):
@@ -720,18 +851,15 @@ def _finalize_cells(mesh: PolyMesh):
     mesh._faces = face_table(mesh)
 
 
+def watertight_cells(cells) -> np.ndarray:
+    """Per cell: each directed edge of its loops appears once, and so
+    does its reverse."""
+    return _edge_pairs(*_flat_loops(cells))[0]
+
+
 def cell_watertight(cell: PolyCell) -> bool:
     """Each edge used exactly twice, in opposite directions."""
-    count = {}
-    for loop in cell.faces:
-        k = len(loop)
-        for i in range(k):
-            a, b = int(loop[i]), int(loop[(i + 1) % k])
-            count[(a, b)] = count.get((a, b), 0) + 1
-    for (a, b), c in count.items():
-        if c != 1 or count.get((b, a), 0) != 1:
-            return False
-    return True
+    return bool(watertight_cells([cell])[0])
 
 
 def interior_face_conformity(mesh: PolyMesh) -> bool:
@@ -969,15 +1097,16 @@ _NATIVE_MAGIC = "polyvem-mesh 1"
 
 def _native_payload(mesh: PolyMesh) -> str:
     lines = [f"VERTICES {mesh.n_vertices}"]
-    for i, v in enumerate(mesh.vertices):
-        lines.append(f"{i} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    lines += [f"{i} {x!r} {y!r} {z!r}" for i, (x, y, z)
+              in enumerate(np.asarray(mesh.vertices, dtype=float).tolist())]
     lines.append(f"CELLS {len(mesh.cells)}")
-    for i, cell in enumerate(mesh.cells):
-        lines.append(f"{i} {cell.material_id} {len(cell.faces)}")
+    lines += [f"{i} {cell.material_id} {len(cell.faces)}"
+              for i, cell in enumerate(mesh.cells)]
     lines.append("FACES")
-    for i, cell in enumerate(mesh.cells):
-        for loop in cell.faces:
-            lines.append(f"{i} " + " ".join(str(int(v)) for v in loop))
+    ids, sizes, n_faces = _flat_loops(mesh.cells)
+    cell = np.repeat(np.arange(len(n_faces)), n_faces).tolist()
+    lines += [f"{c} " + " ".join(map(str, loop))
+              for c, loop in zip(cell, _pieces(ids.tolist(), sizes))]
     return "\n".join(lines) + "\n"
 
 
@@ -1116,11 +1245,13 @@ def _parsed_mesh(verts, cells, L, first: int) -> PolyMesh:
                                t.normal[face]))
         planar = (np.maximum.reduceat(gap, t.offsets[:-1])
                   <= TAU_PLANE * mesh.edge_length)
-        for ci, cell in enumerate(mesh.cells):
-            if not cell_watertight(cell):
-                raise MeshError("not watertight", ci)
-            if not planar[t.of_cell(ci)[0]].all():
-                raise MeshError("non-planar face", ci)
+        # the lowest cell at fault, its edges before its faces' planarity
+        closed = watertight_cells(mesh.cells)
+        bad = ~closed | ~np.logical_and.reduceat(planar[t.cell_faces],
+                                                 t.cell_offsets[:-1])
+        if bad.any():
+            ci = int(np.argmax(bad))
+            raise MeshError("non-planar face" if closed[ci] else "not watertight", ci)
         _finalize_cells(mesh)
     except MeshError as exc:
         raise MeshParseError(exc.detail, None if exc.cell is None

@@ -252,6 +252,33 @@ class TestEffectiveModulus:
             ph.homogenize_fem(mesh, moduli, order=2, levels=1)
 
 
+class TestGrainModuli:
+    def test_each_record_is_built_once(self, monkeypatch):
+        records = [LIB["BaTiO3"], LIB["CoFe2O4"]]
+        names = [records[c % 3 == 0] for c in range(10)]
+        angles = [tuple(RNG.uniform(0.0, 2.0 * np.pi, 3)) for _ in names]
+        want = [ph.reduce_modulus(pmat.rotate_modulus(pmat.build_modulus(rec), ang),
+                                  "fullyCoupled") for rec, ang in zip(names, angles)]
+        built, rotated = [], []
+
+        def counting_build(rec):
+            built.append(rec.name)
+            return pmat.build_modulus(rec)
+
+        def counting_rotate(G, ang):
+            rotated.append(ang)
+            return pmat.rotate_modulus(G, ang)
+
+        monkeypatch.setattr(ph, "build_modulus", counting_build)
+        monkeypatch.setattr(ph, "rotate_modulus", counting_rotate)
+        got = ph.grain_moduli(names, angles, "fullyCoupled")
+        assert sorted(built) == ["BaTiO3", "CoFe2O4"]
+        assert rotated == angles
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 def laminate_mesh(L=1.0):
     """Two equal slabs stacked along z."""
     seeds = np.array([[0.5, 0.5, 0.25], [0.5, 0.5, 0.75]]) * L

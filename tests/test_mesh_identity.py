@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from polyvem import mesh as pm
 from polyvem.element_fem import promote_to_quadratic
@@ -338,6 +339,17 @@ def frozen_voronoi_cells(seeds, L):
     return cells
 
 
+def per_cell(flat):
+    """The lockstep clipper's flat cells as the per-cell clipper's list of
+    (verts, faces), faces as lists of local vertex ids."""
+    verts, n_verts, loops, sizes, n_faces = flat
+    ids, ends = loops.tolist(), np.cumsum(sizes).tolist()
+    faces = [ids[e - k:e] for e, k in zip(ends, sizes.tolist())]
+    at, vat = np.cumsum(n_faces).tolist(), np.cumsum(n_verts).tolist()
+    return [(verts[v - nv:v], faces[f - nf:f]) for v, nv, f, nf
+            in zip(vat, n_verts.tolist(), at, n_faces.tolist())]
+
+
 def outcome(cells_of, seeds):
     try:
         return cells_of(seeds, 1.0)
@@ -354,15 +366,24 @@ def assert_same_cells(seeds):
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
+    got = per_cell(got)
     assert len(got) == len(want)
     for (gv, gf), (wv, wf) in zip(got, want):
         assert gv.shape == wv.shape and np.array_equal(gv, wv)
         assert gf == wf
 
 
-@pytest.mark.parametrize("n,seed,lloyd", sorted(PINS))
-def test_lockstep_clipper_matches_the_per_cell_one_on_the_pins(
-        n, seed, lloyd, monkeypatch):
+# ---------------------------------------------------------------------------
+# The seed families that the clipper and the front end after it are both
+# checked on: each parametrization below feeds one test of each
+# ---------------------------------------------------------------------------
+
+ON_PINS = pytest.mark.parametrize("n,seed,lloyd", sorted(PINS))
+
+
+def pin_iterates(n, seed, lloyd, monkeypatch):
+    """The seeds of every Lloyd iterate of a pinned mesh, its last
+    tessellation's included."""
     calls = []
 
     def recording(seeds, L):
@@ -374,17 +395,12 @@ def test_lockstep_clipper_matches_the_per_cell_one_on_the_pins(
     pm.generate_voronoi(pm.random_seeds(n, 1.0, seed).seeds, 1.0, lloyd)
     monkeypatch.undo()
     assert len(calls) == lloyd + 1
-    for seeds in calls:
-        assert_same_cells(seeds)
+    return calls
 
 
 RANDOM_CASES = [(int(n), 1000 + i) for i, n in enumerate(
     np.random.default_rng(30).integers(2, 151, size=20))]
-
-
-@pytest.mark.parametrize("n,seed", RANDOM_CASES)
-def test_lockstep_clipper_matches_the_per_cell_one_on_random_seeds(n, seed):
-    assert_same_cells(pm.random_seeds(n, 1.0, seed).seeds)
+ON_RANDOM_SEEDS = pytest.mark.parametrize("n,seed", RANDOM_CASES)
 
 
 def lattice(m):
@@ -398,10 +414,58 @@ def jittered_lattice(m, jitter):
     return lattice(m) + jitter * rng.uniform(-1.0, 1.0, (m ** 3, 3))
 
 
-# at 1e-9 and 2e-9 the jitter is of the order of the side tolerance:
-# some cells' on-plane edges are not one cycle, and some caps do not close
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("jitter", [0.0, 1e-12, 1e-9, 2e-9])
+def on_lattices(test):
+    # at 1e-9 and 2e-9 the jitter is of the order of the side tolerance:
+    # some cells' on-plane edges are not one cycle, and some caps do not
+    # close
+    return pytest.mark.parametrize("m", [2, 3, 4])(
+        pytest.mark.parametrize("jitter", [0.0, 1e-12, 1e-9, 2e-9])(test))
+
+
+ON_COPLANAR = pytest.mark.parametrize("n", [3, 8, 15])
+
+
+def coplanar_seeds(n):
+    """Random seeds on the plane z = 1/2, and a regular polygon there:
+    every cell's bisectors meet on the axis."""
+    rng = np.random.default_rng(n)
+    angle = 2.0 * np.pi * np.arange(n) / n
+    return [np.column_stack([rng.uniform(0.05, 0.95, (n, 2)), np.full(n, 0.5)]),
+            np.column_stack([0.5 + 0.3 * np.cos(angle), 0.5 + 0.3 * np.sin(angle),
+                             np.full(n, 0.5)])]
+
+
+def on_drawn_seeds(test):
+    return settings(max_examples=25, derandomize=True, deadline=None,
+                    database=None)(given(
+        points=st.lists(st.tuples(*[st.floats(0.01, 0.99)] * 3),
+                        min_size=2, max_size=30),
+        grid=st.sampled_from([0.0, 0.125, 0.25]))(test))
+
+
+def drawn_seeds(points, grid):
+    """The distinct drawn points, snapped to the grid when there is one
+    (ties and on-plane vertices); None for fewer than two."""
+    seeds = np.array(points)
+    if grid:
+        seeds = np.clip(np.round(seeds / grid) * grid, grid / 2, 1 - grid / 2)
+    seeds = np.unique(seeds, axis=0)
+    return seeds if len(seeds) >= 2 else None
+
+
+@ON_PINS
+def test_lockstep_clipper_matches_the_per_cell_one_on_the_pins(
+        n, seed, lloyd, monkeypatch):
+    for seeds in pin_iterates(n, seed, lloyd, monkeypatch):
+        assert_same_cells(seeds)
+
+
+@ON_RANDOM_SEEDS
+def test_lockstep_clipper_matches_the_per_cell_one_on_random_seeds(n, seed):
+    assert_same_cells(pm.random_seeds(n, 1.0, seed).seeds)
+
+
+@on_lattices
 def test_lockstep_clipper_matches_the_per_cell_one_on_lattices(m, jitter):
     assert_same_cells(jittered_lattice(m, jitter))
 
@@ -421,26 +485,355 @@ def test_cells_off_one_cap_cycle_take_the_dict_chain(monkeypatch):
     assert_same_cells(seeds)
 
 
-@pytest.mark.parametrize("n", [3, 8, 15])
+@ON_COPLANAR
 def test_lockstep_clipper_matches_the_per_cell_one_on_coplanar_seeds(n):
-    rng = np.random.default_rng(n)
-    seeds = np.column_stack([rng.uniform(0.05, 0.95, (n, 2)), np.full(n, 0.5)])
-    assert_same_cells(seeds)
-    # a regular polygon: every cell's bisectors meet on the axis
-    angle = 2.0 * np.pi * np.arange(n) / n
-    assert_same_cells(np.column_stack([0.5 + 0.3 * np.cos(angle),
-                                       0.5 + 0.3 * np.sin(angle),
-                                       np.full(n, 0.5)]))
-
-
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(points=st.lists(st.tuples(*[st.floats(0.01, 0.99)] * 3),
-                       min_size=2, max_size=30),
-       grid=st.sampled_from([0.0, 0.125, 0.25]))
-def test_lockstep_clipper_matches_the_per_cell_one_property(points, grid):
-    seeds = np.array(points)
-    if grid:                               # snapped: ties and on-plane vertices
-        seeds = np.clip(np.round(seeds / grid) * grid, grid / 2, 1 - grid / 2)
-    seeds = np.unique(seeds, axis=0)
-    if len(seeds) >= 2:
+    for seeds in coplanar_seeds(n):
         assert_same_cells(seeds)
+
+
+@on_drawn_seeds
+def test_lockstep_clipper_matches_the_per_cell_one_property(points, grid):
+    seeds = drawn_seeds(points, grid)
+    if seeds is not None:
+        assert_same_cells(seeds)
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the per-point vertex merger, the per-face compaction,
+# the per-cell winding traversal, the dict-keyed face table and the
+# per-entry native text that the array passes after the clip replaced
+# ---------------------------------------------------------------------------
+
+class FrozenPointMerger:
+    def __init__(self, tol):
+        self.tol = tol
+        self.buckets = {}
+        self.points = []
+
+    def add(self, points):
+        keys = np.floor(points / self.tol).astype(np.int64).tolist()
+        return [self._find(p, *key) for p, key in zip(points.tolist(), keys)]
+
+    def _find(self, p, kx, ky, kz):
+        x, y, z = p
+        tol = self.tol
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for idx in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                        qx, qy, qz = self.points[idx]
+                        if abs(x - qx) <= tol and abs(y - qy) <= tol and abs(z - qz) <= tol:
+                            return idx
+        idx = len(self.points)
+        self.points.append(p)
+        self.buckets.setdefault((kx, ky, kz), []).append(idx)
+        return idx
+
+    def array(self):
+        return np.array(self.points) if self.points else np.zeros((0, 3))
+
+
+def frozen_merged_cells(raw, tol):
+    merger = FrozenPointMerger(tol)
+    cells = []
+    for verts, faces in raw:
+        gids = merger.add(verts)
+        loops = []
+        for loop in faces:
+            g = [gids[v] for v in loop]
+            g = [v for k, v in enumerate(g) if v != g[k - 1]]
+            if len(set(g)) >= 3:
+                loops.append(np.array(g, dtype=int))
+        cells.append(pm.PolyCell(np.unique(np.concatenate(loops)), loops))
+    return merger.array(), cells
+
+
+def frozen_wind_consistently(cell):
+    loops = [np.asarray(lp, dtype=int) for lp in cell.faces]
+    edge_faces = {}
+    for fi, loop in enumerate(loops):
+        k = len(loop)
+        for i in range(k):
+            a, b = int(loop[i]), int(loop[(i + 1) % k])
+            edge_faces.setdefault(frozenset((a, b)), []).append((fi, (a, b)))
+    flip = [None] * len(loops)
+    flip[0] = False
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        loop = loops[fi]
+        k = len(loop)
+        for i in range(k):
+            a, b = int(loop[i]), int(loop[(i + 1) % k])
+            if flip[fi]:
+                a, b = b, a
+            for fj, stored in edge_faces[frozenset((a, b))]:
+                if fj == fi or flip[fj] is not None:
+                    continue
+                flip[fj] = stored != (b, a)
+                stack.append(fj)
+    if any(f is None for f in flip):
+        raise pm.MeshError("cell surface is not edge-connected")
+    cell.faces[:] = [lp[::-1].copy() if fl else lp
+                     for lp, fl in zip(loops, flip)]
+
+
+def frozen_cell_watertight(cell):
+    count = {}
+    for loop in cell.faces:
+        k = len(loop)
+        for i in range(k):
+            a, b = int(loop[i]), int(loop[(i + 1) % k])
+            count[(a, b)] = count.get((a, b), 0) + 1
+    for (a, b), c in count.items():
+        if c != 1 or count.get((b, a), 0) != 1:
+            return False
+    return True
+
+
+def frozen_face_table(mesh):
+    index, face_loops, owners, refs, signs = {}, [], [], [], []
+    for ci, cell in enumerate(mesh.cells):
+        for loop in cell.faces:
+            lp = [int(v) for v in loop]
+            if len(lp) < 3:
+                raise pm.MeshError(f"face with {len(lp)} vertices", ci)
+            f = index.setdefault(frozenset(lp), len(index))
+            if f == len(face_loops):
+                face_loops.append(lp)
+                owners.append([ci, -1])
+            elif owners[f][1] < 0:
+                owners[f][1] = ci
+            first = face_loops[f]
+            refs.append(f)
+            signs.append(1 if lp[(lp.index(first[0]) + 1) % len(lp)] == first[1]
+                         else -1)
+    sizes = np.array([len(lp) for lp in face_loops], dtype=int)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cell_offsets = np.concatenate(
+        [[0], np.cumsum([len(cell.faces) for cell in mesh.cells])])
+    return dict(loops=np.array([v for lp in face_loops for v in lp], dtype=int),
+                offsets=offsets,
+                owners=np.array(owners, dtype=int).reshape(-1, 2),
+                cell_offsets=cell_offsets, cell_faces=np.array(refs, dtype=int),
+                cell_signs=np.array(signs, dtype=int))
+
+
+def frozen_finalize_cells(mesh):
+    for cell in mesh.cells:
+        frozen_wind_consistently(cell)
+    vols = pm._turn_outward(mesh.cells, mesh.vertices)
+    total = 0.0
+    for ci, (cell, vol) in enumerate(zip(mesh.cells, vols)):
+        if vol < pm.EPS_VOL * mesh.edge_length ** 3:
+            raise pm.MeshError(f"degenerate (volume {vol:g})", ci)
+        cell.volume = vol
+        total += vol
+    L3 = mesh.edge_length ** 3
+    if abs(total - L3) > 1e-10 * L3:
+        raise pm.MeshError(f"cell volumes sum to {total:.15g}, expected {L3:.15g}")
+    return frozen_face_table(mesh)
+
+
+def frozen_native_payload(mesh):
+    lines = [f"VERTICES {mesh.n_vertices}"]
+    for i, v in enumerate(mesh.vertices):
+        lines.append(f"{i} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    lines.append(f"CELLS {len(mesh.cells)}")
+    for i, cell in enumerate(mesh.cells):
+        lines.append(f"{i} {cell.material_id} {len(cell.faces)}")
+    lines.append("FACES")
+    for i, cell in enumerate(mesh.cells):
+        for loop in cell.faces:
+            lines.append(f"{i} " + " ".join(str(int(v)) for v in loop))
+    return "\n".join(lines) + "\n"
+
+
+def frozen_front_end(seeds, L):
+    """The mesh of one tessellation, merged, compacted, wound and keyed
+    as before; the clip is the lockstep one."""
+    if len(seeds) > 1 and pdist(seeds).min() <= pm.TAU_MERGE * L:
+        raise pm.MeshError("coincident seeds")
+    raw = per_cell(pm._voronoi_cells(seeds, L))
+    mesh = pm.PolyMesh(*frozen_merged_cells(raw, pm.TAU_MERGE * L), float(L))
+    return mesh, frozen_finalize_cells(mesh)
+
+
+def assert_same_mesh(got, want, table):
+    assert got.vertices.dtype == want.vertices.dtype
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert len(got.cells) == len(want.cells)
+    for g, w in zip(got.cells, want.cells):
+        assert np.array_equal(g.vertex_ids, w.vertex_ids)
+        assert len(g.faces) == len(w.faces)
+        for gl, wl in zip(g.faces, w.faces):
+            assert np.asarray(gl).dtype == wl.dtype and np.array_equal(gl, wl)
+        assert np.float64(g.volume).tobytes() == np.float64(w.volume).tobytes()
+    t = got.faces
+    for name, want_array in table.items():
+        got_array = getattr(t, name)
+        assert got_array.dtype == want_array.dtype, name
+        assert np.array_equal(got_array, want_array), name
+    assert pm._native_payload(got) == frozen_native_payload(want)
+
+
+def assert_same_front_end(seeds):
+    try:
+        want = frozen_front_end(seeds, 1.0)
+    except pm.MeshError as exc:
+        with pytest.raises(pm.MeshError) as got:
+            pm.generate_voronoi(seeds, 1.0)
+        assert repr(got.value) == repr(exc)
+        return
+    except KeyError:
+        with pytest.raises(pm.MeshError, match="^open cap loop while clipping$"):
+            pm.generate_voronoi(seeds, 1.0)
+        return
+    assert_same_mesh(pm.generate_voronoi(seeds, 1.0), *want)
+
+
+@ON_PINS
+def test_front_end_matches_the_per_face_one_on_the_pins(n, seed, lloyd, monkeypatch):
+    for seeds in pin_iterates(n, seed, lloyd, monkeypatch):
+        assert_same_front_end(seeds)
+
+
+@ON_RANDOM_SEEDS
+def test_front_end_matches_the_per_face_one_on_random_seeds(n, seed):
+    assert_same_front_end(pm.random_seeds(n, 1.0, seed).seeds)
+
+
+@on_lattices
+def test_front_end_matches_the_per_face_one_on_lattices(m, jitter):
+    assert_same_front_end(jittered_lattice(m, jitter))
+
+
+@pytest.mark.parametrize("m,jitter", [(3, 2e-9), (4, 1e-9), (4, 2e-9)])
+def test_lattices_near_the_side_tolerance_still_cannot_be_built(m, jitter):
+    with pytest.raises(pm.MeshError, match="^open cap loop while clipping$"):
+        pm.generate_voronoi(jittered_lattice(m, jitter), 1.0)
+
+
+@ON_COPLANAR
+def test_front_end_matches_the_per_face_one_on_coplanar_seeds(n):
+    for seeds in coplanar_seeds(n):
+        assert_same_front_end(seeds)
+
+
+@on_drawn_seeds
+def test_front_end_matches_the_per_face_one_property(points, grid):
+    seeds = drawn_seeds(points, grid)
+    if seeds is not None:
+        assert_same_front_end(seeds)
+
+
+def test_merge_keeps_the_bucket_scan_choice_and_chains():
+    tol = pm.TAU_MERGE
+    p = np.full((8, 3), 0.5)
+    # two kept points within tol of a third: the merger takes the one in
+    # the first bucket of its scan (x offset -1), not the first kept
+    p[0, 0] += 1.5 * tol
+    p[1, 0] -= 0.1 * tol
+    p[2, 0] += 0.75 * tol
+    # the same along z, where the scan runs last
+    p[3:6] = p[0:3] + [0.0, 0.3, 0.0]
+    p[3:6, [0, 2]] = p[3:6, [2, 0]]
+    # a chain: the middle point merges into the first, so the last, out
+    # of the first's reach, keeps its own id
+    p[6] = p[0] + [0.0, 0.0, 0.2]
+    p[7] = p[6] + [0.9 * tol, 0.0, 0.0]
+    p = np.vstack([p, p[7] + [0.9 * tol, 0.0, 0.0]])
+    merger = FrozenPointMerger(tol)
+    want = merger.add(p)
+    assert want == [0, 1, 1, 2, 3, 3, 4, 4, 5]
+    ids, kept = pm._merge_points(p, tol)
+    assert ids.tolist() == want
+    assert kept.tobytes() == merger.array().tobytes()
+
+
+def test_collapsed_faces_and_sliver_edges_go_as_before():
+    tol = pm.TAU_MERGE
+    # a triangular prism whose edges (0, 1) and (3, 4) are slivers: both
+    # triangles and the quad between the slivers collapse
+    prism = np.array([[0.2, 0.2, 0.2], [0.2, 0.2, 0.2], [0.6, 0.2, 0.2],
+                      [0.2, 0.2, 0.6], [0.2, 0.2, 0.6], [0.6, 0.2, 0.6]])
+    prism[1, 1] += 0.5 * tol
+    prism[4, 1] += 0.5 * tol
+    prism_faces = [[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]]
+    # a square whose loop revisits a vertex: 3 distinct ids, kept
+    square = np.array([[0.7, 0.7, 0.7], [0.9, 0.7, 0.7], [0.9, 0.9, 0.7]])
+    square_faces = [[0, 1, 0, 2], [0, 2, 1]]
+    raw = [(prism, prism_faces), (square, square_faces)]
+    verts = np.vstack([prism, square])
+    loops = np.concatenate([np.concatenate(prism_faces), np.concatenate(square_faces)])
+    sizes = np.array([len(f) for f in prism_faces + square_faces])
+    got_verts, got = pm._merged_cells(verts, np.array([6, 3]), loops, sizes,
+                                      np.array([5, 2]), tol)
+    want_verts, want = frozen_merged_cells(raw, tol)
+    assert [len(cell.faces) for cell in got] == [2, 2]
+    assert got_verts.tobytes() == want_verts.tobytes()
+    for g, w in zip(got, want):
+        assert np.array_equal(g.vertex_ids, w.vertex_ids)
+        assert [lp.tolist() for lp in g.faces] == [lp.tolist() for lp in w.faces]
+
+
+def cube_cell(offset=0):
+    faces = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4],
+             [2, 3, 7, 6], [0, 4, 7, 3], [1, 2, 6, 5]]
+    loops = [np.array(f) + offset for f in faces]
+    return pm.PolyCell(np.unique(np.concatenate(loops)), loops)
+
+
+def cube_vertices(lo, hi):
+    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    return np.array([[x0, y0, z0], [x1, y0, z0], [x1, y1, z0], [x0, y1, z0],
+                     [x0, y0, z1], [x1, y0, z1], [x1, y1, z1], [x0, y1, z1]])
+
+
+def twin_meshes(cells, vertices, L):
+    return [pm.PolyMesh(vertices, [pm.PolyCell(c.vertex_ids, [lp.copy() for lp in c.faces])
+                                   for c in cells], L) for _ in range(2)]
+
+
+def test_reversed_loops_are_rewound_as_before():
+    # one loop reversed in the first cell, every loop in the second
+    cells = [cube_cell(), cube_cell(8)]
+    cells[0].faces[2] = cells[0].faces[2][::-1].copy()
+    cells[1].faces[:] = [lp[::-1].copy() for lp in cells[1].faces]
+    vertices = np.vstack([cube_vertices((0, 0, 0), (1, 1, 0.5)),
+                          cube_vertices((0, 0, 0.5), (1, 1, 1))])
+    got, want = twin_meshes(cells, vertices, 1.0)
+    assert [pm.cell_watertight(c) for c in got.cells] == [False, True]
+    assert [frozen_cell_watertight(c) for c in got.cells] == [False, True]
+    pm._finalize_cells(got)
+    assert_same_mesh(got, want, frozen_finalize_cells(want))
+    assert got.cells[0].faces[2].tolist() == [0, 1, 5, 4]
+
+
+def test_split_cell_surface_fails_as_before():
+    # one cell made of two closed cubes: watertight, but not one surface
+    cells = [cube_cell(), cube_cell(8)]
+    cells = [pm.PolyCell(np.arange(16), cells[0].faces + cells[1].faces)]
+    vertices = np.vstack([cube_vertices((0, 0, 0), (1, 1, 0.5)),
+                          cube_vertices((0, 0, 0.5), (1, 1, 1))])
+    got, want = twin_meshes(cells, vertices, 1.0)
+    assert pm.cell_watertight(got.cells[0]) and frozen_cell_watertight(want.cells[0])
+    with pytest.raises(pm.MeshError, match="^cell surface is not edge-connected$"):
+        frozen_finalize_cells(want)
+    with pytest.raises(pm.MeshError, match="^cell surface is not edge-connected$"):
+        pm._finalize_cells(got)
+
+
+@pytest.mark.parametrize("faces", [
+    [[0, 1, 2], [0, 2, 1]],                # a closed two-sided triangle
+    [[0, 1, 2], [0, 2, 1], [0, 1, 2]],     # a face twice
+    [[0, 1, 2, 1]],                        # a loop that doubles back
+    [[0, 1], [1, 0]],
+    [[3]],
+    [],
+])
+def test_watertight_check_matches_the_edge_count(faces):
+    cell = pm.PolyCell(np.arange(4), [np.array(f, dtype=int) for f in faces])
+    assert pm.cell_watertight(cell) == frozen_cell_watertight(cell)
+    assert pm.watertight_cells([cell, cube_cell()]).tolist() == [
+        frozen_cell_watertight(cell), True]
