@@ -258,7 +258,7 @@ def face_table(mesh: PolyMesh) -> FaceTable:
     n_refs = len(ref_size)
     ref_start = np.cumsum(ref_size) - ref_size
     entry_ref = np.repeat(np.arange(n_refs), ref_size)
-    nv = max(len(mesh.vertices), int(ids.max(initial=0)) + 1)
+    nv = int(ids.max(initial=0)) + 1
     key = _distinct(entry_ref * nv + ids)
     ref = key // nv
     width = np.bincount(ref, minlength=n_refs)
@@ -834,9 +834,9 @@ def _finalize_cells(mesh: PolyMesh):
     the face table. A cell whose directed edges pair up with their
     reverses into one surface is wound consistently already; only the
     others are rewound (or rejected) by the edge traversal."""
-    flat = _flat_loops(mesh.cells)
-    closed, faces = _edge_pairs(*flat)
-    for c in np.flatnonzero(~(closed & _joined(faces, flat[2]))).tolist():
+    ids, sizes, n_faces = _flat_loops(mesh.cells)
+    closed, faces = _edge_pairs(ids, sizes, n_faces)
+    for c in np.flatnonzero(~(closed & _joined(faces, n_faces))).tolist():
         _wind_consistently(mesh.cells[c])
     vols = _turn_outward(mesh.cells, mesh.vertices)
     total = 0.0

@@ -760,13 +760,13 @@ def test_collapsed_faces_and_sliver_edges_go_as_before():
     prism[1, 1] += 0.5 * tol
     prism[4, 1] += 0.5 * tol
     prism_faces = [[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]]
-    # a square whose loop revisits a vertex: 3 distinct ids, kept
-    square = np.array([[0.7, 0.7, 0.7], [0.9, 0.7, 0.7], [0.9, 0.9, 0.7]])
-    square_faces = [[0, 1, 0, 2], [0, 2, 1]]
-    raw = [(prism, prism_faces), (square, square_faces)]
-    verts = np.vstack([prism, square])
-    loops = np.concatenate([np.concatenate(prism_faces), np.concatenate(square_faces)])
-    sizes = np.array([len(f) for f in prism_faces + square_faces])
+    # a triangle whose first loop revisits a vertex: 3 distinct ids, kept
+    triangle = np.array([[0.7, 0.7, 0.7], [0.9, 0.7, 0.7], [0.9, 0.9, 0.7]])
+    triangle_faces = [[0, 1, 0, 2], [0, 2, 1]]
+    raw = [(prism, prism_faces), (triangle, triangle_faces)]
+    verts = np.vstack([prism, triangle])
+    loops = np.concatenate([np.concatenate(f) for f in (prism_faces, triangle_faces)])
+    sizes = np.array([len(f) for f in prism_faces + triangle_faces])
     got_verts, got = pm._merged_cells(verts, np.array([6, 3]), loops, sizes,
                                       np.array([5, 2]), tol)
     want_verts, want = frozen_merged_cells(raw, tol)
